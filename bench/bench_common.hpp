@@ -41,11 +41,11 @@ struct DistMetrics {
   offset_t zred_blocks_skipped = 0;
   offset_t zred_blocks_total = 0;
   offset_t z_bytes_sent = 0;
-  /// Sparse panel-packing savings (zero under PanelPacking::Dense): root
-  /// payload bytes the XY panel broadcasts avoided (net of bitmap frames),
-  /// the dense-equivalent payload those broadcasts would have carried, and
-  /// the all-zero per-entry data messages elided entirely. saved / dense
-  /// is the fraction of panel payload eliminated (fig10's Psaved column).
+  /// Targeted panel-delivery savings (zero under PanelPacking::Dense): XY
+  /// panel bytes the footprint puts avoided (bitmap words netted out), the
+  /// dense-equivalent payload the broadcasts would have delivered, and the
+  /// XY panel messages avoided. saved / dense is the fraction of panel
+  /// payload eliminated (fig9's Psaved and fig10's Tsaved columns).
   offset_t panel_saved = 0;
   offset_t panel_dense = 0;
   offset_t panel_saved_msgs = 0;
@@ -77,11 +77,12 @@ inline int bench_threads(int argc, char** argv) {
   return threads;
 }
 
-/// Wire-format selection shared by the bench drivers: `--panel-packing` and
-/// `--zred-packing`, each accepting dense | sparse | targeted (both the
-/// separate-argument and `=value` spellings). Drivers pass their own
-/// defaults, so e.g. fig9 keeps measuring sparse savings when no flag is
-/// given while a one-flag rerun measures the targeted one-sided wire.
+/// Wire-format selection shared by the bench drivers: `--panel-packing`
+/// (dense | targeted) and `--zred-packing` (dense | sparse | targeted), in
+/// both the separate-argument and `=value` spellings. Drivers pass their
+/// own defaults, so e.g. fig9 measures targeted panel savings when no flag
+/// is given while `--zred-packing sparse|targeted` swaps the Z wire of the
+/// same re-run. An unknown value exits with status 2.
 struct PackingFlags {
   pipeline::PanelPacking panel = pipeline::PanelPacking::Dense;
   pipeline::ZRedPacking zred = pipeline::ZRedPacking::Dense;
@@ -92,25 +93,27 @@ inline PackingFlags parse_packing_flags(
     pipeline::PanelPacking def_panel = pipeline::PanelPacking::Dense,
     pipeline::ZRedPacking def_zred = pipeline::ZRedPacking::Dense) {
   PackingFlags f{def_panel, def_zred};
-  auto parse = [](const char* v, const char* flag) -> int {
-    if (std::strcmp(v, "dense") == 0) return 0;
-    if (std::strcmp(v, "sparse") == 0) return 1;
-    if (std::strcmp(v, "targeted") == 0) return 2;
-    std::fprintf(stderr, "%s: expected dense|sparse|targeted, got '%s'\n",
-                 flag, v);
+  auto reject = [](const char* flag, const char* accepted, const char* v) {
+    std::fprintf(stderr, "%s: expected %s, got '%s'\n", flag, accepted, v);
     std::exit(2);
   };
   auto set_panel = [&](const char* v) {
-    const int k = parse(v, "--panel-packing");
-    f.panel = k == 0   ? pipeline::PanelPacking::Dense
-              : k == 1 ? pipeline::PanelPacking::Sparse
-                       : pipeline::PanelPacking::Targeted;
+    if (std::strcmp(v, "dense") == 0)
+      f.panel = pipeline::PanelPacking::Dense;
+    else if (std::strcmp(v, "targeted") == 0)
+      f.panel = pipeline::PanelPacking::Targeted;
+    else
+      reject("--panel-packing", "dense|targeted", v);
   };
   auto set_zred = [&](const char* v) {
-    const int k = parse(v, "--zred-packing");
-    f.zred = k == 0   ? pipeline::ZRedPacking::Dense
-             : k == 1 ? pipeline::ZRedPacking::Sparse
-                      : pipeline::ZRedPacking::Targeted;
+    if (std::strcmp(v, "dense") == 0)
+      f.zred = pipeline::ZRedPacking::Dense;
+    else if (std::strcmp(v, "sparse") == 0)
+      f.zred = pipeline::ZRedPacking::Sparse;
+    else if (std::strcmp(v, "targeted") == 0)
+      f.zred = pipeline::ZRedPacking::Targeted;
+    else
+      reject("--zred-packing", "dense|sparse|targeted", v);
   };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];

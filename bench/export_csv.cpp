@@ -37,8 +37,7 @@ void export_fig9_fig10_fig11(const std::string& dir, int threads) {
   f9 << "matrix,class,P,Pz,Px,Py,time_s,t_scu_s,t_comm_s,wall_s,threads,"
         "t_analysis_s,w_analysis_bytes,msg_analysis\n";
   std::ofstream f10(dir + "/fig10_comm_volume.csv");
-  f10 << "matrix,class,P,Pz,w_fact_bytes,w_red_bytes,panel_saved_bytes,"
-         "panel_dense_bytes,panel_saved_msgs,targeted_saved_bytes,"
+  f10 << "matrix,class,P,Pz,w_fact_bytes,w_red_bytes,targeted_saved_bytes,"
          "targeted_dense_bytes,targeted_saved_msgs,targeted_zred_saved_bytes"
          "\n";
   std::ofstream f11(dir + "/fig11_memory.csv");
@@ -70,14 +69,9 @@ void export_fig9_fig10_fig11(const std::string& dir, int threads) {
                                           pipeline::ZRedPacking::Dense,
                                           pipeline::PanelPacking::Dense,
                                           threads);
-        // Sparse-panel re-run for the Psaved columns and a targeted re-run
-        // (one-sided footprint puts + Z scatter-accumulate) for the Tsaved
-        // columns — factors bitwise unchanged; only the wire formats differ.
-        const auto pp = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
-                                           PartitionStrategy::Greedy,
-                                           pipeline::ZRedPacking::Dense,
-                                           pipeline::PanelPacking::Sparse,
-                                           threads);
+        // Targeted re-run (one-sided footprint puts + Z scatter-accumulate)
+        // for the targeted_* columns — factors bitwise unchanged; only the
+        // wire formats differ.
         const auto tg = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                            PartitionStrategy::Greedy,
                                            pipeline::ZRedPacking::Targeted,
@@ -88,10 +82,9 @@ void export_fig9_fig10_fig11(const std::string& dir, int threads) {
            << ',' << m.wall_s << ',' << m.threads << ',' << t_analysis << ','
            << w_analysis << ',' << msg_analysis << '\n';
         f10 << t.name << ',' << cls << ',' << P << ',' << Pz << ','
-            << m.w_fact << ',' << m.w_red << ',' << pp.panel_saved << ','
-            << pp.panel_dense << ',' << pp.panel_saved_msgs << ','
-            << tg.panel_saved << ',' << tg.panel_dense << ','
-            << tg.panel_saved_msgs << ',' << tg.zred_saved << '\n';
+            << m.w_fact << ',' << m.w_red << ',' << tg.panel_saved << ','
+            << tg.panel_dense << ',' << tg.panel_saved_msgs << ','
+            << tg.zred_saved << '\n';
         f11 << t.name << ',' << cls << ',' << P << ',' << Pz << ','
             << m.mem_total << ',' << m.mem_max << '\n';
       }

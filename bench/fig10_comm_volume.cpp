@@ -9,11 +9,11 @@
 int main(int argc, char** argv) {
   using namespace slu3d;
   bench::bench_platform(argc, argv);
-  // --panel-packing / --zred-packing swap the wire formats of the Zsaved /
-  // Psaved columns (default: sparse presence-bitmap packing on both); the
-  // Tsaved columns always measure the targeted one-sided wire.
+  // --zred-packing swaps the wire format of the Zsaved columns (default:
+  // the sparse block-framed reduction); the Tsaved columns always measure
+  // the targeted one-sided wire on both planes.
   const auto pk = bench::parse_packing_flags(argc, argv,
-                                             pipeline::PanelPacking::Sparse,
+                                             pipeline::PanelPacking::Dense,
                                              pipeline::ZRedPacking::Sparse);
   const auto suite = paper_test_suite(bench::bench_scale());
 
@@ -27,14 +27,13 @@ int main(int argc, char** argv) {
               << ") ===\n";
     // Dense columns reproduce the paper's W_fact/W_red; the Zsaved columns
     // re-run the reduction with the selected zred packing (sparse by
-    // default), the Psaved columns the XY panel broadcasts with the
-    // selected panel packing, and the Tsaved columns re-run both planes
-    // with the targeted one-sided wire (footprint puts on XY, scatter-
-    // accumulate along Z) and report the volume each format eliminates
-    // (numerics unchanged every way — see tests/test_comm_equivalence.cpp).
+    // default), and the Tsaved columns re-run both planes with the
+    // targeted one-sided wire (footprint puts on XY, scatter-accumulate
+    // along Z) and report the volume each format eliminates (numerics
+    // unchanged every way — see tests/test_comm_equivalence.cpp).
     TextTable table({"P", "Pz", "W_fact(B)", "W_red(B)", "W_total(B)",
-                     "vs 2D", "Zsaved(B)", "Zsaved(%)", "Psaved(B)",
-                     "Psaved(%)", "Tsaved(B)", "Tsaved(%)", "TZsaved(%)"});
+                     "vs 2D", "Zsaved(B)", "Zsaved(%)", "Tsaved(B)",
+                     "Tsaved(%)", "TZsaved(%)"});
     for (int P : {64, 128}) {
       offset_t w2d = 0;
       for (int Pz : {1, 2, 4, 8, 16}) {
@@ -43,10 +42,6 @@ int main(int argc, char** argv) {
         const auto sp = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                            PartitionStrategy::Greedy,
                                            pk.zred);
-        const auto pp = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
-                                           PartitionStrategy::Greedy,
-                                           pipeline::ZRedPacking::Dense,
-                                           pk.panel);
         const auto tg = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                            PartitionStrategy::Greedy,
                                            pipeline::ZRedPacking::Targeted,
@@ -67,9 +62,6 @@ int main(int argc, char** argv) {
                                       static_cast<double>(total), 2) + "x",
                        std::to_string(sp.zred_saved),
                        TextTable::num(pct(sp.zred_saved, zdense), 1) + "%",
-                       std::to_string(pp.panel_saved),
-                       TextTable::num(pct(pp.panel_saved, pp.panel_dense), 1) +
-                           "%",
                        std::to_string(tg.panel_saved),
                        TextTable::num(pct(tg.panel_saved, tg.panel_dense), 1) +
                            "%",

@@ -148,24 +148,14 @@ struct CholPanelPolicy {
   /// blocking wait inside the panel phase (which could deadlock against
   /// peers whose forwarding waits also run at their drains).
   ///
-  /// Under PanelPacking::Sparse this role stays *dense*: its payloads
-  /// originate on one rank per block row (the relay), so no single rank of
-  /// the broadcast column could compute a presence frame for all entries
-  /// the way the row/U roles' data roots can. The row role still packs;
-  /// every relay copy below reads a dense row-role region regardless —
-  /// the in-column relay is the row-role root (the engine expands the
-  /// root's packed buffer right after the post), the deferred relay copies
-  /// at the drain after the row request's wait-time expansion, and
-  /// all-zero row entries (which send no data message at all) have their
-  /// region zero-filled by the presence-frame exchange. That is also why
-  /// the symmetric variant never prunes stash entries.
-  ///
-  /// PanelPacking::Targeted changes nothing here either, for the same
-  /// reason: only the row role goes one-sided, and the engine's footprint
-  /// predicate counts every relay duty (bi % Py == peer) into the relay's
-  /// row-role footprint, so each relay copy below still reads a dense
-  /// region — parsed inline in blocking mode, or at the drain by the
-  /// window-delivery op that precedes every deferred relay in `ops`.
+  /// PanelPacking::Targeted leaves this role a dense relay broadcast: its
+  /// payloads originate on one rank per block row (the relay), so no single
+  /// rank of the broadcast column holds every entry the way the row role's
+  /// data root does. Only the row role goes one-sided, and the engine's
+  /// footprint predicate counts every relay duty (bi % Py == peer) into
+  /// the relay's row-role footprint, so each relay copy below still reads
+  /// a dense region — at the drain, where the window-delivery op that
+  /// fills it precedes every deferred relay in `ops`.
   template <class Engine>
   static void post_col_entries(Engine& e, pipeline::PanelStash& stash, int k,
                                index_t ns) {
@@ -182,26 +172,22 @@ struct CholPanelPolicy {
       const pipeline::StashEntry* re =
           relay ? stash.find_row_entry(en.panel_idx) : nullptr;
       if (relay) SLU3D_CHECK(re != nullptr, "relay missing row-role payload");
-      if (!e.options().async) {
-        if (relay)
-          std::copy_n(stash.storage.data() + re->offset, elems, buf.begin());
-        g.col().bcast(arow, e.tag(k, kColPanelOp), buf, CommPlane::XY);
-      } else if (!relay) {
-        stash.ops.push_back(
-            {g.col().ibcast(arow, e.tag(k, kColPanelOp), buf, CommPlane::XY),
-             -1, 0, 0, 0, -1, -1, {}});
+      if (!relay) {
+        stash.ops.emplace_back().req =
+            g.col().ibcast(arow, e.tag(k, kColPanelOp), buf, CommPlane::XY);
       } else if (in_pcol) {
         // The relay is the row-role root itself: payload already local.
         std::copy_n(stash.storage.data() + re->offset, elems, buf.begin());
-        stash.ops.push_back(
-            {g.col().ibcast(arow, e.tag(k, kColPanelOp), buf, CommPlane::XY),
-             -1, 0, 0, 0, -1, -1, {}});
+        stash.ops.emplace_back().req =
+            g.col().ibcast(arow, e.tag(k, kColPanelOp), buf, CommPlane::XY);
       } else {
         // Deferred: re-broadcast once the row-role request (earlier in
         // `ops`) has been drained.
-        stash.ops.push_back(
-            {sim::Request{}, en.panel_idx, re->offset, en.offset, elems, -1,
-             -1, {}});
+        pipeline::PanelAsyncOp& op = stash.ops.emplace_back();
+        op.relay_pi = en.panel_idx;
+        op.row_off = re->offset;
+        op.col_off = en.offset;
+        op.elems = elems;
       }
     }
   }

@@ -13,7 +13,6 @@
 #include "numeric/schur.hpp"
 #include "pipeline/panel_pipeline.hpp"
 #include "support/check.hpp"
-#include "threads/thread_pool.hpp"
 
 namespace slu3d {
 
@@ -133,14 +132,9 @@ struct LuPanelPolicy {
 
   /// U block (k, a) goes down process column a % Py, rooted at the
   /// diagonal owner's process row; payload is the owner's U block. Under
-  /// PanelPacking::Sparse the owner's process row holds every U payload of
-  /// the supernode, so the column role packs exactly like the engine's row
-  /// role: one presence frame down the column first (tag op kColFrameOp),
-  /// then per-entry packed broadcasts; all-zero entries are pruned, which
-  /// also removes their Schur pairs (their contribution is zero anyway).
-  /// Under PanelPacking::Targeted the role instead delegates to the
-  /// engine's one-sided footprint puts (no frame, no pruning — the pair
-  /// set and factors stay bitwise identical to Dense).
+  /// PanelPacking::Targeted the role instead delegates to the engine's
+  /// one-sided footprint puts (no pruning — the pair set and factors stay
+  /// bitwise identical to Dense).
   template <class Engine>
   static void post_col_entries(Engine& e, pipeline::PanelStash& stash, int k,
                                index_t ns) {
@@ -148,8 +142,6 @@ struct LuPanelPolicy {
     sim::ProcessGrid2D& g = e.grid();
     const auto panel = e.structure().lpanel(k);
     const int pxk = k % g.Px();
-    const bool in_prow = g.px() == pxk;
-    const bool sparse = e.sparse_packing();
     auto u_payload = [&](const pipeline::StashEntry& en) -> std::span<const real_t> {
       const OwnedBlock* ob =
           F.find_ublock(k, panel[static_cast<std::size_t>(en.panel_idx)].snode);
@@ -163,51 +155,18 @@ struct LuPanelPolicy {
       e.targeted_role(stash, /*role=*/1, k, ns, panel, u_payload);
       return;
     }
-    if (sparse)
-      e.exchange_presence_frame(g.col(), pxk, e.tag(k, pipeline::kColFrameOp),
-                                stash, stash.col_entries, stash.col_bits,
-                                in_prow, ns, u_payload, /*prune_absent=*/true);
-    if (sparse && in_prow) {
-      // Pre-pack every surviving U payload in parallel (disjoint storage
-      // regions per entry); the post loop below then only posts.
-      threads::parallel_for(
-          static_cast<std::ptrdiff_t>(stash.col_entries.size()),
-          [&](std::ptrdiff_t t, int) {
-            const pipeline::StashEntry& en =
-                stash.col_entries[static_cast<std::size_t>(t)];
-            Engine::pack_present(u_payload(en), stash.col_bits, en.bits_off,
-                                 stash.storage.data() + en.offset);
-          });
-    }
-    for (int i = 0; i < static_cast<int>(stash.col_entries.size()); ++i) {
-      const pipeline::StashEntry& en =
-          stash.col_entries[static_cast<std::size_t>(i)];
-      const auto dense_elems =
-          static_cast<std::size_t>(ns) * static_cast<std::size_t>(en.m);
-      const std::size_t wire = sparse ? en.packed : dense_elems;
-      const std::span<real_t> buf{stash.storage.data() + en.offset, wire};
-      if (in_prow && !sparse) {
+    const bool in_prow = g.px() == pxk;
+    for (const pipeline::StashEntry& en : stash.col_entries) {
+      const std::span<real_t> buf{
+          stash.storage.data() + en.offset,
+          static_cast<std::size_t>(ns) * static_cast<std::size_t>(en.m)};
+      if (in_prow) {
         const std::span<const real_t> src = u_payload(en);
-        SLU3D_CHECK(src.size() == dense_elems, "owner U block size mismatch");
+        SLU3D_CHECK(src.size() == buf.size(), "owner U block size mismatch");
         std::copy(src.begin(), src.end(), buf.begin());
       }
-      if (e.options().async) {
-        stash.ops.push_back(
-            {g.col().ibcast(pxk, e.tag(k, kColPanelOp), buf, CommPlane::XY),
-             -1, 0, 0, 0, -1, -1, {}});
-        if (sparse) {
-          if (in_prow) {
-            // The root's payload is snapshotted at post; restore dense now.
-            e.expand_entry(stash, en, stash.col_bits, ns);
-          } else {
-            stash.ops.back().exp_role = 1;
-            stash.ops.back().exp_idx = i;
-          }
-        }
-      } else {
-        g.col().bcast(pxk, e.tag(k, kColPanelOp), buf, CommPlane::XY);
-        if (sparse) e.expand_entry(stash, en, stash.col_bits, ns);
-      }
+      stash.ops.emplace_back().req =
+          g.col().ibcast(pxk, e.tag(k, kColPanelOp), buf, CommPlane::XY);
     }
   }
 

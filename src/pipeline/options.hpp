@@ -17,30 +17,19 @@ enum class PanelPacking {
   /// Panels travel as the full m x ns union blocks, zeros included — the
   /// historical scheme, byte-identical to the golden fig9 counters.
   Dense,
-  /// Each panel role prepends one presence-bitmap frame (1 bit per scalar)
-  /// to the supernode's broadcasts and ships only the present scalars;
-  /// blocks whose payload is entirely zero send no data message at all.
-  /// Ancestor union blocks are ragged (per-column symbolic patterns inside
-  /// the dense m x ns rectangle), so 10-25% of the dense panel payload is
-  /// zero scalars even though whole blocks are almost never zero. Factors
-  /// stay bitwise identical; savings are reported in RankStats::panel_*
-  /// (see comm_stats.hpp). The Cholesky transposed (column) role stays
-  /// dense — its presence bits live on ranks outside the broadcast column.
-  Sparse,
   /// One-sided delivery over simmpi RMA windows: the data root computes
   /// each receiver's block footprint from the symbolic structure (which
   /// entries that receiver's Schur pairs actually read) and issues one
   /// footprint-sized put per receiver — bitmap words + present scalars of
   /// exactly the needed entries, nothing else. Receivers whose footprint
   /// is empty get no data message at all (both sides agree symbolically,
-  /// so no handshake is needed). Strictly less volume than Sparse: the
-  /// collective broadcast is replaced by per-destination payloads, and a
-  /// receiver no longer pays for entries it never reads. Factors stay
-  /// bitwise identical (the footprint covers every pair-referenced entry,
-  /// so charged flops and FP order match Dense); savings land in the same
-  /// RankStats::panel_* counters with an exact accounting identity:
-  /// dense_equivalent - received == saved. The Cholesky transposed
-  /// (column) role stays a dense relay, as under Sparse.
+  /// so no handshake is needed). Ancestor union blocks are ragged, so the
+  /// scalar bitmaps elide zeros even inside the entries a receiver reads.
+  /// Factors stay bitwise identical (the footprint covers every
+  /// pair-referenced entry, so charged flops and FP order match Dense);
+  /// savings are reported in RankStats::panel_* with an exact accounting
+  /// identity: dense_equivalent - received == saved. The Cholesky
+  /// transposed (column) role stays a dense relay broadcast.
   Targeted,
 };
 
@@ -53,21 +42,18 @@ inline constexpr int kMaxPanelLookahead = 4096;
 
 /// Scheduling knobs of the 2D panel pipeline (one supernode's diagonal
 /// factorization + panel solves + panel broadcast + Schur update, pipelined
-/// through the elimination-tree lookahead window of §II-F).
+/// through the elimination-tree lookahead window of §II-F). The window's
+/// panel transfers are always non-blocking, drained lazily at the consuming
+/// Schur phase, so they hide behind earlier supernodes' updates; only the
+/// diagonal broadcasts, consumed at once by the panel solves, block.
 struct PanelOptions {
   /// Lookahead window size in supernodes (SuperLU_DIST uses 8-20; 0
   /// disables pipelining). Must be <= kMaxPanelLookahead.
   int lookahead = 8;
   /// Base message tag; the engine uses tags [tag_base, tag_base + 8*n_snodes).
   int tag_base = 0;
-  /// Post the look-ahead window's panel broadcasts as non-blocking
-  /// requests, drained lazily at the consuming Schur phase — so panel
-  /// transfer time is hidden behind earlier supernodes' updates. Per-plane
-  /// byte counters are identical to the blocking schedule (same binomial
-  /// trees); only the simulated critical path changes.
-  bool async = true;
-  /// Wire format of the panel broadcasts; Dense is byte-identical to the
-  /// historical drivers, Sparse is the opt-in volume optimization.
+  /// Wire format of the panel transfers; Dense is byte-identical to the
+  /// historical drivers, Targeted is the opt-in one-sided delivery.
   PanelPacking packing = PanelPacking::Dense;
   /// Per-rank compute participants (caller thread + pool workers) for the
   /// dense kernels and the Schur scatter. 0 (the default) defers to the
@@ -89,7 +75,9 @@ enum class ZRedPacking {
   /// local accumulation is still entirely zero (common for ancestors a
   /// subtree never touched). Numerically identical — skipped blocks
   /// contribute nothing — but the reduction volume W_red shrinks. Savings
-  /// are reported in RankStats::zred_* (see comm_stats.hpp).
+  /// are reported in RankStats::zred_* (see comm_stats.hpp). Kept beside
+  /// Targeted because it is faster on some configurations (EXPERIMENTS.md,
+  /// "Retired wire formats").
   Sparse,
   /// One-sided delivery: ancestor contributions are scatter_accumulate'd
   /// into an RMA window over the owner's receive staging instead of being
@@ -102,18 +90,14 @@ enum class ZRedPacking {
   Targeted,
 };
 
-/// Knobs of the 3D driver: the per-level z-axis ancestor reduction.
+/// Knobs of the 3D driver: the per-level z-axis ancestor reduction. The
+/// pairwise reduction is always chunked into non-blocking messages drained
+/// only when their elimination-forest level is factored, overlapping the
+/// reduction transfer with the 2D factorization of deeper levels.
 struct ZRedOptions {
-  /// Chunk the pairwise z-axis ancestor reduction into non-blocking
-  /// messages drained only when their elimination-forest level is factored
-  /// — overlapping the reduction transfer with the 2D factorization of
-  /// deeper levels. Byte volume per plane is identical to the single
-  /// blocking message; only message counts and the critical path change.
-  bool async = true;
-  /// Ancestor supernodes per reduction message in async mode (>= 1).
-  /// 1 reproduces the historical per-supernode chunking; larger values
-  /// trade overlap granularity for fewer messages. Ignored when async is
-  /// false (the blocking path always sends one message per level).
+  /// Ancestor supernodes per reduction message (>= 1). 1 reproduces the
+  /// historical per-supernode chunking; larger values trade overlap
+  /// granularity for fewer messages.
   int chunk_snodes = 1;
   /// Wire format of the reduction payloads; Dense is byte-identical to the
   /// historical drivers, Sparse is the opt-in volume optimization.
@@ -129,7 +113,6 @@ inline void validate_panel_options(const PanelOptions& opt) {
               "(kMaxPanelLookahead)");
   SLU3D_CHECK(opt.tag_base >= 0, "pipeline: tag_base must be non-negative");
   SLU3D_CHECK(opt.packing == PanelPacking::Dense ||
-                  opt.packing == PanelPacking::Sparse ||
                   opt.packing == PanelPacking::Targeted,
               "pipeline: unknown PanelPacking value");
   SLU3D_CHECK(opt.threads >= 0,

@@ -7,8 +7,9 @@
 //                 block pair),
 // pipelined through the elimination-tree lookahead window of §II-F: panel
 // phases of up to `lookahead` future supernodes are issued as soon as all
-// their updaters have completed, so in async mode their broadcasts overlap
-// earlier supernodes' Schur updates.
+// their updaters have completed, so their non-blocking broadcasts overlap
+// earlier supernodes' Schur updates. Only the diagonal broadcasts (inside
+// the variant's factor_and_solve) stay blocking.
 //
 // The engine owns everything the LU and Cholesky drivers used to duplicate:
 // the lookahead schedule, the stash slot pool (flat storage borrowed from
@@ -30,21 +31,6 @@
 // so dense-mode per-rank byte/message counters are unchanged (pinned by
 // PipelineGolden.* in tests/test_pipeline.cpp).
 //
-// PanelPacking::Sparse (opt-in) replaces each role's dense payloads with a
-// two-phase wire format (see DESIGN.md "Sparse panel packing"):
-//   phase 1  one *blocking* presence-frame broadcast per supernode per
-//            role, from the role's data root along the role's comm: the
-//            concatenated per-entry scalar bitmaps (1 bit per scalar of the
-//            dense m x ns block, 64 bits per real_t word). After it, every
-//            rank of the comm knows each entry's packed length.
-//   phase 2  the usual per-entry broadcasts, but carrying only the present
-//            scalars; entries whose payload is entirely zero send nothing.
-// Stash storage keeps the *dense* layout and offsets; a packed payload
-// lands at the entry's offset and is expanded in place (backward, so the
-// packed prefix never overruns its dense positions): on the root right
-// after the post (ibcast snapshots the payload at post time), on receivers
-// right after the drain wait (after the request's subtree forwarding).
-//
 // PanelPacking::Targeted (opt-in) replaces each role's broadcasts with
 // one-sided RMA delivery (see DESIGN.md "Targeted one-sided delivery"):
 // the data root computes every peer's block *footprint* — the entries that
@@ -55,8 +41,8 @@
 // all; both sides evaluate the same symbolic predicate, so no handshake or
 // presence frame travels. Entries are never pruned, so the Schur pair set,
 // charged flops, and FP order are identical to Dense — factors stay
-// bitwise identical — while the wire volume is strictly below Sparse
-// (footprint subset of all entries, and no broadcast frame).
+// bitwise identical — while a peer receives only the entries it reads,
+// and only their nonzero scalars.
 #pragma once
 
 #include <algorithm>
@@ -76,12 +62,6 @@
 
 namespace slu3d::pipeline {
 
-/// Tag ops of the sparse-mode presence-frame broadcasts. Ops 0-3 are taken
-/// by the variants' diagonal/panel broadcasts; the tag stride is 8 per
-/// supernode, so 4 and 5 are free in both variants.
-inline constexpr int kRowFrameOp = 4;  ///< row-role frame, along the row comm
-inline constexpr int kColFrameOp = 5;  ///< col-role frame, along the col comm
-
 /// Window tags of the targeted-mode RMA windows (one per role per engine
 /// run, created collectively at run() entry). These live in the runtime's
 /// separate RMA tag namespace, so they cannot collide with the per-snode
@@ -91,13 +71,11 @@ inline constexpr int kColWinTag = 7;  ///< col-role window, over the col comm
 
 /// One broadcast panel block staged for the Schur phase: `m*ns` (row role)
 /// or `ns*m` (column role) values at `offset` in the stash's flat storage.
-/// Under PanelPacking::Sparse the entry also carries its presence-bitmap
-/// location (`bits_off`, in 64-bit words into the role's bits vector) and
-/// the number of present scalars actually on the wire (`packed`); the
-/// storage region is still the dense `offset`/`m` layout after expansion.
-/// Under PanelPacking::Targeted, `in_footprint` marks the entries this
-/// rank actually reads (always all of them on the role's root): the put
-/// wire carries exactly the marked entries, in entry order.
+/// Under PanelPacking::Targeted the role's root also records each entry's
+/// presence-bitmap location (`bits_off`, in 64-bit words into its bitmap
+/// scratch) and nonzero-scalar count (`packed`), and `in_footprint` marks
+/// the entries this rank actually reads (always all of them on the root):
+/// the put wire carries exactly the marked entries, in entry order.
 struct StashEntry {
   int panel_idx;
   std::size_t offset;
@@ -113,18 +91,14 @@ struct StashEntry {
 /// rank copies its row-role payload (offset `row_off`, an earlier op) to
 /// `col_off` and re-broadcasts it only at the drain, never as a blocking
 /// wait inside panel_phase (which could deadlock against peers whose
-/// forwarding waits also run at their drains). `exp_role >= 0` marks a
-/// sparse-mode receiver request whose entry (`row_entries[exp_idx]` for
-/// role 0, `col_entries[exp_idx]` for role 1) must be expanded from packed
-/// to dense right after the wait. A valid `delivery` marks a targeted-mode
-/// window delivery instead: the drain waits it and parses the landed
-/// footprint put of the role in `exp_role` (all marked entries at once).
+/// forwarding waits also run at their drains). A valid `delivery` marks a
+/// targeted-mode window delivery instead: the drain waits it and parses
+/// the landed footprint put of role `role` (all marked entries at once).
 struct PanelAsyncOp {
   sim::Request req;
   int relay_pi = -1;
   std::size_t row_off = 0, col_off = 0, elems = 0;
-  int exp_role = -1;
-  int exp_idx = -1;
+  int role = -1;
   sim::WindowDelivery delivery;
 };
 
@@ -132,14 +106,12 @@ struct PanelAsyncOp {
 /// update has been applied. Entries are appended in ascending panel_idx
 /// order; storage is one flat buffer borrowed from the per-rank scratch
 /// pool, so the look-ahead hot path performs no per-supernode node
-/// allocations. `row_bits`/`col_bits` hold the decoded presence bitmaps in
-/// sparse mode (empty in dense mode or when the role has no entries).
+/// allocations.
 struct PanelStash {
   int k = -1;  ///< supernode, or -1 when the slot is free
   std::vector<StashEntry> row_entries, col_entries;
   std::vector<real_t> storage;
   std::vector<PanelAsyncOp> ops;
-  std::vector<std::uint64_t> row_bits, col_bits;
 
   const StashEntry* find_row_entry(int pi) const {
     for (const StashEntry& e : row_entries)
@@ -202,7 +174,6 @@ class PanelEngine {
   const BlockStructure& structure() const { return bs_; }
   const PanelOptions& options() const { return opt_; }
   int tag(int k, int op) const { return opt_.tag_base + 8 * k + op; }
-  bool sparse_packing() const { return opt_.packing == PanelPacking::Sparse; }
   bool targeted_packing() const {
     return opt_.packing == PanelPacking::Targeted;
   }
@@ -212,116 +183,15 @@ class PanelEngine {
     return (elems + 63) / 64;
   }
 
-  /// Sparse-mode phase 1 for one role: the root computes the per-entry
-  /// scalar presence bitmaps from its payloads, every rank of `comm`
-  /// receives them in one blocking frame broadcast (bitmap words bit_cast
-  /// through real_t, same comm and root as the role's data broadcasts),
-  /// and each entry's `bits_off`/`packed` are filled in on all ranks —
-  /// after which packed data-broadcast lengths are known everywhere.
-  /// Savings are accounted on the root only (once per payload, like the
-  /// z-reduction counters). With `prune_absent`, entries whose payload is
-  /// entirely zero are erased — their data broadcast *and* their Schur
-  /// pairs disappear (sound: all-zero panels contribute nothing). Without
-  /// it (the symmetric variant, whose relay lookups and transposed role
-  /// need every entry), such entries stay but their dense storage region is
-  /// zero-filled here, since no data message will overwrite it.
-  template <class PayloadFn>
-  void exchange_presence_frame(sim::Comm& comm, int root, int frame_tag,
-                               PanelStash& stash,
-                               std::vector<StashEntry>& entries,
-                               std::vector<std::uint64_t>& bits, bool is_root,
-                               index_t ns, PayloadFn&& payload,
-                               bool prune_absent) {
-    bits.clear();
-    if (entries.empty()) return;
-    std::size_t total_words = 0, dense_scalars = 0;
-    for (StashEntry& e : entries) {
-      const auto elems =
-          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
-      e.bits_off = total_words;
-      total_words += bitmap_words(elems);
-      dense_scalars += elems;
-    }
-    bits.assign(total_words, 0);
-    if (is_root) {
-      // Each entry's bitmap occupies its own word range (bits_off is
-      // word-aligned per entry), so the per-entry builds write disjoint
-      // words and fan out across the pool.
-      threads::parallel_for(
-          static_cast<std::ptrdiff_t>(entries.size()),
-          [&](std::ptrdiff_t t, int) {
-            StashEntry& e = entries[static_cast<std::size_t>(t)];
-            const std::span<const real_t> src = payload(e);
-            SLU3D_CHECK(src.size() == static_cast<std::size_t>(e.m) *
-                                          static_cast<std::size_t>(ns),
-                        "panel payload size mismatch");
-            for (std::size_t i = 0; i < src.size(); ++i)
-              if (src[i] != 0.0)
-                bits[e.bits_off + i / 64] |= std::uint64_t{1} << (i % 64);
-          });
-    }
-    frame_buf_.resize(total_words);
-    for (std::size_t w = 0; w < total_words; ++w)
-      frame_buf_[w] = std::bit_cast<real_t>(bits[w]);
-    comm.bcast(root, frame_tag, frame_buf_, sim::CommPlane::XY);
-    if (!is_root)
-      for (std::size_t w = 0; w < total_words; ++w)
-        bits[w] = std::bit_cast<std::uint64_t>(frame_buf_[w]);
-    std::size_t packed_scalars = 0, absent_entries = 0;
-    for (StashEntry& e : entries) {
-      const auto elems =
-          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
-      std::size_t n_present = 0;
-      for (std::size_t w = 0; w < bitmap_words(elems); ++w)
-        n_present += static_cast<std::size_t>(std::popcount(bits[e.bits_off + w]));
-      e.packed = n_present;
-      packed_scalars += n_present;
-      if (n_present == 0) ++absent_entries;
-    }
-    // A single-member comm broadcasts nothing (the role's data stays
-    // local), so there is no wire volume to save — don't book any.
-    if (is_root && comm.size() > 1) {
-      sim::RankStats& st = comm.stats();
-      st.panel_dense_bytes +=
-          static_cast<offset_t>(dense_scalars * sizeof(real_t));
-      st.panel_saved_bytes +=
-          static_cast<offset_t>(dense_scalars * sizeof(real_t)) -
-          static_cast<offset_t>((packed_scalars + total_words) * sizeof(real_t));
-      st.panel_saved_msgs += static_cast<offset_t>(absent_entries);
-    }
-    if (prune_absent)
-      std::erase_if(entries, [](const StashEntry& e) { return e.packed == 0; });
-    else
-      for (const StashEntry& e : entries)
-        if (e.packed == 0)
-          std::fill_n(stash.storage.data() + e.offset,
-                      static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns),
-                      0.0);
-  }
-
   /// Packs the present scalars of `src` (per the bitmap at `bits_off`) into
-  /// the head of `dst`. The caller (a role root) computed the bitmap from
-  /// the same payload, so exactly `packed` scalars are written.
+  /// `dst`. The caller (a role root) computed the bitmap from the same
+  /// payload, so exactly `packed` scalars are written.
   static void pack_present(std::span<const real_t> src,
                            const std::vector<std::uint64_t>& bits,
                            std::size_t bits_off, real_t* dst) {
     std::size_t p = 0;
     for (std::size_t i = 0; i < src.size(); ++i)
       if ((bits[bits_off + i / 64] >> (i % 64)) & 1) dst[p++] = src[i];
-  }
-
-  /// Expands a packed entry in place: the `packed` present scalars at the
-  /// head of the entry's storage region move backward to their dense
-  /// positions, absent positions zero-filled. In place is safe because the
-  /// packed read index never exceeds the dense write index.
-  void expand_entry(PanelStash& stash, const StashEntry& e,
-                    const std::vector<std::uint64_t>& bits, index_t ns) const {
-    const auto elems =
-        static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
-    real_t* buf = stash.storage.data() + e.offset;
-    std::size_t p = e.packed;
-    for (std::size_t d = elems; d-- > 0;)
-      buf[d] = ((bits[e.bits_off + d / 64] >> (d % 64)) & 1) ? buf[--p] : 0.0;
   }
 
   /// True if the row-role entry for block row `bi_snode` is read by the
@@ -372,10 +242,9 @@ class PanelEngine {
   /// present scalars] for exactly the entries that peer reads. Peers
   /// register the put with Window::expect (the window's per-origin
   /// non-overtaking keeps slot contents intact until the matching wait)
-  /// and parse it into dense storage at the wait: inline here when
-  /// blocking, at the Schur drain when async. Savings are booked on the
-  /// root against the dense-equivalent volume; because put headers are
-  /// uncharged and no frame travels, the accounting identity
+  /// and parse it into dense storage at the Schur drain. Savings are
+  /// booked on the root against the dense-equivalent volume; because put
+  /// headers are uncharged, the accounting identity
   ///   dense_equivalent - wire == saved
   /// holds byte-exactly (and message-exactly) per role per supernode.
   template <class PayloadFn>
@@ -398,16 +267,9 @@ class PanelEngine {
         any = any || e.in_footprint;
       }
       if (!any) return;  // empty footprint: the root sends nothing either
-      sim::WindowDelivery d = win.expect(root);
-      if (opt_.async) {
-        PanelAsyncOp op;
-        op.exp_role = role;
-        op.delivery = d;
-        stash.ops.push_back(std::move(op));
-      } else {
-        d.wait();
-        parse_targeted(stash, role, ns);
-      }
+      PanelAsyncOp& op = stash.ops.emplace_back();
+      op.role = role;
+      op.delivery = win.expect(root);
       return;
     }
     // Root: dense local fill + per-entry bitmap/packed cache. Entries
@@ -626,8 +488,8 @@ class PanelEngine {
     // Diagonal factorization, diagonal broadcast, and panel solves are the
     // variant's identity (LU: GETRF + row/col diag bcast + L/U TRSMs;
     // Cholesky: POTRF + column diag bcast + L TRSM). The diagonal is
-    // consumed by the panel solves immediately, so those broadcasts stay
-    // blocking even in async mode.
+    // consumed by the panel solves immediately, so those broadcasts are
+    // the pipeline's only blocking ones.
     Policy::factor_and_solve(*this, k, ns, diag_buf_);
 
     // Panel broadcast. A row-role entry (block row a with a % Px == px)
@@ -635,8 +497,8 @@ class PanelEngine {
     // travels along a process column (the variant decides which one and
     // how). Empty (ragged) blocks are skipped outright instead of
     // broadcasting 0-byte payloads. First lay out the flat stash storage —
-    // spans handed to ibcast must stay put, and the dense offsets double as
-    // the expansion targets in sparse mode — then post the broadcasts.
+    // spans handed to ibcast must stay put, and the offsets double as the
+    // parse targets in targeted mode — then post the broadcasts.
     const auto panel = bs_.lpanel(k);
     std::size_t total = 0;
     for (int pi = 0; pi < static_cast<int>(panel.size()); ++pi) {
@@ -658,14 +520,8 @@ class PanelEngine {
     stash.storage.resize(total, 0.0);
 
     // Row role: root is the owning process column's representative; the
-    // payload is the owner's L block. Identical for both variants. In
-    // sparse mode the presence frame travels first (blocking, so packed
-    // lengths are known before any data posts); the asymmetric variant
-    // prunes all-zero entries outright, the symmetric one keeps them for
-    // its relay bookkeeping and merely elides their data messages.
+    // payload is the owner's L block. Identical for both variants.
     const int pyk = k % g_.Py();
-    const bool in_pcol = g_.py() == pyk;
-    const bool sparse = sparse_packing();
     if (targeted_packing()) {
       // One-sided mode: the whole row role is one footprint put per peer
       // (root) or one expected delivery (receivers with a non-empty
@@ -675,77 +531,27 @@ class PanelEngine {
         return Policy::row_payload(
             F_, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
       });
-      Policy::post_col_entries(*this, stash, k, ns);
-      return;
-    }
-    if (sparse)
-      exchange_presence_frame(
-          g_.row(), pyk, tag(k, kRowFrameOp), stash, stash.row_entries,
-          stash.row_bits, in_pcol, ns,
-          [&](const StashEntry& e) {
-            return Policy::row_payload(
-                F_, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
-          },
-          /*prune_absent=*/!Policy::kSymmetric);
-    if (sparse && in_pcol) {
-      // Pre-pack every present row-role payload in parallel — each entry
-      // packs into its own disjoint storage region (the presence frame has
-      // already fixed the packed lengths) — so the post loop below only
-      // posts broadcasts.
-      threads::parallel_for(
-          static_cast<std::ptrdiff_t>(stash.row_entries.size()),
-          [&](std::ptrdiff_t t, int) {
-            const StashEntry& e =
-                stash.row_entries[static_cast<std::size_t>(t)];
-            if (e.packed == 0) return;
-            pack_present(
-                Policy::row_payload(
-                    F_, k, panel[static_cast<std::size_t>(e.panel_idx)].snode),
-                stash.row_bits, e.bits_off, stash.storage.data() + e.offset);
-          });
-    }
-    for (int i = 0; i < static_cast<int>(stash.row_entries.size()); ++i) {
-      const StashEntry& e = stash.row_entries[static_cast<std::size_t>(i)];
-      const PanelBlock& blk = panel[static_cast<std::size_t>(e.panel_idx)];
-      const auto dense_elems =
-          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
-      const std::size_t wire = sparse ? e.packed : dense_elems;
-      if (wire == 0) continue;  // all-zero sparse entry: no data message
-      const std::span<real_t> buf{stash.storage.data() + e.offset, wire};
-      if (in_pcol && !sparse) {
-        const std::span<const real_t> src =
-            Policy::row_payload(F_, k, blk.snode);
-        SLU3D_CHECK(src.size() == dense_elems, "owner missing L block");
-        std::copy(src.begin(), src.end(), buf.begin());
-      }
-      if (opt_.async) {
-        stash.ops.push_back({g_.row().ibcast(pyk, tag(k, Policy::kRowPanelOp),
-                                             buf, sim::CommPlane::XY),
-                             -1, 0, 0, 0, -1, -1, {}});
-        if (sparse) {
-          if (in_pcol) {
-            // ibcast snapshots the root's payload at post time, so the
-            // packed prefix can be expanded back to dense right away —
-            // which is what keeps the symmetric relay copies (which read
-            // row-role regions during post_col_entries) dense-only.
-            expand_entry(stash, e, stash.row_bits, ns);
-          } else {
-            stash.ops.back().exp_role = 0;
-            stash.ops.back().exp_idx = i;
-          }
+    } else {
+      const bool in_pcol = g_.py() == pyk;
+      for (const StashEntry& e : stash.row_entries) {
+        const std::span<real_t> buf{
+            stash.storage.data() + e.offset,
+            static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns)};
+        if (in_pcol) {
+          const std::span<const real_t> src = Policy::row_payload(
+              F_, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
+          SLU3D_CHECK(src.size() == buf.size(), "owner missing L block");
+          std::copy(src.begin(), src.end(), buf.begin());
         }
-      } else {
-        g_.row().bcast(pyk, tag(k, Policy::kRowPanelOp), buf,
-                       sim::CommPlane::XY);
-        if (sparse) expand_entry(stash, e, stash.row_bits, ns);
+        stash.ops.emplace_back().req = g_.row().ibcast(
+            pyk, tag(k, Policy::kRowPanelOp), buf, sim::CommPlane::XY);
       }
     }
 
-    // Column role: LU broadcasts the owner's U blocks down the diagonal
-    // owner's process column (packed the same way in sparse mode); the
-    // symmetric variant relays the transposed L payload through the
-    // (a%Px, a%Py) rank, possibly deferred — always dense, because the
-    // relay's presence bits live on ranks outside the broadcast column.
+    // Column role: LU broadcasts (or, targeted, puts) the owner's U blocks
+    // down the diagonal owner's process column; the symmetric variant
+    // relays the transposed L payload through the (a%Px, a%Py) rank,
+    // possibly deferred — always as dense broadcasts.
     Policy::post_col_entries(*this, stash, k, ns);
   }
 
@@ -758,9 +564,8 @@ class PanelEngine {
     // Drain the outstanding broadcasts only now, in post order: every
     // update between the panel's post and this point has overlapped the
     // transfer. Deferred relay roots forward as soon as their row-role
-    // payload (an earlier op, expanded right at its wait in sparse mode)
-    // is in; the root post forwards to the column subtree immediately and
-    // completes.
+    // payload (an earlier op) is in; the root post forwards to the column
+    // subtree immediately and completes.
     const auto panel = bs_.lpanel(k);
     for (PanelAsyncOp& op : stash->ops) {
       if (op.delivery.valid()) {
@@ -771,31 +576,11 @@ class PanelEngine {
         // symmetric variant's deferred relays sit later in `ops`, so their
         // row-role source regions are dense by the time they copy.
         op.delivery.wait();
-        parse_targeted(*stash, op.exp_role, ns);
+        parse_targeted(*stash, op.role, ns);
         continue;
       }
       if (op.relay_pi < 0) {
         op.req.wait();
-        if (op.exp_role >= 0) {
-          if constexpr (Policy::kSymmetric) {
-            // A deferred relay later in `ops` copies this row-role region
-            // the moment its turn comes, so expand immediately.
-            if (op.exp_role == 0)
-              expand_entry(
-                  *stash,
-                  stash->row_entries[static_cast<std::size_t>(op.exp_idx)],
-                  stash->row_bits, ns);
-            else
-              expand_entry(
-                  *stash,
-                  stash->col_entries[static_cast<std::size_t>(op.exp_idx)],
-                  stash->col_bits, ns);
-          } else {
-            // No relay ever reads these regions: batch the expansions and
-            // fan them out across the pool once the drain completes.
-            exp_batch_.push_back({op.exp_role, op.exp_idx});
-          }
-        }
         continue;
       }
       std::copy_n(stash->storage.data() + op.row_off, op.elems,
@@ -807,26 +592,6 @@ class PanelEngine {
                       sim::CommPlane::XY);
     }
     stash->ops.clear();
-    if constexpr (!Policy::kSymmetric) {
-      if (!exp_batch_.empty()) {
-        // Receiver-side packed->dense expansions touch disjoint dense
-        // storage regions — safe to run across the pool.
-        threads::parallel_for(
-            static_cast<std::ptrdiff_t>(exp_batch_.size()),
-            [&](std::ptrdiff_t t, int) {
-              const auto [role, idx] = exp_batch_[static_cast<std::size_t>(t)];
-              if (role == 0)
-                expand_entry(*stash,
-                             stash->row_entries[static_cast<std::size_t>(idx)],
-                             stash->row_bits, ns);
-              else
-                expand_entry(*stash,
-                             stash->col_entries[static_cast<std::size_t>(idx)],
-                             stash->col_bits, ns);
-            });
-        exp_batch_.clear();
-      }
-    }
 
     // Build the Schur pair list and charge the modelled flops serially on
     // this (rank) thread, in the historical nested order — the logical
@@ -866,8 +631,6 @@ class PanelEngine {
     stash->storage = std::vector<real_t>{};
     stash->row_entries.clear();
     stash->col_entries.clear();
-    stash->row_bits.clear();
-    stash->col_bits.clear();
     stash->k = -1;
   }
 
@@ -884,7 +647,6 @@ class PanelEngine {
   PanelOptions opt_;
   std::vector<PanelStash> stash_;  ///< slot pool, <= lookahead+1 live slots
   std::vector<real_t> diag_buf_;   ///< reusable diagonal broadcast buffer
-  std::vector<real_t> frame_buf_;  ///< reusable presence-frame wire buffer
   // Targeted-mode state (unused otherwise). The window buffers must not
   // relocate while the windows are alive, and the engine itself anchors
   // the Window objects that pending WindowDelivery receipts point into.
@@ -897,8 +659,7 @@ class PanelEngine {
   std::vector<real_t> packed_cache_;  ///< root-side packed scalars, all entries
   std::vector<std::size_t> pack_off_;  ///< per-entry offsets into packed_cache_
   std::vector<real_t> put_buf_;    ///< per-peer put assembly buffer
-  std::vector<SchurPair> schur_pairs_;        ///< reusable pair work list
-  std::vector<std::pair<int, int>> exp_batch_;  ///< deferred (role, idx) expansions
+  std::vector<SchurPair> schur_pairs_;  ///< reusable pair work list
 };
 
 }  // namespace slu3d::pipeline

@@ -3,10 +3,10 @@
 // bottom-up (the per-level 2D primitive is injected as a callable, so the
 // LU and Cholesky drivers differ only in that lambda); after each level the
 // (2k+1)-th active grid sends its copies of every common-ancestor block to
-// the (2k)-th, which accumulates them. In async mode the reduction is
-// chunked into non-blocking per-chunk messages (chunk_snodes ancestor
-// supernodes each) drained only when their forest level is factored, so the
-// transfer rides under the 2D factorization of deeper levels.
+// the (2k)-th, which accumulates them. The reduction is chunked into
+// non-blocking per-chunk messages (chunk_snodes ancestor supernodes each)
+// drained only when their forest level is factored, so the transfer rides
+// under the 2D factorization of deeper levels.
 //
 // Wire formats (see pipeline/factors_access.hpp for block enumeration):
 //   Dense:  every allocated block of each ancestor travels verbatim —
@@ -18,8 +18,8 @@
 //           them symmetrically by reading the bitmap. Savings are recorded
 //           in the sender's RankStats::zred_* counters.
 //
-// A chunk whose *dense* packed size is zero is skipped without a message in
-// async mode — sender and receiver compute that size independently from
+// A chunk whose *dense* packed size is zero is skipped without a message —
+// sender and receiver compute that size independently from
 // their identical masked layouts, so no handshake is needed (and the
 // decision cannot depend on numeric values, which only the sender knows).
 //
@@ -194,11 +194,11 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
     }
   }
 
-  // Outstanding reduction chunks (async mode). A chunk is drained right
-  // before the first level that factors one of its supernodes — until then
-  // its transfer rides under the 2D factorization of deeper levels. In
-  // targeted mode the chunk is a window delivery into `zstage[lvl]` at
-  // [off, off+len) instead of a request with its own buffer.
+  // Outstanding reduction chunks. A chunk is drained right before the first
+  // level that factors one of its supernodes — until then its transfer
+  // rides under the 2D factorization of deeper levels. In targeted mode the
+  // chunk is a window delivery into `zstage[lvl]` at [off, off+len) instead
+  // of a request with its own buffer.
   struct Pending {
     sim::Request req;
     std::vector<int> snodes;
@@ -256,8 +256,7 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
 
     // Chunks feeding this level's supernodes must be in before they are
     // factored; deeper chunks keep overlapping.
-    if (opt.async)
-      drain([&](int s) { return part.level_of(s) < lvl; });
+    drain([&](int s) { return part.level_of(s) < lvl; });
 
     const std::vector<int> nodes = part.nodes_at(pz, lvl);
     factor_level(grid.plane(), nodes);
@@ -271,9 +270,10 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
     for (int s = 0; s < bs.n_snodes(); ++s)
       if (part.level_of(s) < lvl && part.on_grid(s, pz)) ancestors.push_back(s);
 
-    // Both sides partition the ancestor list into the same chunks and skip
-    // structurally empty ones symmetrically (async mode only; the blocking
-    // path always exchanges one message per level).
+    // Both sides partition the ancestor list into the same chunks, derive
+    // the same dense offsets, and skip structurally empty chunks
+    // symmetrically, so sends (or scatter-accumulates) and their receives
+    // (or expected deliveries) pair up without any handshake.
     auto chunk_at = [&](std::size_t c0) {
       return std::span<const int>{ancestors}.subspan(
           c0, std::min(chunk, ancestors.size() - c0));
@@ -283,39 +283,36 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
       for (const int s : snodes) n += packed_elems<Access>(F, s);
       return n;
     };
-
-    // Targeted mode chunks the level identically in async mode and treats
-    // the whole level as one chunk when blocking; both sides derive the
-    // same chunk list and dense offsets, so the scatter-accumulates and
-    // their expected deliveries pair up without any handshake.
-    const std::size_t tchunk =
-        opt.async ? chunk : std::max<std::size_t>(ancestors.size(), 1);
+    sim::Window* win =
+        targeted ? &zwin[static_cast<std::size_t>(lvl)] : nullptr;
 
     if (k % 2 == 1) {
+      // The outgoing copies must include everything received so far.
+      drain([](int) { return false; });
       sim::RankStats& st = grid.zline().stats();
-      if (targeted) {
-        // Everything received so far must be folded into the outgoing
-        // contributions first.
-        if (opt.async) drain([](int) { return false; });
-        sim::Window& win = zwin[static_cast<std::size_t>(lvl)];
-        std::vector<real_t> buf;
-        std::vector<std::uint64_t> bits;
-        std::vector<real_t> packed;
-        std::size_t chunk_off = 0;
-        for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += tchunk) {
-          const auto snodes = std::span<const int>{ancestors}.subspan(
-              c0, std::min(tchunk, ancestors.size() - c0));
-          const std::size_t dense_len = dense_elems_of(snodes);
-          if (dense_len == 0) continue;  // peer skips the matching expect
-          buf.clear();
-          for (const int s : snodes) {
+      std::vector<real_t> buf;
+      std::vector<std::uint64_t> bits;
+      std::vector<real_t> packed;
+      std::size_t chunk_off = 0;
+      for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
+        const auto snodes = chunk_at(c0);
+        const std::size_t dense_len = dense_elems_of(snodes);
+        if (dense_len == 0) continue;  // peer skips the matching receive
+        buf.clear();
+        for (const int s : snodes) {
+          if (sparse) {
+            pack_snode_sparse<Access>(F, s, buf, st);
+            continue;
+          }
+          if (targeted)
             Access::for_each_block(F, s, [&](std::span<real_t> blk,
                                              index_t tri) {
               st.zred_blocks_total += 1;
               if (block_all_zero(blk, tri)) st.zred_blocks_skipped += 1;
             });
-            pack_snode<Access>(F, s, buf);
-          }
+          pack_snode<Access>(F, s, buf);
+        }
+        if (targeted) {
           bits.assign((dense_len + 63) / 64, 0);
           packed.clear();
           for (std::size_t i = 0; i < buf.size(); ++i)
@@ -327,92 +324,43 @@ void run_3d_levels(typename Access::Factors& F, sim::ProcessGrid3D& grid,
               (static_cast<offset_t>(dense_len) -
                static_cast<offset_t>(bits.size() + packed.size())) *
               static_cast<offset_t>(sizeof(real_t));
-          win.scatter_accumulate(pz - step, chunk_off, dense_len, bits,
-                                 packed);
+          win->scatter_accumulate(pz - step, chunk_off, dense_len, bits,
+                                  packed);
           chunk_off += dense_len;
-        }
-      } else if (opt.async) {
-        // The outgoing copies must include everything received so far.
-        drain([](int) { return false; });
-        std::vector<real_t> buf;
-        for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
-          const auto snodes = chunk_at(c0);
-          const std::size_t dense_len = dense_elems_of(snodes);
-          if (dense_len == 0) continue;  // peer skips the matching irecv
-          buf.clear();
-          for (const int s : snodes) {
-            if (sparse)
-              pack_snode_sparse<Access>(F, s, buf, st);
-            else
-              pack_snode<Access>(F, s, buf);
-          }
-          if (sparse)
-            st.zred_bytes_saved +=
-                (static_cast<offset_t>(dense_len) -
-                 static_cast<offset_t>(buf.size())) *
-                static_cast<offset_t>(sizeof(real_t));
-          grid.zline().isend(pz - step, reduce_tag_base + lvl, buf,
-                             sim::CommPlane::Z);
-        }
-      } else {
-        std::vector<real_t> buf;
-        const std::size_t dense_len = dense_elems_of(ancestors);
-        for (const int s : ancestors) {
-          if (sparse)
-            pack_snode_sparse<Access>(F, s, buf, st);
-          else
-            pack_snode<Access>(F, s, buf);
+          continue;
         }
         if (sparse)
           st.zred_bytes_saved += (static_cast<offset_t>(dense_len) -
                                   static_cast<offset_t>(buf.size())) *
                                  static_cast<offset_t>(sizeof(real_t));
-        grid.zline().send(pz - step, reduce_tag_base + lvl, buf,
-                          sim::CommPlane::Z);
+        grid.zline().isend(pz - step, reduce_tag_base + lvl, buf,
+                           sim::CommPlane::Z);
       }
     } else {
-      if (targeted) {
-        sim::Window& win = zwin[static_cast<std::size_t>(lvl)];
-        std::span<real_t> stage{zstage[static_cast<std::size_t>(lvl)]};
-        std::size_t chunk_off = 0;
-        for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += tchunk) {
-          const auto snodes = std::span<const int>{ancestors}.subspan(
-              c0, std::min(tchunk, ancestors.size() - c0));
-          const std::size_t dense_len = dense_elems_of(snodes);
-          if (dense_len == 0) continue;
+      std::size_t chunk_off = 0;
+      for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
+        const auto snodes = chunk_at(c0);
+        const std::size_t dense_len = dense_elems_of(snodes);
+        if (dense_len == 0) continue;
+        Pending p;
+        p.snodes.assign(snodes.begin(), snodes.end());
+        if (targeted) {
           // Zero the landing region before registering the op — the
           // accumulate can only be applied during a wait, which always
           // comes after this expect.
-          std::fill_n(stage.begin() + static_cast<std::ptrdiff_t>(chunk_off),
+          std::fill_n(zstage[static_cast<std::size_t>(lvl)].begin() +
+                          static_cast<std::ptrdiff_t>(chunk_off),
                       dense_len, 0.0);
-          sim::WindowDelivery d = win.expect(pz + step);
-          Pending p;
-          p.snodes.assign(snodes.begin(), snodes.end());
-          p.delivery = d;
+          p.delivery = win->expect(pz + step);
           p.off = chunk_off;
           p.len = dense_len;
           p.lvl = lvl;
-          if (opt.async) {
-            outstanding.push_back(std::move(p));
-          } else {
-            unpack_staged(p);
-          }
           chunk_off += dense_len;
-        }
-      } else if (opt.async) {
-        for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
-          const auto snodes = chunk_at(c0);
-          if (dense_elems_of(snodes) == 0) continue;
-          Pending p;
+        } else {
           p.req = grid.zline().irecv(pz + step, reduce_tag_base + lvl,
                                      sim::CommPlane::Z);
-          p.snodes.assign(snodes.begin(), snodes.end());
-          outstanding.push_back(std::move(p));
         }
-      } else {
-        const auto buf = grid.zline().recv(pz + step, reduce_tag_base + lvl,
-                                           sim::CommPlane::Z);
-        unpack_chunk(buf, ancestors);
+        outstanding.push_back(std::move(p));
       }
     }
   }

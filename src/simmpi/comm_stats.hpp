@@ -32,16 +32,16 @@ struct RankStats {
   offset_t zred_blocks_total = 0;    ///< ancestor blocks considered
   offset_t zred_blocks_skipped = 0;  ///< blocks omitted as all-zero
   offset_t zred_bytes_saved = 0;     ///< W_red bytes avoided vs Dense
-  /// Sparse panel-broadcast accounting (root side; zero unless
-  /// PanelPacking::Sparse is enabled). `panel_dense_bytes` is the
-  /// dense-equivalent payload of the packed panel broadcasts rooted at this
-  /// rank; `panel_saved_bytes` subtracts both the packed payload and the
-  /// bitmap-frame overhead from it (so it can go slightly negative on fully
-  /// dense panels); `panel_saved_msgs` counts broadcasts elided because the
-  /// block payload was entirely zero.
-  offset_t panel_dense_bytes = 0;  ///< dense-equivalent packed-bcast payload
+  /// Targeted panel-delivery accounting (data-root side; zero unless
+  /// PanelPacking::Targeted is enabled). `panel_dense_bytes` is what the
+  /// Dense broadcasts of the roles rooted at this rank would have delivered
+  /// to the other members of their comm; `panel_saved_bytes` subtracts the
+  /// footprint puts actually sent (bitmap words included); and
+  /// `panel_saved_msgs` counts the per-entry deliveries the puts replaced
+  /// or skipped, so wire + saved == dense holds for bytes and messages.
+  offset_t panel_dense_bytes = 0;  ///< dense-equivalent panel payload
   offset_t panel_saved_bytes = 0;  ///< XY panel bytes avoided vs Dense
-  offset_t panel_saved_msgs = 0;   ///< panel broadcasts elided as all-zero
+  offset_t panel_saved_msgs = 0;   ///< XY panel messages avoided vs Dense
   /// Clock advance spent blocked for message arrivals: the sum over all
   /// receives (blocking recv and Request::wait alike) of
   /// max(0, sender_completion - local clock). With non-blocking

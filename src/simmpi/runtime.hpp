@@ -341,10 +341,9 @@ struct RunResult {
   offset_t total_zred_bytes_saved() const;
   offset_t total_zred_blocks_skipped() const;
   offset_t total_zred_blocks_total() const;
-  /// Aggregate sparse panel-broadcast savings across ranks (zero when
-  /// PanelPacking::Dense): dense-equivalent payload of the packed panel
-  /// broadcasts, XY bytes avoided (frame overhead netted out), and data
-  /// broadcasts elided because the block was entirely zero.
+  /// Aggregate targeted panel-delivery savings across ranks (zero when
+  /// PanelPacking::Dense): dense-equivalent panel payload, and the XY
+  /// bytes and messages the footprint puts avoided.
   offset_t total_panel_dense_bytes() const;
   offset_t total_panel_saved_bytes() const;
   offset_t total_panel_saved_msgs() const;

@@ -50,11 +50,9 @@ Metrics run(const BlockStructure& bs, const CsrMatrix& Ap, int Px, int Py,
   return m;
 }
 
-Lu3dOptions with(int lookahead, bool async) {
+Lu3dOptions with(int lookahead) {
   Lu3dOptions o;
   o.lu2d.lookahead = lookahead;
-  o.lu2d.async = async;
-  o.async = async;
   return o;
 }
 
@@ -118,37 +116,17 @@ TEST(PaperTrends, LookaheadOverlapStrictlyReducesCriticalPath) {
   for (const bool planar : {true, false}) {
     const Problem p = planar ? planar_problem() : nonplanar_problem();
     for (const auto& [Px, Py, Pz] : {std::tuple{4, 4, 1}, std::tuple{2, 4, 2}}) {
-      const double t0 = run(p.bs, p.Ap, Px, Py, Pz, with(0, true)).time;
-      const double t8 = run(p.bs, p.Ap, Px, Py, Pz, with(8, true)).time;
+      const double t0 = run(p.bs, p.Ap, Px, Py, Pz, with(0)).time;
+      const double t8 = run(p.bs, p.Ap, Px, Py, Pz, with(8)).time;
       EXPECT_LT(t8, t0) << (planar ? "planar " : "nonplanar ") << Px << "x"
                         << Py << "x" << Pz;
     }
   }
   // Acceptance floor: at least 5% on the planar 2D extreme.
   const Problem p = planar_problem();
-  const double t0 = run(p.bs, p.Ap, 4, 4, 1, with(0, true)).time;
-  const double t8 = run(p.bs, p.Ap, 4, 4, 1, with(8, true)).time;
+  const double t0 = run(p.bs, p.Ap, 4, 4, 1, with(0)).time;
+  const double t8 = run(p.bs, p.Ap, 4, 4, 1, with(8)).time;
   EXPECT_GT(t0 / t8, 1.05);
-}
-
-TEST(PaperTrends, AsyncSchedulePreservesByteCounters) {
-  // The overlap changes *when* clocks advance, never *what* moves: every
-  // rank's per-plane byte counters must be bit-identical between the
-  // non-blocking and blocking forms of the same schedule.
-  const Problem p = nonplanar_problem();
-  for (const auto& [Px, Py, Pz] : {std::tuple{4, 4, 1}, std::tuple{2, 2, 4}}) {
-    const Metrics ma = run(p.bs, p.Ap, Px, Py, Pz, with(4, true));
-    const Metrics mb = run(p.bs, p.Ap, Px, Py, Pz, with(4, false));
-    ASSERT_EQ(ma.res.ranks.size(), mb.res.ranks.size());
-    for (std::size_t r = 0; r < ma.res.ranks.size(); ++r) {
-      const auto& sa = ma.res.ranks[r];
-      const auto& sb = mb.res.ranks[r];
-      for (std::size_t pl = 0; pl < sim::kNumPlanes; ++pl) {
-        EXPECT_EQ(sa.bytes_sent[pl], sb.bytes_sent[pl]) << "rank " << r;
-        EXPECT_EQ(sa.bytes_received[pl], sb.bytes_received[pl]) << "rank " << r;
-      }
-    }
-  }
 }
 
 TEST(PaperTrends, CommVolumeShapesMatchFig10) {

@@ -4,7 +4,7 @@
 //  - cross-variant schedule parity (LU vs Cholesky on the same SPD matrix),
 //  - sparse z-reduction packing: bitwise-identical factors, reduced W_red,
 //    savings counters,
-//  - chunked / blocking reduction paths,
+//  - per-supernode vs whole-level reduction chunking,
 //  - shared option validation.
 #include <gtest/gtest.h>
 
@@ -305,10 +305,12 @@ TEST(SparseZReduction, ChunkedAndBlockingPathsMatchBitwise) {
   chunked.packing = pipeline::ZRedPacking::Sparse;
   expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, chunked), p.bs.n());
 
-  Lu3dOptions blocking;
-  blocking.async = false;
-  blocking.packing = pipeline::ZRedPacking::Sparse;
-  expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, blocking), p.bs.n());
+  // One chunk per level: the message shape of a single whole-level
+  // exchange, drained before the next level like any other chunk.
+  Lu3dOptions whole_level;
+  whole_level.chunk_snodes = p.bs.n_snodes();
+  whole_level.packing = pipeline::ZRedPacking::Sparse;
+  expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, whole_level), p.bs.n());
 }
 
 // ---------------------------------------------------------------------------

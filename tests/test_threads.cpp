@@ -568,17 +568,17 @@ void expect_stats_identical(const RunResult& a, const RunResult& b,
   }
 }
 
-Lu3dOptions lu_options(bool sparse, int threads) {
+/// `packed` selects the opt-in wire formats: targeted panel delivery and
+/// the sparse z-reduction framing, with two-supernode reduction chunks.
+Lu3dOptions lu_options(bool packed, int threads) {
   Lu3dOptions o;
   o.lu2d.lookahead = 8;
-  o.lu2d.async = sparse;
   o.lu2d.packing =
-      sparse ? pipeline::PanelPacking::Sparse : pipeline::PanelPacking::Dense;
+      packed ? pipeline::PanelPacking::Targeted : pipeline::PanelPacking::Dense;
   o.lu2d.threads = threads;
-  o.async = sparse;
   o.packing =
-      sparse ? pipeline::ZRedPacking::Sparse : pipeline::ZRedPacking::Dense;
-  o.chunk_snodes = sparse ? 2 : 1;
+      packed ? pipeline::ZRedPacking::Sparse : pipeline::ZRedPacking::Dense;
+  o.chunk_snodes = packed ? 2 : 1;
   return o;
 }
 
@@ -592,10 +592,11 @@ TEST(Determinism, Fig9FactorsAndStatsAcrossThreadCountsDense) {
   }
 }
 
-// The sparse wire formats drive the parallel pack / batched-expand paths
-// (presence bitmaps, pack_present, receiver expansion), so they get their
-// own sweep: any partition-dependent packing would show up as a bytes or
-// clock diff here.
+// The packed wire formats drive the pool-parallel paths of the targeted
+// panel roots (dense fill + presence bitmaps, then pack_present into the
+// packed cache) and the sparse z-reduction framing, so they get their own
+// sweep: any partition-dependent packing would show up as a bytes or clock
+// diff here.
 TEST(Determinism, Fig9FactorsAndStatsAcrossThreadCountsSparse) {
   const Problem p = fig9_problem();
   const LuRun ref = run_lu(p, 2, 2, 2, lu_options(true, 1));
@@ -615,10 +616,8 @@ TEST(Determinism, Fig9CholeskyAcrossThreadCounts) {
     const ForestPartition part(p.bs, 2);
     Chol3dOptions o;
     o.chol2d.lookahead = 8;
-    o.chol2d.async = true;
-    o.chol2d.packing = pipeline::PanelPacking::Sparse;
+    o.chol2d.packing = pipeline::PanelPacking::Targeted;
     o.chol2d.threads = threads;
-    o.async = true;
     o.packing = pipeline::ZRedPacking::Sparse;
     o.chunk_snodes = 2;
     struct CholRun {
