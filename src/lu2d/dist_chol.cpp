@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "lu2d/solve_schedule.hpp"
 #include "numeric/dense_kernels.hpp"
 #include "numeric/kernel_scratch.hpp"
 #include "numeric/schur.hpp"
@@ -260,43 +261,21 @@ void solve_2d_cholesky(DistCholFactors& F, sim::ProcessGrid2D& grid,
               "x panel size");
   sim::Comm& comm = grid.grid();
   const int nsn = bs.n_snodes();
-
-  // Descendant index (c, panel block idx) per ancestor.
-  std::vector<std::vector<std::pair<int, int>>> by_anc(static_cast<std::size_t>(nsn));
-  for (int c = 0; c < nsn; ++c) {
-    const auto panel = bs.lpanel(c);
-    for (int k = 0; k < static_cast<int>(panel.size()); ++k)
-      by_anc[static_cast<std::size_t>(panel[static_cast<std::size_t>(k)].snode)]
-          .push_back({c, k});
-  }
+  const SolveSchedule sched(bs);
+  const SolvePanel panel{x, n, nrhs};
   auto diag_owner = [&](int s) { return F.owner_of(s, s); };
   auto ftag = [&](int s) { return tag_base + s; };
   auto btag = [&](int s) { return tag_base + nsn + s; };
-  // The solve operates on an n x nrhs column-major panel; one sweep of
-  // broadcasts and contribution messages serves the whole batch.
-  auto gather_slice = [&](index_t f, index_t ns, std::vector<real_t>& buf) {
-    buf.resize(static_cast<std::size_t>(ns) * static_cast<std::size_t>(nrhs));
-    for (index_t j = 0; j < nrhs; ++j)
-      for (index_t r = 0; r < ns; ++r)
-        buf[static_cast<std::size_t>(r + j * ns)] =
-            x[static_cast<std::size_t>(f + r + j * n)];
-  };
-  auto scatter_slice = [&](std::span<const real_t> buf, index_t f, index_t ns) {
-    for (index_t j = 0; j < nrhs; ++j)
-      for (index_t r = 0; r < ns; ++r)
-        x[static_cast<std::size_t>(f + r + j * n)] =
-            buf[static_cast<std::size_t>(r + j * ns)];
-  };
 
   // Forward L y = b (non-unit diagonal).
   std::vector<real_t> buf, vbuf;
-  for (int s = 0; s < nsn; ++s) {
+  for (const int s : sched.forward()) {
     const index_t ns = bs.snode_size(s);
     if (ns == 0) continue;
     const index_t f = bs.first_col(s);
     const bool in_pcol = grid.py() == s % grid.Py();
     if (comm.rank() == diag_owner(s)) {
-      for (const auto& [c, blkidx] : by_anc[static_cast<std::size_t>(s)]) {
+      for (const auto& [c, blkidx] : sched.into(s)) {
         const PanelBlock& blk = bs.lpanel(c)[static_cast<std::size_t>(blkidx)];
         const auto v = comm.recv(F.owner_of(s, c), ftag(c), sim::CommPlane::XY);
         const auto m = blk.rows.size();
@@ -310,9 +289,9 @@ void solve_2d_cholesky(DistCholFactors& F, sim::ProcessGrid2D& grid,
       dense::trsm_left_lower(ns, nrhs, F.diag(s).data(), ns, x.data() + f, n);
     }
     if (in_pcol) {
-      gather_slice(f, ns, buf);
+      panel.gather(f, ns, buf);
       grid.col().bcast(s % grid.Px(), ftag(s), buf, sim::CommPlane::XY);
-      scatter_slice(buf, f, ns);
+      panel.scatter(buf, f, ns);
       for (const OwnedBlock& ob : F.lblocks(s)) {
         const PanelBlock& blk = bs.lpanel(s)[static_cast<std::size_t>(ob.panel_idx)];
         const auto m = static_cast<index_t>(blk.rows.size());
@@ -334,7 +313,7 @@ void solve_2d_cholesky(DistCholFactors& F, sim::ProcessGrid2D& grid,
   // Backward Lᵀ x = y: x_a is broadcast along process *row* a%Px (where
   // all L(a, s) owners live); each owner sends Lᵀ-contributions to the
   // descendant's diagonal owner.
-  for (int s = nsn - 1; s >= 0; --s) {
+  for (const int s : sched.backward()) {
     const index_t ns = bs.snode_size(s);
     if (ns == 0) continue;
     const index_t f = bs.first_col(s);
@@ -355,13 +334,12 @@ void solve_2d_cholesky(DistCholFactors& F, sim::ProcessGrid2D& grid,
                                    n);
     }
     if (in_prow) {
-      gather_slice(f, ns, buf);
+      panel.gather(f, ns, buf);
       grid.row().bcast(s % grid.Py(), btag(s), buf, sim::CommPlane::XY);
-      scatter_slice(buf, f, ns);
-      // Contributions to descendants c with a block (s, c): v = L(s,c)ᵀ x_s.
-      const auto& pairs = by_anc[static_cast<std::size_t>(s)];
-      for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) {
-        const auto& [c, blkidx] = *it;
+      panel.scatter(buf, f, ns);
+      // Contributions to descendants c with a block (s, c): v = L(s,c)ᵀ x_s,
+      // sent in the receivers' visiting order (they share btag(s)).
+      for (const auto& [c, blkidx] : sched.out_of(s)) {
         if (c % grid.Py() != grid.py()) continue;  // L(s, c) not in my col
         OwnedBlock* ob = F.find_lblock(c, s);
         SLU3D_CHECK(ob != nullptr, "missing owned L block in solve");
@@ -384,29 +362,8 @@ void solve_2d_cholesky(DistCholFactors& F, sim::ProcessGrid2D& grid,
     }
   }
 
-  // Redistribute the solution to every rank.
-  const int gather_tag = tag_base + 2 * nsn;
-  std::vector<real_t> packed, slice;
-  for (int s = 0; s < nsn; ++s)
-    if (comm.rank() == diag_owner(s)) {
-      gather_slice(bs.first_col(s), bs.snode_size(s), slice);
-      packed.insert(packed.end(), slice.begin(), slice.end());
-    }
-  const std::vector<real_t> all =
-      comm.allgatherv(gather_tag, packed, sim::CommPlane::XY);
-  std::size_t pos = 0;
-  for (int r = 0; r < comm.size(); ++r)
-    for (int s = 0; s < nsn; ++s) {
-      if (diag_owner(s) != r) continue;
-      const auto ns = bs.snode_size(s);
-      const auto len =
-          static_cast<std::size_t>(ns) * static_cast<std::size_t>(nrhs);
-      SLU3D_CHECK(pos + len <= all.size(), "gather underflow");
-      scatter_slice(std::span<const real_t>(all).subspan(pos, len),
-                    bs.first_col(s), ns);
-      pos += len;
-    }
-  SLU3D_CHECK(pos == all.size(), "gather stream not fully consumed");
+  redistribute_solution(comm, tag_base + 2 * nsn, sim::CommPlane::XY, bs,
+                        panel, diag_owner);
 }
 
 }  // namespace slu3d

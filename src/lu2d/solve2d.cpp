@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "lu2d/solve_schedule.hpp"
 #include "numeric/dense_kernels.hpp"
 #include "support/check.hpp"
 
@@ -12,43 +13,25 @@ namespace {
 using sim::CommPlane;
 using sim::ComputeKind;
 
-/// For each supernode a, the list of (descendant supernode c, panel block
-/// index) pairs with a block (a-range rows) in c's panel — i.e. the
-/// senders of forward contributions to a, and (transposed) the targets of
-/// backward contributions from a. Ascending in c by construction.
-std::vector<std::vector<std::pair<int, int>>> blocks_by_ancestor(
-    const BlockStructure& bs) {
-  std::vector<std::vector<std::pair<int, int>>> by_anc(
-      static_cast<std::size_t>(bs.n_snodes()));
-  for (int c = 0; c < bs.n_snodes(); ++c) {
-    const auto panel = bs.lpanel(c);
-    for (int k = 0; k < static_cast<int>(panel.size()); ++k)
-      by_anc[static_cast<std::size_t>(panel[static_cast<std::size_t>(k)].snode)]
-          .push_back({c, k});
-  }
-  return by_anc;
-}
-
-/// All solves operate on an n x nrhs column-major panel X (ldx = n), so one
-/// sweep of broadcasts and point-to-point messages serves the whole batch:
-/// message sizes scale with nrhs but message *counts* do not. Contribution
-/// messages carry the *negated* partial product (gemm_minus computes
-/// C -= A B into a zeroed buffer), so receivers accumulate with +=.
+/// Contribution messages carry the *negated* partial product (gemm_minus
+/// computes C -= A B into a zeroed buffer), so receivers accumulate with +=.
+/// Supernodes are visited in the SolveSchedule order (solve_schedule.hpp).
 class Solve2dDriver {
  public:
   Solve2dDriver(Dist2dFactors& F, sim::ProcessGrid2D& grid,
                 const Solve2dOptions& opt)
-      : F_(F), g_(grid), bs_(F.structure()), opt_(opt),
-        n_(bs_.n()), nrhs_(opt.nrhs), by_anc_(blocks_by_ancestor(bs_)) {}
+      : F_(F), g_(grid), bs_(F.structure()), opt_(opt), sched_(bs_) {}
 
   void run(std::span<real_t> x) {
-    SLU3D_CHECK(nrhs_ >= 1, "nrhs must be positive");
-    SLU3D_CHECK(x.size() == static_cast<std::size_t>(n_) *
-                                static_cast<std::size_t>(nrhs_),
+    SLU3D_CHECK(opt_.nrhs >= 1, "nrhs must be positive");
+    SLU3D_CHECK(x.size() == static_cast<std::size_t>(bs_.n()) *
+                                static_cast<std::size_t>(opt_.nrhs),
                 "x panel size");
-    forward(x);
-    backward(x);
-    redistribute(x);
+    const SolvePanel panel{x, bs_.n(), opt_.nrhs};
+    forward(panel);
+    backward(panel);
+    redistribute_solution(g_.grid(), gtag(), CommPlane::XY, bs_, panel,
+                          [&](int s) { return diag_owner(s); });
   }
 
  private:
@@ -57,29 +40,12 @@ class Solve2dDriver {
   int btag(int s) const { return opt_.tag_base + bs_.n_snodes() + s; }  // backward
   int gtag() const { return opt_.tag_base + 2 * bs_.n_snodes(); }       // gather
 
-  /// Copies rows [f, f+ns) of all nrhs panel columns into a contiguous
-  /// ns x nrhs buffer (and back).
-  void gather_slice(std::span<const real_t> x, index_t f, index_t ns,
-                    std::vector<real_t>& buf) const {
-    buf.resize(static_cast<std::size_t>(ns) * static_cast<std::size_t>(nrhs_));
-    for (index_t j = 0; j < nrhs_; ++j)
-      for (index_t r = 0; r < ns; ++r)
-        buf[static_cast<std::size_t>(r + j * ns)] =
-            x[static_cast<std::size_t>(f + r + j * n_)];
-  }
-  void scatter_slice(std::span<const real_t> buf, index_t f, index_t ns,
-                     std::span<real_t> x) const {
-    for (index_t j = 0; j < nrhs_; ++j)
-      for (index_t r = 0; r < ns; ++r)
-        x[static_cast<std::size_t>(f + r + j * n_)] =
-            buf[static_cast<std::size_t>(r + j * ns)];
-  }
-
-  /// L y = b, bottom-up. On return, x holds y on each supernode's process
-  /// column (authoritative at the diagonal owner).
-  void forward(std::span<real_t> x) {
+  /// L y = b, leaves first. On return, x holds y on each supernode's
+  /// process column (authoritative at the diagonal owner).
+  void forward(const SolvePanel& p) {
+    const index_t n = p.n, nrhs = p.nrhs;
     std::vector<real_t> ybuf, vbuf;
-    for (int s = 0; s < bs_.n_snodes(); ++s) {
+    for (const int s : sched_.forward()) {
       const index_t ns = bs_.snode_size(s);
       if (ns == 0) continue;
       const index_t f = bs_.first_col(s);
@@ -87,29 +53,29 @@ class Solve2dDriver {
 
       if (F_.has_diag(s)) {
         // Collect partial products from every L block targeting s.
-        for (const auto& [c, blkidx] : by_anc_[static_cast<std::size_t>(s)]) {
+        for (const auto& [c, blkidx] : sched_.into(s)) {
           const PanelBlock& blk =
               bs_.lpanel(c)[static_cast<std::size_t>(blkidx)];
           const int src = F_.owner_of(s, c);
           const auto v = g_.grid().recv(src, ftag(c), CommPlane::XY);
           const auto m = blk.rows.size();
-          SLU3D_CHECK(v.size() == m * static_cast<std::size_t>(nrhs_),
+          SLU3D_CHECK(v.size() == m * static_cast<std::size_t>(nrhs),
                       "contribution size");
-          for (index_t j = 0; j < nrhs_; ++j)
+          for (index_t j = 0; j < nrhs; ++j)
             for (std::size_t r = 0; r < m; ++r)
-              x[static_cast<std::size_t>(blk.rows[r] + j * n_)] +=
+              p.x[static_cast<std::size_t>(blk.rows[r] + j * n)] +=
                   v[r + static_cast<std::size_t>(j) * m];
         }
-        dense::trsm_left_lower_unit(ns, nrhs_, F_.diag(s).data(), ns,
-                                    x.data() + f, n_);
-        g_.grid().add_compute(dense::trsm_flops(ns, nrhs_), ComputeKind::Other);
+        dense::trsm_left_lower_unit(ns, nrhs, F_.diag(s).data(), ns,
+                                    p.x.data() + f, n);
+        g_.grid().add_compute(dense::trsm_flops(ns, nrhs), ComputeKind::Other);
       }
 
       // Share y_s with the L-block owners (all in process column s%Py).
       if (in_pcol) {
-        gather_slice(x, f, ns, ybuf);
+        p.gather(f, ns, ybuf);
         g_.col().bcast(s % g_.Px(), ftag(s), ybuf, CommPlane::XY);
-        scatter_slice(ybuf, f, ns, x);
+        p.scatter(ybuf, f, ns);
 
         // Each owned L block contributes to its ancestor's rows.
         for (const OwnedBlock& ob : F_.lblocks(s)) {
@@ -117,11 +83,11 @@ class Solve2dDriver {
               bs_.lpanel(s)[static_cast<std::size_t>(ob.panel_idx)];
           const auto m = static_cast<index_t>(blk.rows.size());
           vbuf.assign(static_cast<std::size_t>(m) *
-                          static_cast<std::size_t>(nrhs_),
+                          static_cast<std::size_t>(nrhs),
                       0.0);
-          dense::gemm_minus(m, nrhs_, ns, ob.data.data(), m, ybuf.data(), ns,
+          dense::gemm_minus(m, nrhs, ns, ob.data.data(), m, ybuf.data(), ns,
                             vbuf.data(), m);
-          g_.grid().add_compute(dense::gemm_flops(m, nrhs_, ns),
+          g_.grid().add_compute(dense::gemm_flops(m, nrhs, ns),
                                 ComputeKind::Other);
           g_.grid().send(diag_owner(blk.snode), ftag(s), vbuf, CommPlane::XY);
         }
@@ -129,10 +95,11 @@ class Solve2dDriver {
     }
   }
 
-  /// U x = y, top-down.
-  void backward(std::span<real_t> x) {
+  /// U x = y, root first.
+  void backward(const SolvePanel& p) {
+    const index_t n = p.n, nrhs = p.nrhs;
     std::vector<real_t> xbuf, gbuf, vbuf;
-    for (int s = bs_.n_snodes() - 1; s >= 0; --s) {
+    for (const int s : sched_.backward()) {
       const index_t ns = bs_.snode_size(s);
       if (ns == 0) continue;
       const index_t f = bs_.first_col(s);
@@ -144,31 +111,29 @@ class Solve2dDriver {
           const int src = F_.owner_of(s, blk.snode);
           const auto v = g_.grid().recv(src, btag(blk.snode), CommPlane::XY);
           SLU3D_CHECK(v.size() == static_cast<std::size_t>(ns) *
-                                      static_cast<std::size_t>(nrhs_),
+                                      static_cast<std::size_t>(nrhs),
                       "contribution size");
-          for (index_t j = 0; j < nrhs_; ++j)
+          for (index_t j = 0; j < nrhs; ++j)
             for (index_t r = 0; r < ns; ++r)
-              x[static_cast<std::size_t>(f + r + j * n_)] +=
+              p.x[static_cast<std::size_t>(f + r + j * n)] +=
                   v[static_cast<std::size_t>(r + j * ns)];
         }
-        dense::trsm_left_upper(ns, nrhs_, F_.diag(s).data(), ns, x.data() + f,
-                               n_);
-        g_.grid().add_compute(dense::trsm_flops(ns, nrhs_), ComputeKind::Other);
+        dense::trsm_left_upper(ns, nrhs, F_.diag(s).data(), ns, p.x.data() + f,
+                               n);
+        g_.grid().add_compute(dense::trsm_flops(ns, nrhs), ComputeKind::Other);
       }
 
       // Share x_s with the U-block owners (process column s%Py), then
       // each computes its contribution to a *descendant* supernode c.
       if (in_pcol) {
-        gather_slice(x, f, ns, xbuf);
+        p.gather(f, ns, xbuf);
         g_.col().bcast(s % g_.Px(), btag(s) + bs_.n_snodes(), xbuf,
                        CommPlane::XY);
-        scatter_slice(xbuf, f, ns, x);
+        p.scatter(xbuf, f, ns);
 
-        // Descending c so the receivers' (descending) loop matches the
-        // per-(src, tag) FIFO order.
-        const auto& pairs = by_anc_[static_cast<std::size_t>(s)];
-        for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) {
-          const auto& [c, blkidx] = *it;
+        // In the receivers' visiting order: contributions to different
+        // descendants share this rank's (source, btag(s)) pair.
+        for (const auto& [c, blkidx] : sched_.out_of(s)) {
           if (c % g_.Px() != g_.px()) continue;  // U(c, s) not in my row
           OwnedBlock* ob = F_.find_ublock(c, s);
           SLU3D_CHECK(ob != nullptr, "missing owned U block in solve");
@@ -179,18 +144,18 @@ class Solve2dDriver {
           // Gather the (non-contiguous) ancestor rows of x used by this
           // U block into an m x nrhs panel for the GEMM.
           gbuf.resize(static_cast<std::size_t>(m) *
-                      static_cast<std::size_t>(nrhs_));
-          for (index_t j = 0; j < nrhs_; ++j)
+                      static_cast<std::size_t>(nrhs));
+          for (index_t j = 0; j < nrhs; ++j)
             for (index_t k = 0; k < m; ++k)
               gbuf[static_cast<std::size_t>(k + j * m)] =
-                  x[static_cast<std::size_t>(
-                      blk.rows[static_cast<std::size_t>(k)] + j * n_)];
+                  p.x[static_cast<std::size_t>(
+                      blk.rows[static_cast<std::size_t>(k)] + j * n)];
           vbuf.assign(static_cast<std::size_t>(nc) *
-                          static_cast<std::size_t>(nrhs_),
+                          static_cast<std::size_t>(nrhs),
                       0.0);
-          dense::gemm_minus(nc, nrhs_, m, ob->data.data(), nc, gbuf.data(), m,
+          dense::gemm_minus(nc, nrhs, m, ob->data.data(), nc, gbuf.data(), m,
                             vbuf.data(), nc);
-          g_.grid().add_compute(dense::gemm_flops(nc, nrhs_, m),
+          g_.grid().add_compute(dense::gemm_flops(nc, nrhs, m),
                                 ComputeKind::Other);
           g_.grid().send(diag_owner(c), btag(s), vbuf, CommPlane::XY);
         }
@@ -198,40 +163,11 @@ class Solve2dDriver {
     }
   }
 
-  /// Collect the solution slices from the diagonal owners on every rank
-  /// (a variable-size allgather in rank order).
-  void redistribute(std::span<real_t> x) {
-    sim::Comm& comm = g_.grid();
-    std::vector<real_t> packed, slice;
-    for (int s = 0; s < bs_.n_snodes(); ++s)
-      if (F_.has_diag(s)) {
-        gather_slice(x, bs_.first_col(s), bs_.snode_size(s), slice);
-        packed.insert(packed.end(), slice.begin(), slice.end());
-      }
-    const std::vector<real_t> all =
-        comm.allgatherv(gtag(), packed, CommPlane::XY);
-    std::size_t pos = 0;
-    for (int r = 0; r < comm.size(); ++r)
-      for (int s = 0; s < bs_.n_snodes(); ++s) {
-        if (diag_owner(s) != r) continue;
-        const auto ns = bs_.snode_size(s);
-        const auto len = static_cast<std::size_t>(ns) *
-                         static_cast<std::size_t>(nrhs_);
-        SLU3D_CHECK(pos + len <= all.size(), "gather underflow");
-        scatter_slice(std::span<const real_t>(all).subspan(pos, len),
-                      bs_.first_col(s), ns, x);
-        pos += len;
-      }
-    SLU3D_CHECK(pos == all.size(), "gather stream not fully consumed");
-  }
-
   Dist2dFactors& F_;
   sim::ProcessGrid2D& g_;
   const BlockStructure& bs_;
   Solve2dOptions opt_;
-  index_t n_;
-  index_t nrhs_;
-  std::vector<std::vector<std::pair<int, int>>> by_anc_;
+  SolveSchedule sched_;
 };
 
 }  // namespace

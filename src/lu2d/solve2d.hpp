@@ -1,10 +1,11 @@
 // Distributed triangular solves on the 2D block-cyclic factors — the
 // SuperLU_DIST pdgstrs counterpart. Forward substitution walks supernodes
-// bottom-up: the diagonal owner solves its block, sends the solution
+// leaves first: the diagonal owner solves its block, sends the solution
 // slice to the L-panel block owners in its process column, and each of
 // those sends one partial product to the target supernode's diagonal
-// owner. Backward substitution mirrors this through the U panels,
-// top-down. All routing is derived from the replicated symbolic
+// owner. Backward substitution mirrors this through the U panels, root
+// first. Both sweeps follow the critical-path order of
+// lu2d/solve_schedule.hpp. All routing is derived from the replicated symbolic
 // structure; contribution counts are known in advance on every rank.
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "lu2d/solve_schedule.hpp"
 #include "numeric/dense_kernels.hpp"
 #include "support/check.hpp"
 
@@ -12,26 +13,15 @@ namespace {
 using sim::CommPlane;
 using sim::ComputeKind;
 
-/// All solves operate on an n x nrhs column-major panel X (ldx = n), so one
-/// forward/backward sweep (one set of z-messages and broadcasts) serves the
-/// whole batch: message sizes scale with nrhs but message *counts* do not.
 /// Contribution messages carry the *negated* partial product (gemm_minus
 /// computes C -= A B into a zeroed buffer), so receivers accumulate with +=.
+/// Supernodes are visited in the SolveSchedule order (solve_schedule.hpp).
 class Solve3dDriver {
  public:
   Solve3dDriver(Dist2dFactors& F, sim::Comm& world, sim::ProcessGrid3D& grid,
                 const ForestPartition& part, const Solve3dOptions& opt)
       : F_(F), world_(world), g_(grid), part_(part), bs_(F.structure()),
-        opt_(opt), n_(bs_.n()), nrhs_(opt.nrhs) {
-    // Descendant index: for each supernode a, the (c, panel block) pairs
-    // whose panel contains a block in a's range (ascending c).
-    by_anc_.resize(static_cast<std::size_t>(bs_.n_snodes()));
-    for (int c = 0; c < bs_.n_snodes(); ++c) {
-      const auto panel = bs_.lpanel(c);
-      for (int k = 0; k < static_cast<int>(panel.size()); ++k)
-        by_anc_[static_cast<std::size_t>(panel[static_cast<std::size_t>(k)].snode)]
-            .push_back({c, k});
-    }
+        opt_(opt), sched_(bs_) {
     // One z sub-communicator per forest level: the replication group of a
     // level-lvl supernode is a dyadic pz range of size 2^(l - lvl).
     const int l = part.n_levels() - 1;
@@ -41,13 +31,15 @@ class Solve3dDriver {
   }
 
   void run(std::span<real_t> x) {
-    SLU3D_CHECK(nrhs_ >= 1, "nrhs must be positive");
-    SLU3D_CHECK(x.size() == static_cast<std::size_t>(n_) *
-                                static_cast<std::size_t>(nrhs_),
+    SLU3D_CHECK(opt_.nrhs >= 1, "nrhs must be positive");
+    SLU3D_CHECK(x.size() == static_cast<std::size_t>(bs_.n()) *
+                                static_cast<std::size_t>(opt_.nrhs),
                 "x panel size");
-    forward(x);
-    backward(x);
-    redistribute(x);
+    const SolvePanel panel{x, bs_.n(), opt_.nrhs};
+    forward(panel);
+    backward(panel);
+    redistribute_solution(world_, gtag(), CommPlane::Z, bs_, panel,
+                          [&](int s) { return diag_owner(s); });
   }
 
  private:
@@ -64,25 +56,10 @@ class Solve3dDriver {
   int btag(int s) const { return opt_.tag_base + bs_.n_snodes() + s; }
   int gtag() const { return opt_.tag_base + 3 * bs_.n_snodes(); }
 
-  void gather_slice(std::span<const real_t> x, index_t f, index_t ns,
-                    std::vector<real_t>& buf) const {
-    buf.resize(static_cast<std::size_t>(ns) * static_cast<std::size_t>(nrhs_));
-    for (index_t j = 0; j < nrhs_; ++j)
-      for (index_t r = 0; r < ns; ++r)
-        buf[static_cast<std::size_t>(r + j * ns)] =
-            x[static_cast<std::size_t>(f + r + j * n_)];
-  }
-  void scatter_slice(std::span<const real_t> buf, index_t f, index_t ns,
-                     std::span<real_t> x) const {
-    for (index_t j = 0; j < nrhs_; ++j)
-      for (index_t r = 0; r < ns; ++r)
-        x[static_cast<std::size_t>(f + r + j * n_)] =
-            buf[static_cast<std::size_t>(r + j * ns)];
-  }
-
-  void forward(std::span<real_t> x) {
+  void forward(const SolvePanel& p) {
+    const index_t n = p.n, nrhs = p.nrhs;
     std::vector<real_t> ybuf, vbuf;
-    for (int s = 0; s < bs_.n_snodes(); ++s) {
+    for (const int s : sched_.forward()) {
       const index_t ns = bs_.snode_size(s);
       if (ns == 0) continue;
       const index_t f = bs_.first_col(s);
@@ -90,39 +67,39 @@ class Solve3dDriver {
       const bool in_pcol = my_grid && g_.plane().py() == s % Py();
 
       if (world_.rank() == diag_owner(s)) {
-        for (const auto& [c, blkidx] : by_anc_[static_cast<std::size_t>(s)]) {
+        for (const auto& [c, blkidx] : sched_.into(s)) {
           const PanelBlock& blk = bs_.lpanel(c)[static_cast<std::size_t>(blkidx)];
           const int src = world_of(part_.anchor_of(c), s % Px(), c % Py());
           const auto v = world_.recv(src, ftag(c), CommPlane::Z);
           const auto m = blk.rows.size();
-          SLU3D_CHECK(v.size() == m * static_cast<std::size_t>(nrhs_),
+          SLU3D_CHECK(v.size() == m * static_cast<std::size_t>(nrhs),
                       "contribution size");
-          for (index_t j = 0; j < nrhs_; ++j)
+          for (index_t j = 0; j < nrhs; ++j)
             for (std::size_t r = 0; r < m; ++r)
-              x[static_cast<std::size_t>(blk.rows[r] + j * n_)] +=
+              p.x[static_cast<std::size_t>(blk.rows[r] + j * n)] +=
                   v[r + static_cast<std::size_t>(j) * m];
         }
-        dense::trsm_left_lower_unit(ns, nrhs_, F_.diag(s).data(), ns,
-                                    x.data() + f, n_);
-        world_.add_compute(dense::trsm_flops(ns, nrhs_), ComputeKind::Other);
+        dense::trsm_left_lower_unit(ns, nrhs, F_.diag(s).data(), ns,
+                                    p.x.data() + f, n);
+        world_.add_compute(dense::trsm_flops(ns, nrhs), ComputeKind::Other);
       }
 
       // y_s to the L-block owners (all live on anchor(s), column s%Py).
       if (in_pcol) {
-        gather_slice(x, f, ns, ybuf);
+        p.gather(f, ns, ybuf);
         g_.plane().col().bcast(s % Px(), ftag(s), ybuf, CommPlane::XY);
-        scatter_slice(ybuf, f, ns, x);
+        p.scatter(ybuf, f, ns);
 
         for (const OwnedBlock& ob : F_.lblocks(s)) {
           const PanelBlock& blk =
               bs_.lpanel(s)[static_cast<std::size_t>(ob.panel_idx)];
           const auto m = static_cast<index_t>(blk.rows.size());
           vbuf.assign(static_cast<std::size_t>(m) *
-                          static_cast<std::size_t>(nrhs_),
+                          static_cast<std::size_t>(nrhs),
                       0.0);
-          dense::gemm_minus(m, nrhs_, ns, ob.data.data(), m, ybuf.data(), ns,
+          dense::gemm_minus(m, nrhs, ns, ob.data.data(), m, ybuf.data(), ns,
                             vbuf.data(), m);
-          world_.add_compute(dense::gemm_flops(m, nrhs_, ns),
+          world_.add_compute(dense::gemm_flops(m, nrhs, ns),
                              ComputeKind::Other);
           world_.send(diag_owner(blk.snode), ftag(s), vbuf, CommPlane::Z);
         }
@@ -130,9 +107,10 @@ class Solve3dDriver {
     }
   }
 
-  void backward(std::span<real_t> x) {
+  void backward(const SolvePanel& p) {
+    const index_t n = p.n, nrhs = p.nrhs;
     std::vector<real_t> xbuf, gbuf, vbuf;
-    for (int s = bs_.n_snodes() - 1; s >= 0; --s) {
+    for (const int s : sched_.backward()) {
       const index_t ns = bs_.snode_size(s);
       if (ns == 0) continue;
       const index_t f = bs_.first_col(s);
@@ -147,36 +125,35 @@ class Solve3dDriver {
           const int src = world_of(part_.anchor_of(s), s % Px(), blk.snode % Py());
           const auto v = world_.recv(src, btag(blk.snode), CommPlane::Z);
           SLU3D_CHECK(v.size() == static_cast<std::size_t>(ns) *
-                                      static_cast<std::size_t>(nrhs_),
+                                      static_cast<std::size_t>(nrhs),
                       "contribution size");
-          for (index_t j = 0; j < nrhs_; ++j)
+          for (index_t j = 0; j < nrhs; ++j)
             for (index_t r = 0; r < ns; ++r)
-              x[static_cast<std::size_t>(f + r + j * n_)] +=
+              p.x[static_cast<std::size_t>(f + r + j * n)] +=
                   v[static_cast<std::size_t>(r + j * ns)];
         }
-        dense::trsm_left_upper(ns, nrhs_, F_.diag(s).data(), ns, x.data() + f,
-                               n_);
-        world_.add_compute(dense::trsm_flops(ns, nrhs_), ComputeKind::Other);
+        dense::trsm_left_upper(ns, nrhs, F_.diag(s).data(), ns, p.x.data() + f,
+                               n);
+        world_.add_compute(dense::trsm_flops(ns, nrhs), ComputeKind::Other);
       }
 
       // Propagate x_s down the replication group: along z to each grid's
       // (s%Px, s%Py) rank, then along each plane's process column.
       if (on_zline) {
-        gather_slice(x, f, ns, xbuf);
+        p.gather(f, ns, xbuf);
         zgroup_[static_cast<std::size_t>(part_.level_of(s))].bcast(
             0, btag(s), xbuf, CommPlane::Z);
-        scatter_slice(xbuf, f, ns, x);
+        p.scatter(xbuf, f, ns);
       }
       if (in_pcol) {
-        gather_slice(x, f, ns, xbuf);
+        p.gather(f, ns, xbuf);
         g_.plane().col().bcast(s % Px(), btag(s), xbuf, CommPlane::XY);
-        scatter_slice(xbuf, f, ns, x);
+        p.scatter(xbuf, f, ns);
 
-        // U(c, s) contributions for descendants c anchored on my grid,
-        // descending c to match the receivers' global order.
-        const auto& pairs = by_anc_[static_cast<std::size_t>(s)];
-        for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) {
-          const auto& [c, blkidx] = *it;
+        // U(c, s) contributions for descendants c anchored on my grid, in
+        // the receivers' visiting order: contributions to different
+        // descendants share this rank's (source, btag(s)) pair.
+        for (const auto& [c, blkidx] : sched_.out_of(s)) {
           if (part_.anchor_of(c) != g_.pz() || c % Px() != g_.plane().px())
             continue;
           OwnedBlock* ob = F_.find_ublock(c, s);
@@ -187,47 +164,23 @@ class Solve3dDriver {
           // Gather the (non-contiguous) ancestor rows of x used by this
           // U block into an m x nrhs panel for the GEMM.
           gbuf.resize(static_cast<std::size_t>(m) *
-                      static_cast<std::size_t>(nrhs_));
-          for (index_t j = 0; j < nrhs_; ++j)
+                      static_cast<std::size_t>(nrhs));
+          for (index_t j = 0; j < nrhs; ++j)
             for (index_t k = 0; k < m; ++k)
               gbuf[static_cast<std::size_t>(k + j * m)] =
-                  x[static_cast<std::size_t>(
-                      blk.rows[static_cast<std::size_t>(k)] + j * n_)];
+                  p.x[static_cast<std::size_t>(
+                      blk.rows[static_cast<std::size_t>(k)] + j * n)];
           vbuf.assign(static_cast<std::size_t>(nc) *
-                          static_cast<std::size_t>(nrhs_),
+                          static_cast<std::size_t>(nrhs),
                       0.0);
-          dense::gemm_minus(nc, nrhs_, m, ob->data.data(), nc, gbuf.data(), m,
+          dense::gemm_minus(nc, nrhs, m, ob->data.data(), nc, gbuf.data(), m,
                             vbuf.data(), nc);
-          world_.add_compute(dense::gemm_flops(nc, nrhs_, m),
+          world_.add_compute(dense::gemm_flops(nc, nrhs, m),
                              ComputeKind::Other);
           world_.send(diag_owner(c), btag(s), vbuf, CommPlane::Z);
         }
       }
     }
-  }
-
-  void redistribute(std::span<real_t> x) {
-    std::vector<real_t> packed, slice;
-    for (int s = 0; s < bs_.n_snodes(); ++s)
-      if (world_.rank() == diag_owner(s)) {
-        gather_slice(x, bs_.first_col(s), bs_.snode_size(s), slice);
-        packed.insert(packed.end(), slice.begin(), slice.end());
-      }
-    const std::vector<real_t> all =
-        world_.allgatherv(gtag(), packed, CommPlane::Z);
-    std::size_t pos = 0;
-    for (int r = 0; r < world_.size(); ++r)
-      for (int s = 0; s < bs_.n_snodes(); ++s) {
-        if (diag_owner(s) != r) continue;
-        const auto ns = bs_.snode_size(s);
-        const auto len = static_cast<std::size_t>(ns) *
-                         static_cast<std::size_t>(nrhs_);
-        SLU3D_CHECK(pos + len <= all.size(), "gather underflow");
-        scatter_slice(std::span<const real_t>(all).subspan(pos, len),
-                      bs_.first_col(s), ns, x);
-        pos += len;
-      }
-    SLU3D_CHECK(pos == all.size(), "gather stream not fully consumed");
   }
 
   Dist2dFactors& F_;
@@ -236,9 +189,7 @@ class Solve3dDriver {
   const ForestPartition& part_;
   const BlockStructure& bs_;
   Solve3dOptions opt_;
-  index_t n_;
-  index_t nrhs_;
-  std::vector<std::vector<std::pair<int, int>>> by_anc_;
+  SolveSchedule sched_;
   std::vector<sim::Comm> zgroup_;
 };
 

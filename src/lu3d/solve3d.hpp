@@ -4,7 +4,21 @@
 // point-to-point (an L block of supernode s lives on anchor(s), its
 // target ancestor's diagonal owner on anchor(a)); backward substitution
 // broadcasts each solved slice down its replication group along z and
-// then along the plane column, reaching every descendant's U blocks.
+// then along the plane column, reaching every descendant's U blocks. A
+// log-depth allgatherv (Comm::allgatherv) finally hands every rank the
+// whole solution.
+//
+// Schedule. Every rank visits supernodes in one static order built from
+// the ND tree (lu2d/solve_schedule.hpp): the forward sweep by ascending
+// tree height, the backward sweep by ascending depth, ties by id. The
+// leaves of every subtree start at once instead of waiting behind the
+// separators of earlier subtrees, as they would in postorder. Messages,
+// bytes and the ascending-c accumulation at each diagonal owner do not
+// depend on the order, so solutions are bitwise those of a postorder walk.
+// Matching rule: a rank that sends one diagonal owner backward
+// contributions for several descendants on the same (source, btag(s))
+// pair sends them in the receiver's visiting order
+// (SolveSchedule::out_of), not in descending c.
 //
 // The paper factors in 3D but stops short of a 3D solve (that is
 // follow-up work); this implements the natural extension.

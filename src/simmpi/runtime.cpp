@@ -543,8 +543,7 @@ struct Wire {
 /// on the route frees up, and the payload reaches the receiver at that
 /// same instant.
 void send_charged(detail::Context* ctx, std::uint64_t comm_id, int me_world,
-                  int dst_world, std::int64_t ft,
-                  std::span<const real_t> payload,
+                  int dst_world, std::int64_t ft, std::vector<real_t> payload,
                   CommPlane plane) {
   auto& st = ctx->stats[static_cast<std::size_t>(me_world)];
   const offset_t bytes = payload_bytes(payload.size());
@@ -555,8 +554,7 @@ void send_charged(detail::Context* ctx, std::uint64_t comm_id, int me_world,
   ctx->record(me_world, {TraceEvent::Kind::Send, t0, st.clock, dst_world, bytes,
                          ComputeKind::Other, -1});
   st.add_sent(plane, bytes);
-  ctx->deliver(dst_world, {comm_id, me_world, ft},
-               {std::vector<real_t>(payload.begin(), payload.end()), arrival});
+  ctx->deliver(dst_world, {comm_id, me_world, ft}, {std::move(payload), arrival});
 }
 
 /// Blocking, charged receive through the shared ticket queue.
@@ -585,7 +583,8 @@ void Comm::send(int dst, int tag, std::span<const real_t> payload,
   SLU3D_CHECK(dst >= 0 && dst < size(), "send: bad destination rank");
   send_charged(ctx_, comm_id_, world_rank(),
                members_[static_cast<std::size_t>(dst)],
-               detail::full_tag(Op::P2P, tag), payload, plane);
+               detail::full_tag(Op::P2P, tag),
+               std::vector<real_t>(payload.begin(), payload.end()), plane);
 }
 
 std::vector<real_t> Comm::recv(int src, int tag, CommPlane plane) {
@@ -647,21 +646,51 @@ Request Comm::irecv(int src, int tag, CommPlane plane) {
 namespace {
 
 /// Charged collective-channel send/recv shared by the tree algorithms.
-void coll_send(Comm& c, detail::Context* ctx, std::uint64_t comm_id,
+/// The send hands `payload` to the receiver's mailbox without a copy.
+void coll_send(detail::Context* ctx, std::uint64_t comm_id,
                std::span<const int> members, int me_world, int dst, int tag,
-               std::span<const real_t> payload, CommPlane plane) {
-  (void)c;
+               std::vector<real_t> payload, CommPlane plane) {
   send_charged(ctx, comm_id, me_world, members[static_cast<std::size_t>(dst)],
-               detail::full_tag(Op::Coll, tag), payload, plane);
+               detail::full_tag(Op::Coll, tag), std::move(payload), plane);
 }
 
-std::vector<real_t> coll_recv(Comm& c, detail::Context* ctx,
-                              std::uint64_t comm_id, std::span<const int> members,
-                              int me_world, int src, int tag, CommPlane plane) {
-  (void)c;
+std::vector<real_t> coll_recv(detail::Context* ctx, std::uint64_t comm_id,
+                              std::span<const int> members, int me_world,
+                              int src, int tag, CommPlane plane) {
   return recv_charged(ctx, comm_id, me_world,
                       members[static_cast<std::size_t>(src)],
                       detail::full_tag(Op::Coll, tag), plane);
+}
+
+enum class RedOp { Sum, Max };
+
+/// Binomial-tree element-wise reduction onto `root`: ceil(log2 p) rounds,
+/// each rank sends exactly once (the root never), so the critical path is
+/// ceil(log2 p) * (alpha + beta * bytes).
+void reduce_tree(detail::Context* ctx, std::uint64_t comm_id,
+                 std::span<const int> members, int rank, int root, int tag,
+                 std::span<real_t> buf, CommPlane plane, RedOp op) {
+  const int p = static_cast<int>(members.size());
+  SLU3D_CHECK(root >= 0 && root < p, "reduce: bad root");
+  const int me = members[static_cast<std::size_t>(rank)];
+  const int vrank = (rank - root + p) % p;
+  for (int mask = 1; mask < p; mask <<= 1) {
+    if ((vrank & mask) == 0) {
+      const int vpartner = vrank | mask;
+      if (vpartner < p) {
+        const auto payload = coll_recv(ctx, comm_id, members, me,
+                                       (vpartner + root) % p, tag, plane);
+        SLU3D_CHECK(payload.size() == buf.size(), "reduce size mismatch");
+        for (std::size_t i = 0; i < buf.size(); ++i)
+          buf[i] = op == RedOp::Sum ? buf[i] + payload[i]
+                                    : std::max(buf[i], payload[i]);
+      }
+    } else {
+      coll_send(ctx, comm_id, members, me, ((vrank & ~mask) + root) % p, tag,
+                std::vector<real_t>(buf.begin(), buf.end()), plane);
+      break;
+    }
+  }
 }
 
 }  // namespace
@@ -678,8 +707,8 @@ void Comm::bcast(int root, int tag, std::span<real_t> buf, CommPlane plane) {
   while (mask < p) {
     if (vrank & mask) {
       const int src = ((vrank - mask) + root) % p;
-      const auto payload = coll_recv(*this, ctx_, comm_id_, members_,
-                                     world_rank(), src, tag, plane);
+      const auto payload =
+          coll_recv(ctx_, comm_id_, members_, world_rank(), src, tag, plane);
       SLU3D_CHECK(payload.size() == buf.size(), "bcast size mismatch");
       std::copy(payload.begin(), payload.end(), buf.begin());
       break;
@@ -690,8 +719,8 @@ void Comm::bcast(int root, int tag, std::span<real_t> buf, CommPlane plane) {
   while (mask > 0) {
     if (vrank + mask < p) {
       const int dst = ((vrank + mask) + root) % p;
-      coll_send(*this, ctx_, comm_id_, members_, world_rank(), dst, tag, buf,
-                plane);
+      coll_send(ctx_, comm_id_, members_, world_rank(), dst, tag,
+                std::vector<real_t>(buf.begin(), buf.end()), plane);
     }
     mask >>= 1;
   }
@@ -743,35 +772,10 @@ Request Comm::ibcast(int root, int tag, std::span<real_t> buf, CommPlane plane) 
   return Request(std::move(state));
 }
 
-namespace {
-enum class RedOp { Sum, Max };
-}
-
 void Comm::reduce_sum(int root, int tag, std::span<real_t> buf, CommPlane plane) {
   assert_funneled();
-  const int p = size();
-  SLU3D_CHECK(root >= 0 && root < p, "reduce: bad root");
-  if (p == 1) return;
-  const int vrank = (rank_ - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if ((vrank & mask) == 0) {
-      const int vpartner = vrank | mask;
-      if (vpartner < p) {
-        const int src = (vpartner + root) % p;
-        const auto payload = coll_recv(*this, ctx_, comm_id_, members_,
-                                       world_rank(), src, tag, plane);
-        SLU3D_CHECK(payload.size() == buf.size(), "reduce size mismatch");
-        for (std::size_t i = 0; i < buf.size(); ++i) buf[i] += payload[i];
-      }
-    } else {
-      const int dst = ((vrank & ~mask) + root) % p;
-      coll_send(*this, ctx_, comm_id_, members_, world_rank(), dst, tag, buf,
-                plane);
-      break;
-    }
-    mask <<= 1;
-  }
+  reduce_tree(ctx_, comm_id_, members_, rank_, root, tag, buf, plane,
+              RedOp::Sum);
 }
 
 void Comm::allreduce_sum(int tag, std::span<real_t> buf, CommPlane plane) {
@@ -782,19 +786,8 @@ void Comm::allreduce_sum(int tag, std::span<real_t> buf, CommPlane plane) {
 
 double Comm::allreduce_max(int tag, double value, CommPlane plane) {
   assert_funneled();
-  // Max-reduce expressed over the sum machinery would be wrong; do a small
-  // gather-to-0 + bcast instead (collectives here are O(P) messages at
-  // rank 0, fine for a scalar used only in tests/reports).
   std::vector<real_t> v{value};
-  if (rank_ == 0) {
-    for (int r = 1; r < size(); ++r) {
-      const auto payload = coll_recv(*this, ctx_, comm_id_, members_,
-                                     world_rank(), r, tag, plane);
-      v[0] = std::max(v[0], payload[0]);
-    }
-  } else {
-    coll_send(*this, ctx_, comm_id_, members_, world_rank(), 0, tag, v, plane);
-  }
+  reduce_tree(ctx_, comm_id_, members_, rank_, 0, tag, v, plane, RedOp::Max);
   bcast(0, tag, v, plane);
   return v[0];
 }
@@ -803,28 +796,45 @@ std::vector<real_t> Comm::allgatherv(int tag, std::span<const real_t> mine,
                                      CommPlane plane) {
   assert_funneled();
   const int p = size();
-  if (p == 1) return std::vector<real_t>(mine.begin(), mine.end());
-  // Gather sizes and payloads onto rank 0, then broadcast the result.
-  std::vector<real_t> sizes(static_cast<std::size_t>(p), 0.0);
-  sizes[static_cast<std::size_t>(rank_)] = static_cast<real_t>(mine.size());
-  std::vector<real_t> all;
-  if (rank_ == 0) {
-    all.assign(mine.begin(), mine.end());
-    for (int r = 1; r < p; ++r) {
-      const auto payload = coll_recv(*this, ctx_, comm_id_, members_,
-                                     world_rank(), r, tag, plane);
-      sizes[static_cast<std::size_t>(r)] = static_cast<real_t>(payload.size());
-      all.insert(all.end(), payload.begin(), payload.end());
+  // Bruck's algorithm. Before the round at distance d, this rank holds the
+  // blocks of ranks rank, rank+1, ..., rank+d-1 (mod p) back to back in
+  // `all`, with their lengths in `sizes`. It sends the first min(d, p-d)
+  // of them to rank-d, prefixed by one header word per block holding its
+  // length, and appends the same number of blocks received from rank+d.
+  // ceil(log2 p) rounds, one send each, and every block crosses the wire
+  // into each rank exactly once.
+  std::vector<real_t> all(mine.begin(), mine.end());
+  std::vector<std::size_t> sizes{mine.size()};
+  for (int d = 1; d < p; d <<= 1) {
+    const auto cnt = static_cast<std::size_t>(std::min(d, p - d));
+    std::size_t len = 0;
+    for (std::size_t i = 0; i < cnt; ++i) len += sizes[i];
+    std::vector<real_t> out;
+    out.reserve(cnt + len);
+    for (std::size_t i = 0; i < cnt; ++i)
+      out.push_back(static_cast<real_t>(sizes[i]));
+    out.insert(out.end(), all.begin(),
+               all.begin() + static_cast<std::ptrdiff_t>(len));
+    coll_send(ctx_, comm_id_, members_, world_rank(), (rank_ - d + p) % p, tag,
+              std::move(out), plane);
+    const auto in = coll_recv(ctx_, comm_id_, members_, world_rank(),
+                              (rank_ + d) % p, tag, plane);
+    SLU3D_CHECK(in.size() >= cnt, "allgatherv: truncated header");
+    std::size_t got = 0;
+    for (std::size_t i = 0; i < cnt; ++i) {
+      sizes.push_back(static_cast<std::size_t>(in[i]));
+      got += sizes.back();
     }
-  } else {
-    coll_send(*this, ctx_, comm_id_, members_, world_rank(), 0, tag, mine,
-              plane);
+    SLU3D_CHECK(in.size() == cnt + got, "allgatherv: block size mismatch");
+    all.insert(all.end(), in.begin() + static_cast<std::ptrdiff_t>(cnt),
+               in.end());
   }
-  bcast(0, tag, sizes, plane);
-  std::size_t total = 0;
-  for (real_t s : sizes) total += static_cast<std::size_t>(s);
-  all.resize(total);
-  bcast(0, tag, all, plane);
+  // Rotate rank 0's block, at position p - rank, to the front.
+  std::size_t head = 0;
+  for (std::size_t i = 0; i < static_cast<std::size_t>((p - rank_) % p); ++i)
+    head += sizes[i];
+  std::rotate(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(head),
+              all.end());
   return all;
 }
 

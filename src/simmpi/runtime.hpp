@@ -2,7 +2,7 @@
 //
 // `run_ranks(P, model, body)` runs `body` once per rank, each on its own
 // thread. Ranks communicate only through Comm: blocking typed send/recv
-// plus binomial-tree collectives, with MPI point-to-point matching
+// plus log-depth collectives, with MPI point-to-point matching
 // semantics (FIFO per (communicator, source, tag)), and non-blocking
 // isend/irecv/ibcast returning a Request with wait/test.
 //
@@ -133,13 +133,16 @@ class Comm {
   /// Binomial-tree element-wise sum-reduction onto `root`.
   void reduce_sum(int root, int tag, std::span<real_t> buf, CommPlane plane);
 
-  /// Allreduce (reduce to rank 0, then broadcast).
+  /// Allreduce: binomial-tree reduction to rank 0 (sum, or max), then a
+  /// binomial broadcast.
   void allreduce_sum(int tag, std::span<real_t> buf, CommPlane plane);
   double allreduce_max(int tag, double value, CommPlane plane);
 
   /// Variable-size allgather: every rank contributes `mine` and receives
-  /// the concatenation in rank order (gather to rank 0, then broadcast of
-  /// sizes and data).
+  /// the concatenation in rank order. Bruck's algorithm: ceil(log2 P)
+  /// rounds, one message per rank per round, each prefixed by one header
+  /// word per block it carries (the block's length). Every rank receives
+  /// each other rank's block exactly once.
   std::vector<real_t> allgatherv(int tag, std::span<const real_t> mine,
                                  CommPlane plane);
 

@@ -138,6 +138,83 @@ TEST(Runtime, AllgathervSingleRank) {
   });
 }
 
+/// Block length of rank r in the allgatherv sweep: every third rank
+/// contributes nothing.
+std::size_t sweep_len(int r) {
+  return r % 3 == 1 ? 0 : 1 + static_cast<std::size_t>((r * 7) % 5);
+}
+
+int ceil_log2(int p) {
+  int rounds = 0;
+  while ((1 << rounds) < p) ++rounds;
+  return rounds;
+}
+
+/// Runs one allgatherv over p ranks where rank r contributes len(r)
+/// values, checks the rank-order concatenation and the message count on
+/// every rank, and returns the run's statistics.
+template <class Len>
+RunResult check_allgatherv(int p, Len len) {
+  std::vector<real_t> expected;
+  for (int r = 0; r < p; ++r)
+    for (std::size_t k = 0; k < len(r); ++k)
+      expected.push_back(100.0 * r + static_cast<real_t>(k));
+  std::vector<std::vector<real_t>> got(static_cast<std::size_t>(p));
+  auto result = run_ranks(p, kModel, [&](Comm& world) {
+    std::vector<real_t> mine(len(world.rank()));
+    for (std::size_t k = 0; k < mine.size(); ++k)
+      mine[k] = 100.0 * world.rank() + static_cast<real_t>(k);
+    got[static_cast<std::size_t>(world.rank())] =
+        world.allgatherv(31, mine, CommPlane::Z);
+  });
+  for (int r = 0; r < p; ++r) {
+    EXPECT_EQ(got[static_cast<std::size_t>(r)], expected) << "rank " << r;
+    EXPECT_EQ(result.ranks[static_cast<std::size_t>(r)]
+                  .messages_sent[static_cast<int>(CommPlane::Z)],
+              ceil_log2(p))
+        << "rank " << r;
+  }
+  return result;
+}
+
+class AllgathervSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(AllgathervSweep, ConcatenatesInRankOrderInLogRounds) {
+  // Flat-platform clocks are exact, so the bounds are tight checks of log
+  // depth (one alpha per round) and of bandwidth optimality: every rank
+  // receives each other block, with its one-word length header, once.
+  const int p = GetParam();
+  const int rounds = ceil_log2(p);
+  // Equal blocks: the critical path carries at most all payload + headers.
+  constexpr std::size_t kLen = 3;
+  const auto equal = check_allgatherv(p, [](int) { return kLen; });
+  const double total = 8.0 * static_cast<double>(kLen * static_cast<std::size_t>(p) +
+                                                 static_cast<std::size_t>(p - 1));
+  EXPECT_LE(equal.max_clock(), rounds * kModel.alpha + kModel.beta * total);
+  // Unequal and empty blocks: a rank forwards its own block in every round,
+  // so the bound is P - 1 of the largest blocks (with headers).
+  const auto mixed = check_allgatherv(p, sweep_len);
+  std::size_t longest = 0;
+  for (int r = 0; r < p; ++r) longest = std::max(longest, sweep_len(r));
+  EXPECT_LE(mixed.max_clock(),
+            rounds * kModel.alpha +
+                kModel.beta * 8.0 * (p - 1) * static_cast<double>(longest + 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(OneToSeventeen, AllgathervSweep, ::testing::Range(1, 18));
+
+TEST(AllgathervSweepEdge, AllEmptyContributions) {
+  constexpr int kP = 6;
+  const auto result = run_ranks(kP, kModel, [](Comm& world) {
+    EXPECT_TRUE(world.allgatherv(32, {}, CommPlane::XY).empty());
+  });
+  for (const auto& r : result.ranks)
+    EXPECT_EQ(r.messages_sent[static_cast<int>(CommPlane::XY)], ceil_log2(kP));
+  // Only the length headers travel.
+  EXPECT_LE(result.max_clock(),
+            ceil_log2(kP) * kModel.alpha + kModel.beta * 8.0 * (kP - 1));
+}
+
 TEST(Runtime, BarrierSynchronizesClocks) {
   const auto result = run_ranks(4, kModel, [](Comm& world) {
     if (world.rank() == 2) world.add_compute(1000000000, ComputeKind::Other);

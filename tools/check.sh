@@ -29,9 +29,13 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # pool beneath every rank. The Fleet suite rides along so the sharded
 # front end (coalesced batch dispatch, cache-warm migration) also runs
 # every sanitizer leg with SLU3D_THREADS=4 pools under the shards.
+# SolveSchedule (bitwise solution pins plus a fuzz of the critical-path
+# solve order's matching rule) and AllgathervSweep (the log-depth
+# allgatherv at P = 1..17) certify the blocking solve sweeps and the
+# collective every solve and analysis ends with.
 REQUIRED_SUITES=(CommEquivalence ThreadPool Funneled Determinism Rma
                  RandomTargetedDeliveryFuzz Fleet PlatformRuntime
-                 DistAnalysis)
+                 DistAnalysis SolveSchedule AllgathervSweep)
 
 require_suites() {
   local dir="$1" list
