@@ -1,25 +1,72 @@
-// LU variant policy for the shared 2D panel-pipeline engine
-// (pipeline/panel_pipeline.hpp): GETRF on the diagonal, row+column
-// diagonal broadcasts, L and U panel TRSMs, U-role column broadcasts
-// rooted at the diagonal owner's process row, and the two-sided Schur
-// scatter (diag / L / U targets).
+// The 2D panel-pipeline engine of factorize_2d. One supernode flows through
+//   panel_phase:  GETRF at the diagonal owner, blocking diagonal broadcasts
+//                 along its process row and column, the L/U panel TRSMs,
+//                 then the non-blocking panel broadcasts into a stash slot,
+//   schur_phase:  drain of the outstanding broadcasts + the
+//                 owner-only-update Schur complement,
+// pipelined through the elimination-tree lookahead window of §II-F: panel
+// phases of up to `lookahead` future supernodes are issued as soon as all
+// their updaters have completed, so their non-blocking broadcasts overlap
+// earlier supernodes' Schur updates. Only the diagonal broadcasts, which
+// the panel solves consume at once, stay blocking.
+//
+// Supernode k's panel travels in two mirrored roles. A row-role entry is
+// the L block (a, k) of a panel block a with a % Px == px, broadcast along
+// this process row from the diagonal owner's process column; a
+// column-role entry is the U block (k, a) of a panel block a with
+// a % Py == py, broadcast down this process column from the diagonal
+// owner's process row. Each Schur pair multiplies one entry of each role.
+// Tags are tag_base + 8k + op: the diagonal along the owner's process row
+// (op 0) and column (op 1), then the row role (op 2) and column role
+// (op 3), posted in that order. The Dense and Targeted byte/message totals
+// are pinned by Fig9Configs/GoldenCommCounters in tests/test_pipeline.cpp.
+//
+// PanelPacking::Targeted (opt-in) replaces each role's broadcasts with
+// one-sided RMA delivery (see DESIGN.md "Targeted one-sided delivery"):
+// the data root computes every peer's block *footprint* — the entries that
+// peer's Schur pairs actually read — from the replicated symbolic
+// structure and issues ONE footprint-sized put per peer into the role's
+// window (per-entry bitmap words + present scalars, concatenated). Peers
+// with an empty footprint get no message at all; both sides evaluate the
+// same symbolic predicate, so no handshake or presence frame travels.
+// Entries are never pruned, so the Schur pair set, charged flops, and FP
+// order are identical to Dense — factors stay bitwise identical — while a
+// peer receives only the entries it reads, and only their nonzero scalars.
 #include "lu2d/factor2d.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "numeric/dense_kernels.hpp"
 #include "numeric/kernel_scratch.hpp"
 #include "numeric/schur.hpp"
-#include "pipeline/panel_pipeline.hpp"
 #include "support/check.hpp"
+#include "threads/thread_pool.hpp"
 
 namespace slu3d {
 
 namespace {
 
+using pipeline::PanelOptions;
+using pipeline::PanelPacking;
 using sim::CommPlane;
 using sim::ComputeKind;
+
+constexpr int kRowRole = 0;
+constexpr int kColRole = 1;
+constexpr int kDiagRowOp = 0;  ///< diagonal broadcast along the owner's row
+constexpr int kDiagColOp = 1;  ///< diagonal broadcast down the owner's column
+/// Tag op of each role's panel broadcasts.
+constexpr std::array<int, 2> kPanelOp = {2, 3};
+/// Window tags of the targeted-mode RMA windows (one per role per engine
+/// run, created collectively at run() entry). These live in the runtime's
+/// separate RMA tag namespace, so they cannot collide with the per-snode
+/// broadcast tags; the offsets merely keep the two roles' windows apart.
+constexpr std::array<int, 2> kWinTag = {6, 7};
 
 /// Adds V into the owned target block (bi, bj) — the distributed version
 /// of schur_scatter_add.
@@ -74,128 +121,580 @@ void scatter_local(Dist2dFactors& F, const BlockStructure& bs, int bi, int bj,
           v[static_cast<std::size_t>(r + c * mi)];
 }
 
-struct LuPanelPolicy {
-  using Factors = Dist2dFactors;
-  static constexpr bool kSymmetric = false;
-  static constexpr int kRowPanelOp = 2;  ///< L-panel row broadcast tag op
-  static constexpr int kColPanelOp = 3;  ///< U-panel column broadcast tag op
+/// One broadcast panel block staged for the Schur phase: `m*ns` (row role)
+/// or `ns*m` (column role) values at `offset` in the stash's flat storage.
+/// Under PanelPacking::Targeted the role's root also records each entry's
+/// presence-bitmap location (`bits_off`, in 64-bit words into its bitmap
+/// scratch) and nonzero-scalar count (`packed`), and `in_footprint` marks
+/// the entries this rank actually reads (always all of them on the root):
+/// the put wire carries exactly the marked entries, in entry order.
+struct StashEntry {
+  int panel_idx;
+  std::size_t offset;
+  index_t m;
+  std::size_t bits_off = 0;
+  std::size_t packed = 0;
+  bool in_footprint = false;
+};
+
+/// One posted non-blocking operation, drained in post order at the Schur
+/// phase: a broadcast request or, when `delivery` is valid, a
+/// targeted-mode window delivery whose drain waits it and parses the
+/// landed footprint put of role `role` (all marked entries at once).
+struct PanelAsyncOp {
+  sim::Request req;
+  int role = -1;
+  sim::WindowDelivery delivery;
+};
+
+/// Broadcast panels of one in-flight supernode, stashed until its Schur
+/// update has been applied. Each role's entries are appended in ascending
+/// panel_idx order; storage is one flat buffer borrowed from the per-rank
+/// scratch pool, so the look-ahead hot path performs no per-supernode node
+/// allocations.
+struct PanelStash {
+  int k = -1;  ///< supernode, or -1 when the slot is free
+  std::array<std::vector<StashEntry>, 2> entries;  ///< per role
+  std::vector<real_t> storage;
+  std::vector<PanelAsyncOp> ops;
+};
+
+class PanelEngine {
+ public:
+  PanelEngine(Dist2dFactors& F, sim::ProcessGrid2D& grid,
+              const PanelOptions& opt)
+      : F_(F), g_(grid), bs_(F.structure()), opt_(opt) {
+    pipeline::validate_panel_options(opt_);
+    // Attach this rank thread's compute pool (created lazily, reused across
+    // engines — one per 3D level — and resized only when the option
+    // changes). All communication stays on this thread; the pool only ever
+    // executes the packing / GEMM / scatter closures below.
+    dense::ParallelKernels::rank_local(threads::resolve_threads(opt_.threads));
+  }
+
+  /// Factorizes the supernodes in `snodes` (ascending elimination order).
+  void run(std::span<const int> snodes) {
+    // Targeted mode opens its per-run RMA windows first — a collective
+    // over the row and column communicators, so it must happen on every
+    // grid rank before any supernode traffic.
+    if (targeted_packing()) create_targeted_windows(snodes);
+    // Position of each supernode in the list and the latest position of
+    // any updater, for the lookahead schedule. All ranks compute the same
+    // schedule from the (replicated) symbolic structure.
+    std::vector<int> last_upd_pos(static_cast<std::size_t>(bs_.n_snodes()), -1);
+    for (int idx = 0; idx < static_cast<int>(snodes.size()); ++idx) {
+      const int k = snodes[static_cast<std::size_t>(idx)];
+      SLU3D_CHECK(idx == 0 || snodes[static_cast<std::size_t>(idx - 1)] < k,
+                  "snodes must be ascending");
+      for (const PanelBlock& blk : bs_.lpanel(k))
+        last_upd_pos[static_cast<std::size_t>(blk.snode)] = idx;
+    }
+
+    std::vector<bool> fired(static_cast<std::size_t>(bs_.n_snodes()), false);
+    const int n = static_cast<int>(snodes.size());
+    for (int idx = 0; idx < n; ++idx) {
+      const int limit = std::min(n - 1, idx + opt_.lookahead);
+      for (int w = idx; w <= limit; ++w) {
+        const int j = snodes[static_cast<std::size_t>(w)];
+        if (!fired[static_cast<std::size_t>(j)] &&
+            last_upd_pos[static_cast<std::size_t>(j)] < idx) {
+          panel_phase(j);
+          fired[static_cast<std::size_t>(j)] = true;
+        }
+      }
+      schur_phase(snodes[static_cast<std::size_t>(idx)]);
+    }
+  }
+
+ private:
+  int tag(int k, int op) const { return opt_.tag_base + 8 * k + op; }
+  bool targeted_packing() const {
+    return opt_.packing == PanelPacking::Targeted;
+  }
+
+  /// The communicator a role's panels travel on.
+  sim::Comm& role_comm(int role) {
+    return role == kRowRole ? g_.row() : g_.col();
+  }
+  /// Members of a role's communicator (Py for the row role, Px for the
+  /// column role).
+  int role_size(int role) const {
+    return role == kRowRole ? g_.Py() : g_.Px();
+  }
+  /// The role's data root for supernode k: the diagonal owner's process
+  /// column (row role) or process row (column role), as a comm rank.
+  int role_root(int role, int k) const { return k % role_size(role); }
+  /// True if this rank stashes panel block `a` in the role: block row a is
+  /// on this process row (row role) or block column a on this process
+  /// column (column role).
+  bool stashes(int role, int a) const {
+    return role == kRowRole ? a % g_.Px() == g_.px() : a % g_.Py() == g_.py();
+  }
+  /// The data root's payload for the role entry of panel block `a`: its L
+  /// block (a, k) or U block (k, a).
+  std::span<const real_t> payload(int role, int k, int a) {
+    const OwnedBlock* ob =
+        role == kRowRole ? F_.find_lblock(k, a) : F_.find_ublock(k, a);
+    SLU3D_CHECK(ob != nullptr, "panel root missing its owned block");
+    return ob->data;
+  }
+  /// Target block (bi, bj) is owned by this rank by construction of the
+  /// stashes; skip it if its column supernode is not materialized on this
+  /// grid (3D masked layouts).
+  bool wants_target(int bi, int bj) const {
+    return F_.wants_snode(std::min(bi, bj));
+  }
+
+  /// 64-bit words needed for a scalar presence bitmap over `elems` values.
+  static constexpr std::size_t bitmap_words(std::size_t elems) {
+    return (elems + 63) / 64;
+  }
+
+  /// Packs the present scalars of `src` (per the bitmap at `bits_off`) into
+  /// `dst`. The caller (a role root) computed the bitmap from the same
+  /// payload, so exactly `packed` scalars are written.
+  static void pack_present(std::span<const real_t> src,
+                           const std::vector<std::uint64_t>& bits,
+                           std::size_t bits_off, real_t* dst) {
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < src.size(); ++i)
+      if ((bits[bits_off + i / 64] >> (i % 64)) & 1) dst[p++] = src[i];
+  }
+
+  /// True if the role entry for panel block `a` is read by member `peer`
+  /// of the role's comm: one of that peer's Schur pairs multiplies it with
+  /// one of the peer's other-role entries — the panel blocks b with
+  /// b % role_size == peer — into a target materialized on this grid.
+  /// Purely symbolic (panel structure plus the grid-replicated wants_snode
+  /// mask), so the data root and the peer evaluate it identically without
+  /// any handshake.
+  bool entry_needed(std::span<const PanelBlock> panel, int a, int role,
+                    int peer) const {
+    const int n = role_size(role);
+    for (const PanelBlock& b : panel) {
+      if (b.n_rows() == 0 || b.snode % n != peer) continue;
+      if (wants_target(a, b.snode)) return true;
+    }
+    return false;
+  }
+
+  /// Targeted-mode replacement for one role's broadcasts. The data root
+  /// fills its dense stash storage locally, builds one bitmap + packed
+  /// cache over all entries, and issues one put per peer whose footprint
+  /// is non-empty — the concatenation, in entry order, of [bitmap words |
+  /// present scalars] for exactly the entries that peer reads. Peers
+  /// register the put with Window::expect (the window's per-origin
+  /// non-overtaking keeps slot contents intact until the matching wait)
+  /// and parse it into dense storage at the Schur drain. Savings are
+  /// booked on the root against the dense-equivalent volume; because put
+  /// headers are uncharged, the accounting identity
+  ///   dense_equivalent - wire == saved
+  /// holds byte-exactly (and message-exactly) per role per supernode.
+  void targeted_role(PanelStash& stash, int role, int k, index_t ns,
+                     std::span<const PanelBlock> panel) {
+    std::vector<StashEntry>& entries =
+        stash.entries[static_cast<std::size_t>(role)];
+    if (entries.empty()) return;  // comm-uniform: entries depend on px/py only
+    sim::Comm& comm = role_comm(role);
+    sim::Window& win = win_[static_cast<std::size_t>(role)];
+    const int root = role_root(role, k);
+    const std::size_t stride = stride_[static_cast<std::size_t>(role)];
+    const std::size_t slot = static_cast<std::size_t>(
+        snode_pos_[static_cast<std::size_t>(k)] % n_slots_);
+    if (comm.rank() != root) {
+      bool any = false;
+      for (StashEntry& e : entries) {
+        const int s = panel[static_cast<std::size_t>(e.panel_idx)].snode;
+        e.in_footprint = entry_needed(panel, s, role, comm.rank());
+        any = any || e.in_footprint;
+      }
+      if (!any) return;  // empty footprint: the root sends nothing either
+      PanelAsyncOp& op = stash.ops.emplace_back();
+      op.role = role;
+      op.delivery = win.expect(root);
+      return;
+    }
+    // Root: dense local fill + per-entry bitmap/packed cache. Entries
+    // write disjoint storage/bitmap/cache regions, so both passes fan out
+    // across the pool.
+    std::size_t total_words = 0, dense_scalars = 0;
+    for (StashEntry& e : entries) {
+      const auto elems =
+          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
+      e.in_footprint = true;  // the root reads everything locally
+      e.bits_off = total_words;
+      total_words += bitmap_words(elems);
+      dense_scalars += elems;
+    }
+    bits_scratch_.assign(total_words, 0);
+    threads::parallel_for(
+        static_cast<std::ptrdiff_t>(entries.size()), [&](std::ptrdiff_t t, int) {
+          StashEntry& e = entries[static_cast<std::size_t>(t)];
+          const auto elems =
+              static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
+          const std::span<const real_t> src = payload(
+              role, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
+          SLU3D_CHECK(src.size() == elems, "panel payload size mismatch");
+          std::copy(src.begin(), src.end(), stash.storage.data() + e.offset);
+          std::size_t np = 0;
+          for (std::size_t i = 0; i < elems; ++i)
+            if (src[i] != 0.0) {
+              bits_scratch_[e.bits_off + i / 64] |= std::uint64_t{1} << (i % 64);
+              ++np;
+            }
+          e.packed = np;
+        });
+    pack_off_.resize(entries.size());
+    std::size_t total_packed = 0;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      pack_off_[i] = total_packed;
+      total_packed += entries[i].packed;
+    }
+    packed_cache_.resize(total_packed);
+    threads::parallel_for(
+        static_cast<std::ptrdiff_t>(entries.size()), [&](std::ptrdiff_t t, int) {
+          const StashEntry& e = entries[static_cast<std::size_t>(t)];
+          const auto elems =
+              static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
+          pack_present(
+              {stash.storage.data() + e.offset, elems}, bits_scratch_,
+              e.bits_off,
+              packed_cache_.data() + pack_off_[static_cast<std::size_t>(t)]);
+        });
+    const int p = comm.size();
+    std::size_t wired = 0;
+    offset_t n_puts = 0;
+    for (int r = 0; r < p; ++r) {
+      if (r == root) continue;
+      put_buf_.clear();
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        const StashEntry& e = entries[i];
+        const int s = panel[static_cast<std::size_t>(e.panel_idx)].snode;
+        if (!entry_needed(panel, s, role, r)) continue;
+        const auto elems =
+            static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
+        for (std::size_t w = 0; w < bitmap_words(elems); ++w)
+          put_buf_.push_back(
+              std::bit_cast<real_t>(bits_scratch_[e.bits_off + w]));
+        put_buf_.insert(
+            put_buf_.end(),
+            packed_cache_.begin() + static_cast<std::ptrdiff_t>(pack_off_[i]),
+            packed_cache_.begin() +
+                static_cast<std::ptrdiff_t>(pack_off_[i] + e.packed));
+      }
+      if (put_buf_.empty()) continue;  // empty footprint: no message at all
+      win.put(r, slot * stride, put_buf_);
+      wired += put_buf_.size();
+      ++n_puts;
+    }
+    if (p > 1) {
+      sim::RankStats& st = comm.stats();
+      const auto dense_bytes = static_cast<offset_t>(
+          static_cast<std::size_t>(p - 1) * dense_scalars * sizeof(real_t));
+      st.panel_dense_bytes += dense_bytes;
+      st.panel_saved_bytes +=
+          dense_bytes - static_cast<offset_t>(wired * sizeof(real_t));
+      st.panel_saved_msgs += static_cast<offset_t>(p - 1) *
+                                 static_cast<offset_t>(entries.size()) -
+                             n_puts;
+    }
+  }
+
+  /// Parses this rank's footprint put — landed in the role window's slot
+  /// for this supernode — into the dense stash storage. Must run right
+  /// after the matching delivery's wait: the slot is rewritten once its
+  /// next tenant's put is applied (which can only happen during a later
+  /// delivery's wait, after this supernode retired).
+  void parse_targeted(PanelStash& stash, int role, index_t ns) const {
+    const auto r = static_cast<std::size_t>(role);
+    const std::size_t slot = static_cast<std::size_t>(
+        snode_pos_[static_cast<std::size_t>(stash.k)] % n_slots_);
+    const real_t* wire = win_[r].local().data() + slot * stride_[r];
+    std::size_t pos = 0;
+    for (const StashEntry& e : stash.entries[r]) {
+      if (!e.in_footprint) continue;
+      const auto elems =
+          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
+      const std::size_t words = bitmap_words(elems);
+      const real_t* wbits = wire + pos;
+      const real_t* packed = wire + pos + words;
+      real_t* dst = stash.storage.data() + e.offset;
+      std::size_t pp = 0;
+      for (std::size_t d = 0; d < elems; ++d) {
+        const auto wb = std::bit_cast<std::uint64_t>(wbits[d / 64]);
+        dst[d] = ((wb >> (d % 64)) & 1) ? packed[pp++] : 0.0;
+      }
+      pos += words + pp;
+    }
+  }
+
+  /// Collective setup of the targeted-mode RMA windows, once per run.
+  /// Each role's window is n_slots uniform slots of `stride` elements,
+  /// where the stride is the max dense-bound footprint wire size over
+  /// every (supernode, peer) of the comm — a quantity every member
+  /// computes identically from the symbolic structure, so put offsets
+  /// need no negotiation. A supernode's slot is its schedule position mod
+  /// (lookahead+1): any two live supernodes sit within lookahead+1
+  /// schedule positions of each other, so live slots never collide, and a
+  /// slot's previous tenant has always parsed its put (at its Schur
+  /// drain) before the next tenant's put can be applied.
+  void create_targeted_windows(std::span<const int> snodes) {
+    snode_pos_.assign(static_cast<std::size_t>(bs_.n_snodes()), -1);
+    for (int w = 0; w < static_cast<int>(snodes.size()); ++w)
+      snode_pos_[static_cast<std::size_t>(snodes[static_cast<std::size_t>(w)])] =
+          w;
+    n_slots_ = std::min(opt_.lookahead + 1,
+                        std::max(1, static_cast<int>(snodes.size())));
+    for (const int role : {kRowRole, kColRole}) {
+      const auto r = static_cast<std::size_t>(role);
+      stride_[r] = 0;
+      for (const int k : snodes) {
+        const index_t ns = bs_.snode_size(k);
+        if (ns == 0) continue;
+        const auto panel = bs_.lpanel(k);
+        for (int peer = 0; peer < role_size(role); ++peer) {
+          if (peer == role_root(role, k)) continue;
+          std::size_t wire = 0;
+          for (const PanelBlock& blk : panel) {
+            if (blk.n_rows() == 0 || !stashes(role, blk.snode)) continue;
+            if (!entry_needed(panel, blk.snode, role, peer)) continue;
+            const auto elems = static_cast<std::size_t>(blk.n_rows()) *
+                               static_cast<std::size_t>(ns);
+            wire += bitmap_words(elems) + elems;
+          }
+          stride_[r] = std::max(stride_[r], wire);
+        }
+      }
+      win_buf_[r].assign(stride_[r] * static_cast<std::size_t>(n_slots_), 0.0);
+      win_[r] = role_comm(role).win_create(opt_.tag_base + kWinTag[r],
+                                           win_buf_[r], CommPlane::XY);
+    }
+  }
+
+  /// Claims a free stash slot. The pool invariant — at most lookahead+1
+  /// slots live at once, and never two slots for the same supernode (the
+  /// per-supernode tags would alias their broadcasts) — is what makes the
+  /// linear scans here and in stash_find sound; both halves are checked.
+  PanelStash& stash_alloc(int k) {
+    PanelStash* free_slot = nullptr;
+    int live = 0;
+    for (PanelStash& s : stash_) {
+      SLU3D_CHECK(s.k != k,
+                  "stash slot for this supernode is already live (its panel "
+                  "tags would alias)");
+      if (s.k < 0) {
+        if (free_slot == nullptr) free_slot = &s;
+      } else {
+        ++live;
+      }
+    }
+    SLU3D_CHECK(live <= opt_.lookahead,
+                "stash pool exceeds lookahead+1 live slots");
+    if (free_slot == nullptr) {
+      stash_.emplace_back();
+      free_slot = &stash_.back();
+    }
+    free_slot->k = k;
+    return *free_slot;
+  }
+
+  PanelStash* stash_find(int k) {
+    for (PanelStash& s : stash_)
+      if (s.k == k) return &s;
+    return nullptr;
+  }
 
   /// GETRF at the owner of (k,k), diagonal broadcast along the owner's
   /// process row (for U panel solves) and column (for L), then the panel
   /// TRSMs on the owning process column / row.
-  template <class Engine>
-  static void factor_and_solve(Engine& e, int k, index_t ns,
-                               std::vector<real_t>& diag_buf) {
-    Factors& F = e.factors();
-    sim::ProcessGrid2D& g = e.grid();
-    const BlockStructure& bs = e.structure();
-    const int pxk = k % g.Px();
-    const int pyk = k % g.Py();
-    const bool in_prow = g.px() == pxk;
-    const bool in_pcol = g.py() == pyk;
+  void factor_and_solve(int k, index_t ns) {
+    const int pxk = k % g_.Px();
+    const int pyk = k % g_.Py();
+    const bool in_prow = g_.px() == pxk;
+    const bool in_pcol = g_.py() == pyk;
 
-    diag_buf.assign(static_cast<std::size_t>(ns) * static_cast<std::size_t>(ns),
-                    0.0);
-    if (F.owns(k, k)) {
-      auto d = F.diag(k);
+    diag_buf_.assign(static_cast<std::size_t>(ns) * static_cast<std::size_t>(ns),
+                     0.0);
+    if (F_.owns(k, k)) {
+      auto d = F_.diag(k);
       dense::getrf_nopiv(ns, d.data(), ns);
-      g.grid().add_compute(dense::getrf_flops(ns), ComputeKind::DiagFactor);
-      std::copy(d.begin(), d.end(), diag_buf.begin());
+      g_.grid().add_compute(dense::getrf_flops(ns), ComputeKind::DiagFactor);
+      std::copy(d.begin(), d.end(), diag_buf_.begin());
     }
-    if (in_prow) g.row().bcast(pyk, e.tag(k, 0), diag_buf, CommPlane::XY);
-    if (in_pcol) g.col().bcast(pxk, e.tag(k, 1), diag_buf, CommPlane::XY);
+    if (in_prow)
+      g_.row().bcast(pyk, tag(k, kDiagRowOp), diag_buf_, CommPlane::XY);
+    if (in_pcol)
+      g_.col().bcast(pxk, tag(k, kDiagColOp), diag_buf_, CommPlane::XY);
 
     if (in_pcol) {
-      for (OwnedBlock& blk : F.lblocks(k)) {
+      for (OwnedBlock& blk : F_.lblocks(k)) {
         const index_t m =
-            bs.lpanel(k)[static_cast<std::size_t>(blk.panel_idx)].n_rows();
-        dense::trsm_right_upper(ns, m, diag_buf.data(), ns, blk.data.data(), m);
-        g.grid().add_compute(dense::trsm_flops(ns, m), ComputeKind::PanelSolve);
+            bs_.lpanel(k)[static_cast<std::size_t>(blk.panel_idx)].n_rows();
+        dense::trsm_right_upper(ns, m, diag_buf_.data(), ns, blk.data.data(), m);
+        g_.grid().add_compute(dense::trsm_flops(ns, m), ComputeKind::PanelSolve);
       }
     }
     if (in_prow) {
-      for (OwnedBlock& blk : F.ublocks(k)) {
+      for (OwnedBlock& blk : F_.ublocks(k)) {
         const index_t m =
-            bs.lpanel(k)[static_cast<std::size_t>(blk.panel_idx)].n_rows();
-        dense::trsm_left_lower_unit(ns, m, diag_buf.data(), ns,
+            bs_.lpanel(k)[static_cast<std::size_t>(blk.panel_idx)].n_rows();
+        dense::trsm_left_lower_unit(ns, m, diag_buf_.data(), ns,
                                     blk.data.data(), ns);
-        g.grid().add_compute(dense::trsm_flops(ns, m), ComputeKind::PanelSolve);
+        g_.grid().add_compute(dense::trsm_flops(ns, m), ComputeKind::PanelSolve);
       }
     }
   }
 
-  static std::span<const real_t> row_payload(Factors& F, int k, int a) {
-    const OwnedBlock* ob = F.find_lblock(k, a);
-    SLU3D_CHECK(ob != nullptr, "owner missing L block");
-    return ob->data;
+  void panel_phase(int k) {
+    const index_t ns = bs_.snode_size(k);
+    if (ns == 0) return;
+    PanelStash& stash = stash_alloc(k);
+    factor_and_solve(k, ns);
+
+    // Panel broadcast. Empty (ragged) blocks are skipped outright instead
+    // of broadcasting 0-byte payloads. First lay out the flat stash
+    // storage — spans handed to ibcast must stay put, and the offsets
+    // double as the parse targets in targeted mode — then post each role.
+    const auto panel = bs_.lpanel(k);
+    std::size_t total = 0;
+    for (int pi = 0; pi < static_cast<int>(panel.size()); ++pi) {
+      const PanelBlock& blk = panel[static_cast<std::size_t>(pi)];
+      const index_t m = blk.n_rows();
+      if (m == 0) continue;
+      for (const int role : {kRowRole, kColRole}) {
+        if (!stashes(role, blk.snode)) continue;
+        stash.entries[static_cast<std::size_t>(role)].push_back({pi, total, m});
+        total += static_cast<std::size_t>(m) * static_cast<std::size_t>(ns);
+      }
+    }
+    stash.storage = dense::KernelScratch::per_rank().borrow();
+    stash.storage.resize(total, 0.0);
+    for (const int role : {kRowRole, kColRole})
+      post_role(stash, role, k, ns, panel);
   }
 
-  /// U block (k, a) goes down process column a % Py, rooted at the
-  /// diagonal owner's process row; payload is the owner's U block. Under
-  /// PanelPacking::Targeted the role instead delegates to the engine's
-  /// one-sided footprint puts (no pruning — the pair set and factors stay
-  /// bitwise identical to Dense).
-  template <class Engine>
-  static void post_col_entries(Engine& e, pipeline::PanelStash& stash, int k,
-                               index_t ns) {
-    Factors& F = e.factors();
-    sim::ProcessGrid2D& g = e.grid();
-    const auto panel = e.structure().lpanel(k);
-    const int pxk = k % g.Px();
-    auto u_payload = [&](const pipeline::StashEntry& en) -> std::span<const real_t> {
-      const OwnedBlock* ob =
-          F.find_ublock(k, panel[static_cast<std::size_t>(en.panel_idx)].snode);
-      SLU3D_CHECK(ob != nullptr, "owner missing U block");
-      return ob->data;
-    };
-    if (e.targeted_packing()) {
-      // One-sided mode: the column role mirrors the engine's row role —
-      // the diagonal owner's process row holds every U payload, so it is
-      // the single put origin down each process column.
-      e.targeted_role(stash, /*role=*/1, k, ns, panel, u_payload);
+  /// Posts one role's panel transfers: a non-blocking broadcast per entry
+  /// from the role's root, which copies in its owned block first — or,
+  /// targeted, one footprint put per peer (root) or one expected delivery
+  /// (receivers with a non-empty footprint).
+  void post_role(PanelStash& stash, int role, int k, index_t ns,
+                 std::span<const PanelBlock> panel) {
+    if (targeted_packing()) {
+      targeted_role(stash, role, k, ns, panel);
       return;
     }
-    const bool in_prow = g.px() == pxk;
-    for (const pipeline::StashEntry& en : stash.col_entries) {
+    sim::Comm& comm = role_comm(role);
+    const int root = role_root(role, k);
+    for (const StashEntry& e : stash.entries[static_cast<std::size_t>(role)]) {
       const std::span<real_t> buf{
-          stash.storage.data() + en.offset,
-          static_cast<std::size_t>(ns) * static_cast<std::size_t>(en.m)};
-      if (in_prow) {
-        const std::span<const real_t> src = u_payload(en);
-        SLU3D_CHECK(src.size() == buf.size(), "owner U block size mismatch");
+          stash.storage.data() + e.offset,
+          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns)};
+      if (comm.rank() == root) {
+        const std::span<const real_t> src = payload(
+            role, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
+        SLU3D_CHECK(src.size() == buf.size(), "panel payload size mismatch");
         std::copy(src.begin(), src.end(), buf.begin());
       }
-      stash.ops.emplace_back().req =
-          g.col().ibcast(pxk, e.tag(k, kColPanelOp), buf, CommPlane::XY);
+      stash.ops.emplace_back().req = comm.ibcast(
+          root, tag(k, kPanelOp[static_cast<std::size_t>(role)]), buf,
+          CommPlane::XY);
     }
   }
 
-  /// Target block (bi, bj) is owned by this rank by construction of the
-  /// stashes; skip if its column supernode is not materialized on this
-  /// grid (3D masked layouts).
-  static bool wants_target(const Factors& F, int bi, int bj) {
-    return F.wants_snode(std::min(bi, bj));
+  void schur_phase(int k) {
+    const index_t ns = bs_.snode_size(k);
+    if (ns == 0) return;
+    PanelStash* stash = stash_find(k);
+    SLU3D_CHECK(stash != nullptr, "panel not factored before Schur phase");
+
+    // Drain the outstanding transfers only now, in post order: every
+    // update between the panel's post and this point has overlapped them.
+    // A targeted footprint put is parsed right after its wait — before any
+    // other delivery's wait can overwrite the slot — expanding every
+    // footprint entry of the role at once.
+    const auto panel = bs_.lpanel(k);
+    for (PanelAsyncOp& op : stash->ops) {
+      if (op.delivery.valid()) {
+        op.delivery.wait();
+        parse_targeted(*stash, op.role, ns);
+      } else {
+        op.req.wait();
+      }
+    }
+    stash->ops.clear();
+
+    // Build the Schur pair list and charge the modelled flops serially on
+    // this (rank) thread, in the historical nested order — the logical
+    // clocks and RankStats are thread-count independent by construction
+    // (no communication happens between the charges, so their order within
+    // the phase does not move any timestamp). Workers then execute the
+    // GEMM + scatter of each pair (and must not touch the simulator):
+    // distinct pairs scatter into distinct owned (bi, bj) target blocks,
+    // so the partitions are disjoint and no factor datum needs an atomic.
+    schur_pairs_.clear();
+    for (const StashEntry& le : stash->entries[kRowRole]) {
+      const PanelBlock& bi = panel[static_cast<std::size_t>(le.panel_idx)];
+      for (const StashEntry& ue : stash->entries[kColRole]) {
+        const PanelBlock& bj = panel[static_cast<std::size_t>(ue.panel_idx)];
+        if (!wants_target(bi.snode, bj.snode)) continue;
+        g_.grid().add_compute(dense::gemm_flops(le.m, ue.m, ns),
+                              ComputeKind::SchurUpdate);
+        schur_pairs_.push_back({&le, &ue});
+      }
+    }
+    threads::parallel_for(
+        static_cast<std::ptrdiff_t>(schur_pairs_.size()),
+        [&](std::ptrdiff_t t, int) {
+          const auto [le, ue] = schur_pairs_[static_cast<std::size_t>(t)];
+          const PanelBlock& bi = panel[static_cast<std::size_t>(le->panel_idx)];
+          const PanelBlock& bj = panel[static_cast<std::size_t>(ue->panel_idx)];
+          auto scratch = dense::KernelScratch::per_rank().stage_zero(
+              static_cast<std::size_t>(le->m) * static_cast<std::size_t>(ue->m));
+          dense::gemm_minus(le->m, ue->m, ns, stash->storage.data() + le->offset,
+                            le->m, stash->storage.data() + ue->offset, ns,
+                            scratch.data(), le->m);
+          scatter_local(F_, bs_, bi.snode, bj.snode, bi.rows, bj.rows, scratch);
+        });
+    dense::KernelScratch::per_rank().recycle(std::move(stash->storage));
+    stash->storage = std::vector<real_t>{};
+    for (std::vector<StashEntry>& entries : stash->entries) entries.clear();
+    stash->k = -1;
   }
 
-  template <class Engine>
-  static void schur_pair(Engine& e, const PanelBlock& bi, index_t mi,
-                         const real_t* ldata, const PanelBlock& bj, index_t mj,
-                         const real_t* udata, index_t ns,
-                         std::span<real_t> scratch) {
-    // Modelled flops are charged by the engine on the rank thread before
-    // the pairs fan out (schur_pair may run on a pool worker, which must
-    // not touch the simulator).
-    dense::gemm_minus(mi, mj, ns, ldata, mi, udata, ns, scratch.data(), mi);
-    scatter_local(e.factors(), e.structure(), bi.snode, bj.snode, bi.rows,
-                  bj.rows, scratch);
-  }
+  /// One Schur block pair of the current supernode, flattened for the
+  /// pool: row-role (L) entry x column-role (U) entry.
+  struct SchurPair {
+    const StashEntry* le;
+    const StashEntry* ue;
+  };
+
+  Dist2dFactors& F_;
+  sim::ProcessGrid2D& g_;
+  const BlockStructure& bs_;
+  PanelOptions opt_;
+  std::vector<PanelStash> stash_;  ///< slot pool, <= lookahead+1 live slots
+  std::vector<real_t> diag_buf_;   ///< reusable diagonal broadcast buffer
+  // Targeted-mode state (unused otherwise), indexed by role. The window
+  // buffers must not relocate while the windows are alive, and the engine
+  // itself anchors the Window objects that pending WindowDelivery receipts
+  // point into.
+  std::array<sim::Window, 2> win_;  ///< per-run RMA windows
+  std::array<std::vector<real_t>, 2> win_buf_;  ///< slotted landing zones
+  std::array<std::size_t, 2> stride_{};  ///< slot strides (elements)
+  std::vector<int> snode_pos_;     ///< schedule position per supernode
+  int n_slots_ = 1;                ///< landing slots per window (lookahead+1)
+  std::vector<std::uint64_t> bits_scratch_;  ///< root-side bitmap build
+  std::vector<real_t> packed_cache_;  ///< root-side packed scalars, all entries
+  std::vector<std::size_t> pack_off_;  ///< per-entry offsets into packed_cache_
+  std::vector<real_t> put_buf_;    ///< per-peer put assembly buffer
+  std::vector<SchurPair> schur_pairs_;  ///< reusable pair work list
 };
 
 }  // namespace
 
 void factorize_2d(Dist2dFactors& F, sim::ProcessGrid2D& grid,
                   std::span<const int> snodes, const Lu2dOptions& options) {
-  pipeline::PanelEngine<LuPanelPolicy>(F, grid, options).run(snodes);
+  PanelEngine(F, grid, options).run(snodes);
 }
 
 }  // namespace slu3d

@@ -5,8 +5,8 @@
 //   solves at the owning row/column of processes, panel broadcast, then
 //   the owner-only-update Schur complement on every rank.
 // The schedule (lookahead pipelining, stash slots, non-blocking panel
-// broadcasts) lives in the shared engine, pipeline/panel_pipeline.hpp;
-// this header's implementation supplies only the LU variant policy.
+// broadcasts, targeted one-sided delivery) is the panel engine in
+// factor2d.cpp.
 //
 // `snodes` restricts the factorization to a node list — this is exactly
 // the dSparseLU2D(A, nList) primitive that Algorithm 1 (the 3D algorithm)
@@ -21,8 +21,8 @@
 
 namespace slu3d {
 
-/// Scheduling knobs — identical for both 2D variants, so the struct lives
-/// in pipeline/options.hpp; the historical name survives for callers.
+/// Scheduling knobs; the struct lives in pipeline/options.hpp, and the
+/// historical name survives for callers.
 using Lu2dOptions = pipeline::PanelOptions;
 
 /// Factorizes the supernodes in `snodes` (ascending elimination order) in

@@ -1,6 +1,6 @@
-// What the distributed triangular solves (solve_2d, solve_2d_cholesky and
-// solve_3d) share: the static order in which every rank visits supernodes,
-// the descendant index that routes contributions, and the panel plumbing.
+// What the distributed triangular solves (solve_2d and solve_3d) share:
+// the static order in which every rank visits supernodes, the descendant
+// index that routes contributions, and the panel plumbing.
 //
 // The schedule. The forward sweep (L y = b) visits supernodes by ascending
 // ND-tree height and the backward sweep (U x = y) by ascending ND-tree

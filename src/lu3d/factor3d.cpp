@@ -1,23 +1,175 @@
-// 3D LU driver: setup of the masked replicated layouts plus the LU
-// instantiation of the shared z-reduction engine (pipeline/zreduce.hpp);
-// the per-level 2D primitive is factorize_2d and the wire format is the
-// LuFactorsAccess trait's (diag, L ascending, U ascending).
+// Algorithm 1 on the 3D grid: setup of the masked replicated layouts, the
+// level loop with the z-axis Ancestor-Reduction, and the gather to root.
+// Each 2D grid factors its elimination-forest levels bottom-up with
+// factorize_2d; after each level the (2k+1)-th active grid sends its copies
+// of every common-ancestor block to the (2k)-th, which accumulates them.
+// The reduction is chunked into non-blocking per-chunk messages
+// (chunk_snodes ancestor supernodes each) drained only when their forest
+// level is factored, so the transfer rides under the 2D factorization of
+// deeper levels.
+//
+// Wire formats (see for_each_block for the block enumeration):
+//   Dense:  every allocated block of each ancestor travels verbatim.
+//   Sparse: each ancestor is framed as ceil(n_blocks/64) bitmap words
+//           (uint64 bit i = block i present, bit_cast into real_t) followed
+//           by only the blocks whose local accumulation holds any nonzero.
+//           Blocks a subtree never touched are omitted; the receiver skips
+//           them symmetrically by reading the bitmap. Savings are recorded
+//           in the sender's RankStats::zred_* counters.
+//
+// A chunk whose *dense* packed size is zero is skipped without a message —
+// sender and receiver compute that size independently from
+// their identical masked layouts, so no handshake is needed (and the
+// decision cannot depend on numeric values, which only the sender knows).
+//
+//   Targeted: one-sided delivery over simmpi RMA windows. Each level gets
+//           its own window over the z-line communicator (created
+//           collectively up front — chunks from several levels can be
+//           outstanding at once, and a level's staging offsets must not
+//           depend on other levels' masked layouts, which a sender cannot
+//           always compute). The sender scatter-accumulates each chunk's
+//           dense stream — a scalar-granularity presence bitmap plus the
+//           nonzero scalars — into the receiver's zeroed staging region at
+//           the chunk's dense offset, so raggedness *inside* touched
+//           blocks is elided too (Sparse only skips whole all-zero
+//           blocks). The receiver registers each chunk with
+//           Window::expect and, at the drain, waits the delivery and
+//           accumulates the staged dense stream in the same order as
+//           Dense — numerically identical. Savings reconcile byte-exactly
+//           against the dense wire: received + zred_bytes_saved == dense.
 #include "lu3d/factor3d.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
 
-#include "pipeline/factors_access.hpp"
-#include "pipeline/zreduce.hpp"
+#include "numeric/dense_kernels.hpp"
 #include "support/check.hpp"
 
 namespace slu3d {
 
 namespace {
 
+using pipeline::ZRedPacking;
 using sim::CommPlane;
 
 constexpr int kReduceTagBase = (1 << 22);
 constexpr int kGatherTag = (1 << 22) + 64;
+
+/// Visits every block of supernode s this rank holds, in the order that IS
+/// the z and gather wire format: diag (if owned), then L blocks ascending,
+/// then U blocks ascending. `F` is Dist2dFactors or const Dist2dFactors.
+template <class F, class Fn>
+void for_each_block(F& f, int s, Fn&& fn) {
+  if (f.has_diag(s)) fn(f.diag(s));
+  for (auto& b : f.lblocks(s)) fn(std::span{b.data});
+  for (auto& b : f.ublocks(s)) fn(std::span{b.data});
+}
+
+std::size_t count_blocks(const Dist2dFactors& f, int s) {
+  std::size_t n = 0;
+  for_each_block(f, s, [&](std::span<const real_t>) { ++n; });
+  return n;
+}
+
+/// Packed length of supernode s on this rank. Ranks sharing (px, py) on
+/// z-adjacent grids hold identical masked layouts for common ancestors,
+/// so sender and receiver compute the same value independently — empty
+/// chunks can be skipped symmetrically without a handshake.
+std::size_t packed_elems(const Dist2dFactors& f, int s) {
+  std::size_t n = 0;
+  for_each_block(f, s, [&](std::span<const real_t> blk) { n += blk.size(); });
+  return n;
+}
+
+/// Appends one block to a stream (shared by dense and sparse packing).
+void pack_block(std::span<const real_t> blk, std::vector<real_t>& out) {
+  out.insert(out.end(), blk.begin(), blk.end());
+}
+
+/// Accumulates one block from buf at pos; returns the advanced position.
+std::size_t add_block(std::span<real_t> blk, std::span<const real_t> buf,
+                      std::size_t pos) {
+  SLU3D_CHECK(pos + blk.size() <= buf.size(), "reduction stream underflow");
+  for (std::size_t i = 0; i < blk.size(); ++i) blk[i] += buf[pos + i];
+  return pos + blk.size();
+}
+
+/// Appends every block of supernode s held by this rank (dense wire).
+void pack_snode(const Dist2dFactors& f, int s, std::vector<real_t>& out) {
+  for_each_block(f, s,
+                 [&](std::span<const real_t> blk) { pack_block(blk, out); });
+}
+
+/// Mirror of pack_snode: adds the packed stream into the local blocks.
+std::size_t add_snode(Dist2dFactors& f, int s, std::span<const real_t> buf,
+                      std::size_t pos) {
+  for_each_block(
+      f, s, [&](std::span<real_t> blk) { pos = add_block(blk, buf, pos); });
+  return pos;
+}
+
+/// Sparse-packs supernode s: presence bitmap words, then present blocks.
+/// Sender-side savings are recorded into `st`.
+void pack_snode_sparse(const Dist2dFactors& f, int s, std::vector<real_t>& out,
+                       sim::RankStats& st) {
+  const std::size_t nb = count_blocks(f, s);
+  if (nb == 0) return;
+  const std::size_t words = (nb + 63) / 64;
+  const std::size_t base = out.size();
+  out.resize(base + words, 0.0);
+  std::uint64_t bits[64] = {};  // enough for 4096 blocks per supernode
+  SLU3D_CHECK(words <= 64, "supernode has too many blocks for sparse packing");
+  std::size_t i = 0;
+  for_each_block(f, s, [&](std::span<const real_t> blk) {
+    st.zred_blocks_total += 1;
+    if (dense::all_zero(blk.data(), blk.size())) {
+      st.zred_blocks_skipped += 1;
+    } else {
+      bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+      pack_block(blk, out);
+    }
+    ++i;
+  });
+  for (std::size_t w = 0; w < words; ++w)
+    out[base + w] = std::bit_cast<real_t>(bits[w]);
+}
+
+/// Mirror of pack_snode_sparse: reads the bitmap, accumulates only the
+/// blocks the sender included.
+std::size_t add_snode_sparse(Dist2dFactors& f, int s,
+                             std::span<const real_t> buf, std::size_t pos) {
+  const std::size_t nb = count_blocks(f, s);
+  if (nb == 0) return pos;
+  const std::size_t words = (nb + 63) / 64;
+  SLU3D_CHECK(pos + words <= buf.size(),
+              "sparse reduction stream underflow (bitmap)");
+  const std::size_t bmp = pos;
+  pos += words;
+  std::size_t i = 0;
+  for_each_block(f, s, [&](std::span<real_t> blk) {
+    const auto word = std::bit_cast<std::uint64_t>(buf[bmp + (i >> 6)]);
+    const bool present = (word >> (i & 63)) & 1;
+    ++i;
+    if (present) pos = add_block(blk, buf, pos);
+  });
+  return pos;
+}
+
+/// Zeroes every owned block of the non-anchor replicated ancestors, so the
+/// pairwise z-reductions sum to A + all Schur updates exactly once
+/// ("initialize A(S) with zeros", §III-A).
+void zero_nonanchor_replicas(Dist2dFactors& f, const ForestPartition& part,
+                             int pz) {
+  for (int s = 0; s < f.structure().n_snodes(); ++s) {
+    if (!part.on_grid(s, pz) || part.anchor_of(s) == pz) continue;
+    for_each_block(f, s, [](std::span<real_t> blk) {
+      std::fill(blk.begin(), blk.end(), 0.0);
+    });
+  }
+}
 
 }  // namespace
 
@@ -29,8 +181,7 @@ Dist2dFactors make_3d_factors(const BlockStructure& bs,
   Dist2dFactors F(bs, plane.Px(), plane.Py(), plane.px(), plane.py(),
                   part.mask_for(grid.pz()));
   F.fill_from(Ap);
-  pipeline::zero_nonanchor_replicas<pipeline::LuFactorsAccess>(F, part,
-                                                               grid.pz());
+  zero_nonanchor_replicas(F, part, grid.pz());
   return F;
 }
 
@@ -38,17 +189,215 @@ void refill_3d_factors(Dist2dFactors& F, sim::ProcessGrid3D& grid,
                        const ForestPartition& part, const CsrMatrix& Ap) {
   F.zero();
   F.fill_from(Ap);
-  pipeline::zero_nonanchor_replicas<pipeline::LuFactorsAccess>(F, part,
-                                                               grid.pz());
+  zero_nonanchor_replicas(F, part, grid.pz());
 }
 
 void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
                   const ForestPartition& part, const Lu3dOptions& options) {
-  pipeline::run_3d_levels<pipeline::LuFactorsAccess>(
-      F, grid, part, options, kReduceTagBase,
-      [&](sim::ProcessGrid2D& plane, std::span<const int> nodes) {
-        factorize_2d(F, plane, nodes, options.lu2d);
-      });
+  pipeline::validate_zred_options(options);
+  const BlockStructure& bs = F.structure();
+  const int l = part.n_levels() - 1;
+  const int pz = grid.pz();
+  const bool sparse = options.packing == ZRedPacking::Sparse;
+  const bool targeted = options.packing == ZRedPacking::Targeted;
+  const auto chunk = static_cast<std::size_t>(options.chunk_snodes);
+
+  // Targeted mode: per-level RMA windows over the z line, created
+  // collectively before the level loop (inactive ranks contribute empty
+  // staging). A receiver's staging for a level is the dense stream of all
+  // its ancestors at that level; chunk offsets within it are cumulative
+  // dense lengths, which sender and receiver compute identically. The
+  // vectors are sized once up front — windows and staging must not
+  // relocate while deliveries are pending.
+  std::vector<std::vector<real_t>> zstage;
+  std::vector<sim::Window> zwin;
+  if (targeted) {
+    zstage.resize(static_cast<std::size_t>(l + 1));
+    zwin.resize(static_cast<std::size_t>(l + 1));
+    for (int lvl = l; lvl >= 1; --lvl) {
+      const int step = 1 << (l - lvl);
+      std::size_t mine = 0;
+      if (pz % step == 0 && (pz / step) % 2 == 0) {
+        for (int s = 0; s < bs.n_snodes(); ++s)
+          if (part.level_of(s) < lvl && part.on_grid(s, pz))
+            mine += packed_elems(F, s);
+      }
+      zstage[static_cast<std::size_t>(lvl)].assign(mine, 0.0);
+      zwin[static_cast<std::size_t>(lvl)] = grid.zline().win_create(
+          kReduceTagBase + lvl, zstage[static_cast<std::size_t>(lvl)],
+          CommPlane::Z);
+    }
+  }
+
+  // Outstanding reduction chunks. A chunk is drained right before the first
+  // level that factors one of its supernodes — until then its transfer
+  // rides under the 2D factorization of deeper levels. In targeted mode the
+  // chunk is a window delivery into `zstage[lvl]` at [off, off+len) instead
+  // of a request with its own buffer.
+  struct Pending {
+    sim::Request req;
+    std::vector<int> snodes;
+    sim::WindowDelivery delivery;
+    std::size_t off = 0, len = 0;
+    int lvl = 0;
+  };
+  std::vector<Pending> outstanding;
+
+  auto unpack_chunk = [&](std::span<const real_t> buf,
+                          std::span<const int> snodes) {
+    std::size_t pos = 0;
+    for (const int s : snodes)
+      pos = sparse ? add_snode_sparse(F, s, buf, pos)
+                   : add_snode(F, s, buf, pos);
+    SLU3D_CHECK(pos == buf.size(), "reduction chunk not fully consumed");
+  };
+  auto unpack_staged = [&](Pending& p) {
+    // Waiting the delivery applies the scatter-accumulate (and any earlier
+    // ones from the same origin, each into its own disjoint, pre-zeroed
+    // region); the staged dense stream is then folded in exactly like a
+    // dense wire chunk.
+    p.delivery.wait();
+    std::size_t pos = p.off;
+    for (const int s : p.snodes)
+      pos = add_snode(F, s, zstage[static_cast<std::size_t>(p.lvl)], pos);
+    SLU3D_CHECK(pos == p.off + p.len,
+                "targeted reduction chunk not fully consumed");
+  };
+  auto drain = [&](auto&& keep_pending) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < outstanding.size(); ++i) {
+      Pending& p = outstanding[i];
+      bool keep = true;
+      for (const int s : p.snodes) keep = keep && keep_pending(s);
+      if (keep) {
+        if (kept != i) outstanding[kept] = std::move(p);  // no self-move
+        ++kept;
+        continue;
+      }
+      if (targeted) {
+        unpack_staged(p);
+      } else {
+        const std::vector<real_t> buf = p.req.take();
+        unpack_chunk(buf, p.snodes);
+      }
+    }
+    outstanding.resize(kept);
+  };
+
+  for (int lvl = l; lvl >= 0; --lvl) {
+    const int step = 1 << (l - lvl);
+    if (pz % step != 0) continue;  // this grid is inactive at this level
+
+    // Chunks feeding this level's supernodes must be in before they are
+    // factored; deeper chunks keep overlapping.
+    drain([&](int s) { return part.level_of(s) < lvl; });
+
+    const std::vector<int> nodes = part.nodes_at(pz, lvl);
+    factorize_2d(F, grid.plane(), nodes, options.lu2d);
+
+    if (lvl == 0) break;
+
+    // Ancestor-Reduction: the (2k+1)-th active grid sends its copies of
+    // every common-ancestor block to the (2k)-th, which accumulates them.
+    const int k = pz / step;
+    std::vector<int> ancestors;
+    for (int s = 0; s < bs.n_snodes(); ++s)
+      if (part.level_of(s) < lvl && part.on_grid(s, pz)) ancestors.push_back(s);
+
+    // Both sides partition the ancestor list into the same chunks, derive
+    // the same dense offsets, and skip structurally empty chunks
+    // symmetrically, so sends (or scatter-accumulates) and their receives
+    // (or expected deliveries) pair up without any handshake.
+    auto chunk_at = [&](std::size_t c0) {
+      return std::span<const int>{ancestors}.subspan(
+          c0, std::min(chunk, ancestors.size() - c0));
+    };
+    auto dense_elems_of = [&](std::span<const int> snodes) {
+      std::size_t n = 0;
+      for (const int s : snodes) n += packed_elems(F, s);
+      return n;
+    };
+    sim::Window* win =
+        targeted ? &zwin[static_cast<std::size_t>(lvl)] : nullptr;
+
+    if (k % 2 == 1) {
+      // The outgoing copies must include everything received so far.
+      drain([](int) { return false; });
+      sim::RankStats& st = grid.zline().stats();
+      std::vector<real_t> buf;
+      std::vector<std::uint64_t> bits;
+      std::vector<real_t> packed;
+      std::size_t chunk_off = 0;
+      for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
+        const auto snodes = chunk_at(c0);
+        const std::size_t dense_len = dense_elems_of(snodes);
+        if (dense_len == 0) continue;  // peer skips the matching receive
+        buf.clear();
+        for (const int s : snodes) {
+          if (sparse) {
+            pack_snode_sparse(F, s, buf, st);
+            continue;
+          }
+          if (targeted)
+            for_each_block(F, s, [&](std::span<const real_t> blk) {
+              st.zred_blocks_total += 1;
+              if (dense::all_zero(blk.data(), blk.size()))
+                st.zred_blocks_skipped += 1;
+            });
+          pack_snode(F, s, buf);
+        }
+        if (targeted) {
+          bits.assign((dense_len + 63) / 64, 0);
+          packed.clear();
+          for (std::size_t i = 0; i < buf.size(); ++i)
+            if (buf[i] != 0.0) {
+              bits[i / 64] |= std::uint64_t{1} << (i % 64);
+              packed.push_back(buf[i]);
+            }
+          st.zred_bytes_saved +=
+              (static_cast<offset_t>(dense_len) -
+               static_cast<offset_t>(bits.size() + packed.size())) *
+              static_cast<offset_t>(sizeof(real_t));
+          win->scatter_accumulate(pz - step, chunk_off, dense_len, bits,
+                                  packed);
+          chunk_off += dense_len;
+          continue;
+        }
+        if (sparse)
+          st.zred_bytes_saved += (static_cast<offset_t>(dense_len) -
+                                  static_cast<offset_t>(buf.size())) *
+                                 static_cast<offset_t>(sizeof(real_t));
+        grid.zline().isend(pz - step, kReduceTagBase + lvl, buf, CommPlane::Z);
+      }
+    } else {
+      std::size_t chunk_off = 0;
+      for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
+        const auto snodes = chunk_at(c0);
+        const std::size_t dense_len = dense_elems_of(snodes);
+        if (dense_len == 0) continue;
+        Pending p;
+        p.snodes.assign(snodes.begin(), snodes.end());
+        if (targeted) {
+          // Zero the landing region before registering the op — the
+          // accumulate can only be applied during a wait, which always
+          // comes after this expect.
+          std::fill_n(zstage[static_cast<std::size_t>(lvl)].begin() +
+                          static_cast<std::ptrdiff_t>(chunk_off),
+                      dense_len, 0.0);
+          p.delivery = win->expect(pz + step);
+          p.off = chunk_off;
+          p.len = dense_len;
+          p.lvl = lvl;
+          chunk_off += dense_len;
+        } else {
+          p.req = grid.zline().irecv(pz + step, kReduceTagBase + lvl,
+                                     CommPlane::Z);
+        }
+        outstanding.push_back(std::move(p));
+      }
+    }
+  }
+  SLU3D_CHECK(outstanding.empty(), "undrained reduction chunks");
 }
 
 std::optional<SupernodalMatrix> gather_3d_to_root(const Dist2dFactors& F,
@@ -63,7 +412,7 @@ std::optional<SupernodalMatrix> gather_3d_to_root(const Dist2dFactors& F,
   std::vector<real_t> mine;
   for (int s = 0; s < bs.n_snodes(); ++s)
     if (part.anchor_of(s) == grid.pz())
-      pipeline::pack_snode<pipeline::LuFactorsAccess>(F, s, mine);
+      pack_snode(F, s, mine);
 
   if (world.rank() != 0) {
     world.send(0, kGatherTag, mine, CommPlane::Z);

@@ -14,9 +14,9 @@
 
 namespace slu3d {
 
-/// 3D driver options: the shared z-reduction knobs (chunk_snodes and
-/// Dense/Sparse/Targeted packing — see pipeline::ZRedOptions) plus
-/// the 2D panel-pipeline options applied at every forest level.
+/// 3D driver options: the z-reduction knobs (chunk_snodes and
+/// Dense/Sparse/Targeted packing — see pipeline::ZRedOptions) plus the 2D
+/// panel-pipeline options applied at every forest level.
 struct Lu3dOptions : pipeline::ZRedOptions {
   Lu2dOptions lu2d;
 };

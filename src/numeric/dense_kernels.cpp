@@ -340,19 +340,6 @@ void trsm_left_upper_small(index_t n, index_t m, const real_t* a, index_t lda,
   }
 }
 
-void trsm_left_lower_small(index_t n, index_t m, const real_t* a, index_t lda,
-                           real_t* b, index_t ldb) {
-  for (index_t j = 0; j < m; ++j) {
-    real_t* SLU3D_RESTRICT bj = b + off(0, j, ldb);
-    for (index_t k = 0; k < n; ++k) {
-      const real_t* SLU3D_RESTRICT ak = a + off(0, k, lda);
-      const real_t xk = bj[k] / ak[k];
-      bj[k] = xk;
-      for (index_t i = k + 1; i < n; ++i) bj[i] -= ak[i] * xk;
-    }
-  }
-}
-
 void trsm_right_lower_trans_small(index_t n, index_t m, const real_t* a,
                                   index_t lda, real_t* b, index_t ldb) {
   for (index_t k = 0; k < n; ++k) {
@@ -396,34 +383,6 @@ void trsm_left_upper_impl(index_t n, index_t m, const real_t* a, index_t lda,
     if (k0 > 0)
       gemm_minus_blocked(k0, m, kb, a + off(0, k0, lda), lda, b + k0, ldb, b,
                          ldb, false);
-  }
-}
-
-void trsm_left_lower_impl(index_t n, index_t m, const real_t* a, index_t lda,
-                          real_t* b, index_t ldb) {
-  if (n <= 0 || m <= 0) return;
-  for (index_t k0 = 0; k0 < n; k0 += kTB) {
-    const index_t kb = std::min(kTB, n - k0);
-    trsm_left_lower_small(kb, m, a + off(k0, k0, lda), lda, b + k0, ldb);
-    const index_t rest = k0 + kb;
-    if (rest < n)
-      gemm_minus_blocked(n - rest, m, kb, a + off(rest, k0, lda), lda, b + k0,
-                         ldb, b + rest, ldb, false);
-  }
-}
-
-void trsm_left_lower_trans_impl(index_t n, index_t m, const real_t* a,
-                                index_t lda, real_t* b, index_t ldb) {
-  // Backward substitution with Lᵀ; the dot products stream the contiguous
-  // below-diagonal part of each L column, so no packing is needed.
-  for (index_t j = 0; j < m; ++j) {
-    real_t* SLU3D_RESTRICT bj = b + off(0, j, ldb);
-    for (index_t k = n - 1; k >= 0; --k) {
-      const real_t* SLU3D_RESTRICT ak = a + off(0, k, lda);
-      real_t acc = bj[k];
-      for (index_t i = k + 1; i < n; ++i) acc -= ak[i] * bj[i];
-      bj[k] = acc / ak[k];
-    }
   }
 }
 
@@ -505,19 +464,6 @@ void trsm_right_upper(index_t n, index_t m, const real_t* a, index_t lda,
 void trsm_left_upper(index_t n, index_t m, const real_t* a, index_t lda,
                      real_t* b, index_t ldb) {
   trsm_left_upper_impl(n, m, a, lda, b, ldb);
-  count(trsm_flops(n, m));
-}
-
-void trsm_left_lower(index_t n, index_t m, const real_t* a, index_t lda,
-                     real_t* b, index_t ldb) {
-  trsm_left_lower_impl(n, m, a, lda, b, ldb);
-  count(trsm_flops(n, m));
-}
-
-void trsm_left_lower_trans(index_t n, index_t m, const real_t* a, index_t lda,
-                           real_t* b, index_t ldb) {
-  if (n <= 0 || m <= 0) return;
-  trsm_left_lower_trans_impl(n, m, a, lda, b, ldb);
   count(trsm_flops(n, m));
 }
 

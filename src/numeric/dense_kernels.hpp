@@ -54,24 +54,15 @@ void trsm_right_upper(index_t n, index_t m, const real_t* a, index_t lda,
                       real_t* b, index_t ldb);
 
 // ---- multi-RHS solve panels ---------------------------------------------
-// Left-side solves on an n x m right-hand-side panel — the batched
-// counterparts of the trsv_* kernels below, used by the distributed
-// triangular solves when nrhs > 1 folds a whole batch into one sweep.
+// A left-side solve on an n x m right-hand-side panel — the batched
+// counterpart of trsv_upper below, used by the distributed triangular
+// solves when nrhs > 1 folds a whole batch into one sweep (their forward
+// sweeps use trsm_left_lower_unit above).
 
 /// B <- U^{-1} B where U is the upper part of `a` (n x n), B is n x m.
 /// (Batched backward substitution at a diagonal block.)
 void trsm_left_upper(index_t n, index_t m, const real_t* a, index_t lda,
                      real_t* b, index_t ldb);
-
-/// B <- L^{-1} B with *non-unit* lower triangular L; B is n x m.
-/// (Batched Cholesky forward substitution.)
-void trsm_left_lower(index_t n, index_t m, const real_t* a, index_t lda,
-                     real_t* b, index_t ldb);
-
-/// B <- L^{-T} B with non-unit lower triangular L; B is n x m.
-/// (Batched Cholesky backward substitution.)
-void trsm_left_lower_trans(index_t n, index_t m, const real_t* a, index_t lda,
-                           real_t* b, index_t ldb);
 
 /// C <- C - A B with A (m x k), B (k x n), C (m x n).
 /// (The Schur-complement GEMM.)

@@ -1,11 +1,8 @@
-// Shared option structs for the factorization-pipeline subsystem. The LU
-// and Cholesky variants of the 2D panel pipeline take identical scheduling
-// knobs, and the two 3D drivers take identical z-reduction knobs, so both
-// pairs collapse into one struct each; the historical names
-// (Lu2dOptions/Chol2dOptions, Lu3dOptions/Chol3dOptions) remain as aliases
-// or thin wrappers in the variant headers. Validation happens once, in the
-// shared engines (validate_panel_options / validate_zred_options), instead
-// of being re-implemented (or silently skipped) per variant.
+// Option structs of the factorization pipeline: the scheduling and wire
+// knobs of the 2D panel engine (PanelOptions, aliased as Lu2dOptions in
+// lu2d/factor2d.hpp) and of the 3D z-reduction (ZRedOptions, the base of
+// Lu3dOptions in lu3d/factor3d.hpp). Validation happens once, at engine
+// entry (validate_panel_options / validate_zred_options).
 #pragma once
 
 #include "support/check.hpp"
@@ -28,8 +25,7 @@ enum class PanelPacking {
   /// Factors stay bitwise identical (the footprint covers every
   /// pair-referenced entry, so charged flops and FP order match Dense);
   /// savings are reported in RankStats::panel_* with an exact accounting
-  /// identity: dense_equivalent - received == saved. The Cholesky
-  /// transposed (column) role stays a dense relay broadcast.
+  /// identity: dense_equivalent - received == saved.
   Targeted,
 };
 
@@ -100,7 +96,8 @@ struct ZRedOptions {
   /// granularity for fewer messages.
   int chunk_snodes = 1;
   /// Wire format of the reduction payloads; Dense is byte-identical to the
-  /// historical drivers, Sparse is the opt-in volume optimization.
+  /// historical drivers, Sparse and Targeted are the opt-in volume
+  /// optimizations.
   ZRedPacking packing = ZRedPacking::Dense;
 };
 

@@ -2,8 +2,8 @@
 // three orthogonal schedule/wire knobs — lookahead, PanelPacking (XY panel
 // transfers), ZRedPacking + chunking (Z ancestor reduction) — and every
 // combination must factor to the *same numbers* as the dense baseline
-// while never moving more bytes on either plane. This file sweeps variant
-// x grid shape x lookahead x packing x chunking and asserts exactly that,
+// while never moving more bytes on either plane. This file sweeps grid
+// shape x lookahead x packing x chunking and asserts exactly that,
 // subsuming the one-off pins that test_pipeline.cpp used to accumulate:
 //  - factors compare equal entry-for-entry against a *Z-schedule-matched*
 //    dense reference (operator==, so the +-0.0 produced by skipping an
@@ -31,7 +31,6 @@
 #include <string>
 
 #include "lu3d/factor3d.hpp"
-#include "lu3d/factor3d_chol.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 
@@ -104,15 +103,6 @@ Lu3dOptions lu_options(const Knobs& k) {
   return o;
 }
 
-Chol3dOptions chol_options(const Knobs& k) {
-  Chol3dOptions o;
-  o.chol2d.lookahead = k.lookahead;
-  o.chol2d.packing = k.panel;
-  o.packing = k.zred;
-  o.chunk_snodes = k.chunk;
-  return o;
-}
-
 struct LuRun {
   SupernodalMatrix F;
   RunResult res;
@@ -135,31 +125,6 @@ LuRun run_lu(const Problem& p, int Px, int Py, int Pz, const Knobs& k,
     factorize_3d(F, grid, part, opt);
     if (!gather) return;
     auto full = gather_3d_to_root(F, world, grid, part);
-    if (full.has_value()) {
-      const std::lock_guard<std::mutex> lock(mu);
-      out.F = std::move(*full);
-    }
-  });
-  return out;
-}
-
-struct CholRun {
-  CholeskyFactors F;
-  RunResult res;
-};
-
-CholRun run_chol(const Problem& p, int Px, int Py, int Pz, const Knobs& k,
-                 bool gather = true) {
-  const ForestPartition part(p.bs, Pz);
-  CholRun out{CholeskyFactors(p.bs), {}};
-  std::mutex mu;
-  const Chol3dOptions opt = chol_options(k);
-  out.res = run_ranks(Px * Py * Pz, kModel, [&](sim::Comm& world) {
-    auto grid = ProcessGrid3D::create(world, Px, Py, Pz);
-    DistCholFactors F = make_3d_chol_factors(p.bs, grid, part, p.Ap);
-    factorize_3d_cholesky(F, grid, part, opt);
-    if (!gather) return;
-    auto full = gather_3d_cholesky(F, world, grid, part);
     if (full.has_value()) {
       const std::lock_guard<std::mutex> lock(mu);
       out.F = std::move(*full);
@@ -205,15 +170,6 @@ void expect_factors_equal(const SupernodalMatrix& a, const SupernodalMatrix& b) 
   EXPECT_EQ(mm.count, 0u) << "first mismatch: " << mm.first;
 }
 
-void expect_factors_equal(const CholeskyFactors& a, const CholeskyFactors& b) {
-  Mismatch mm;
-  for (int s = 0; s < a.structure().n_snodes(); ++s) {
-    mm.compare(a.diag(s), b.diag(s), "diag", s);
-    mm.compare(a.lpanel(s), b.lpanel(s), "L", s);
-  }
-  EXPECT_EQ(mm.count, 0u) << "first mismatch: " << mm.first;
-}
-
 struct PlaneTotals {
   offset_t bytes[2] = {0, 0};
   offset_t msgs[2] = {0, 0};
@@ -229,7 +185,7 @@ PlaneTotals plane_totals(const RunResult& res) {
   return t;
 }
 
-/// The per-sweep-point assertions shared by both variants.
+/// The per-sweep-point assertions.
 void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
                             const RunResult& v) {
   const PlaneTotals bt = plane_totals(base);
@@ -256,8 +212,8 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
     // One-sided footprint puts: headers are uncharged and no presence
     // frame travels, so the saved counters reconcile the targeted wire to
     // the dense equivalent exactly — to the byte AND to the message — on
-    // the XY plane (diag broadcasts and the Cholesky dense relay role are
-    // identical on both sides of the identity and cancel).
+    // the XY plane (diag broadcasts are identical on both sides of the
+    // identity and cancel).
     EXPECT_LT(vt.bytes[0], bt.bytes[0]);
     EXPECT_GT(v.total_panel_dense_bytes(), 0);
     EXPECT_GT(v.total_panel_saved_bytes(), 0);
@@ -276,7 +232,7 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
 }
 
 // ---------------------------------------------------------------------------
-// The sweep: every knob combination on every fig9 grid shape, both variants.
+// The sweep: every knob combination on every fig9 grid shape.
 // ---------------------------------------------------------------------------
 
 struct ShapeCase {
@@ -316,22 +272,6 @@ TEST_P(CommEquivalence, LuFactorsEqualAndVolumesMonotone) {
   }
 }
 
-TEST_P(CommEquivalence, CholFactorsEqualAndVolumesMonotone) {
-  const ShapeCase& c = GetParam();
-  const Problem p = fig9_problem(std::string(c.cls) == "planar");
-  const CholRun base = run_chol(p, c.Px, c.Py, c.Pz, kBaseline);
-  for (const Knobs& k : kSweep) {
-    SCOPED_TRACE(k.name);
-    const CholRun v = run_chol(p, c.Px, c.Py, c.Pz, k);
-    const Knobs ref = factor_reference(k);
-    const CholRun& r = k.chunk == kBaseline.chunk
-                           ? base
-                           : run_chol(p, c.Px, c.Py, c.Pz, ref);
-    expect_factors_equal(r.F, v.F);
-    check_against_baseline(k, c.Pz, base.res, v.res);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Fig9Shapes, CommEquivalence, ::testing::ValuesIn(kShapes),
     [](const auto& pi) {
@@ -364,20 +304,12 @@ TEST(DensePackingGolden, ExplicitDenseReproducesSeedFig9Counters) {
     const PlaneTotals t = plane_totals(r.res);
     EXPECT_EQ(t.bytes[0], 3369936);  // seed value, tests/test_pipeline.cpp
     EXPECT_EQ(t.msgs[0], 6840);
-    const CholRun c = run_chol(p, 4, 4, 1, k, /*gather=*/false);
-    const PlaneTotals ct = plane_totals(c.res);
-    EXPECT_EQ(ct.bytes[0], 2753712);
-    EXPECT_EQ(ct.msgs[0], 6069);
   }
   {
     const LuRun r = run_lu(p, 2, 2, 4, k, /*gather=*/false);
     const PlaneTotals t = plane_totals(r.res);
     EXPECT_EQ(t.bytes[0], 1123312);
     EXPECT_EQ(t.bytes[1], 100232);
-    const CholRun c = run_chol(p, 2, 2, 4, k, /*gather=*/false);
-    const PlaneTotals ct = plane_totals(c.res);
-    EXPECT_EQ(ct.bytes[0], 917904);
-    EXPECT_EQ(ct.bytes[1], 50880);
   }
 }
 
@@ -501,19 +433,11 @@ TEST(CommEquivalence, TargetedAllEmptyFootprintsSendNoPanelData) {
             plane_totals(rd.res).bytes[0]);
   EXPECT_EQ(plane_totals(rt.res).msgs[0] + rt.res.total_panel_saved_msgs(),
             plane_totals(rd.res).msgs[0]);
-
-  const CholRun cd = run_chol(p, 1, 2, 1, dense);
-  const CholRun ct = run_chol(p, 1, 2, 1, targeted);
-  expect_factors_equal(cd.F, ct.F);
-  EXPECT_EQ(ct.res.total_panel_saved_bytes(),
-            ct.res.total_panel_dense_bytes());
-  EXPECT_EQ(plane_totals(ct.res).msgs[0] + ct.res.total_panel_saved_msgs(),
-            plane_totals(cd.res).msgs[0]);
 }
 
 // ---------------------------------------------------------------------------
 // Slot-pool validation: a lookahead beyond the stash pool bound is rejected
-// up front, at the shared validation point and through the 3D drivers.
+// up front, at the validation point and through the 3D driver.
 // ---------------------------------------------------------------------------
 
 TEST(PanelOptionsValidation, LookaheadBeyondSlotPoolBoundRejected) {
@@ -530,7 +454,6 @@ TEST(PanelOptionsValidation, LookaheadBeyondSlotPoolBoundRejected) {
   Knobs k = kBaseline;
   k.lookahead = pipeline::kMaxPanelLookahead + 1;
   EXPECT_THROW(run_lu(p, 2, 2, 1, k), Error);
-  EXPECT_THROW(run_chol(p, 2, 2, 1, k), Error);
 }
 
 }  // namespace

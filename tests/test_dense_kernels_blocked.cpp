@@ -194,7 +194,7 @@ TEST_P(FactorBlockedVsRef, TrsmVariantsMatch) {
   }
 }
 
-// Naive per-column oracles for the solve-path left TRSMs (operate on one
+// Naive per-column oracle for the solve-path left TRSM (operates on one
 // contiguous column of length n).
 void trsv_left_upper_ref(index_t n, const real_t* a, index_t lda, real_t* x) {
   for (index_t k = n - 1; k >= 0; --k) {
@@ -202,29 +202,6 @@ void trsv_left_upper_ref(index_t n, const real_t* a, index_t lda, real_t* x) {
     for (index_t i = k + 1; i < n; ++i)
       v -= a[static_cast<std::size_t>(k) +
              static_cast<std::size_t>(i) * static_cast<std::size_t>(lda)] *
-           x[i];
-    x[k] = v / a[static_cast<std::size_t>(k) * (static_cast<std::size_t>(lda) + 1)];
-  }
-}
-
-void trsv_left_lower_ref(index_t n, const real_t* a, index_t lda, real_t* x) {
-  for (index_t k = 0; k < n; ++k) {
-    real_t v = x[k];
-    for (index_t i = 0; i < k; ++i)
-      v -= a[static_cast<std::size_t>(k) +
-             static_cast<std::size_t>(i) * static_cast<std::size_t>(lda)] *
-           x[i];
-    x[k] = v / a[static_cast<std::size_t>(k) * (static_cast<std::size_t>(lda) + 1)];
-  }
-}
-
-void trsv_left_lower_trans_ref(index_t n, const real_t* a, index_t lda,
-                               real_t* x) {
-  for (index_t k = n - 1; k >= 0; --k) {
-    real_t v = x[k];
-    for (index_t i = k + 1; i < n; ++i)
-      v -= a[static_cast<std::size_t>(i) +
-             static_cast<std::size_t>(k) * static_cast<std::size_t>(lda)] *
            x[i];
     x[k] = v / a[static_cast<std::size_t>(k) * (static_cast<std::size_t>(lda) + 1)];
   }
@@ -239,33 +216,23 @@ TEST_P(FactorBlockedVsRef, SolvePathLeftTrsmsMatchColumnOracle) {
   const index_t ldb = n + 4;
   const auto b0 = random_matrix(n, m, ldb, rng);
 
-  using ColumnOracle = void (*)(index_t, const real_t*, index_t, real_t*);
-  using PanelKernel = void (*)(index_t, index_t, const real_t*, index_t,
-                               real_t*, index_t);
-  const std::pair<PanelKernel, ColumnOracle> variants[] = {
-      {&dense::trsm_left_upper, &trsv_left_upper_ref},
-      {&dense::trsm_left_lower, &trsv_left_lower_ref},
-      {&dense::trsm_left_lower_trans, &trsv_left_lower_trans_ref},
-  };
-  for (const auto& [kernel, oracle] : variants) {
-    auto b_panel = b0;
-    kernel(n, m, a.data(), lda, b_panel.data(), ldb);
-    auto b_ref = b0;
-    for (index_t j = 0; j < m; ++j) {
-      std::vector<real_t> col(static_cast<std::size_t>(n));
-      for (index_t i = 0; i < n; ++i)
-        col[static_cast<std::size_t>(i)] =
-            b_ref[static_cast<std::size_t>(i) +
-                  static_cast<std::size_t>(j) * static_cast<std::size_t>(ldb)];
-      oracle(n, a.data(), lda, col.data());
-      for (index_t i = 0; i < n; ++i)
-        b_ref[static_cast<std::size_t>(i) +
-              static_cast<std::size_t>(j) * static_cast<std::size_t>(ldb)] =
-            col[static_cast<std::size_t>(i)];
-    }
-    expect_matrices_near(b_panel, b_ref, n, m, ldb,
-                         1e-10 * static_cast<real_t>(n));
+  auto b_panel = b0;
+  dense::trsm_left_upper(n, m, a.data(), lda, b_panel.data(), ldb);
+  auto b_ref = b0;
+  for (index_t j = 0; j < m; ++j) {
+    std::vector<real_t> col(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i)
+      col[static_cast<std::size_t>(i)] =
+          b_ref[static_cast<std::size_t>(i) +
+                static_cast<std::size_t>(j) * static_cast<std::size_t>(ldb)];
+    trsv_left_upper_ref(n, a.data(), lda, col.data());
+    for (index_t i = 0; i < n; ++i)
+      b_ref[static_cast<std::size_t>(i) +
+            static_cast<std::size_t>(j) * static_cast<std::size_t>(ldb)] =
+          col[static_cast<std::size_t>(i)];
   }
+  expect_matrices_near(b_panel, b_ref, n, m, ldb,
+                       1e-10 * static_cast<real_t>(n));
 }
 
 // Sizes straddle the substrate's blocking parameters: within one
@@ -301,9 +268,7 @@ TEST(FlopAudit, KernelsReportCanonicalCounts) {
 
   dense::reset_flops_performed();
   dense::trsm_left_upper(n, m, lu.data(), n, b.data(), n);
-  dense::trsm_left_lower(n, m, lu.data(), n, b.data(), n);
-  dense::trsm_left_lower_trans(n, m, lu.data(), n, b.data(), n);
-  EXPECT_EQ(dense::flops_performed(), 3 * dense::trsm_flops(n, m));
+  EXPECT_EQ(dense::flops_performed(), dense::trsm_flops(n, m));
 
   dense::reset_flops_performed();
   dense::gemm_minus(m, m, k, a.data(), n, a.data(), n, c.data(), n);

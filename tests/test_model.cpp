@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "lu2d/dist_chol.hpp"
 #include "lu2d/factor2d.hpp"
 #include "model/cost_model.hpp"
 #include "numeric/dense_kernels.hpp"
@@ -132,27 +131,6 @@ TEST(FlopAccounting, Lu2dChargesExactlyWhatKernelsPerform) {
     std::iota(all.begin(), all.end(), 0);
     dense::reset_flops_performed();
     factorize_2d(F, grid, all, {});
-    EXPECT_EQ(charged_factorization_flops(world.stats()),
-              dense::flops_performed());
-    EXPECT_GT(dense::flops_performed(), 0);
-  });
-}
-
-TEST(FlopAccounting, Chol2dChargesExactlyWhatKernelsPerform) {
-  const GridGeometry g{8, 8, 1};
-  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
-  const SeparatorTree tree = nested_dissection(A, {.leaf_size = 8});
-  const BlockStructure bs(A, tree);
-  const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
-
-  sim::run_ranks(1, sim::MachineModel{}, [&](sim::Comm& world) {
-    auto grid = sim::ProcessGrid2D::create(world, 1, 1);
-    DistCholFactors F(bs, 1, 1, 0, 0);
-    F.fill_from(Ap);
-    std::vector<int> all(static_cast<std::size_t>(bs.n_snodes()));
-    std::iota(all.begin(), all.end(), 0);
-    dense::reset_flops_performed();
-    factorize_2d_cholesky(F, grid, all, {});
     EXPECT_EQ(charged_factorization_flops(world.stats()),
               dense::flops_performed());
     EXPECT_GT(dense::flops_performed(), 0);

@@ -1,21 +1,19 @@
-// Tests for the shared factorization pipeline engines (src/pipeline/):
-//  - golden per-plane comm counters pinning the dense-mode wire format of
-//    both variants to the pre-refactor byte counts on the fig9 configs,
-//  - cross-variant schedule parity (LU vs Cholesky on the same SPD matrix),
+// Tests for the factorization pipeline engines (the 2D panel engine of
+// factorize_2d and the z-reduction of factorize_3d):
+//  - golden per-plane comm counters pinning the Dense and the Targeted
+//    (panels and z-reduction) wire formats on the fig9 configs,
 //  - sparse z-reduction packing: bitwise-identical factors, reduced W_red,
 //    savings counters,
 //  - per-supernode vs whole-level reduction chunking,
-//  - shared option validation.
+//  - option validation.
 #include <gtest/gtest.h>
 
 #include <mutex>
 #include <string>
 
 #include "lu3d/factor3d.hpp"
-#include "lu3d/factor3d_chol.hpp"
 #include "numeric/dense_kernels.hpp"
 #include "order/nested_dissection.hpp"
-#include "pipeline/zreduce.hpp"
 #include "sparse/generators.hpp"
 
 namespace slu3d {
@@ -74,22 +72,15 @@ RunResult run_lu3d(const Problem& p, int Px, int Py, int Pz,
   });
 }
 
-RunResult run_chol3d(const Problem& p, int Px, int Py, int Pz,
-                     const Chol3dOptions& opt = {}) {
-  const ForestPartition part(p.bs, Pz);
-  return run_ranks(Px * Py * Pz, kModel, [&](sim::Comm& world) {
-    auto grid = ProcessGrid3D::create(world, Px, Py, Pz);
-    DistCholFactors F = make_3d_chol_factors(p.bs, grid, part, p.Ap);
-    factorize_3d_cholesky(F, grid, part, opt);
-  });
-}
-
 // ---------------------------------------------------------------------------
-// Golden dense-mode communication counters. These pin the engines' default
-// (Dense) wire format and schedule to the byte/message counts measured on
-// the fig9 configs before the pipeline refactor: any change to panel
-// broadcast payloads, stash scheduling, ancestor enumeration order, or
-// packed block layout shows up here.
+// Golden communication counters. `lu` pins the engines' default (Dense)
+// wire format and schedule to the byte/message counts measured on the fig9
+// configs before the pipeline refactor: any change to panel broadcast
+// payloads, stash scheduling, ancestor enumeration order, or packed block
+// layout shows up here. `targeted` pins the one-sided wire
+// (PanelPacking::Targeted + ZRedPacking::Targeted) the same way: the
+// targeted accounting identity (wire + saved == dense) still holds when a
+// footprint predicate grows wider, so only absolute counts catch that.
 // ---------------------------------------------------------------------------
 
 struct GoldenCase {
@@ -98,46 +89,50 @@ struct GoldenCase {
   // {XY bytes, Z bytes, XY msgs, Z msgs, max XY recv, max Z recv}, summed /
   // maxed over all ranks.
   offset_t lu[6];
-  offset_t chol[6];
+  offset_t targeted[6];
 };
 
 constexpr GoldenCase kGolden[] = {
     {"planar", 4, 4, 1, {3369936, 0, 6840, 0, 295648, 0},
-     {2753712, 0, 6069, 0, 296432, 0}},
+     {2226848, 0, 4118, 0, 217280, 0}},
     {"planar", 2, 4, 2, {2246624, 18432, 4560, 1, 202448, 18432},
-     {1630400, 9408, 3789, 1, 191616, 9408}},
+     {1589736, 18720, 2588, 1, 147712, 18720}},
     {"planar", 2, 2, 4, {1123312, 100232, 2280, 7, 127824, 59904},
-     {917904, 50880, 2023, 6, 134168, 30432}},
+     {952624, 54616, 1444, 7, 92664, 37040}},
     {"planar", 1, 2, 8, {561656, 351088, 1140, 23, 74320, 124416},
-     {356248, 177824, 883, 17, 37104, 63072}},
+     {476312, 97792, 505, 23, 51776, 48416}},
     {"nonplanar", 4, 4, 1, {7395072, 0, 2844, 0, 690736, 0},
-     {6054384, 0, 2541, 0, 734160, 0}},
+     {5047760, 0, 1864, 0, 633760, 0}},
     {"nonplanar", 2, 4, 2, {4930048, 165888, 1896, 1, 613944, 165888},
-     {3589360, 83520, 1593, 1, 492312, 83520}},
+     {3486984, 168480, 1071, 1, 445608, 168480}},
     {"nonplanar", 2, 2, 4, {2465024, 872064, 948, 7, 482968, 539136},
-     {2018128, 438288, 847, 6, 518064, 271008}},
+     {1926208, 434112, 548, 7, 297168, 313704}},
     {"nonplanar", 1, 2, 8, {1232512, 2571848, 474, 23, 427056, 1005696},
-     {785616, 1292024, 373, 17, 187512, 505296}},
+     {963104, 695040, 194, 23, 247560, 394728}},
 };
 
 class GoldenCommCounters : public ::testing::TestWithParam<GoldenCase> {};
 
 void expect_totals(const RunResult& res, const offset_t (&want)[6],
-                   const char* variant) {
+                   const char* wire) {
   const PlaneTotals t = plane_totals(res);
-  EXPECT_EQ(t.bytes[0], want[0]) << variant << " XY bytes";
-  EXPECT_EQ(t.bytes[1], want[1]) << variant << " Z bytes";
-  EXPECT_EQ(t.msgs[0], want[2]) << variant << " XY messages";
-  EXPECT_EQ(t.msgs[1], want[3]) << variant << " Z messages";
-  EXPECT_EQ(t.max_recv[0], want[4]) << variant << " max XY recv";
-  EXPECT_EQ(t.max_recv[1], want[5]) << variant << " max Z recv";
+  EXPECT_EQ(t.bytes[0], want[0]) << wire << " XY bytes";
+  EXPECT_EQ(t.bytes[1], want[1]) << wire << " Z bytes";
+  EXPECT_EQ(t.msgs[0], want[2]) << wire << " XY messages";
+  EXPECT_EQ(t.msgs[1], want[3]) << wire << " Z messages";
+  EXPECT_EQ(t.max_recv[0], want[4]) << wire << " max XY recv";
+  EXPECT_EQ(t.max_recv[1], want[5]) << wire << " max Z recv";
 }
 
 TEST_P(GoldenCommCounters, DenseModeMatchesPreRefactorBytes) {
   const GoldenCase& c = GetParam();
   const Problem p = fig9_problem(std::string(c.name) == "planar");
-  expect_totals(run_lu3d(p, c.Px, c.Py, c.Pz), c.lu, "LU");
-  expect_totals(run_chol3d(p, c.Px, c.Py, c.Pz), c.chol, "Chol");
+  expect_totals(run_lu3d(p, c.Px, c.Py, c.Pz), c.lu, "Dense");
+  Lu3dOptions targeted;
+  targeted.lu2d.packing = pipeline::PanelPacking::Targeted;
+  targeted.packing = pipeline::ZRedPacking::Targeted;
+  expect_totals(run_lu3d(p, c.Px, c.Py, c.Pz, targeted), c.targeted,
+                "Targeted");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -147,41 +142,6 @@ INSTANTIATE_TEST_SUITE_P(
              "x" + std::to_string(pi.param.Py) + "x" +
              std::to_string(pi.param.Pz);
     });
-
-// ---------------------------------------------------------------------------
-// Cross-variant schedule parity: factoring the same SPD matrix with the LU
-// and Cholesky policies must produce the same communication *shape* — the
-// symmetric variant moves roughly half the z-reduction volume (it packs one
-// triangle instead of two rectangles) and strictly fewer panel messages (no
-// U-panel broadcasts), but the level schedule is shared, so counts stay
-// within a narrow ratio band rather than diverging structurally.
-// ---------------------------------------------------------------------------
-
-TEST(CrossVariantParity, CholMovesHalfTheReductionVolumeOfLu) {
-  const GridGeometry g{8, 8, 8};
-  const CsrMatrix A = grid3d_laplacian(g, Stencil3D::SevenPoint);
-  const SeparatorTree tree = geometric_nd(g, {.leaf_size = 16});
-  const Problem p{BlockStructure(A, tree), A.permuted_symmetric(tree.perm())};
-
-  const PlaneTotals lu = plane_totals(run_lu3d(p, 2, 2, 4));
-  const PlaneTotals ch = plane_totals(run_chol3d(p, 2, 2, 4));
-
-  ASSERT_GT(lu.bytes[1], 0);
-  ASSERT_GT(ch.bytes[1], 0);
-  // Z volume: triangle vs two rectangles + full diagonal → ratio ~0.5.
-  const double z_ratio = static_cast<double>(ch.bytes[1]) /
-                         static_cast<double>(lu.bytes[1]);
-  EXPECT_GT(z_ratio, 0.40);
-  EXPECT_LT(z_ratio, 0.62);
-  // XY traffic: Cholesky broadcasts fewer, smaller panels.
-  EXPECT_LT(ch.bytes[0], lu.bytes[0]);
-  EXPECT_LT(ch.msgs[0], lu.msgs[0]);
-  // Same level schedule: reduction message counts stay comparable (the
-  // symmetric variant may skip more structurally-empty chunks, never more
-  // than half of them here).
-  EXPECT_LE(ch.msgs[1], lu.msgs[1]);
-  EXPECT_GE(2 * ch.msgs[1], lu.msgs[1]);
-}
 
 // ---------------------------------------------------------------------------
 // Sparse z-reduction packing. Must change no numeric value (the factors are
@@ -259,43 +219,6 @@ TEST(SparseZReduction, BitwiseIdenticalFactorsAndReducedWred) {
             rd.total_bytes_sent(CommPlane::XY));
 }
 
-TEST(SparseZReduction, CholeskyVariantAlsoSavesWithIdenticalFactors) {
-  const Problem p = sparse_test_problem();
-  const ForestPartition part(p.bs, 4);
-
-  auto gather = [&](const Chol3dOptions& opt, RunResult* res_out) {
-    CholeskyFactors gathered(p.bs);
-    std::mutex mu;
-    RunResult res = run_ranks(16, kModel, [&](sim::Comm& world) {
-      auto grid = ProcessGrid3D::create(world, 2, 2, 4);
-      DistCholFactors F = make_3d_chol_factors(p.bs, grid, part, p.Ap);
-      factorize_3d_cholesky(F, grid, part, opt);
-      auto full = gather_3d_cholesky(F, world, grid, part);
-      if (full.has_value()) {
-        const std::lock_guard<std::mutex> lock(mu);
-        gathered = std::move(*full);
-      }
-    });
-    *res_out = std::move(res);
-    return gathered;
-  };
-
-  Chol3dOptions dense, sparse;
-  sparse.packing = pipeline::ZRedPacking::Sparse;
-  RunResult rd, rs;
-  const CholeskyFactors fd = gather(dense, &rd);
-  const CholeskyFactors fs = gather(sparse, &rs);
-  for (index_t i = 0; i < p.bs.n(); ++i)
-    for (index_t j = 0; j <= i; ++j)
-      ASSERT_EQ(fd.l_entry(i, j), fs.l_entry(i, j))
-          << "L(" << i << "," << j << ")";
-
-  EXPECT_GT(rs.total_zred_bytes_saved(), 0);
-  EXPECT_LT(rs.total_bytes_sent(CommPlane::Z), rd.total_bytes_sent(CommPlane::Z));
-  EXPECT_EQ(rs.total_bytes_sent(CommPlane::Z) + rs.total_zred_bytes_saved(),
-            rd.total_bytes_sent(CommPlane::Z));
-}
-
 TEST(SparseZReduction, ChunkedAndBlockingPathsMatchBitwise) {
   const Problem p = sparse_test_problem();
   const SupernodalMatrix ref = gather_lu3d(p, 2, 2, 4, {});
@@ -314,7 +237,7 @@ TEST(SparseZReduction, ChunkedAndBlockingPathsMatchBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Option validation happens once, in the shared engines, for both variants.
+// Option validation happens once, at engine entry, for both option structs.
 // ---------------------------------------------------------------------------
 
 TEST(PipelineOptions, EngineRejectsInvalidOptionsForBothVariants) {
@@ -327,17 +250,9 @@ TEST(PipelineOptions, EngineRejectsInvalidOptionsForBothVariants) {
   bad_lookahead.lu2d.lookahead = -1;
   EXPECT_THROW(run_lu3d(p, 2, 2, 1, bad_lookahead), Error);
 
-  Chol3dOptions bad_chol;
-  bad_chol.chol2d.lookahead = -2;
-  EXPECT_THROW(run_chol3d(p, 2, 2, 1, bad_chol), Error);
-
   Lu3dOptions bad_chunk;
   bad_chunk.chunk_snodes = 0;
   EXPECT_THROW(run_lu3d(p, 2, 2, 2, bad_chunk), Error);
-
-  Chol3dOptions bad_chol_chunk;
-  bad_chol_chunk.chunk_snodes = -4;
-  EXPECT_THROW(run_chol3d(p, 2, 2, 2, bad_chol_chunk), Error);
 }
 
 TEST(PipelineOptions, ValidationMessagesAreActionable) {
@@ -360,12 +275,10 @@ TEST(PipelineOptions, ValidationMessagesAreActionable) {
 }
 
 TEST(PipelineOptions, AliasesShareTheEngineTypes) {
-  // The per-variant option names are aliases of the shared pipeline
-  // structs, so code written against either name interoperates.
+  // The driver option names are the pipeline structs (or derive from
+  // them), so code written against either name interoperates.
   static_assert(std::is_same_v<Lu2dOptions, pipeline::PanelOptions>);
-  static_assert(std::is_same_v<Chol2dOptions, pipeline::PanelOptions>);
   static_assert(std::is_base_of_v<pipeline::ZRedOptions, Lu3dOptions>);
-  static_assert(std::is_base_of_v<pipeline::ZRedOptions, Chol3dOptions>);
   Lu3dOptions o;
   o.chunk_snodes = 2;
   const pipeline::ZRedOptions& shared = o;
@@ -395,18 +308,6 @@ TEST(SparsePackPrimitives, AllZeroScan) {
   EXPECT_TRUE(dense::all_zero(x.data(), x.size()));  // signed zero is zero
   x[17] = -2.5;
   EXPECT_FALSE(dense::all_zero(x.data(), x.size()));
-}
-
-TEST(SparsePackPrimitives, TriangularBlockZeroScanIgnoresUpperPart) {
-  // A 3x3 column-major "diagonal" block: only the lower triangle travels,
-  // so garbage in the strict upper part must not make the block present.
-  const index_t n = 3;
-  std::vector<real_t> blk(static_cast<std::size_t>(n * n), 0.0);
-  blk[3] = 99.0;  // (0,1): strictly upper
-  blk[6] = -1.0;  // (0,2): strictly upper
-  EXPECT_TRUE(pipeline::block_all_zero(blk, n));
-  blk[4] = 0.5;  // (1,1): on the diagonal
-  EXPECT_FALSE(pipeline::block_all_zero(blk, n));
 }
 
 }  // namespace

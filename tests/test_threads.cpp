@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "lu3d/factor3d.hpp"
-#include "lu3d/factor3d_chol.hpp"
 #include "numeric/dense_kernels.hpp"
 #include "numeric/kernel_scratch.hpp"
+#include "numeric/seq_lu.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
@@ -605,49 +605,6 @@ TEST(Determinism, Fig9FactorsAndStatsAcrossThreadCountsSparse) {
     expect_factors_equal(ref.F, v.F, t);
     expect_stats_identical(ref.res, v.res, t);
   }
-}
-
-TEST(Determinism, Fig9CholeskyAcrossThreadCounts) {
-  const GridGeometry g{32, 32, 1};
-  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
-  const SeparatorTree tree = geometric_nd(g, {.leaf_size = 16});
-  const Problem p{BlockStructure(A, tree), A.permuted_symmetric(tree.perm())};
-  auto run = [&](int threads) {
-    const ForestPartition part(p.bs, 2);
-    Chol3dOptions o;
-    o.chol2d.lookahead = 8;
-    o.chol2d.packing = pipeline::PanelPacking::Targeted;
-    o.chol2d.threads = threads;
-    o.packing = pipeline::ZRedPacking::Sparse;
-    o.chunk_snodes = 2;
-    struct CholRun {
-      CholeskyFactors F;
-      RunResult res;
-    } out{CholeskyFactors(p.bs), {}};
-    std::mutex mu;
-    out.res = run_ranks(2 * 2 * 2, kModel, [&](sim::Comm& world) {
-      auto grid = ProcessGrid3D::create(world, 2, 2, 2);
-      DistCholFactors F = make_3d_chol_factors(p.bs, grid, part, p.Ap);
-      factorize_3d_cholesky(F, grid, part, o);
-      auto full = gather_3d_cholesky(F, world, grid, part);
-      if (full.has_value()) {
-        const std::lock_guard<std::mutex> lock(mu);
-        out.F = std::move(*full);
-      }
-    });
-    return out;
-  };
-  const auto ref = run(1);
-  const auto v = run(8);
-  for (int s = 0; s < p.bs.n_snodes(); ++s) {
-    const auto da = ref.F.diag(s), db = v.F.diag(s);
-    const auto la = ref.F.lpanel(s), lb = v.F.lpanel(s);
-    ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()))
-        << "diag snode " << s;
-    ASSERT_TRUE(std::equal(la.begin(), la.end(), lb.begin(), lb.end()))
-        << "L snode " << s;
-  }
-  expect_stats_identical(ref.res, v.res, 8);
 }
 
 }  // namespace

@@ -32,10 +32,12 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # SolveSchedule (bitwise solution pins plus a fuzz of the critical-path
 # solve order's matching rule) and AllgathervSweep (the log-depth
 # allgatherv at P = 1..17) certify the blocking solve sweeps and the
-# collective every solve and analysis ends with.
+# collective every solve and analysis ends with. GoldenCommCounters pins
+# the Dense and Targeted wire bytes of the factorization engines.
 REQUIRED_SUITES=(CommEquivalence ThreadPool Funneled Determinism Rma
                  RandomTargetedDeliveryFuzz Fleet PlatformRuntime
-                 DistAnalysis SolveSchedule AllgathervSweep)
+                 DistAnalysis SolveSchedule AllgathervSweep
+                 GoldenCommCounters)
 
 require_suites() {
   local dir="$1" list
