@@ -1,7 +1,6 @@
 #include "lu2d/dist_factors.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "support/check.hpp"
 
@@ -116,89 +115,6 @@ void Dist2dFactors::zero() {
     for (auto& b : lblocks_[s]) std::fill(b.data.begin(), b.data.end(), 0.0);
     for (auto& b : ublocks_[s]) std::fill(b.data.begin(), b.data.end(), 0.0);
   }
-}
-
-std::vector<real_t> Dist2dFactors::pack_owned() const {
-  std::vector<real_t> out;
-  for (int s = 0; s < bs_->n_snodes(); ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    out.insert(out.end(), diag_[su].begin(), diag_[su].end());
-    for (const auto& b : lblocks_[su])
-      out.insert(out.end(), b.data.begin(), b.data.end());
-    for (const auto& b : ublocks_[su])
-      out.insert(out.end(), b.data.begin(), b.data.end());
-  }
-  return out;
-}
-
-std::optional<SupernodalMatrix> Dist2dFactors::gather_to_root(
-    sim::ProcessGrid2D& grid) const {
-  SLU3D_CHECK(want_.empty(),
-              "gather_to_root requires an unmasked (pure 2D) layout; use "
-              "gather_3d_to_root for 3D layouts");
-  constexpr int kGatherTag = (1 << 20) + 7;
-  sim::Comm& comm = grid.grid();
-  if (comm.rank() != 0) {
-    comm.send(0, kGatherTag, pack_owned(), sim::CommPlane::XY);
-    return std::nullopt;
-  }
-
-  SupernodalMatrix full(*bs_);
-  // Unpack one source rank's deterministic stream into the full matrix.
-  auto unpack_rank = [&](int spx, int spy, std::span<const real_t> buf) {
-    std::size_t pos = 0;
-    auto rank_owns = [&](int bi, int bj) {
-      return bi % Px_ == spx && bj % Py_ == spy;
-    };
-    for (int s = 0; s < bs_->n_snodes(); ++s) {
-      const auto ns = static_cast<std::size_t>(bs_->snode_size(s));
-      if (ns == 0) continue;
-      if (rank_owns(s, s)) {
-        auto d = full.diag(s);
-        SLU3D_CHECK(pos + ns * ns <= buf.size(), "gather underflow (diag)");
-        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(pos), ns * ns,
-                    d.begin());
-        pos += ns * ns;
-      }
-      const auto panel = bs_->lpanel(s);
-      const auto prows = full.panel_rows(s);
-      const auto mtot = prows.size();
-      for (const auto& blk : panel) {
-        const auto m = static_cast<std::size_t>(blk.n_rows());
-        if (rank_owns(blk.snode, s)) {  // L block
-          const auto [off, cnt] = full.block_range(s, blk.snode);
-          SLU3D_CHECK(off >= 0 && static_cast<std::size_t>(cnt) == m, "L range");
-          SLU3D_CHECK(pos + m * ns <= buf.size(), "gather underflow (L)");
-          auto lp = full.lpanel(s);
-          for (std::size_t c = 0; c < ns; ++c)
-            for (std::size_t r = 0; r < m; ++r)
-              lp[static_cast<std::size_t>(off) + r + c * mtot] = buf[pos + r + c * m];
-          pos += m * ns;
-        }
-      }
-      for (const auto& blk : panel) {
-        const auto m = static_cast<std::size_t>(blk.n_rows());
-        if (rank_owns(s, blk.snode)) {  // U block
-          const auto [off, cnt] = full.block_range(s, blk.snode);
-          SLU3D_CHECK(off >= 0 && static_cast<std::size_t>(cnt) == m, "U range");
-          SLU3D_CHECK(pos + ns * m <= buf.size(), "gather underflow (U)");
-          auto up = full.upanel(s);
-          for (std::size_t c = 0; c < m; ++c)
-            for (std::size_t r = 0; r < ns; ++r)
-              up[r + (static_cast<std::size_t>(off) + c) * ns] = buf[pos + r + c * ns];
-          pos += ns * m;
-        }
-      }
-    }
-    SLU3D_CHECK(pos == buf.size(), "gather stream not fully consumed");
-  };
-
-  unpack_rank(px_, py_, pack_owned());
-  for (int r = 1; r < comm.size(); ++r) {
-    const auto buf = comm.recv(r, kGatherTag, sim::CommPlane::XY);
-    unpack_rank(r / Py_, r % Py_, buf);
-  }
-  return full;
 }
 
 }  // namespace slu3d

@@ -5,12 +5,10 @@
 // symbolic data) but only its own numeric blocks.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "numeric/supernodal_matrix.hpp"
-#include "simmpi/process_grid.hpp"
 #include "symbolic/block_structure.hpp"
 
 namespace slu3d {
@@ -75,14 +73,7 @@ class Dist2dFactors {
   /// Zero all owned numeric data (for reuse across experiments).
   void zero();
 
-  /// Collects all ranks' blocks onto grid rank 0 as a full SupernodalMatrix
-  /// (collective over `grid.grid()`; returns a value only on rank 0).
-  std::optional<SupernodalMatrix> gather_to_root(sim::ProcessGrid2D& grid) const;
-
  private:
-  /// Packs every owned block in deterministic order; unpack mirrors it.
-  std::vector<real_t> pack_owned() const;
-
   const BlockStructure* bs_;
   int Px_, Py_, px_, py_;
   std::vector<bool> want_;

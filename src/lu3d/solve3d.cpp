@@ -1,8 +1,10 @@
 #include "lu3d/solve3d.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
 #include <vector>
 
-#include "lu2d/solve_schedule.hpp"
 #include "numeric/dense_kernels.hpp"
 #include "support/check.hpp"
 
@@ -13,9 +15,117 @@ namespace {
 using sim::CommPlane;
 using sim::ComputeKind;
 
+/// A (descendant supernode c, index of a block in lpanel(c)) pair.
+using PanelRef = std::pair<int, int>;
+
+/// The static order in which every rank visits supernodes (see the
+/// header), and the descendant index that routes contributions. Both
+/// sweeps' orders are valid elimination orders, because a panel block of c
+/// always targets a strict ND ancestor of c. Every rank walks the same
+/// global order and each blocking receive is matched by a send issued
+/// earlier in that order, so the blocking sweeps cannot deadlock.
+class SolveSchedule {
+ public:
+  explicit SolveSchedule(const BlockStructure& bs);
+
+  /// Forward visiting order: ascending ND height, then id.
+  std::span<const int> forward() const { return forward_; }
+  /// Backward visiting order: ascending ND depth, then id.
+  std::span<const int> backward() const { return backward_; }
+
+  /// Every (c, k) with lpanel(c)[k].snode == a, ascending c: the forward
+  /// contributions a's diagonal owner accumulates, in the order it adds
+  /// them.
+  std::span<const PanelRef> into(int a) const {
+    return into_[static_cast<std::size_t>(a)];
+  }
+  /// The same pairs in backward visiting order of c: the order in which
+  /// the backward contributions of a must be sent.
+  std::span<const PanelRef> out_of(int a) const {
+    return out_of_[static_cast<std::size_t>(a)];
+  }
+
+ private:
+  std::vector<int> forward_, backward_;
+  std::vector<std::vector<PanelRef>> into_, out_of_;
+};
+
+SolveSchedule::SolveSchedule(const BlockStructure& bs) {
+  const int nsn = bs.n_snodes();
+  const auto at = [](auto& v, int s) -> auto& {
+    return v[static_cast<std::size_t>(s)];
+  };
+  // Parents have larger ids than their children, so one ascending pass
+  // settles every height and one descending pass every depth.
+  std::vector<int> height(static_cast<std::size_t>(nsn), 0);
+  std::vector<int> depth(static_cast<std::size_t>(nsn), 0);
+  for (int s = 0; s < nsn; ++s)
+    if (const int p = bs.nd_parent(s); p >= 0)
+      at(height, p) = std::max(at(height, p), at(height, s) + 1);
+  for (int s = nsn - 1; s >= 0; --s)
+    if (const int p = bs.nd_parent(s); p >= 0) at(depth, s) = at(depth, p) + 1;
+
+  const auto order_by = [&](const std::vector<int>& key) {
+    std::vector<int> order(static_cast<std::size_t>(nsn));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return at(key, a) != at(key, b) ? at(key, a) < at(key, b) : a < b;
+    });
+    return order;
+  };
+  forward_ = order_by(height);
+  backward_ = order_by(depth);
+
+  into_.resize(static_cast<std::size_t>(nsn));
+  for (int c = 0; c < nsn; ++c) {
+    const auto panel = bs.lpanel(c);
+    for (int k = 0; k < static_cast<int>(panel.size()); ++k) {
+      const int a = panel[static_cast<std::size_t>(k)].snode;
+      // What the sweeps need of an ND ancestor: visited after c going
+      // forward and before c going backward.
+      SLU3D_CHECK(at(height, a) > at(height, c) && at(depth, a) < at(depth, c),
+                  "panel block must target a higher and shallower supernode");
+      at(into_, a).push_back({c, k});
+    }
+  }
+  std::vector<int> bpos(static_cast<std::size_t>(nsn));
+  for (int i = 0; i < nsn; ++i) at(bpos, at(backward_, i)) = i;
+  out_of_ = into_;
+  for (auto& refs : out_of_)
+    std::sort(refs.begin(), refs.end(), [&](const PanelRef& u, const PanelRef& v) {
+      return at(bpos, u.first) < at(bpos, v.first);
+    });
+}
+
+/// An n x nrhs column-major right-hand-side / solution panel (ldx = n).
+/// One sweep over the panel serves all nrhs columns: message counts are
+/// independent of nrhs, message sizes scale with it.
+struct SolvePanel {
+  std::span<real_t> x;
+  index_t n;
+  index_t nrhs;
+
+  /// Copies rows [f, f + ns) of every column into a contiguous ns x nrhs
+  /// buffer.
+  void gather(index_t f, index_t ns, std::vector<real_t>& buf) const {
+    buf.resize(static_cast<std::size_t>(ns) * static_cast<std::size_t>(nrhs));
+    for (index_t j = 0; j < nrhs; ++j)
+      for (index_t r = 0; r < ns; ++r)
+        buf[static_cast<std::size_t>(r + j * ns)] =
+            x[static_cast<std::size_t>(f + r + j * n)];
+  }
+  /// The inverse of gather().
+  void scatter(std::span<const real_t> buf, index_t f, index_t ns) const {
+    for (index_t j = 0; j < nrhs; ++j)
+      for (index_t r = 0; r < ns; ++r)
+        x[static_cast<std::size_t>(f + r + j * n)] =
+            buf[static_cast<std::size_t>(r + j * ns)];
+  }
+};
+
 /// Contribution messages carry the *negated* partial product (gemm_minus
 /// computes C -= A B into a zeroed buffer), so receivers accumulate with +=.
-/// Supernodes are visited in the SolveSchedule order (solve_schedule.hpp).
+/// Supernodes are visited in the SolveSchedule order.
 class Solve3dDriver {
  public:
   Solve3dDriver(Dist2dFactors& F, sim::Comm& world, sim::ProcessGrid3D& grid,
@@ -38,8 +148,7 @@ class Solve3dDriver {
     const SolvePanel panel{x, bs_.n(), opt_.nrhs};
     forward(panel);
     backward(panel);
-    redistribute_solution(world_, gtag(), CommPlane::Z, bs_, panel,
-                          [&](int s) { return diag_owner(s); });
+    redistribute(panel);
   }
 
  private:
@@ -181,6 +290,40 @@ class Solve3dDriver {
         }
       }
     }
+  }
+
+  /// Gives every rank the full solution: each supernode's solved slice
+  /// lives on its diagonal owner, and one allgatherv concatenates the
+  /// owners' slices in world-rank order.
+  void redistribute(const SolvePanel& p) {
+    std::vector<int> own(static_cast<std::size_t>(bs_.n_snodes()));
+    std::vector<real_t> packed, slice;
+    for (int s = 0; s < bs_.n_snodes(); ++s) {
+      own[static_cast<std::size_t>(s)] = diag_owner(s);
+      if (own[static_cast<std::size_t>(s)] == world_.rank()) {
+        p.gather(bs_.first_col(s), bs_.snode_size(s), slice);
+        packed.insert(packed.end(), slice.begin(), slice.end());
+      }
+    }
+    const std::vector<real_t> all =
+        world_.allgatherv(gtag(), packed, CommPlane::Z);
+    // The stream holds rank 0's slices in ascending s, then rank 1's, ...
+    std::vector<int> order(own.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return own[static_cast<std::size_t>(a)] < own[static_cast<std::size_t>(b)];
+    });
+    std::size_t pos = 0;
+    for (const int s : order) {
+      const auto ns = bs_.snode_size(s);
+      const auto len =
+          static_cast<std::size_t>(ns) * static_cast<std::size_t>(p.nrhs);
+      SLU3D_CHECK(pos + len <= all.size(), "gather underflow");
+      p.scatter(std::span<const real_t>(all).subspan(pos, len),
+                bs_.first_col(s), ns);
+      pos += len;
+    }
+    SLU3D_CHECK(pos == all.size(), "gather stream not fully consumed");
   }
 
   Dist2dFactors& F_;

@@ -6,13 +6,14 @@
 // broadcasts each solved slice down its replication group along z and
 // then along the plane column, reaching every descendant's U blocks. A
 // log-depth allgatherv (Comm::allgatherv) finally hands every rank the
-// whole solution.
+// whole solution. At Pz = 1 the layout is SuperLU_DIST's 2D block-cyclic
+// one and this is the pdgstrs counterpart.
 //
 // Schedule. Every rank visits supernodes in one static order built from
-// the ND tree (lu2d/solve_schedule.hpp): the forward sweep by ascending
-// tree height, the backward sweep by ascending depth, ties by id. The
-// leaves of every subtree start at once instead of waiting behind the
-// separators of earlier subtrees, as they would in postorder. Messages,
+// the ND tree (SolveSchedule in solve3d.cpp): the forward sweep by
+// ascending tree height, the backward sweep by ascending depth, ties by
+// id. The leaves of every subtree start at once instead of waiting behind
+// the separators of earlier subtrees, as they would in postorder. Messages,
 // bytes and the ascending-c accumulation at each diagonal owner do not
 // depend on the order, so solutions are bitwise those of a postorder walk.
 // Matching rule: a rank that sends one diagonal owner backward

@@ -12,7 +12,7 @@ namespace slu3d::service {
 namespace {
 
 /// Pz == 0: model-driven grid split (Eq. 8 for planar inputs) given the
-/// total rank budget Px*Py, mirroring the one-shot driver's policy.
+/// total rank budget Px*Py.
 void pick_dims(const ServiceOptions& o, index_t n, int& Px, int& Py, int& Pz) {
   Px = o.Px;
   Py = o.Py;

@@ -270,15 +270,4 @@ void PlatformLayout::route(int src, int dst, std::vector<int>& out) const {
   out.push_back(2 * dst + 1);  // NIC down
 }
 
-double PlatformLayout::route_seconds(int src, int dst, offset_t bytes) const {
-  std::vector<int> hops;
-  route(src, dst, hops);
-  double t = 0.0;
-  for (int id : hops) {
-    const Link& l = links_[static_cast<std::size_t>(id)];
-    t += l.latency + l.inv_bw * static_cast<double>(bytes);
-  }
-  return t;
-}
-
 }  // namespace slu3d::sim

@@ -109,11 +109,6 @@ class PlatformLayout {
   /// source-endpoint link only (the historical LogGP charge).
   void route(int src, int dst, std::vector<int>& out) const;
 
-  /// Contention-free transfer seconds along route(src, dst): the sum of
-  /// `latency + inv_bw * bytes` over the route's links. Used for charges
-  /// that do not occupy the wire (one-sided get snapshots).
-  double route_seconds(int src, int dst, offset_t bytes) const;
-
  private:
   bool flat_ = true;
   int n_ = 0;

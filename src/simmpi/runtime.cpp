@@ -58,14 +58,12 @@ struct Envelope {
 /// computes locally from (comm_id, tag, per-member creation count) — the
 /// counts stay in lockstep because win_create is collective, so members
 /// rendezvous on the same entry without serializing pointers. Each member
-/// writes only its own extent/snapshot slot; cross-rank reads are ordered
-/// by the uncharged creation handshake and by fence barriers.
+/// writes only its own extent slot; cross-rank reads are ordered by the
+/// uncharged creation handshake.
 struct WindowShared {
   std::uint64_t uid = 0;
   int p = 0;
   std::vector<std::size_t> extents;
-  std::vector<std::vector<real_t>> snapshots;  ///< what get() reads
-  std::vector<double> snap_clocks;             ///< publish time per member
 };
 
 class Context {
@@ -164,22 +162,6 @@ class Context {
     return pop_ready(mb, key, ticket);
   }
 
-  /// Fused ticket-draw + take for the next *already delivered* envelope of
-  /// `key`: succeeds only if the slot the next ticket would match holds a
-  /// landed envelope, and then consumes both. Lets a fence drain every
-  /// operation that arrived in the closing epoch without registering
-  /// receives for them up front (one-sided targets don't know the count).
-  std::optional<Envelope> try_take_next(int dst_world, const MsgKey& key) {
-    Mailbox& mb = *mailboxes[static_cast<std::size_t>(dst_world)];
-    const std::lock_guard<std::mutex> lock(mb.mu);
-    if (aborted.load(std::memory_order_relaxed))
-      throw Error("simmpi: run aborted by a failing rank");
-    const auto it = mb.queues.find(key);
-    if (it == mb.queues.end() || !it->second.ready.contains(it->second.next_ticket))
-      return std::nullopt;
-    return pop_ready(mb, key, it->second.next_ticket++);
-  }
-
   /// Rendezvous for win_create: every member computes `uid` locally and the
   /// first to arrive creates the shared struct.
   std::shared_ptr<WindowShared> window_shared(std::uint64_t uid, int p) {
@@ -190,8 +172,6 @@ class Context {
       slot->uid = uid;
       slot->p = p;
       slot->extents.resize(static_cast<std::size_t>(p), 0);
-      slot->snapshots.resize(static_cast<std::size_t>(p));
-      slot->snap_clocks.resize(static_cast<std::size_t>(p), 0.0);
     }
     SLU3D_CHECK(slot->p == p, "win_create: uid collision across sizes");
     return slot;
@@ -216,8 +196,8 @@ class Context {
   /// Removes and returns the matched envelope; the queue itself is erased
   /// once drained AND free of outstanding tickets. RMA op-streams are kept
   /// alive even when quiescent: a Window mirrors the stream's ticket counter
-  /// in its own expect/apply cursors, so resetting the queue to zero between
-  /// epochs would desynchronise every later expect. Caller holds mb.mu.
+  /// in its own expect/apply cursors, so resetting the queue to zero once it
+  /// drains would desynchronise every later expect. Caller holds mb.mu.
   Envelope pop_ready(Mailbox& mb, const MsgKey& key, std::uint64_t ticket) {
     const auto it = mb.queues.find(key);
     const auto rit = it->second.ready.find(ticket);
@@ -478,11 +458,6 @@ double Comm::clock() const {
   return ctx_->stats[static_cast<std::size_t>(world_rank())].clock;
 }
 
-void Comm::advance_clock_to(double t) {
-  auto& st = stats();
-  st.clock = std::max(st.clock, t);
-}
-
 void Comm::begin_analysis_phase() {
   assert_funneled();
   auto& st = stats();
@@ -507,13 +482,6 @@ void Comm::add_compute(offset_t flops, ComputeKind kind) {
   st.clock += dt;
   st.compute_seconds[static_cast<std::size_t>(kind)] += dt;
   st.flops[static_cast<std::size_t>(kind)] += flops;
-}
-
-void Comm::add_seconds(double seconds, ComputeKind kind) {
-  assert_funneled();
-  auto& st = stats();
-  st.clock += seconds;
-  st.compute_seconds[static_cast<std::size_t>(kind)] += seconds;
 }
 
 // ---- charged point-to-point helpers --------------------------------------
@@ -910,8 +878,8 @@ namespace {
 /// data. Word 0 packs the kind into the top byte and the target element
 /// offset into the low 56 bits; word 1 is the dense span length. For
 /// ScatterAcc the data is ceil(len/64) bitmap words followed by the packed
-/// nonzeros; for Put/Acc it is the len elements themselves.
-enum class RmaKind : std::uint64_t { Put = 0, Acc = 1, ScatterAcc = 2 };
+/// nonzeros; for Put it is the len elements themselves.
+enum class RmaKind : std::uint64_t { Put = 0, ScatterAcc = 1 };
 constexpr std::uint64_t kRmaOffsetMask = (std::uint64_t{1} << 56) - 1;
 
 real_t rma_header(RmaKind kind, std::size_t offset) {
@@ -938,9 +906,6 @@ Window Comm::win_create(int tag, std::span<real_t> local, CommPlane plane) {
       count * std::uint64_t{0x9e3779b97f4a7c15});
   auto sh = ctx_->window_shared(uid, p);
   sh->extents[static_cast<std::size_t>(rank_)] = local.size();
-  sh->snapshots[static_cast<std::size_t>(rank_)].assign(local.begin(),
-                                                        local.end());
-  sh->snap_clocks[static_cast<std::size_t>(rank_)] = clock();
   // Uncharged handshake (like split()): gather-to-member-0 + replies. This
   // orders every member's slot writes before every member's return, so no
   // operation can race window creation.
@@ -964,7 +929,6 @@ Window Comm::win_create(int tag, std::span<real_t> local, CommPlane plane) {
   w.plane_ = plane;
   w.local_ = local;
   w.origin_.resize(static_cast<std::size_t>(p));
-  w.comm_ = std::make_shared<Comm>(*this);
   return w;
 }
 
@@ -1001,18 +965,6 @@ void Window::put(int target, std::size_t offset, std::span<const real_t> data) {
   std::vector<real_t> payload;
   payload.reserve(data.size() + 2);
   payload.push_back(rma_header(RmaKind::Put, offset));
-  payload.push_back(std::bit_cast<real_t>(static_cast<std::uint64_t>(data.size())));
-  payload.insert(payload.end(), data.begin(), data.end());
-  post_op(target, std::move(payload), payload_bytes(data.size()));
-}
-
-void Window::accumulate(int target, std::size_t offset,
-                        std::span<const real_t> data) {
-  SLU3D_CHECK(offset + data.size() <= extent(target),
-              "accumulate: out of range");
-  std::vector<real_t> payload;
-  payload.reserve(data.size() + 2);
-  payload.push_back(rma_header(RmaKind::Acc, offset));
   payload.push_back(std::bit_cast<real_t>(static_cast<std::uint64_t>(data.size())));
   payload.insert(payload.end(), data.begin(), data.end());
   post_op(target, std::move(payload), payload_bytes(data.size()));
@@ -1096,10 +1048,6 @@ void Window::apply_envelope(int origin, std::vector<real_t> payload,
       SLU3D_CHECK(data.size() == len, "put: data size mismatch");
       std::copy(data.begin(), data.end(), local_.begin() + static_cast<std::ptrdiff_t>(offset));
       break;
-    case RmaKind::Acc:
-      SLU3D_CHECK(data.size() == len, "accumulate: data size mismatch");
-      for (std::size_t i = 0; i < len; ++i) local_[offset + i] += data[i];
-      break;
     case RmaKind::ScatterAcc: {
       const std::size_t words = (len + 63) / 64;
       SLU3D_CHECK(data.size() >= words, "scatter_accumulate: truncated bitmap");
@@ -1129,71 +1077,6 @@ void WindowDelivery::wait() {
   Window* w = win_;
   win_ = nullptr;
   w->apply_through(origin_, seq_);
-}
-
-void Window::get(int target, std::size_t offset, std::span<real_t> out) {
-  assert_funneled();
-  SLU3D_CHECK(valid(), "get: invalid window");
-  SLU3D_CHECK(target >= 0 && target < size(), "get: bad target");
-  const auto& snap = sh_->snapshots[static_cast<std::size_t>(target)];
-  SLU3D_CHECK(offset + out.size() <= snap.size(), "get: out of range");
-  const int me = members_[static_cast<std::size_t>(rank_)];
-  auto& st = ctx_->stats[static_cast<std::size_t>(me)];
-  const offset_t bytes = payload_bytes(out.size());
-  const double t0 = st.clock;
-  // The payload leaves the target at its snapshot publish time; the fetch
-  // occupies the origin for the transfer (the target's thread is not
-  // involved — that is the point of one-sided). Charged contention-free
-  // along the target -> origin route: a snapshot read models pulling from
-  // exposed memory, not a queued wire transfer, so it must not perturb
-  // (or be perturbed by) the busy clocks — this also keeps flat runs
-  // bitwise-reproducible, get() being the one charge whose ordering
-  // across ranks is not pinned by message matching.
-  const double start =
-      std::max(st.clock, sh_->snap_clocks[static_cast<std::size_t>(target)]);
-  st.clock = start + ctx_->layout.route_seconds(
-                         members_[static_cast<std::size_t>(target)], me, bytes);
-  ctx_->record(me, {TraceEvent::Kind::Recv, t0, st.clock,
-                    members_[static_cast<std::size_t>(target)], bytes,
-                    ComputeKind::Other, -1});
-  st.wait_seconds += start - t0;
-  st.add_received(plane_, bytes);
-  std::copy_n(snap.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
-              out.begin());
-}
-
-void Window::fence(int tag) {
-  assert_funneled();
-  SLU3D_CHECK(valid(), "fence: invalid window");
-  // Barrier 1: every operation of the closing epoch has been injected
-  // (and, the mailboxes being synchronous, delivered) before any rank
-  // starts applying — so the drain below sees exactly the epoch's ops.
-  comm_->barrier(tag, plane_);
-  const int me = members_[static_cast<std::size_t>(rank_)];
-  for (int o = 0; o < size(); ++o) {
-    auto& os = origin_[static_cast<std::size_t>(o)];
-    const detail::MsgKey key{sh_->uid, members_[static_cast<std::size_t>(o)],
-                             rma_op_tag()};
-    // Expected-but-unwaited deliveries first (they hold earlier tickets),
-    // then everything that arrived unannounced, all in post order.
-    while (os.next_applied < os.next_expect) {
-      detail::Envelope env = ctx_->take_ticket(me, key, os.next_applied);
-      apply_envelope(o, std::move(env.payload), env.arrival);
-      ++os.next_applied;
-    }
-    while (auto env = ctx_->try_take_next(me, key)) {
-      apply_envelope(o, std::move(env->payload), env->arrival);
-      ++os.next_expect;
-      ++os.next_applied;
-    }
-  }
-  sh_->snapshots[static_cast<std::size_t>(rank_)].assign(local_.begin(),
-                                                         local_.end());
-  sh_->snap_clocks[static_cast<std::size_t>(rank_)] =
-      ctx_->stats[static_cast<std::size_t>(me)].clock;
-  // Barrier 2: snapshots are published before any rank's next epoch (or
-  // get()) can read them.
-  comm_->barrier(tag, plane_);
 }
 
 double RunResult::max_clock() const {

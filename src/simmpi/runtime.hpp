@@ -46,7 +46,7 @@ namespace slu3d::sim {
 namespace detail {
 class Context;          // shared mailboxes + stats, defined in runtime.cpp
 struct RequestState;    // per-operation completion state, runtime.cpp
-struct WindowShared;    // cross-rank window metadata + snapshots, runtime.cpp
+struct WindowShared;    // cross-rank window metadata, runtime.cpp
 }
 
 class Window;
@@ -157,7 +157,7 @@ class Comm {
   /// `tag`; `local` must outlive the Window. Repeated creations on the
   /// same (communicator, tag) are matched by call order, so per-level
   /// windows never alias across levels. The setup handshake itself is
-  /// uncharged (like split()); all put/get/accumulate traffic on the
+  /// uncharged (like split()); all put/scatter_accumulate traffic on the
   /// window is LogGP-charged on `plane`.
   Window win_create(int tag, std::span<real_t> local, CommPlane plane);
 
@@ -173,12 +173,8 @@ class Comm {
 
   /// Advance the logical clock by the model cost of `flops`.
   void add_compute(offset_t flops, ComputeKind kind);
-  /// Advance the logical clock by raw seconds (e.g. imbalance injection).
-  void add_seconds(double seconds, ComputeKind kind);
 
   double clock() const;
-  /// Force the clock to at least `t` (used by tests).
-  void advance_clock_to(double t);
 
   const MachineModel& model() const;
   /// The platform this run charges transfers against (flat unless the run
@@ -226,20 +222,13 @@ class WindowDelivery {
 };
 
 /// A one-sided RMA window over a communicator (created collectively by
-/// Comm::win_create). Origin-side operations — put/accumulate/
+/// Comm::win_create). Origin-side operations — put and
 /// scatter_accumulate — are charged exactly like isend: alpha on the
 /// origin's clock, the transfer serialized on the origin's wire, and the
-/// data bytes booked as sent on the window's plane. The receiver side
-/// offers two completion models:
-///  - targeted: the receiver calls expect(origin) once per operation it
-///    knows (symbolically) is coming, and wait()s the returned delivery
-///    at the point the data is needed — the pipeline engines' model;
-///  - epoch: fence(tag) closes an access epoch collectively, applying
-///    every operation landed so far and refreshing the snapshot that
-///    get() reads — the classic MPI_Win_fence model.
-/// get(target,...) reads from the target's last fenced snapshot without
-/// involving the target's thread, charged like a blocking receive whose
-/// payload leaves the target at its snapshot clock. Move-only.
+/// data bytes booked as sent on the window's plane. The receiver calls
+/// expect(origin) once per operation it knows (symbolically) is coming,
+/// and wait()s the returned delivery at the point the data is needed.
+/// Move-only.
 class Window {
  public:
   Window() = default;
@@ -258,8 +247,6 @@ class Window {
 
   /// Copies `data` into target's window at element `offset`.
   void put(int target, std::size_t offset, std::span<const real_t> data);
-  /// Adds `data` element-wise into target's window at `offset`.
-  void accumulate(int target, std::size_t offset, std::span<const real_t> data);
   /// Sparse accumulate: adds `packed` (the nonzeros of a dense span of
   /// `span_len` elements, selected by `bitmap`, one bit per element,
   /// LSB-first within each word) into target's window at `offset`. Only
@@ -273,17 +260,6 @@ class Window {
   /// origin's post order) and returns its delivery receipt. The matching
   /// is reserved at call time, exactly like an irecv posting.
   WindowDelivery expect(int origin);
-
-  /// Reads target's snapshot (as of its last fence / creation) into
-  /// `out`, starting at element `offset`.
-  void get(int target, std::size_t offset, std::span<real_t> out);
-
-  /// Collective epoch close: applies every operation that reached this
-  /// rank (expected or not), publishes the local memory as the snapshot
-  /// get() serves, and synchronizes the communicator. Deterministic:
-  /// the surrounding barriers mean exactly the operations of the closing
-  /// epoch are applied, in origin-rank then post order.
-  void fence(int tag);
 
  private:
   friend class Comm;
@@ -304,8 +280,6 @@ class Window {
   CommPlane plane_ = CommPlane::XY;
   std::span<real_t> local_;
   std::vector<OriginSeq> origin_;
-  /// The creating communicator, kept for the fence barriers.
-  std::shared_ptr<Comm> comm_;
 };
 
 /// Lifetime usage of one platform link: what travelled over it and how

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "analysis/dist_analysis.hpp"
-#include "lu3d/solver3d.hpp"
 #include "order/parallel_nd.hpp"
 #include "service/solver_service.hpp"
 #include "sparse/generators.hpp"
@@ -215,7 +214,7 @@ TEST(DistAnalysisFuzz, RandomGraphsFactorBitwiseEqualEndToEnd) {
     for (auto& v : xref) v = rng.uniform(-1, 1);
     A.spmv(xref, b);
 
-    Solver3dOptions opt;
+    service::ServiceOptions opt;
     opt.Px = 2;
     opt.Py = 2;
     opt.Pz = 2;
@@ -225,11 +224,15 @@ TEST(DistAnalysisFuzz, RandomGraphsFactorBitwiseEqualEndToEnd) {
 
     std::vector<real_t> x_host(un), x_dist(un);
     opt.analysis = AnalysisMode::Host;
-    const auto rep_host = solve_distributed_3d(A, b, x_host, opt);
+    service::SolverService host(opt);
+    const auto rep_host = host.factor(A);
+    const auto solve_host = host.solve({b, x_host, 1});
     opt.analysis = AnalysisMode::Distributed;
-    const auto rep_dist = solve_distributed_3d(A, b, x_dist, opt);
+    service::SolverService dist(opt);
+    const auto rep_dist = dist.factor(A);
+    dist.solve({b, x_dist, 1});
 
-    EXPECT_LT(rep_host.residual, 1e-12) << "seed=" << seed;
+    EXPECT_LT(solve_host.residual, 1e-12) << "seed=" << seed;
     EXPECT_EQ(rep_host.flops, rep_dist.flops) << "seed=" << seed;
     EXPECT_EQ(rep_host.mem_total, rep_dist.mem_total) << "seed=" << seed;
     EXPECT_EQ(rep_host.mem_max, rep_dist.mem_max) << "seed=" << seed;

@@ -8,14 +8,17 @@
 #include <mutex>
 
 #include "lu3d/factor3d.hpp"
-#include "lu3d/solver3d.hpp"
 #include "numeric/seq_lu.hpp"
 #include "order/nested_dissection.hpp"
+#include "service/solver_service.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
 
 namespace slu3d {
 namespace {
+
+using service::ServiceOptions;
+using service::SolverService;
 
 /// Random sparse matrix with symmetric pattern, (possibly) nonsymmetric
 /// values, strict diagonal dominance, and a connected-ish structure:
@@ -85,7 +88,7 @@ TEST_P(RandomPipelineFuzz, Distributed3dSolvesRandomSystem) {
   const index_t n = 40 + rng.next_index(80);
   const CsrMatrix A = random_matrix(n, 2 * n, seed + 100, false);
 
-  Solver3dOptions opt;
+  ServiceOptions opt;
   const int shapes[][3] = {{1, 1, 2}, {2, 1, 2}, {1, 2, 4}, {2, 2, 1},
                            {2, 2, 2}, {1, 3, 2}, {3, 1, 1}, {2, 3, 1}};
   const auto& s = shapes[seed % 8];
@@ -99,7 +102,9 @@ TEST_P(RandomPipelineFuzz, Distributed3dSolvesRandomSystem) {
   std::vector<real_t> xref(nu), b(nu), x(nu);
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
-  const auto rep = solve_distributed_3d(A, b, x, opt);
+  SolverService svc(opt);
+  svc.factor(A);
+  const auto rep = svc.solve({b, x, 1});
   EXPECT_LT(rep.residual, 1e-11) << "seed " << seed;
   for (std::size_t i = 0; i < nu; ++i)
     ASSERT_NEAR(x[i], xref[i], 1e-6) << "seed " << seed << " i=" << i;
@@ -127,7 +132,7 @@ TEST_P(RandomPackingFuzz, SparsePanelPackingSolvesBitIdentical) {
   const index_t extra = n / 2 + rng.next_index(3 * n);
   const CsrMatrix A = random_matrix(n, extra, seed + 500, (seed % 3) == 0);
 
-  Solver3dOptions opt;
+  ServiceOptions opt;
   const int shapes[][3] = {{2, 2, 1}, {2, 1, 2}, {1, 2, 4}, {2, 2, 2},
                            {1, 3, 2}, {2, 3, 1}};
   const auto& s = shapes[seed % 6];
@@ -143,16 +148,20 @@ TEST_P(RandomPackingFuzz, SparsePanelPackingSolvesBitIdentical) {
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
 
-  const auto repd = solve_distributed_3d(A, b, xd, opt);
+  SolverService dense(opt);
+  const auto fd = dense.factor(A);
+  const auto repd = dense.solve({b, xd, 1});
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Targeted;
   opt.lu3d.packing = pipeline::ZRedPacking::Sparse;
-  const auto reps = solve_distributed_3d(A, b, xs, opt);
+  SolverService sparse(opt);
+  const auto fs = sparse.factor(A);
+  const auto reps = sparse.solve({b, xs, 1});
 
   EXPECT_LT(repd.residual, 1e-11) << "seed " << seed;
   EXPECT_LT(reps.residual, 1e-11) << "seed " << seed;
   for (std::size_t i = 0; i < nu; ++i)
     ASSERT_EQ(xd[i], xs[i]) << "seed " << seed << " i=" << i;
-  EXPECT_LE(reps.w_fact, repd.w_fact) << "seed " << seed;
+  EXPECT_LE(fs.w_fact, fd.w_fact) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPackingFuzz, ::testing::Range(0, 12));
@@ -173,7 +182,7 @@ TEST_P(RandomTargetedDeliveryFuzz, TargetedDeliverySolvesBitIdentical) {
   const index_t extra = n / 2 + rng.next_index(3 * n);
   const CsrMatrix A = random_matrix(n, extra, seed + 900, (seed % 3) == 0);
 
-  Solver3dOptions opt;
+  ServiceOptions opt;
   const int shapes[][3] = {{2, 2, 1}, {2, 1, 2}, {1, 2, 4}, {2, 2, 2},
                            {1, 3, 2}, {2, 3, 1}};
   const auto& s = shapes[seed % 6];
@@ -191,16 +200,20 @@ TEST_P(RandomTargetedDeliveryFuzz, TargetedDeliverySolvesBitIdentical) {
 
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Dense;
   opt.lu3d.packing = pipeline::ZRedPacking::Dense;
-  const auto repd = solve_distributed_3d(A, b, xd, opt);
+  SolverService dense(opt);
+  const auto fd = dense.factor(A);
+  const auto repd = dense.solve({b, xd, 1});
   opt.lu3d.lu2d.packing = pipeline::PanelPacking::Targeted;
   opt.lu3d.packing = pipeline::ZRedPacking::Targeted;
-  const auto rept = solve_distributed_3d(A, b, xt, opt);
+  SolverService targeted(opt);
+  const auto ft = targeted.factor(A);
+  const auto rept = targeted.solve({b, xt, 1});
 
   EXPECT_LT(repd.residual, 1e-11) << "seed " << seed;
   EXPECT_LT(rept.residual, 1e-11) << "seed " << seed;
   for (std::size_t i = 0; i < nu; ++i)
     ASSERT_EQ(xd[i], xt[i]) << "seed " << seed << " i=" << i;
-  EXPECT_LE(rept.w_fact, repd.w_fact) << "seed " << seed;
+  EXPECT_LE(ft.w_fact, fd.w_fact) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTargetedDeliveryFuzz,
@@ -313,12 +326,14 @@ TEST(Fuzz, DenseLeafMatrixSingleSupernode) {
   EXPECT_EQ(tree.n_nodes(), 1);
   const auto n = static_cast<std::size_t>(A.n_rows());
   std::vector<real_t> b(n, 1.0), x(n);
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 2;
   opt.Pz = 1;
   opt.nd.leaf_size = 64;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
+  SolverService svc(opt);
+  svc.factor(A);
+  const auto rep = svc.solve({b, x, 1});
   EXPECT_LT(rep.residual, 1e-12);
 }
 
@@ -334,12 +349,14 @@ TEST(Fuzz, PathGraphDeepTree) {
   const CsrMatrix A = CsrMatrix::from_coo(coo);
   const auto nu = static_cast<std::size_t>(n);
   std::vector<real_t> b(nu, 1.0), x(nu);
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 1;
   opt.Py = 2;
   opt.Pz = 4;
   opt.nd.leaf_size = 4;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
+  SolverService svc(opt);
+  svc.factor(A);
+  const auto rep = svc.solve({b, x, 1});
   EXPECT_LT(rep.residual, 1e-13);
 }
 
@@ -357,12 +374,14 @@ TEST(Fuzz, ManyIslandsForestPartition) {
   const CsrMatrix A = CsrMatrix::from_coo(coo);
   const auto nu = static_cast<std::size_t>(A.n_rows());
   std::vector<real_t> b(nu, 1.0), x(nu);
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 2;
   opt.Pz = 4;
   opt.nd.leaf_size = 4;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
+  SolverService svc(opt);
+  svc.factor(A);
+  const auto rep = svc.solve({b, x, 1});
   EXPECT_LT(rep.residual, 1e-13);
 }
 

@@ -4,7 +4,7 @@
 #include <mutex>
 #include <numeric>
 
-#include "lu2d/factor2d.hpp"
+#include "lu3d/factor3d.hpp"
 #include "numeric/seq_lu.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
@@ -16,17 +16,20 @@ namespace {
 using sim::CommPlane;
 using sim::MachineModel;
 using sim::ProcessGrid2D;
+using sim::ProcessGrid3D;
 using sim::RunResult;
 using sim::run_ranks;
 
 const MachineModel kModel{};
 
 /// Factorizes `A` on a Px x Py grid and returns the gathered factors,
-/// checked entry-wise against the sequential factorization.
+/// checked entry-wise against the sequential factorization. The ranks form
+/// a Px x Py x 1 grid, so that gather_3d_to_root can collect the factors.
 void check_2d_matches_sequential(const CsrMatrix& A, const SeparatorTree& tree,
                                  int Px, int Py, int lookahead) {
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+  const ForestPartition part(bs, 1);
 
   SupernodalMatrix ref(bs);
   ref.fill_from(Ap);
@@ -35,15 +38,15 @@ void check_2d_matches_sequential(const CsrMatrix& A, const SeparatorTree& tree,
   SupernodalMatrix gathered(bs);  // filled on rank 0 below
   std::mutex mu;
   run_ranks(Px * Py, kModel, [&](sim::Comm& world) {
-    auto grid = ProcessGrid2D::create(world, Px, Py);
-    Dist2dFactors F(bs, Px, Py, grid.px(), grid.py());
+    auto grid = ProcessGrid3D::create(world, Px, Py, 1);
+    Dist2dFactors F(bs, Px, Py, grid.plane().px(), grid.plane().py());
     F.fill_from(Ap);
     std::vector<int> all(static_cast<std::size_t>(bs.n_snodes()));
     std::iota(all.begin(), all.end(), 0);
     Lu2dOptions opt;
     opt.lookahead = lookahead;
-    factorize_2d(F, grid, all, opt);
-    auto full = F.gather_to_root(grid);
+    factorize_2d(F, grid.plane(), all, opt);
+    auto full = gather_3d_to_root(F, world, grid, part);
     if (full.has_value()) {
       const std::lock_guard<std::mutex> lock(mu);
       gathered = std::move(*full);
@@ -103,6 +106,7 @@ TEST(Lu2d, SolvesViaGatheredFactors) {
   const SeparatorTree tree = geometric_nd(g, {.leaf_size = 16});
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+  const ForestPartition part(bs, 1);
   const auto pinv = invert_permutation(tree.perm());
 
   Rng rng(3);
@@ -114,13 +118,13 @@ TEST(Lu2d, SolvesViaGatheredFactors) {
   std::vector<real_t> x(n);
   std::mutex mu;
   run_ranks(4, kModel, [&](sim::Comm& world) {
-    auto grid = ProcessGrid2D::create(world, 2, 2);
-    Dist2dFactors F(bs, 2, 2, grid.px(), grid.py());
+    auto grid = ProcessGrid3D::create(world, 2, 2, 1);
+    Dist2dFactors F(bs, 2, 2, grid.plane().px(), grid.plane().py());
     F.fill_from(Ap);
     std::vector<int> all(static_cast<std::size_t>(bs.n_snodes()));
     std::iota(all.begin(), all.end(), 0);
-    factorize_2d(F, grid, all, {});
-    auto full = F.gather_to_root(grid);
+    factorize_2d(F, grid.plane(), all, {});
+    auto full = gather_3d_to_root(F, world, grid, part);
     if (full.has_value()) {
       std::vector<real_t> pb(n);
       for (std::size_t i = 0; i < n; ++i)

@@ -92,18 +92,6 @@ TEST(Timer, MeasuresElapsedWallTime) {
   EXPECT_LT(t.seconds(), 0.015);
 }
 
-TEST(Comm, AdvanceClockToIsMonotone) {
-  const sim::MachineModel m;
-  sim::run_ranks(1, m, [&](sim::Comm& w) {
-    w.advance_clock_to(1.5);
-    EXPECT_DOUBLE_EQ(w.clock(), 1.5);
-    w.advance_clock_to(1.0);  // never goes backwards
-    EXPECT_DOUBLE_EQ(w.clock(), 1.5);
-    w.add_seconds(0.5, sim::ComputeKind::Other);
-    EXPECT_DOUBLE_EQ(w.clock(), 2.0);
-  });
-}
-
 TEST(Comm, RejectsBadPeerRanks) {
   const sim::MachineModel m;
   EXPECT_THROW(sim::run_ranks(2, m,

@@ -2,7 +2,7 @@
 
 #include <mutex>
 
-#include "lu3d/solver3d.hpp"
+#include "lu3d/solve3d.hpp"
 #include "order/parallel_nd.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"

@@ -125,10 +125,6 @@ TEST(Platform, FlatRouteIsTheSenderWire) {
   layout.route(2, 0, ids);
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(ids[0], 2);  // the *sender's* endpoint link
-  // The contention-free transfer time over the flat wire is exactly the
-  // historical LogGP message time, bit for bit.
-  const offset_t bytes = 4096;
-  EXPECT_EQ(layout.route_seconds(2, 0, bytes), kModel.message_time(bytes));
 }
 
 TEST(Platform, HierarchicalRoutesClimbToLowestCommonAncestor) {

@@ -569,25 +569,6 @@ TEST(Rma, OverlappingPutsApplyInPostOrderUnderReversedWaits) {
   });
 }
 
-TEST(Rma, AccumulateAddsElementwise) {
-  const auto result = run_ranks(3, kModel, [](Comm& world) {
-    std::vector<real_t> mem(4, 1.0);
-    Window win = world.win_create(5, mem, CommPlane::Z);
-    if (world.rank() != 0) {
-      win.accumulate(0, 1, std::vector<real_t>{static_cast<real_t>(world.rank()), 2.0});
-    } else {
-      win.expect(1).wait();
-      win.expect(2).wait();
-      EXPECT_DOUBLE_EQ(mem[0], 1.0);
-      EXPECT_DOUBLE_EQ(mem[1], 1.0 + 1.0 + 2.0);
-      EXPECT_DOUBLE_EQ(mem[2], 1.0 + 2.0 + 2.0);
-      EXPECT_DOUBLE_EQ(mem[3], 1.0);
-    }
-  });
-  EXPECT_EQ(result.ranks[0].bytes_received[1], 2 * 16);
-  EXPECT_EQ(result.ranks[0].messages_received[1], 2);
-}
-
 TEST(Rma, ScatterAccumulateAddsOnlySetBits) {
   const auto result = run_ranks(2, kModel, [](Comm& world) {
     std::vector<real_t> mem(70, 0.5);
@@ -611,66 +592,6 @@ TEST(Rma, ScatterAccumulateAddsOnlySetBits) {
   // Two bitmap words + four packed scalars travel (and are charged).
   EXPECT_EQ(result.ranks[1].bytes_received[0], (2 + 4) * 8);
   EXPECT_EQ(result.ranks[1].messages_received[0], 1);
-}
-
-TEST(Rma, FencePublishesSnapshotsForGet) {
-  run_ranks(2, kModel, [](Comm& world) {
-    std::vector<real_t> mem(3, 0.0);
-    if (world.rank() == 0) mem = {7, 8, 9};
-    Window win = world.win_create(2, mem, CommPlane::XY);
-    // Creation publishes the initial contents.
-    std::vector<real_t> got(2);
-    win.get(0, 1, got);
-    EXPECT_DOUBLE_EQ(got[0], 8);
-    EXPECT_DOUBLE_EQ(got[1], 9);
-    // A local write is invisible to get() until a fence republishes...
-    if (world.rank() == 0) mem[1] = 80;
-    win.get(0, 1, got);
-    EXPECT_DOUBLE_EQ(got[0], 8);
-    win.fence(4);
-    win.get(0, 1, got);
-    EXPECT_DOUBLE_EQ(got[0], 80);
-  });
-}
-
-TEST(Rma, FenceAppliesUnannouncedOpsExactlyOnce) {
-  run_ranks(4, kModel, [](Comm& world) {
-    std::vector<real_t> mem(4, 0.0);
-    Window win = world.win_create(9, mem, CommPlane::XY);
-    // No expect() calls at all: the epoch close must find and apply every
-    // landed operation, in origin-rank then post order.
-    if (world.rank() != 0)
-      win.accumulate(0, 0, std::vector<real_t>{1, 1, 1, 1});
-    win.fence(1);
-    if (world.rank() == 0) {
-      for (const real_t v : mem) {
-        EXPECT_DOUBLE_EQ(v, 3.0);
-      }
-    }
-    // Second epoch on the same window: nothing may double-apply.
-    if (world.rank() == 1) win.put(0, 2, std::vector<real_t>{5});
-    win.fence(1);
-    if (world.rank() == 0) {
-      EXPECT_DOUBLE_EQ(mem[2], 5.0);
-      EXPECT_DOUBLE_EQ(mem[1], 3.0);
-    }
-  });
-}
-
-TEST(Rma, FenceCompletesExpectedButUnwaitedDeliveries) {
-  run_ranks(2, kModel, [](Comm& world) {
-    std::vector<real_t> mem(2, 0.0);
-    Window win = world.win_create(6, mem, CommPlane::XY);
-    WindowDelivery d;
-    if (world.rank() == 1) d = win.expect(0);
-    if (world.rank() == 0) win.put(1, 0, std::vector<real_t>{4, 2});
-    win.fence(2);
-    if (world.rank() == 1) {
-      EXPECT_DOUBLE_EQ(mem[0], 4);
-      d.wait();  // the fence already applied it: a no-op, not a hang
-      EXPECT_DOUBLE_EQ(mem[1], 2);
-    }
-  });
 }
 
 TEST(Rma, PerLevelWindowsOnSameTagNeverAlias) {

@@ -1,11 +1,13 @@
+// Distributed solves on a 2D process grid: factorize_3d + solve_3d on a
+// Px x Py x 1 grid, where the layout is SuperLU_DIST's 2D block-cyclic one
+// (one forest level, one dSparseLU2D call) and the solve is the pdgstrs
+// counterpart.
 #include <gtest/gtest.h>
 
-#include <mutex>
-#include <numeric>
+#include <algorithm>
+#include <cmath>
 
-#include "lu2d/factor2d.hpp"
-#include "lu2d/solve2d.hpp"
-#include "numeric/solver.hpp"
+#include "lu3d/solve3d.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
@@ -14,17 +16,19 @@ namespace slu3d {
 namespace {
 
 using sim::MachineModel;
-using sim::ProcessGrid2D;
+using sim::ProcessGrid3D;
 using sim::run_ranks;
 
 const MachineModel kModel{};
 
-/// Factorizes and solves fully distributed; checks against the true
-/// solution of A x = b. Every rank must end up with the full solution.
+/// Factorizes and solves fully distributed on a Px x Py x 1 grid; checks
+/// against the true solution of A x = b. Every rank must end up with the
+/// full solution.
 void check_distributed_solve(const CsrMatrix& A, const SeparatorTree& tree,
                              int Px, int Py) {
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+  const ForestPartition part(bs, 1);
   const auto pinv = invert_permutation(tree.perm());
 
   const auto n = static_cast<std::size_t>(A.n_rows());
@@ -38,15 +42,12 @@ void check_distributed_solve(const CsrMatrix& A, const SeparatorTree& tree,
 
   std::vector<std::vector<real_t>> per_rank(static_cast<std::size_t>(Px * Py));
   run_ranks(Px * Py, kModel, [&](sim::Comm& world) {
-    auto grid = ProcessGrid2D::create(world, Px, Py);
-    Dist2dFactors F(bs, Px, Py, grid.px(), grid.py());
-    F.fill_from(Ap);
-    std::vector<int> all(static_cast<std::size_t>(bs.n_snodes()));
-    std::iota(all.begin(), all.end(), 0);
-    factorize_2d(F, grid, all, {});
+    auto grid = ProcessGrid3D::create(world, Px, Py, 1);
+    Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
+    factorize_3d(F, grid, part, {});
 
     std::vector<real_t> x(pb);
-    solve_2d(F, grid, x);
+    solve_3d(F, world, grid, part, x);
     per_rank[static_cast<std::size_t>(world.rank())] = std::move(x);
   });
 
@@ -106,17 +107,15 @@ TEST(Solve2d, RepeatedSolvesWithSameFactors) {
   const SeparatorTree tree = geometric_nd(g, {.leaf_size = 8});
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+  const ForestPartition part(bs, 1);
   const auto pinv = invert_permutation(tree.perm());
   const auto n = static_cast<std::size_t>(A.n_rows());
 
   std::vector<real_t> err(2, 1e300);
   run_ranks(4, kModel, [&](sim::Comm& world) {
-    auto grid = ProcessGrid2D::create(world, 2, 2);
-    Dist2dFactors F(bs, 2, 2, grid.px(), grid.py());
-    F.fill_from(Ap);
-    std::vector<int> all(static_cast<std::size_t>(bs.n_snodes()));
-    std::iota(all.begin(), all.end(), 0);
-    factorize_2d(F, grid, all, {});
+    auto grid = ProcessGrid3D::create(world, 2, 2, 1);
+    Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
+    factorize_3d(F, grid, part, {});
 
     for (int rhs = 0; rhs < 2; ++rhs) {
       Rng rng(static_cast<std::uint64_t>(100 + rhs));
@@ -125,9 +124,9 @@ TEST(Solve2d, RepeatedSolvesWithSameFactors) {
       A.spmv(xref, b);
       for (std::size_t i = 0; i < n; ++i)
         x[static_cast<std::size_t>(pinv[i])] = b[i];
-      Solve2dOptions opt;
-      opt.tag_base = (1 << 24) + rhs * (1 << 20);  // distinct tag ranges
-      solve_2d(F, grid, x, opt);
+      Solve3dOptions opt;
+      opt.tag_base = (1 << 24) + rhs * solve3d_tag_span(bs);  // distinct tag ranges
+      solve_3d(F, world, grid, part, x, opt);
       if (world.rank() == 0) {
         real_t e = 0;
         for (std::size_t i = 0; i < n; ++i)
@@ -144,12 +143,13 @@ TEST(Solve2d, BatchedPanelBitwiseMatchesSequentialSolves) {
   // A panel solve must equal column-by-column solves bitwise (per-column
   // op order is independent of the panel width). The sequential solves
   // run back-to-back in the same simulated run with tag bases advanced by
-  // solve2d_tag_span, exercising the queued-solve tag audit.
+  // solve3d_tag_span, exercising the queued-solve tag audit.
   const GridGeometry g{10, 9, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const SeparatorTree tree = nested_dissection(A, {.leaf_size = 8});
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+  const ForestPartition part(bs, 1);
   const auto n = static_cast<std::size_t>(A.n_rows());
   const index_t nrhs = 3;
 
@@ -159,23 +159,20 @@ TEST(Solve2d, BatchedPanelBitwiseMatchesSequentialSolves) {
 
   std::vector<real_t> batched, seq;
   run_ranks(4, kModel, [&](sim::Comm& world) {
-    auto grid = ProcessGrid2D::create(world, 2, 2);
-    Dist2dFactors F(bs, 2, 2, grid.px(), grid.py());
-    F.fill_from(Ap);
-    std::vector<int> all(static_cast<std::size_t>(bs.n_snodes()));
-    std::iota(all.begin(), all.end(), 0);
-    factorize_2d(F, grid, all, {});
+    auto grid = ProcessGrid3D::create(world, 2, 2, 1);
+    Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
+    factorize_3d(F, grid, part, {});
 
     std::vector<real_t> xp(B);
-    Solve2dOptions bopt;
+    Solve3dOptions bopt;
     bopt.nrhs = nrhs;
-    solve_2d(F, grid, xp, bopt);
+    solve_3d(F, world, grid, part, xp, bopt);
 
     std::vector<real_t> xs(B);
     for (index_t j = 0; j < nrhs; ++j) {
-      Solve2dOptions sopt;
-      sopt.tag_base = (1 << 24) + (j + 1) * solve2d_tag_span(bs);
-      solve_2d(F, grid,
+      Solve3dOptions sopt;
+      sopt.tag_base = (1 << 24) + (j + 1) * solve3d_tag_span(bs);
+      solve_3d(F, world, grid, part,
                std::span<real_t>(xs).subspan(static_cast<std::size_t>(j) * n, n),
                sopt);
     }

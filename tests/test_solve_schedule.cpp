@@ -1,19 +1,17 @@
-// The distributed triangular solves walk supernodes in a critical-path
+// The distributed triangular solve walks supernodes in a critical-path
 // schedule (forward by ascending ND-tree height, backward by ascending
 // depth). Only the order of each rank's local work depends on it, so the
 // solution panels are pinned bitwise, and a fuzz over unbalanced general-ND
 // trees checks that every rank ends with the same panel and a small
-// residual under every z-depth.
+// residual under every z-depth. The lu2d_* pins are the Pz = 1 (pure 2D)
+// configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 
-#include "lu2d/factor2d.hpp"
-#include "lu2d/solve2d.hpp"
 #include "lu3d/solve3d.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
@@ -23,13 +21,10 @@ namespace slu3d {
 namespace {
 
 using sim::MachineModel;
-using sim::ProcessGrid2D;
 using sim::ProcessGrid3D;
 using sim::run_ranks;
 
 const MachineModel kModel{};
-
-enum class Solver { Lu3d, Lu2d };
 
 /// FNV-1a over the IEEE bit patterns of a panel.
 std::uint64_t fnv1a(std::span<const real_t> v) {
@@ -44,42 +39,25 @@ std::uint64_t fnv1a(std::span<const real_t> v) {
   return h;
 }
 
-/// Factors A (ordered by `tree`) on a Px x Py x Pz grid with `solver`, then
-/// solves the permuted n x nrhs panel `pb`. Returns every rank's solution
-/// panel (permuted index space).
+/// Factors A (ordered by `tree`) on a Px x Py x Pz grid, then solves the
+/// permuted n x nrhs panel `pb`. Returns every rank's solution panel
+/// (permuted index space).
 std::vector<std::vector<real_t>> solve_on_every_rank(
-    Solver solver, const CsrMatrix& A, const SeparatorTree& tree, int Px,
-    int Py, int Pz, index_t nrhs, const std::vector<real_t>& pb) {
+    const CsrMatrix& A, const SeparatorTree& tree, int Px, int Py, int Pz,
+    index_t nrhs, const std::vector<real_t>& pb) {
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
   const ForestPartition part(bs, Pz);
-  std::vector<int> all(static_cast<std::size_t>(bs.n_snodes()));
-  std::iota(all.begin(), all.end(), 0);
   const int P = Px * Py * Pz;
   std::vector<std::vector<real_t>> per_rank(static_cast<std::size_t>(P));
   run_ranks(P, kModel, [&](sim::Comm& world) {
     std::vector<real_t> x(pb);
-    switch (solver) {
-      case Solver::Lu3d: {
-        auto grid = ProcessGrid3D::create(world, Px, Py, Pz);
-        Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
-        factorize_3d(F, grid, part, {});
-        Solve3dOptions opt;
-        opt.nrhs = nrhs;
-        solve_3d(F, world, grid, part, x, opt);
-        break;
-      }
-      case Solver::Lu2d: {
-        auto grid = ProcessGrid2D::create(world, Px, Py);
-        Dist2dFactors F(bs, Px, Py, grid.px(), grid.py());
-        F.fill_from(Ap);
-        factorize_2d(F, grid, all, {});
-        Solve2dOptions opt;
-        opt.nrhs = nrhs;
-        solve_2d(F, grid, x, opt);
-        break;
-      }
-    }
+    auto grid = ProcessGrid3D::create(world, Px, Py, Pz);
+    Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
+    factorize_3d(F, grid, part, {});
+    Solve3dOptions opt;
+    opt.nrhs = nrhs;
+    solve_3d(F, world, grid, part, x, opt);
     per_rank[static_cast<std::size_t>(world.rank())] = std::move(x);
   });
   return per_rank;
@@ -96,7 +74,6 @@ std::vector<real_t> rhs_panel(index_t n, index_t nrhs, std::uint64_t seed) {
 
 struct PinCase {
   const char* name;
-  Solver solver;
   int Px, Py, Pz;
   index_t nrhs;
   /// One hash per kernel build: with the fast flags (-march=native, where
@@ -153,8 +130,8 @@ TEST_P(SolveSchedulePin, SolutionPanelHashIsPinned) {
   const PinCase& c = GetParam();
   const Problem pr = pin_problem(c);
   const auto pb = rhs_panel(pr.A.n_rows(), c.nrhs, 4242);
-  const auto per_rank = solve_on_every_rank(c.solver, pr.A, pr.tree, c.Px,
-                                            c.Py, c.Pz, c.nrhs, pb);
+  const auto per_rank =
+      solve_on_every_rank(pr.A, pr.tree, c.Px, c.Py, c.Pz, c.nrhs, pb);
   for (std::size_t r = 1; r < per_rank.size(); ++r)
     ASSERT_EQ(per_rank[r], per_rank[0]) << "rank " << r << " disagrees";
   const std::uint64_t h = fnv1a(per_rank[0]);
@@ -165,15 +142,15 @@ TEST_P(SolveSchedulePin, SolutionPanelHashIsPinned) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, SolveSchedulePin,
     ::testing::Values(
-        PinCase{"lu3d_planar_3x1x2", Solver::Lu3d, 3, 1, 2, 1,
+        PinCase{"lu3d_planar_3x1x2", 3, 1, 2, 1,
                 0xb0d8093daa324711ull, 0xcd08e7ad97c1ad84ull},
-        PinCase{"lu3d_cube_2x3x4", Solver::Lu3d, 2, 3, 4, 16,
+        PinCase{"lu3d_cube_2x3x4", 2, 3, 4, 16,
                 0x9e0f51193d67bd09ull, 0x68c9c9bdd0d33ad4ull},
-        PinCase{"lu3d_convdiff_2x2x2", Solver::Lu3d, 2, 2, 2, 3,
+        PinCase{"lu3d_convdiff_2x2x2", 2, 2, 2, 3,
                 0x7d598e08546a3d13ull, 0x4113b37a7230c346ull},
-        PinCase{"lu2d_ninepoint_2x3", Solver::Lu2d, 2, 3, 1, 3,
+        PinCase{"lu2d_ninepoint_2x3", 2, 3, 1, 3,
                 0xe59c4baa01cf0900ull, 0x95656093e9e6ad64ull},
-        PinCase{"lu2d_convdiff_3x1", Solver::Lu2d, 3, 1, 1, 1,
+        PinCase{"lu2d_convdiff_3x1", 3, 1, 1, 1,
                 0xb43547e643b0d05bull, 0x4fe908754c039232ull}),
     [](const auto& pi) { return std::string(pi.param.name); });
 
@@ -256,17 +233,15 @@ TEST_P(SolveScheduleFuzz, EveryRankAgreesAndResidualIsSmall) {
   const index_t nrhs = rng.next_index(2) == 0 ? 1 : 3;
   const auto pb = rhs_panel(n, nrhs, static_cast<std::uint64_t>(seed) + 99);
 
-  for (const Solver solver : {Solver::Lu3d, Solver::Lu2d}) {
-    const int pz = solver == Solver::Lu3d ? Pz : 1;
+  for (const int pz : {Pz, 1}) {
     const auto per_rank =
-        solve_on_every_rank(solver, A, tree, pl[0], pl[1], pz, nrhs, pb);
+        solve_on_every_rank(A, tree, pl[0], pl[1], pz, nrhs, pb);
     for (std::size_t r = 1; r < per_rank.size(); ++r)
       ASSERT_EQ(per_rank[r], per_rank[0])
-          << "seed " << seed << " solver " << static_cast<int>(solver)
+          << "seed " << seed << " on " << pl[0] << "x" << pl[1] << "x" << pz
           << ": rank " << r << " disagrees";
     EXPECT_LE(relative_residual(A, tree, per_rank[0], pb, nrhs), 1e-10)
-        << "seed " << seed << " solver " << static_cast<int>(solver) << " on "
-        << pl[0] << "x" << pl[1] << "x" << pz;
+        << "seed " << seed << " on " << pl[0] << "x" << pl[1] << "x" << pz;
   }
 }
 

@@ -1,13 +1,18 @@
+// End-to-end tests of the distributed 3D solver as the service runs it:
+// one cold factor request, then one solve request.
 #include <gtest/gtest.h>
 
-#include "lu3d/solver3d.hpp"
 #include <cmath>
 
+#include "service/solver_service.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
 
 namespace slu3d {
 namespace {
+
+using service::ServiceOptions;
+using service::SolverService;
 
 TEST(Solver3d, EndToEndPlanar) {
   const GridGeometry g{14, 14, 1};
@@ -18,27 +23,29 @@ TEST(Solver3d, EndToEndPlanar) {
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
 
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 2;
   opt.Pz = 4;
   opt.geometry = g;
-  const Solver3dReport rep = solve_distributed_3d(A, b, x, opt);
+  SolverService svc(opt);
+  const auto fr = svc.factor(A);
+  const auto sr = svc.solve({b, x, 1});
 
-  EXPECT_LT(rep.residual, 1e-12);
+  EXPECT_LT(sr.residual, 1e-12);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-7);
-  EXPECT_GT(rep.factor_time, 0);
-  EXPECT_GT(rep.solve_time, 0);
-  EXPECT_GT(rep.flops, 0);
-  EXPECT_GT(rep.w_fact, 0);
-  EXPECT_GT(rep.w_red, 0);  // Pz > 1 implies z traffic
+  EXPECT_GT(fr.factor_time, 0);
+  EXPECT_GT(sr.solve_time, 0);
+  EXPECT_GT(fr.flops, 0);
+  EXPECT_GT(fr.w_fact, 0);
+  EXPECT_GT(fr.w_red, 0);  // Pz > 1 implies z traffic
   // Solve-phase communication is reported separately from the factor
   // phase; Pz > 1 routes solve contributions across grids (Z plane).
-  EXPECT_GT(rep.w_solve_xy, 0);
-  EXPECT_GT(rep.w_solve_z, 0);
-  EXPECT_GT(rep.msg_solve_xy, 0);
-  EXPECT_GT(rep.msg_solve_z, 0);
-  EXPECT_GE(rep.mem_total, rep.mem_max);
+  EXPECT_GT(sr.w_solve_xy, 0);
+  EXPECT_GT(sr.w_solve_z, 0);
+  EXPECT_GT(sr.msg_solve_xy, 0);
+  EXPECT_GT(sr.msg_solve_z, 0);
+  EXPECT_GE(fr.mem_total, fr.mem_max);
 }
 
 TEST(Solver3d, Pz1IsPure2d) {
@@ -46,35 +53,35 @@ TEST(Solver3d, Pz1IsPure2d) {
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const auto n = static_cast<std::size_t>(A.n_rows());
   std::vector<real_t> b(n, 1.0), x(n);
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 3;
   opt.Pz = 1;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
-  EXPECT_LT(rep.residual, 1e-13);
-  EXPECT_EQ(rep.w_red, 0);
+  SolverService svc(opt);
+  const auto fr = svc.factor(A);
+  const auto sr = svc.solve({b, x, 1});
+  EXPECT_LT(sr.residual, 1e-13);
+  EXPECT_EQ(fr.w_red, 0);
   // The solve split is reported independently of the factor phase: even
   // with w_red == 0 here, the solve's own counters are populated.
-  EXPECT_GT(rep.msg_solve_xy, 0);
+  EXPECT_GT(sr.msg_solve_xy, 0);
 }
 
 TEST(Solver3d, ReportsReplicationMemoryGrowth) {
   const GridGeometry g{12, 12, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
-  const auto n = static_cast<std::size_t>(A.n_rows());
-  std::vector<real_t> b(n, 1.0), x(n);
 
-  Solver3dOptions o1;
+  ServiceOptions o1;
   o1.Px = 4;
   o1.Py = 2;
   o1.Pz = 1;
   o1.geometry = g;
-  Solver3dOptions o4 = o1;
+  ServiceOptions o4 = o1;
   o4.Px = 2;
   o4.Py = 1;
   o4.Pz = 4;
-  const auto r1 = solve_distributed_3d(A, b, x, o1);
-  const auto r4 = solve_distributed_3d(A, b, x, o4);
+  const auto r1 = SolverService(o1).factor(A);
+  const auto r4 = SolverService(o4).factor(A);
   EXPECT_GT(r4.mem_total, r1.mem_total);  // replication costs memory
   EXPECT_LT(r4.w_fact, r1.w_fact);        // ...and buys XY volume
 }
@@ -84,9 +91,15 @@ TEST(Solver3d, RejectsBadConfigs) {
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const auto n = static_cast<std::size_t>(A.n_rows());
   std::vector<real_t> b(n, 1.0), x(n);
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Pz = 3;  // not a power of two
-  EXPECT_THROW(solve_distributed_3d(A, b, x, opt), Error);
+  EXPECT_THROW(
+      {
+        SolverService svc(opt);
+        svc.factor(A);
+        svc.solve({b, x, 1});
+      },
+      Error);
 }
 
 TEST(Solver3d, DistributedRefinementTightensResidual) {
@@ -115,14 +128,18 @@ TEST(Solver3d, DistributedRefinementTightensResidual) {
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
 
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 2;
   opt.Pz = 2;
   opt.refinement_steps = 0;
-  const auto rep0 = solve_distributed_3d(A, b, x0, opt);
+  SolverService unrefined(opt);
+  unrefined.factor(A);
+  const auto rep0 = unrefined.solve({b, x0, 1});
   opt.refinement_steps = 3;
-  const auto rep2 = solve_distributed_3d(A, b, x2, opt);
+  SolverService refined(opt);
+  refined.factor(A);
+  const auto rep2 = refined.solve({b, x2, 1});
   EXPECT_LE(rep2.residual, rep0.residual * 1.0000001);
   EXPECT_LT(rep2.residual, 1e-12);
 }
@@ -136,37 +153,41 @@ TEST(Solver3d, InSimulationDistributedAnalysis) {
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
 
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 2;
   opt.Pz = 2;
   opt.analysis = AnalysisMode::Distributed;  // analysis runs inside the machine
   opt.nd.leaf_size = 8;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
-  EXPECT_LT(rep.residual, 1e-12);
-  EXPECT_GT(rep.flops, 0);
-  EXPECT_GT(rep.t_analysis, 0);
-  EXPECT_GT(rep.w_analysis, 0);
-  EXPECT_GT(rep.msg_analysis, 0);
-  EXPECT_GE(rep.factor_time, rep.t_analysis);
+  SolverService svc(opt);
+  const auto fr = svc.factor(A);
+  const auto sr = svc.solve({b, x, 1});
+  EXPECT_LT(sr.residual, 1e-12);
+  EXPECT_GT(fr.flops, 0);
+  EXPECT_GT(fr.t_analysis, 0);
+  EXPECT_GT(fr.w_analysis, 0);
+  EXPECT_GT(fr.msg_analysis, 0);
+  EXPECT_GE(fr.factor_time, fr.t_analysis);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-7);
 }
 
 TEST(Solver3d, AutomaticPzSelection) {
-  // Pz = 0: the driver picks a power-of-two Pz from the §IV model given
+  // Pz = 0: the service picks a power-of-two Pz from the §IV model given
   // the total rank budget (passed as Px*Py).
   const GridGeometry g{16, 16, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const auto n = static_cast<std::size_t>(A.n_rows());
   std::vector<real_t> b(n, 1.0), x(n);
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 4;
   opt.Py = 8;  // total budget: 32 ranks
   opt.Pz = 0;
   opt.geometry = g;
-  const auto rep = solve_distributed_3d(A, b, x, opt);
-  EXPECT_LT(rep.residual, 1e-13);
-  EXPECT_GT(rep.w_red, 0);  // it chose Pz > 1 for this planar problem
+  SolverService svc(opt);
+  const auto fr = svc.factor(A);
+  const auto sr = svc.solve({b, x, 1});
+  EXPECT_LT(sr.residual, 1e-13);
+  EXPECT_GT(fr.w_red, 0);  // it chose Pz > 1 for this planar problem
 }
 
 TEST(Solver3d, SingularMatrixAbortsCleanly) {
@@ -188,14 +209,20 @@ TEST(Solver3d, SingularMatrixAbortsCleanly) {
   const CsrMatrix A = CsrMatrix::from_coo(coo);
   const auto n = static_cast<std::size_t>(A.n_rows());
   std::vector<real_t> b(n, 1.0), x(n);
-  Solver3dOptions opt;
+  ServiceOptions opt;
   opt.Px = 2;
   opt.Py = 1;
   opt.Pz = 2;
   opt.nd.leaf_size = 4;
   // Depending on where elimination hits the zero pivot this throws from a
   // rank (propagated by run_ranks); it must never deadlock.
-  EXPECT_THROW(solve_distributed_3d(A, b, x, opt), Error);
+  SolverService svc(opt);
+  EXPECT_THROW(
+      {
+        svc.factor(A);
+        svc.solve({b, x, 1});
+      },
+      Error);
 }
 
 }  // namespace

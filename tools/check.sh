@@ -24,9 +24,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # Suites that certify the funneled-threading, schedule-equivalence, and
 # one-sided (RMA window / targeted delivery) contracts; every
 # configuration must actually contain them. The tsan leg thereby drives
-# the targeted put/scatter-accumulate paths — mailbox op streams, window
-# epochs, per-level staging — under the race detector with a compute
-# pool beneath every rank. The Fleet suite rides along so the sharded
+# the targeted put/scatter-accumulate paths — mailbox op streams,
+# per-level staging — under the race detector with a compute pool
+# beneath every rank. The Fleet suite rides along so the sharded
 # front end (coalesced batch dispatch, cache-warm migration) also runs
 # every sanitizer leg with SLU3D_THREADS=4 pools under the shards.
 # SolveSchedule (bitwise solution pins plus a fuzz of the critical-path
