@@ -33,13 +33,11 @@ struct DistMetrics {
   offset_t w_red = 0;
   offset_t mem_total = 0;
   offset_t mem_max = 0;
-  /// Sparse z-reduction savings (zero under ZRedPacking::Dense): W_red
-  /// bytes avoided across all ranks, blocks skipped / considered, and the
-  /// actual total bytes sent along Z (so saved / (saved + sent) is the
-  /// fraction of dense-equivalent reduction volume eliminated).
+  /// Targeted z-reduction savings (zero under ZRedPacking::Dense): W_red
+  /// bytes avoided across all ranks, and the actual total bytes sent along
+  /// Z (so saved / (saved + sent) is the fraction of dense-equivalent
+  /// reduction volume eliminated).
   offset_t zred_saved = 0;
-  offset_t zred_blocks_skipped = 0;
-  offset_t zred_blocks_total = 0;
   offset_t z_bytes_sent = 0;
   /// Targeted panel-delivery savings (zero under PanelPacking::Dense): XY
   /// panel bytes the footprint puts avoided (bitmap words netted out), the
@@ -78,20 +76,20 @@ inline int bench_threads(int argc, char** argv) {
 }
 
 /// Wire-format selection shared by the bench drivers: `--panel-packing`
-/// (dense | targeted) and `--zred-packing` (dense | sparse | targeted), in
-/// both the separate-argument and `=value` spellings. Drivers pass their
-/// own defaults, so e.g. fig9 measures targeted panel savings when no flag
-/// is given while `--zred-packing sparse|targeted` swaps the Z wire of the
-/// same re-run. An unknown value exits with status 2.
+/// and `--zred-packing` (each dense | targeted), in both the
+/// separate-argument and `=value` spellings. Drivers pass their own
+/// defaults, so e.g. fig9 measures targeted panel savings when no flag is
+/// given while `--zred-packing targeted` swaps the Z wire of the same
+/// re-run. An unknown value exits with status 2.
 struct PackingFlags {
-  pipeline::PanelPacking panel = pipeline::PanelPacking::Dense;
-  pipeline::ZRedPacking zred = pipeline::ZRedPacking::Dense;
+  PanelPacking panel = PanelPacking::Dense;
+  ZRedPacking zred = ZRedPacking::Dense;
 };
 
 inline PackingFlags parse_packing_flags(
     int argc, char** argv,
-    pipeline::PanelPacking def_panel = pipeline::PanelPacking::Dense,
-    pipeline::ZRedPacking def_zred = pipeline::ZRedPacking::Dense) {
+    PanelPacking def_panel = PanelPacking::Dense,
+    ZRedPacking def_zred = ZRedPacking::Dense) {
   PackingFlags f{def_panel, def_zred};
   auto reject = [](const char* flag, const char* accepted, const char* v) {
     std::fprintf(stderr, "%s: expected %s, got '%s'\n", flag, accepted, v);
@@ -99,21 +97,19 @@ inline PackingFlags parse_packing_flags(
   };
   auto set_panel = [&](const char* v) {
     if (std::strcmp(v, "dense") == 0)
-      f.panel = pipeline::PanelPacking::Dense;
+      f.panel = PanelPacking::Dense;
     else if (std::strcmp(v, "targeted") == 0)
-      f.panel = pipeline::PanelPacking::Targeted;
+      f.panel = PanelPacking::Targeted;
     else
       reject("--panel-packing", "dense|targeted", v);
   };
   auto set_zred = [&](const char* v) {
     if (std::strcmp(v, "dense") == 0)
-      f.zred = pipeline::ZRedPacking::Dense;
-    else if (std::strcmp(v, "sparse") == 0)
-      f.zred = pipeline::ZRedPacking::Sparse;
+      f.zred = ZRedPacking::Dense;
     else if (std::strcmp(v, "targeted") == 0)
-      f.zred = pipeline::ZRedPacking::Targeted;
+      f.zred = ZRedPacking::Targeted;
     else
-      reject("--zred-packing", "dense|sparse|targeted", v);
+      reject("--zred-packing", "dense|targeted", v);
   };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -214,9 +210,8 @@ inline const sim::Platform& bench_platform(int argc, char** argv) {
 inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
                                int Px, int Py, int Pz, int lookahead = 8,
                                PartitionStrategy strategy = PartitionStrategy::Greedy,
-                               pipeline::ZRedPacking packing = pipeline::ZRedPacking::Dense,
-                               pipeline::PanelPacking panel_packing =
-                                   pipeline::PanelPacking::Dense,
+                               ZRedPacking packing = ZRedPacking::Dense,
+                               PanelPacking panel_packing = PanelPacking::Dense,
                                int threads = 0,
                                const sim::Platform* platform = nullptr) {
   const ForestPartition part(bs, Pz, strategy);
@@ -251,8 +246,6 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
   m.w_fact = res.max_bytes_received(sim::CommPlane::XY);
   m.w_red = res.max_bytes_received(sim::CommPlane::Z);
   m.zred_saved = res.total_zred_bytes_saved();
-  m.zred_blocks_skipped = res.total_zred_blocks_skipped();
-  m.zred_blocks_total = res.total_zred_blocks_total();
   m.z_bytes_sent = res.total_bytes_sent(sim::CommPlane::Z);
   m.panel_saved = res.total_panel_saved_bytes();
   m.panel_dense = res.total_panel_dense_bytes();

@@ -12,7 +12,11 @@
 //                                               fig12_heatmap.csv plus one
 //                                               fig12_<platform>.csv per
 //                                               preset — the CI artifacts)
+//
+// --threads, --seed and --platform take a value as in every bench driver;
+// any other argument starting with `--` exits with status 2.
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -66,16 +70,16 @@ void export_fig9_fig10_fig11(const std::string& dir, int threads) {
         const auto [Px, Py] = bench::square_ish(P / Pz);
         const auto m = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                           PartitionStrategy::Greedy,
-                                          pipeline::ZRedPacking::Dense,
-                                          pipeline::PanelPacking::Dense,
+                                          ZRedPacking::Dense,
+                                          PanelPacking::Dense,
                                           threads);
         // Targeted re-run (one-sided footprint puts + Z scatter-accumulate)
         // for the targeted_* columns — factors bitwise unchanged; only the
         // wire formats differ.
         const auto tg = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                            PartitionStrategy::Greedy,
-                                           pipeline::ZRedPacking::Targeted,
-                                           pipeline::PanelPacking::Targeted,
+                                           ZRedPacking::Targeted,
+                                           PanelPacking::Targeted,
                                            threads);
         f9 << t.name << ',' << cls << ',' << P << ',' << Pz << ',' << Px
            << ',' << Py << ',' << m.time << ',' << m.t_scu << ',' << m.t_comm
@@ -125,7 +129,7 @@ void export_fig12(const std::string& dir) {
         for (auto& sheet : sheets) {
           const auto m = bench::run_dist_lu(
               bs, Ap, Px, Py, pz, /*lookahead=*/8, PartitionStrategy::Greedy,
-              pipeline::ZRedPacking::Dense, pipeline::PanelPacking::Dense,
+              ZRedPacking::Dense, PanelPacking::Dense,
               /*threads=*/0, &sheet.platform);
           const double gflops = flops / m.time / 1e9;
           sheet.file << t.name << ','
@@ -338,6 +342,13 @@ int main(int argc, char** argv) {
                std::strcmp(argv[i], "--seed") == 0 ||
                std::strcmp(argv[i], "--platform") == 0) {
       ++i;  // skip the value
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr,
+                   "export_csv: unknown flag '%s'; expected --kernels-only, "
+                   "--fleet-only, --fig12-only, --threads N, --seed N, "
+                   "--platform SPEC or an output directory\n",
+                   argv[i]);
+      return 2;
     } else {
       dir = argv[i];
     }

@@ -9,12 +9,6 @@
 int main(int argc, char** argv) {
   using namespace slu3d;
   bench::bench_platform(argc, argv);
-  // --zred-packing swaps the wire format of the Zsaved columns (default:
-  // the sparse block-framed reduction); the Tsaved columns always measure
-  // the targeted one-sided wire on both planes.
-  const auto pk = bench::parse_packing_flags(argc, argv,
-                                             pipeline::PanelPacking::Dense,
-                                             pipeline::ZRedPacking::Sparse);
   const auto suite = paper_test_suite(bench::bench_scale());
 
   for (const auto& t : suite) {
@@ -25,27 +19,22 @@ int main(int argc, char** argv) {
 
     std::cout << "\n=== " << t.name << " (" << (t.planar ? "planar" : "non-planar")
               << ") ===\n";
-    // Dense columns reproduce the paper's W_fact/W_red; the Zsaved columns
-    // re-run the reduction with the selected zred packing (sparse by
-    // default), and the Tsaved columns re-run both planes with the
-    // targeted one-sided wire (footprint puts on XY, scatter-accumulate
-    // along Z) and report the volume each format eliminates (numerics
-    // unchanged every way — see tests/test_comm_equivalence.cpp).
+    // Dense columns reproduce the paper's W_fact/W_red; the Tsaved and
+    // TZsaved columns re-run both planes with the targeted one-sided wire
+    // (footprint puts on XY, scatter-accumulate along Z) and report the
+    // volume it eliminates on each plane (numerics unchanged — see
+    // tests/test_comm_equivalence.cpp).
     TextTable table({"P", "Pz", "W_fact(B)", "W_red(B)", "W_total(B)",
-                     "vs 2D", "Zsaved(B)", "Zsaved(%)", "Tsaved(B)",
-                     "Tsaved(%)", "TZsaved(%)"});
+                     "vs 2D", "Tsaved(B)", "Tsaved(%)", "TZsaved(%)"});
     for (int P : {64, 128}) {
       offset_t w2d = 0;
       for (int Pz : {1, 2, 4, 8, 16}) {
         const auto [Px, Py] = bench::square_ish(P / Pz);
         const auto m = bench::run_dist_lu(bs, Ap, Px, Py, Pz);
-        const auto sp = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
-                                           PartitionStrategy::Greedy,
-                                           pk.zred);
         const auto tg = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                            PartitionStrategy::Greedy,
-                                           pipeline::ZRedPacking::Targeted,
-                                           pipeline::PanelPacking::Targeted);
+                                           ZRedPacking::Targeted,
+                                           PanelPacking::Targeted);
         const offset_t total = m.w_fact + m.w_red;
         if (Pz == 1) w2d = total;
         auto pct = [](offset_t saved, offset_t dense_eq) {
@@ -53,15 +42,12 @@ int main(int argc, char** argv) {
                                     static_cast<double>(dense_eq)
                               : 0.0;
         };
-        const offset_t zdense = sp.z_bytes_sent + sp.zred_saved;
         const offset_t tzdense = tg.z_bytes_sent + tg.zred_saved;
         table.add_row({std::to_string(P), std::to_string(Pz),
                        std::to_string(m.w_fact), std::to_string(m.w_red),
                        std::to_string(total),
                        TextTable::num(static_cast<double>(w2d) /
                                       static_cast<double>(total), 2) + "x",
-                       std::to_string(sp.zred_saved),
-                       TextTable::num(pct(sp.zred_saved, zdense), 1) + "%",
                        std::to_string(tg.panel_saved),
                        TextTable::num(pct(tg.panel_saved, tg.panel_dense), 1) +
                            "%",

@@ -14,9 +14,9 @@ int main(int argc, char** argv) {
   const int P = 64;
 
   TextTable table({"Name", "Class", "Pz=2", "Pz=4", "Pz=8", "Pz=16"});
-  // The replication that costs this memory is also what the sparse
-  // z-reduction packing exploits (replicated ancestor accumulators that
-  // stay all-zero); report the W_red volume it eliminates alongside.
+  // The replication that costs this memory is also what the targeted
+  // z-reduction exploits (replicated ancestor accumulators that stay
+  // mostly zero); report the W_red volume it eliminates alongside.
   TextTable saved({"Name", "Class", "Pz=2", "Pz=4", "Pz=8", "Pz=16"});
   for (const auto& t : suite) {
     const SeparatorTree tree = bench::order_matrix(t);
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       const auto [Px, Py] = bench::square_ish(P / Pz);
       const auto m = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                         PartitionStrategy::Greedy,
-                                        pipeline::ZRedPacking::Sparse);
+                                        ZRedPacking::Targeted);
       const double overhead = 100.0 * (static_cast<double>(m.mem_total) /
                                            static_cast<double>(base.mem_total) -
                                        1.0);
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   std::cout << "Fig. 11 — relative memory overhead of 3D over 2D, P=" << P
             << "\n";
   table.print(std::cout);
-  std::cout << "\nSparse z-reduction: W_red bytes saved (share of "
+  std::cout << "\nTargeted z-reduction: W_red bytes saved (share of "
                "dense-equivalent volume)\n";
   saved.print(std::cout);
   return 0;

@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   // --panel-packing / --zred-packing select the wire formats of the packed
   // re-run (default: targeted panel delivery, dense z-reduction).
   const auto pk = bench::parse_packing_flags(argc, argv,
-                                             pipeline::PanelPacking::Targeted,
-                                             pipeline::ZRedPacking::Dense);
+                                             PanelPacking::Targeted,
+                                             ZRedPacking::Dense);
   const auto suite = paper_test_suite(bench::bench_scale());
   const std::vector<int> machine_sizes{16, 64, 128};
   const std::vector<int> pz_values{1, 2, 4, 8, 16};
@@ -32,15 +32,15 @@ int main(int argc, char** argv) {
     // normalizes to 2D SuperLU_DIST on 16 nodes).
     const auto base_run = bench::run_dist_lu(bs, Ap, 8, 8, 1, 8,
                                              PartitionStrategy::Greedy,
-                                             pipeline::ZRedPacking::Dense,
-                                             pipeline::PanelPacking::Dense,
+                                             ZRedPacking::Dense,
+                                             PanelPacking::Dense,
                                              threads);
     const double baseline = base_run.time;
     // The packed columns re-run each point with the selected wire formats
     // (factors bitwise unchanged): T_pk/T is the re-run's simulated time
     // over the dense run's, Psaved the fraction of XY panel payload it
-    // eliminates. `--zred-packing sparse` vs `--zred-packing targeted`
-    // compares the two packed Z wires on the same points.
+    // eliminates. `--zred-packing targeted` adds the one-sided Z wire to
+    // the same re-run.
     TextTable table({"P", "Pz", "PXY", "T/T2d", "T_scu/T2d", "T_comm/T2d",
                      "speedup", "T_pk/T", "Psaved(%)", "wall_s", "thr"});
     for (int P : machine_sizes) {
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
         const auto [Px, Py] = bench::square_ish(P / Pz);
         const auto m = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                           PartitionStrategy::Greedy,
-                                          pipeline::ZRedPacking::Dense,
-                                          pipeline::PanelPacking::Dense,
+                                          ZRedPacking::Dense,
+                                          PanelPacking::Dense,
                                           threads);
         const auto pp = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                            PartitionStrategy::Greedy,

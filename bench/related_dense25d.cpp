@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       auto grid = sim::ProcessGrid3D::create(w, cfg.p, cfg.p, cfg.c);
       Dense25dMatrix A(n, opt, cfg.p, grid.plane().px(), grid.plane().py());
       if (grid.pz() == 0) A.fill_from(a0);
-      dense_lu_25d(A, w, grid, opt);
+      dense_lu_25d(A, w, grid);
       mem[static_cast<std::size_t>(w.rank())] = A.allocated_bytes();
     });
     offset_t mem_max = 0, msgs = 0;

@@ -57,8 +57,8 @@ offset_t Dense25dMatrix::allocated_bytes() const {
   return bytes;
 }
 
-void dense_lu_25d(Dense25dMatrix& A, sim::Comm& world, sim::ProcessGrid3D& grid,
-                  const Dense25dOptions& options) {
+void dense_lu_25d(Dense25dMatrix& A, sim::Comm& world,
+                  sim::ProcessGrid3D& grid) {
   (void)world;
   auto& plane = grid.plane();
   SLU3D_CHECK(plane.Px() == plane.Py(), "2.5D LU needs a square plane grid");
@@ -69,7 +69,7 @@ void dense_lu_25d(Dense25dMatrix& A, sim::Comm& world, sim::ProcessGrid3D& grid,
   const auto bb = static_cast<std::size_t>(b) * static_cast<std::size_t>(b);
   const int px = plane.px(), py = plane.py();
 
-  auto tag = [&](int k, int op) { return options.tag_base + 8 * k + op; };
+  auto tag = [](int k, int op) { return 8 * k + op; };
 
   // Step-loop scratch, hoisted so the hot loop reuses capacity instead of
   // allocating fresh buffers at every step k: the broadcast diagonal block
@@ -166,9 +166,8 @@ void dense_lu_25d(Dense25dMatrix& A, sim::Comm& world, sim::ProcessGrid3D& grid,
 }
 
 std::optional<std::vector<real_t>> gather_dense_25d(
-    Dense25dMatrix& A, sim::Comm& world, sim::ProcessGrid3D& grid,
-    const Dense25dOptions& options) {
-  const int gather_tag = options.tag_base + 8 * A.n_blocks() + 1;
+    Dense25dMatrix& A, sim::Comm& world, sim::ProcessGrid3D& grid) {
+  const int gather_tag = 8 * A.n_blocks() + 1;
   auto& plane = grid.plane();
   const int p = plane.Px();
   const int c = grid.Pz();

@@ -25,7 +25,6 @@ namespace slu3d {
 
 struct Dense25dOptions {
   index_t block = 32;  ///< block size b; the matrix is an nb x nb block grid
-  int tag_base = 0;
 };
 
 /// Block-cyclic shard of the dense matrix held by one rank of one layer.
@@ -58,14 +57,13 @@ class Dense25dMatrix {
 /// Factorizes A = L U (no pivoting) on a p x p x c grid. Collective over
 /// `world` (size p*p*c). On return, the L/U panels of step k live on
 /// layer k mod c. With c == 1 this is the classic 2D dense LU.
-void dense_lu_25d(Dense25dMatrix& A, sim::Comm& world, sim::ProcessGrid3D& grid,
-                  const Dense25dOptions& options = {});
+void dense_lu_25d(Dense25dMatrix& A, sim::Comm& world,
+                  sim::ProcessGrid3D& grid);
 
 /// Gathers the factored blocks (step k from layer k mod c) to world rank 0
 /// as a full column-major matrix holding L \ U packed.
 std::optional<std::vector<real_t>> gather_dense_25d(Dense25dMatrix& A,
                                                     sim::Comm& world,
-                                                    sim::ProcessGrid3D& grid,
-                                                    const Dense25dOptions& options = {});
+                                                    sim::ProcessGrid3D& grid);
 
 }  // namespace slu3d

@@ -321,24 +321,17 @@ std::uint64_t SolverFleet::submit(const FleetRequest& request,
   // 3. Admission control: bounded queues with explicit backpressure.
   bool redirected = false;
   if (shards_[static_cast<std::size_t>(target)]->queued >= opt_.queue_depth) {
-    if (opt_.redirect_on_full) {
-      int alt = 0;
-      for (std::size_t i = 1; i < shards_.size(); ++i)
-        if (shards_[i]->queued <
-            shards_[static_cast<std::size_t>(alt)]->queued)
-          alt = static_cast<int>(i);
-      if (shards_[static_cast<std::size_t>(alt)]->queued >=
-          opt_.queue_depth) {
-        shed(request, id, arrival);
-        return id;
-      }
-      redirected = alt != target;
-      if (redirected) ++stats_.redirected;
-      target = alt;
-    } else {
+    int alt = 0;
+    for (std::size_t i = 1; i < shards_.size(); ++i)
+      if (shards_[i]->queued < shards_[static_cast<std::size_t>(alt)]->queued)
+        alt = static_cast<int>(i);
+    if (shards_[static_cast<std::size_t>(alt)]->queued >= opt_.queue_depth) {
       shed(request, id, arrival);
       return id;
     }
+    redirected = alt != target;
+    if (redirected) ++stats_.redirected;
+    target = alt;
   }
 
   // 4. Open a new batch; it dispatches once its window closes and the

@@ -16,8 +16,8 @@
 //    bitwise identical to independent solves.
 //  * Admission control: per-shard queues are bounded at `queue_depth`
 //    requests. On saturation the router redirects to the least-loaded
-//    shard (if enabled) and sheds with an explicit Shed response once
-//    every queue is full — open-loop load can never grow memory.
+//    shard and sheds with an explicit Shed response once every queue is
+//    full — open-loop load can never grow memory.
 //  * Cache-warm migration: when the affinity shard's queue exceeds
 //    `migration_threshold` times the least-loaded shard's, the pattern's
 //    cached SymbolicState moves to the cold shard and the request follows.
@@ -59,11 +59,9 @@ struct FleetOptions {
   /// its first request arrives. 0 coalesces only identical arrival times.
   double coalesce_window = 0;
   /// Max queued (not yet dispatched) requests per shard; beyond this the
-  /// router redirects or sheds.
+  /// router redirects to the least-loaded shard, and sheds only when that
+  /// one is full too.
   std::size_t queue_depth = 64;
-  /// Try the least-loaded shard before shedding when the routed shard's
-  /// queue is full.
-  bool redirect_on_full = true;
   /// Cache-warm migration trigger (Affinity routing only): migrate the
   /// pattern when (affinity queue + 1) >= threshold * (min queue + 1).
   /// 0 disables migration.

@@ -16,10 +16,10 @@
 // column-role entry is the U block (k, a) of a panel block a with
 // a % Py == py, broadcast down this process column from the diagonal
 // owner's process row. Each Schur pair multiplies one entry of each role.
-// Tags are tag_base + 8k + op: the diagonal along the owner's process row
-// (op 0) and column (op 1), then the row role (op 2) and column role
-// (op 3), posted in that order. The Dense and Targeted byte/message totals
-// are pinned by Fig9Configs/GoldenCommCounters in tests/test_pipeline.cpp.
+// Tags are 8k + op: the diagonal along the owner's process row (op 0) and
+// column (op 1), then the row role (op 2) and column role (op 3), posted
+// in that order. The Dense and Targeted byte/message totals are pinned by
+// Fig9Configs/GoldenCommCounters in tests/test_pipeline.cpp.
 //
 // PanelPacking::Targeted (opt-in) replaces each role's broadcasts with
 // one-sided RMA delivery (see DESIGN.md "Targeted one-sided delivery"):
@@ -51,8 +51,6 @@ namespace slu3d {
 
 namespace {
 
-using pipeline::PanelOptions;
-using pipeline::PanelPacking;
 using sim::CommPlane;
 using sim::ComputeKind;
 
@@ -65,8 +63,22 @@ constexpr std::array<int, 2> kPanelOp = {2, 3};
 /// Window tags of the targeted-mode RMA windows (one per role per engine
 /// run, created collectively at run() entry). These live in the runtime's
 /// separate RMA tag namespace, so they cannot collide with the per-snode
-/// broadcast tags; the offsets merely keep the two roles' windows apart.
+/// broadcast tags; the values merely keep the two roles' windows apart.
 constexpr std::array<int, 2> kWinTag = {6, 7};
+
+/// Checks every option a caller can set, once, at engine entry.
+void validate(const Lu2dOptions& opt) {
+  SLU3D_CHECK(opt.lookahead >= 0,
+              "lu2d: lookahead must be non-negative (0 disables pipelining)");
+  SLU3D_CHECK(opt.lookahead <= kMaxPanelLookahead,
+              "lu2d: lookahead exceeds the stash slot pool bound "
+              "(kMaxPanelLookahead)");
+  SLU3D_CHECK(opt.packing == PanelPacking::Dense ||
+                  opt.packing == PanelPacking::Targeted,
+              "lu2d: unknown PanelPacking value");
+  SLU3D_CHECK(opt.threads >= 0,
+              "lu2d: threads must be >= 0 (0 = SLU3D_THREADS env or 1)");
+}
 
 /// Adds V into the owned target block (bi, bj) — the distributed version
 /// of schur_scatter_add.
@@ -162,9 +174,9 @@ struct PanelStash {
 class PanelEngine {
  public:
   PanelEngine(Dist2dFactors& F, sim::ProcessGrid2D& grid,
-              const PanelOptions& opt)
+              const Lu2dOptions& opt)
       : F_(F), g_(grid), bs_(F.structure()), opt_(opt) {
-    pipeline::validate_panel_options(opt_);
+    validate(opt_);
     // Attach this rank thread's compute pool (created lazily, reused across
     // engines — one per 3D level — and resized only when the option
     // changes). All communication stays on this thread; the pool only ever
@@ -207,7 +219,7 @@ class PanelEngine {
   }
 
  private:
-  int tag(int k, int op) const { return opt_.tag_base + 8 * k + op; }
+  static int tag(int k, int op) { return 8 * k + op; }
   bool targeted_packing() const {
     return opt_.packing == PanelPacking::Targeted;
   }
@@ -466,8 +478,8 @@ class PanelEngine {
         }
       }
       win_buf_[r].assign(stride_[r] * static_cast<std::size_t>(n_slots_), 0.0);
-      win_[r] = role_comm(role).win_create(opt_.tag_base + kWinTag[r],
-                                           win_buf_[r], CommPlane::XY);
+      win_[r] = role_comm(role).win_create(kWinTag[r], win_buf_[r],
+                                           CommPlane::XY);
     }
   }
 
@@ -671,7 +683,7 @@ class PanelEngine {
   Dist2dFactors& F_;
   sim::ProcessGrid2D& g_;
   const BlockStructure& bs_;
-  PanelOptions opt_;
+  Lu2dOptions opt_;
   std::vector<PanelStash> stash_;  ///< slot pool, <= lookahead+1 live slots
   std::vector<real_t> diag_buf_;   ///< reusable diagonal broadcast buffer
   // Targeted-mode state (unused otherwise), indexed by role. The window

@@ -16,14 +16,61 @@
 #include <span>
 
 #include "lu2d/dist_factors.hpp"
-#include "pipeline/options.hpp"
 #include "simmpi/process_grid.hpp"
 
 namespace slu3d {
 
-/// Scheduling knobs; the struct lives in pipeline/options.hpp, and the
-/// historical name survives for callers.
-using Lu2dOptions = pipeline::PanelOptions;
+/// How the 2D panel-broadcast payloads are packed on the wire.
+enum class PanelPacking {
+  /// Panels travel as the full m x ns union blocks, zeros included — the
+  /// historical scheme, byte-identical to the golden fig9 counters.
+  Dense,
+  /// One-sided delivery over simmpi RMA windows: the data root computes
+  /// each receiver's block footprint from the symbolic structure (which
+  /// entries that receiver's Schur pairs actually read) and issues one
+  /// footprint-sized put per receiver — bitmap words + present scalars of
+  /// exactly the needed entries, nothing else. Receivers whose footprint
+  /// is empty get no data message at all (both sides agree symbolically,
+  /// so no handshake is needed). Ancestor union blocks are ragged, so the
+  /// scalar bitmaps elide zeros even inside the entries a receiver reads.
+  /// Factors stay bitwise identical (the footprint covers every
+  /// pair-referenced entry, so charged flops and FP order match Dense);
+  /// savings are reported in RankStats::panel_* with an exact accounting
+  /// identity: dense_equivalent - received == saved.
+  Targeted,
+};
+
+/// Upper bound on the lookahead window. The stash slot pool holds
+/// lookahead+1 live supernodes, each pinning flat panel storage plus
+/// outstanding requests; beyond this bound the "window" is no longer a
+/// window and a mistyped value would silently pin the whole factorization
+/// in memory.
+inline constexpr int kMaxPanelLookahead = 4096;
+
+/// Scheduling knobs of the 2D panel pipeline (one supernode's diagonal
+/// factorization + panel solves + panel broadcast + Schur update, pipelined
+/// through the elimination-tree lookahead window of §II-F). The window's
+/// panel transfers are always non-blocking, drained lazily at the consuming
+/// Schur phase, so they hide behind earlier supernodes' updates; only the
+/// diagonal broadcasts, consumed at once by the panel solves, block.
+/// factorize_2d validates them on entry.
+struct Lu2dOptions {
+  /// Lookahead window size in supernodes (SuperLU_DIST uses 8-20; 0
+  /// disables pipelining). Must be <= kMaxPanelLookahead.
+  int lookahead = 8;
+  /// Wire format of the panel transfers; Dense is byte-identical to the
+  /// historical drivers, Targeted is the opt-in one-sided delivery.
+  PanelPacking packing = PanelPacking::Dense;
+  /// Per-rank compute participants (caller thread + pool workers) for the
+  /// dense kernels and the Schur scatter. 0 (the default) defers to the
+  /// SLU3D_THREADS environment variable, falling back to 1 (the historical
+  /// single-threaded rank). Workers come out of the process-wide
+  /// threads::WorkerBudget, so asking for more than the host has degrades
+  /// gracefully. Factors, RankStats counters, and simulated clocks are
+  /// bitwise identical for every value — threading is a wall-clock-only
+  /// optimization (see DESIGN.md, "Funneled threading model").
+  int threads = 0;
+};
 
 /// Factorizes the supernodes in `snodes` (ascending elimination order) in
 /// place on every rank of `grid`. Collective over grid.grid(). Schur

@@ -3,56 +3,46 @@
 // Each 2D grid factors its elimination-forest levels bottom-up with
 // factorize_2d; after each level the (2k+1)-th active grid sends its copies
 // of every common-ancestor block to the (2k)-th, which accumulates them.
-// The reduction is chunked into non-blocking per-chunk messages
-// (chunk_snodes ancestor supernodes each) drained only when their forest
-// level is factored, so the transfer rides under the 2D factorization of
-// deeper levels.
+// Each ancestor supernode travels as its own non-blocking message, drained
+// only when its forest level is factored, so the transfer rides under the
+// 2D factorization of deeper levels.
 //
 // Wire formats (see for_each_block for the block enumeration):
 //   Dense:  every allocated block of each ancestor travels verbatim.
-//   Sparse: each ancestor is framed as ceil(n_blocks/64) bitmap words
-//           (uint64 bit i = block i present, bit_cast into real_t) followed
-//           by only the blocks whose local accumulation holds any nonzero.
-//           Blocks a subtree never touched are omitted; the receiver skips
-//           them symmetrically by reading the bitmap. Savings are recorded
-//           in the sender's RankStats::zred_* counters.
 //
-// A chunk whose *dense* packed size is zero is skipped without a message —
-// sender and receiver compute that size independently from
+// An ancestor whose *dense* packed size is zero is skipped without a
+// message — sender and receiver compute that size independently from
 // their identical masked layouts, so no handshake is needed (and the
 // decision cannot depend on numeric values, which only the sender knows).
 //
 //   Targeted: one-sided delivery over simmpi RMA windows. Each level gets
 //           its own window over the z-line communicator (created
-//           collectively up front — chunks from several levels can be
+//           collectively up front — messages from several levels can be
 //           outstanding at once, and a level's staging offsets must not
 //           depend on other levels' masked layouts, which a sender cannot
-//           always compute). The sender scatter-accumulates each chunk's
-//           dense stream — a scalar-granularity presence bitmap plus the
-//           nonzero scalars — into the receiver's zeroed staging region at
-//           the chunk's dense offset, so raggedness *inside* touched
-//           blocks is elided too (Sparse only skips whole all-zero
-//           blocks). The receiver registers each chunk with
-//           Window::expect and, at the drain, waits the delivery and
-//           accumulates the staged dense stream in the same order as
-//           Dense — numerically identical. Savings reconcile byte-exactly
-//           against the dense wire: received + zred_bytes_saved == dense.
+//           always compute). The sender scatter-accumulates each
+//           ancestor's dense stream — a scalar-granularity presence bitmap
+//           plus the nonzero scalars — into the receiver's zeroed staging
+//           region at the ancestor's dense offset, so every zero of the
+//           replicated copy is elided, inside touched blocks too. The
+//           receiver registers each ancestor with Window::expect and, at
+//           the drain, waits the delivery and accumulates the staged dense
+//           stream in the same order as Dense — numerically identical.
+//           Savings reconcile byte-exactly against the dense wire:
+//           received + zred_bytes_saved == dense.
 #include "lu3d/factor3d.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "numeric/dense_kernels.hpp"
 #include "support/check.hpp"
 
 namespace slu3d {
 
 namespace {
 
-using pipeline::ZRedPacking;
 using sim::CommPlane;
 
 constexpr int kReduceTagBase = (1 << 22);
@@ -68,25 +58,14 @@ void for_each_block(F& f, int s, Fn&& fn) {
   for (auto& b : f.ublocks(s)) fn(std::span{b.data});
 }
 
-std::size_t count_blocks(const Dist2dFactors& f, int s) {
-  std::size_t n = 0;
-  for_each_block(f, s, [&](std::span<const real_t>) { ++n; });
-  return n;
-}
-
 /// Packed length of supernode s on this rank. Ranks sharing (px, py) on
 /// z-adjacent grids hold identical masked layouts for common ancestors,
 /// so sender and receiver compute the same value independently — empty
-/// chunks can be skipped symmetrically without a handshake.
+/// ancestors can be skipped symmetrically without a handshake.
 std::size_t packed_elems(const Dist2dFactors& f, int s) {
   std::size_t n = 0;
   for_each_block(f, s, [&](std::span<const real_t> blk) { n += blk.size(); });
   return n;
-}
-
-/// Appends one block to a stream (shared by dense and sparse packing).
-void pack_block(std::span<const real_t> blk, std::vector<real_t>& out) {
-  out.insert(out.end(), blk.begin(), blk.end());
 }
 
 /// Accumulates one block from buf at pos; returns the advanced position.
@@ -99,8 +78,9 @@ std::size_t add_block(std::span<real_t> blk, std::span<const real_t> buf,
 
 /// Appends every block of supernode s held by this rank (dense wire).
 void pack_snode(const Dist2dFactors& f, int s, std::vector<real_t>& out) {
-  for_each_block(f, s,
-                 [&](std::span<const real_t> blk) { pack_block(blk, out); });
+  for_each_block(f, s, [&](std::span<const real_t> blk) {
+    out.insert(out.end(), blk.begin(), blk.end());
+  });
 }
 
 /// Mirror of pack_snode: adds the packed stream into the local blocks.
@@ -108,53 +88,6 @@ std::size_t add_snode(Dist2dFactors& f, int s, std::span<const real_t> buf,
                       std::size_t pos) {
   for_each_block(
       f, s, [&](std::span<real_t> blk) { pos = add_block(blk, buf, pos); });
-  return pos;
-}
-
-/// Sparse-packs supernode s: presence bitmap words, then present blocks.
-/// Sender-side savings are recorded into `st`.
-void pack_snode_sparse(const Dist2dFactors& f, int s, std::vector<real_t>& out,
-                       sim::RankStats& st) {
-  const std::size_t nb = count_blocks(f, s);
-  if (nb == 0) return;
-  const std::size_t words = (nb + 63) / 64;
-  const std::size_t base = out.size();
-  out.resize(base + words, 0.0);
-  std::uint64_t bits[64] = {};  // enough for 4096 blocks per supernode
-  SLU3D_CHECK(words <= 64, "supernode has too many blocks for sparse packing");
-  std::size_t i = 0;
-  for_each_block(f, s, [&](std::span<const real_t> blk) {
-    st.zred_blocks_total += 1;
-    if (dense::all_zero(blk.data(), blk.size())) {
-      st.zred_blocks_skipped += 1;
-    } else {
-      bits[i >> 6] |= std::uint64_t{1} << (i & 63);
-      pack_block(blk, out);
-    }
-    ++i;
-  });
-  for (std::size_t w = 0; w < words; ++w)
-    out[base + w] = std::bit_cast<real_t>(bits[w]);
-}
-
-/// Mirror of pack_snode_sparse: reads the bitmap, accumulates only the
-/// blocks the sender included.
-std::size_t add_snode_sparse(Dist2dFactors& f, int s,
-                             std::span<const real_t> buf, std::size_t pos) {
-  const std::size_t nb = count_blocks(f, s);
-  if (nb == 0) return pos;
-  const std::size_t words = (nb + 63) / 64;
-  SLU3D_CHECK(pos + words <= buf.size(),
-              "sparse reduction stream underflow (bitmap)");
-  const std::size_t bmp = pos;
-  pos += words;
-  std::size_t i = 0;
-  for_each_block(f, s, [&](std::span<real_t> blk) {
-    const auto word = std::bit_cast<std::uint64_t>(buf[bmp + (i >> 6)]);
-    const bool present = (word >> (i & 63)) & 1;
-    ++i;
-    if (present) pos = add_block(blk, buf, pos);
-  });
   return pos;
 }
 
@@ -194,21 +127,26 @@ void refill_3d_factors(Dist2dFactors& F, sim::ProcessGrid3D& grid,
 
 void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
                   const ForestPartition& part, const Lu3dOptions& options) {
-  pipeline::validate_zred_options(options);
+  SLU3D_CHECK(options.packing == ZRedPacking::Dense ||
+                  options.packing == ZRedPacking::Targeted,
+              "lu3d: unknown ZRedPacking value");
   const BlockStructure& bs = F.structure();
   const int l = part.n_levels() - 1;
   const int pz = grid.pz();
-  const bool sparse = options.packing == ZRedPacking::Sparse;
   const bool targeted = options.packing == ZRedPacking::Targeted;
-  const auto chunk = static_cast<std::size_t>(options.chunk_snodes);
+  // The supernodes this grid reduces after factoring level `lvl`: its
+  // copies of every common ancestor of that level.
+  auto reduced_after = [&](int s, int lvl) {
+    return part.level_of(s) < lvl && part.on_grid(s, pz);
+  };
 
   // Targeted mode: per-level RMA windows over the z line, created
   // collectively before the level loop (inactive ranks contribute empty
   // staging). A receiver's staging for a level is the dense stream of all
-  // its ancestors at that level; chunk offsets within it are cumulative
-  // dense lengths, which sender and receiver compute identically. The
-  // vectors are sized once up front — windows and staging must not
-  // relocate while deliveries are pending.
+  // its ancestors at that level; each ancestor's offset within it is the
+  // cumulative dense length before it, which sender and receiver compute
+  // identically. The vectors are sized once up front — windows and staging
+  // must not relocate while deliveries are pending.
   std::vector<std::vector<real_t>> zstage;
   std::vector<sim::Window> zwin;
   if (targeted) {
@@ -219,8 +157,7 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
       std::size_t mine = 0;
       if (pz % step == 0 && (pz / step) % 2 == 0) {
         for (int s = 0; s < bs.n_snodes(); ++s)
-          if (part.level_of(s) < lvl && part.on_grid(s, pz))
-            mine += packed_elems(F, s);
+          if (reduced_after(s, lvl)) mine += packed_elems(F, s);
       }
       zstage[static_cast<std::size_t>(lvl)].assign(mine, 0.0);
       zwin[static_cast<std::size_t>(lvl)] = grid.zline().win_create(
@@ -229,57 +166,47 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
     }
   }
 
-  // Outstanding reduction chunks. A chunk is drained right before the first
-  // level that factors one of its supernodes — until then its transfer
-  // rides under the 2D factorization of deeper levels. In targeted mode the
-  // chunk is a window delivery into `zstage[lvl]` at [off, off+len) instead
-  // of a request with its own buffer.
+  // Outstanding reduction messages, one per ancestor supernode. Each is
+  // drained right before the level that factors its supernode — until then
+  // its transfer rides under the 2D factorization of deeper levels. In
+  // targeted mode the message is a window delivery into `zstage[lvl]` at
+  // [off, off+len) instead of a request with its own buffer.
   struct Pending {
     sim::Request req;
-    std::vector<int> snodes;
+    int snode = -1;
     sim::WindowDelivery delivery;
     std::size_t off = 0, len = 0;
     int lvl = 0;
   };
   std::vector<Pending> outstanding;
 
-  auto unpack_chunk = [&](std::span<const real_t> buf,
-                          std::span<const int> snodes) {
-    std::size_t pos = 0;
-    for (const int s : snodes)
-      pos = sparse ? add_snode_sparse(F, s, buf, pos)
-                   : add_snode(F, s, buf, pos);
-    SLU3D_CHECK(pos == buf.size(), "reduction chunk not fully consumed");
-  };
-  auto unpack_staged = [&](Pending& p) {
+  auto unpack = [&](Pending& p) {
+    if (!targeted) {
+      const std::vector<real_t> buf = p.req.take();
+      const std::size_t end = add_snode(F, p.snode, buf, 0);
+      SLU3D_CHECK(end == buf.size(), "reduction message not fully consumed");
+      return;
+    }
     // Waiting the delivery applies the scatter-accumulate (and any earlier
     // ones from the same origin, each into its own disjoint, pre-zeroed
     // region); the staged dense stream is then folded in exactly like a
-    // dense wire chunk.
+    // dense wire message.
     p.delivery.wait();
-    std::size_t pos = p.off;
-    for (const int s : p.snodes)
-      pos = add_snode(F, s, zstage[static_cast<std::size_t>(p.lvl)], pos);
-    SLU3D_CHECK(pos == p.off + p.len,
-                "targeted reduction chunk not fully consumed");
+    const std::size_t end =
+        add_snode(F, p.snode, zstage[static_cast<std::size_t>(p.lvl)], p.off);
+    SLU3D_CHECK(end == p.off + p.len,
+                "targeted reduction delivery not fully consumed");
   };
   auto drain = [&](auto&& keep_pending) {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < outstanding.size(); ++i) {
       Pending& p = outstanding[i];
-      bool keep = true;
-      for (const int s : p.snodes) keep = keep && keep_pending(s);
-      if (keep) {
+      if (keep_pending(p.snode)) {
         if (kept != i) outstanding[kept] = std::move(p);  // no self-move
         ++kept;
         continue;
       }
-      if (targeted) {
-        unpack_staged(p);
-      } else {
-        const std::vector<real_t> buf = p.req.take();
-        unpack_chunk(buf, p.snodes);
-      }
+      unpack(p);
     }
     outstanding.resize(kept);
   };
@@ -288,8 +215,8 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
     const int step = 1 << (l - lvl);
     if (pz % step != 0) continue;  // this grid is inactive at this level
 
-    // Chunks feeding this level's supernodes must be in before they are
-    // factored; deeper chunks keep overlapping.
+    // Messages feeding this level's supernodes must be in before they are
+    // factored; deeper ones keep overlapping.
     drain([&](int s) { return part.level_of(s) < lvl; });
 
     const std::vector<int> nodes = part.nodes_at(pz, lvl);
@@ -299,26 +226,14 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
 
     // Ancestor-Reduction: the (2k+1)-th active grid sends its copies of
     // every common-ancestor block to the (2k)-th, which accumulates them.
+    // Both sides walk the same ancestors in the same order, derive the same
+    // dense offsets, and skip structurally empty ancestors symmetrically,
+    // so sends (or scatter-accumulates) and their receives (or expected
+    // deliveries) pair up without any handshake.
     const int k = pz / step;
-    std::vector<int> ancestors;
-    for (int s = 0; s < bs.n_snodes(); ++s)
-      if (part.level_of(s) < lvl && part.on_grid(s, pz)) ancestors.push_back(s);
-
-    // Both sides partition the ancestor list into the same chunks, derive
-    // the same dense offsets, and skip structurally empty chunks
-    // symmetrically, so sends (or scatter-accumulates) and their receives
-    // (or expected deliveries) pair up without any handshake.
-    auto chunk_at = [&](std::size_t c0) {
-      return std::span<const int>{ancestors}.subspan(
-          c0, std::min(chunk, ancestors.size() - c0));
-    };
-    auto dense_elems_of = [&](std::span<const int> snodes) {
-      std::size_t n = 0;
-      for (const int s : snodes) n += packed_elems(F, s);
-      return n;
-    };
     sim::Window* win =
         targeted ? &zwin[static_cast<std::size_t>(lvl)] : nullptr;
+    std::size_t off = 0;
 
     if (k % 2 == 1) {
       // The outgoing copies must include everything received so far.
@@ -327,68 +242,50 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
       std::vector<real_t> buf;
       std::vector<std::uint64_t> bits;
       std::vector<real_t> packed;
-      std::size_t chunk_off = 0;
-      for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
-        const auto snodes = chunk_at(c0);
-        const std::size_t dense_len = dense_elems_of(snodes);
-        if (dense_len == 0) continue;  // peer skips the matching receive
+      for (int s = 0; s < bs.n_snodes(); ++s) {
+        if (!reduced_after(s, lvl)) continue;
+        const std::size_t len = packed_elems(F, s);
+        if (len == 0) continue;  // peer skips the matching receive
         buf.clear();
-        for (const int s : snodes) {
-          if (sparse) {
-            pack_snode_sparse(F, s, buf, st);
-            continue;
-          }
-          if (targeted)
-            for_each_block(F, s, [&](std::span<const real_t> blk) {
-              st.zred_blocks_total += 1;
-              if (dense::all_zero(blk.data(), blk.size()))
-                st.zred_blocks_skipped += 1;
-            });
-          pack_snode(F, s, buf);
-        }
-        if (targeted) {
-          bits.assign((dense_len + 63) / 64, 0);
-          packed.clear();
-          for (std::size_t i = 0; i < buf.size(); ++i)
-            if (buf[i] != 0.0) {
-              bits[i / 64] |= std::uint64_t{1} << (i % 64);
-              packed.push_back(buf[i]);
-            }
-          st.zred_bytes_saved +=
-              (static_cast<offset_t>(dense_len) -
-               static_cast<offset_t>(bits.size() + packed.size())) *
-              static_cast<offset_t>(sizeof(real_t));
-          win->scatter_accumulate(pz - step, chunk_off, dense_len, bits,
-                                  packed);
-          chunk_off += dense_len;
+        pack_snode(F, s, buf);
+        if (!targeted) {
+          grid.zline().isend(pz - step, kReduceTagBase + lvl, buf,
+                             CommPlane::Z);
           continue;
         }
-        if (sparse)
-          st.zred_bytes_saved += (static_cast<offset_t>(dense_len) -
-                                  static_cast<offset_t>(buf.size())) *
-                                 static_cast<offset_t>(sizeof(real_t));
-        grid.zline().isend(pz - step, kReduceTagBase + lvl, buf, CommPlane::Z);
+        bits.assign((len + 63) / 64, 0);
+        packed.clear();
+        for (std::size_t i = 0; i < buf.size(); ++i)
+          if (buf[i] != 0.0) {
+            bits[i / 64] |= std::uint64_t{1} << (i % 64);
+            packed.push_back(buf[i]);
+          }
+        st.zred_bytes_saved +=
+            (static_cast<offset_t>(len) -
+             static_cast<offset_t>(bits.size() + packed.size())) *
+            static_cast<offset_t>(sizeof(real_t));
+        win->scatter_accumulate(pz - step, off, len, bits, packed);
+        off += len;
       }
     } else {
-      std::size_t chunk_off = 0;
-      for (std::size_t c0 = 0; c0 < ancestors.size(); c0 += chunk) {
-        const auto snodes = chunk_at(c0);
-        const std::size_t dense_len = dense_elems_of(snodes);
-        if (dense_len == 0) continue;
+      for (int s = 0; s < bs.n_snodes(); ++s) {
+        if (!reduced_after(s, lvl)) continue;
+        const std::size_t len = packed_elems(F, s);
+        if (len == 0) continue;
         Pending p;
-        p.snodes.assign(snodes.begin(), snodes.end());
+        p.snode = s;
         if (targeted) {
           // Zero the landing region before registering the op — the
           // accumulate can only be applied during a wait, which always
           // comes after this expect.
           std::fill_n(zstage[static_cast<std::size_t>(lvl)].begin() +
-                          static_cast<std::ptrdiff_t>(chunk_off),
-                      dense_len, 0.0);
+                          static_cast<std::ptrdiff_t>(off),
+                      len, 0.0);
           p.delivery = win->expect(pz + step);
-          p.off = chunk_off;
-          p.len = dense_len;
+          p.off = off;
+          p.len = len;
           p.lvl = lvl;
-          chunk_off += dense_len;
+          off += len;
         } else {
           p.req = grid.zline().irecv(pz + step, kReduceTagBase + lvl,
                                      CommPlane::Z);
@@ -397,7 +294,7 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
       }
     }
   }
-  SLU3D_CHECK(outstanding.empty(), "undrained reduction chunks");
+  SLU3D_CHECK(outstanding.empty(), "undrained reduction messages");
 }
 
 std::optional<SupernodalMatrix> gather_3d_to_root(const Dist2dFactors& F,

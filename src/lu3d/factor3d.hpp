@@ -10,14 +10,31 @@
 
 #include "lu2d/factor2d.hpp"
 #include "lu3d/forest_partition.hpp"
-#include "pipeline/options.hpp"
 
 namespace slu3d {
 
-/// 3D driver options: the z-reduction knobs (chunk_snodes and
-/// Dense/Sparse/Targeted packing — see pipeline::ZRedOptions) plus the 2D
-/// panel-pipeline options applied at every forest level.
-struct Lu3dOptions : pipeline::ZRedOptions {
+/// How the z-axis ancestor-reduction payloads are packed on the wire.
+enum class ZRedPacking {
+  /// Every allocated ancestor block travels, zeros included — the paper's
+  /// scheme, byte-identical to the historical drivers.
+  Dense,
+  /// One-sided delivery: ancestor contributions are scatter_accumulate'd
+  /// into an RMA window over the owner's receive staging instead of being
+  /// exchanged pairwise — a scalar-granularity presence bitmap plus the
+  /// nonzero scalars travel, so every zero of the replicated copy is
+  /// elided, inside touched blocks too. Numerically identical: the owner
+  /// adds the staged dense stream in the same order as Dense. Savings land
+  /// in RankStats::zred_bytes_saved and reconcile byte-exactly:
+  /// received + zred_saved == dense received.
+  Targeted,
+};
+
+/// 3D driver options: the wire format of the per-level z-axis ancestor
+/// reduction plus the 2D panel-pipeline options applied at every forest
+/// level. factorize_3d validates the packing on entry (and factorize_2d
+/// the panel options).
+struct Lu3dOptions {
+  ZRedPacking packing = ZRedPacking::Dense;
   Lu2dOptions lu2d;
 };
 

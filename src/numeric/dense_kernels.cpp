@@ -582,20 +582,6 @@ void trsv_lower_unit(index_t n, const real_t* a, index_t lda, real_t* y) {
   }
 }
 
-bool all_zero(const real_t* x, std::size_t n) {
-  // Branch once per 4 elements: |x| accumulates to exactly 0 iff every
-  // element is (+/-) zero, and the OR-of-abs trick vectorizes.
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const real_t s = std::fabs(x[i]) + std::fabs(x[i + 1]) +
-                     std::fabs(x[i + 2]) + std::fabs(x[i + 3]);
-    if (s != 0.0) return false;
-  }
-  for (; i < n; ++i)
-    if (x[i] != 0.0) return false;
-  return true;
-}
-
 void trsv_upper_trans(index_t n, const real_t* a, index_t lda, real_t* y) {
   // U^T is lower triangular; forward substitution over columns of U.
   for (index_t k = 0; k < n; ++k) {

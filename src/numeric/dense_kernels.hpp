@@ -72,12 +72,6 @@ void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
 /// y <- L^{-1} y for one vector (unit lower part of a).
 void trsv_lower_unit(index_t n, const real_t* a, index_t lda, real_t* y);
 
-/// True if all n values are (+/-) zero. Used by the sparse z-reduction
-/// packing to detect ancestor blocks a subtree never touched; kept here so
-/// the scan shares the kernels' unrolling style and stays off the
-/// per-element-branch path.
-bool all_zero(const real_t* x, std::size_t n);
-
 // ---- Cholesky kernels (the LL^T variant, paper §VII) -------------------
 
 /// In-place Cholesky of the lower triangle: A = L L^T, L overwriting the

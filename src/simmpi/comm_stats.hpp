@@ -25,14 +25,12 @@ struct RankStats {
   std::array<double, kNumComputeKinds> compute_seconds{};
   std::array<offset_t, kNumComputeKinds> flops{};
   double clock = 0.0;  ///< final logical time of the rank
-  /// Packed z-reduction accounting (sender side; zero unless
-  /// ZRedPacking::Sparse or ZRedPacking::Targeted is enabled — see
-  /// pipeline/options.hpp). `saved` is dense-equivalent bytes minus actual
-  /// payload, bitmap overhead included, so it can go (slightly) negative
-  /// on fully dense levels.
-  offset_t zred_blocks_total = 0;    ///< ancestor blocks considered
-  offset_t zred_blocks_skipped = 0;  ///< blocks omitted as all-zero
-  offset_t zred_bytes_saved = 0;     ///< W_red bytes avoided vs Dense
+  /// Targeted z-reduction accounting (sender side; zero unless
+  /// ZRedPacking::Targeted is enabled — see lu3d/factor3d.hpp): W_red bytes
+  /// avoided vs Dense, i.e. dense-equivalent bytes minus actual payload,
+  /// bitmap overhead included, so it can go (slightly) negative on fully
+  /// dense levels.
+  offset_t zred_bytes_saved = 0;
   /// Targeted panel-delivery accounting (data-root side; zero unless
   /// PanelPacking::Targeted is enabled). `panel_dense_bytes` is what the
   /// Dense broadcasts of the roles rooted at this rank would have delivered

@@ -1119,18 +1119,6 @@ offset_t RunResult::total_zred_bytes_saved() const {
   return total;
 }
 
-offset_t RunResult::total_zred_blocks_skipped() const {
-  offset_t total = 0;
-  for (const auto& r : ranks) total += r.zred_blocks_skipped;
-  return total;
-}
-
-offset_t RunResult::total_zred_blocks_total() const {
-  offset_t total = 0;
-  for (const auto& r : ranks) total += r.zred_blocks_total;
-  return total;
-}
-
 offset_t RunResult::total_panel_dense_bytes() const {
   offset_t total = 0;
   for (const auto& r : ranks) total += r.panel_dense_bytes;

@@ -313,11 +313,9 @@ struct RunResult {
   offset_t max_bytes_received(CommPlane plane) const;
   offset_t total_bytes_sent(CommPlane plane) const;
   double max_compute_seconds(ComputeKind kind) const;
-  /// Aggregate sparse z-reduction savings across ranks (zero when
-  /// ZRedPacking::Dense): W_red bytes avoided and blocks skipped/considered.
+  /// Aggregate targeted z-reduction savings across ranks (zero when
+  /// ZRedPacking::Dense): the W_red bytes avoided.
   offset_t total_zred_bytes_saved() const;
-  offset_t total_zred_blocks_skipped() const;
-  offset_t total_zred_blocks_total() const;
   /// Aggregate targeted panel-delivery savings across ranks (zero when
   /// PanelPacking::Dense): dense-equivalent panel payload, and the XY
   /// bytes and messages the footprint puts avoided.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -41,10 +42,21 @@ CsrMatrix read_matrix_market(std::istream& in) {
   std::istringstream dims(line);
   long long nr = 0, nc = 0, nnz = 0;
   dims >> nr >> nc >> nnz;
-  SLU3D_CHECK(nr > 0 && nc > 0 && nnz >= 0, "bad size line");
+  SLU3D_CHECK(static_cast<bool>(dims) && nr > 0 && nc > 0 && nnz >= 0,
+              "bad size line");
+  constexpr long long kMaxDim = std::numeric_limits<index_t>::max();
+  SLU3D_CHECK(nr <= kMaxDim && nc <= kMaxDim,
+              "size line: dimensions exceed the 32-bit index range");
+  // nr * nc <= (2^31 - 1)^2 cannot overflow a long long.
+  SLU3D_CHECK(nnz <= nr * nc, "size line: more entries than matrix cells");
 
+  // The header's nnz is only a claim: reserve a bounded prefix up front, so
+  // a file that overstates it fails at "truncated entry list" instead of
+  // allocating for entries that never arrive.
+  constexpr long long kMaxReserve = 1 << 20;
+  const auto expected = static_cast<std::size_t>(std::min(nnz, kMaxReserve));
   CooMatrix coo(static_cast<index_t>(nr), static_cast<index_t>(nc));
-  coo.reserve(static_cast<std::size_t>(symmetry == "symmetric" ? 2 * nnz : nnz));
+  coo.reserve(symmetry == "symmetric" ? 2 * expected : expected);
   for (long long k = 0; k < nnz; ++k) {
     long long i = 0, j = 0;
     double v = 1.0;

@@ -41,8 +41,8 @@ void check_25d(index_t n, index_t block, int p, int c) {
     auto grid = ProcessGrid3D::create(world, p, p, c);
     Dense25dMatrix A(n, opt, p, grid.plane().px(), grid.plane().py());
     if (grid.pz() == 0) A.fill_from(a0);  // other layers start at zero
-    dense_lu_25d(A, world, grid, opt);
-    auto full = gather_dense_25d(A, world, grid, opt);
+    dense_lu_25d(A, world, grid);
+    auto full = gather_dense_25d(A, world, grid);
     if (full.has_value()) {
       const std::lock_guard<std::mutex> lock(mu);
       gathered = std::move(*full);
@@ -97,7 +97,7 @@ TEST(Dense25d, ExtraLayersCutPlaneTraffic) {
       auto grid = ProcessGrid3D::create(world, p, p, c);
       Dense25dMatrix A(n, opt, p, grid.plane().px(), grid.plane().py());
       if (grid.pz() == 0) A.fill_from(a0);
-      dense_lu_25d(A, world, grid, opt);
+      dense_lu_25d(A, world, grid);
     });
   };
   const auto r1 = run(4, 1);   // P = 16, c = 1 (2D)

@@ -96,6 +96,13 @@ struct SweepCase {
   int Px, Py, Pz;
 };
 
+/// gtest's default printer dumps the raw bytes of the case, `cls` pointer
+/// included, into the listed test names, so they would change from run to
+/// run under address-space randomisation.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.cls << ' ' << c.Px << 'x' << c.Py << 'x' << c.Pz;
+}
+
 CsrMatrix make_class(const std::string& cls) {
   // The paper's problem families: K2D5pt-class planar grid (fig9/fig10
   // planar), Serena-class 3D grid (fig9/fig10 nonplanar), G3_circuit-class

@@ -114,11 +114,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipelineFuzz, ::testing::Range(0, 16));
 
 // ---------------------------------------------------------------------------
 // Mixed wire formats under randomized sparsity patterns: targeted panel
-// delivery together with the block-framed Sparse z-reduction, the one
-// combination RandomTargetedDeliveryFuzz (targeted on both planes) does not
-// draw. Every random matrix/shape/lookahead/chunk draw must solve to the
-// bit-identical answer of the dense wire on both planes. (The suite keeps
-// its historical test name so the per-seed ids stay stable.)
+// delivery together with the dense z-reduction, the one combination
+// RandomTargetedDeliveryFuzz (targeted on both planes) does not draw. Every
+// random matrix/shape/lookahead draw must solve to the bit-identical answer
+// of the dense wire on both planes. (The suite keeps its historical test
+// name so the per-seed ids stay stable.)
 // ---------------------------------------------------------------------------
 
 class RandomPackingFuzz : public ::testing::TestWithParam<int> {};
@@ -141,27 +141,26 @@ TEST_P(RandomPackingFuzz, SparsePanelPackingSolvesBitIdentical) {
   opt.Pz = s[2];
   opt.nd.leaf_size = 4 + rng.next_index(10);
   opt.lu3d.lu2d.lookahead = static_cast<int>(rng.next_index(12));
-  opt.lu3d.chunk_snodes = 1 + static_cast<int>(rng.next_index(3));
 
   const auto nu = static_cast<std::size_t>(n);
-  std::vector<real_t> xref(nu), b(nu), xd(nu), xs(nu);
+  std::vector<real_t> xref(nu), b(nu), xd(nu), xm(nu);
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
 
   SolverService dense(opt);
   const auto fd = dense.factor(A);
   const auto repd = dense.solve({b, xd, 1});
-  opt.lu3d.lu2d.packing = pipeline::PanelPacking::Targeted;
-  opt.lu3d.packing = pipeline::ZRedPacking::Sparse;
-  SolverService sparse(opt);
-  const auto fs = sparse.factor(A);
-  const auto reps = sparse.solve({b, xs, 1});
+  opt.lu3d.lu2d.packing = PanelPacking::Targeted;
+  SolverService mixed(opt);
+  const auto fm = mixed.factor(A);
+  const auto repm = mixed.solve({b, xm, 1});
 
   EXPECT_LT(repd.residual, 1e-11) << "seed " << seed;
-  EXPECT_LT(reps.residual, 1e-11) << "seed " << seed;
+  EXPECT_LT(repm.residual, 1e-11) << "seed " << seed;
   for (std::size_t i = 0; i < nu; ++i)
-    ASSERT_EQ(xd[i], xs[i]) << "seed " << seed << " i=" << i;
-  EXPECT_LE(fs.w_fact, fd.w_fact) << "seed " << seed;
+    ASSERT_EQ(xd[i], xm[i]) << "seed " << seed << " i=" << i;
+  EXPECT_LE(fm.w_fact, fd.w_fact) << "seed " << seed;
+  EXPECT_EQ(fm.w_red, fd.w_red) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPackingFuzz, ::testing::Range(0, 12));
@@ -191,20 +190,19 @@ TEST_P(RandomTargetedDeliveryFuzz, TargetedDeliverySolvesBitIdentical) {
   opt.Pz = s[2];
   opt.nd.leaf_size = 4 + rng.next_index(10);
   opt.lu3d.lu2d.lookahead = static_cast<int>(rng.next_index(12));
-  opt.lu3d.chunk_snodes = 1 + static_cast<int>(rng.next_index(3));
 
   const auto nu = static_cast<std::size_t>(n);
   std::vector<real_t> xref(nu), b(nu), xd(nu), xt(nu);
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
 
-  opt.lu3d.lu2d.packing = pipeline::PanelPacking::Dense;
-  opt.lu3d.packing = pipeline::ZRedPacking::Dense;
+  opt.lu3d.lu2d.packing = PanelPacking::Dense;
+  opt.lu3d.packing = ZRedPacking::Dense;
   SolverService dense(opt);
   const auto fd = dense.factor(A);
   const auto repd = dense.solve({b, xd, 1});
-  opt.lu3d.lu2d.packing = pipeline::PanelPacking::Targeted;
-  opt.lu3d.packing = pipeline::ZRedPacking::Targeted;
+  opt.lu3d.lu2d.packing = PanelPacking::Targeted;
+  opt.lu3d.packing = ZRedPacking::Targeted;
   SolverService targeted(opt);
   const auto ft = targeted.factor(A);
   const auto rept = targeted.solve({b, xt, 1});
@@ -222,7 +220,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTargetedDeliveryFuzz,
 /// Factors `bs` on a 2x2x1 grid with the given panel packing, gathers the
 /// factors into `out`, and returns the run's counters.
 sim::RunResult run_lu_2x2(const BlockStructure& bs, const CsrMatrix& Ap,
-                          pipeline::PanelPacking packing,
+                          PanelPacking packing,
                           SupernodalMatrix* out) {
   const ForestPartition part(bs, 1);
   Lu3dOptions o;
@@ -267,9 +265,9 @@ TEST(Fuzz, FullyDensePanelsSurviveSparsePacking) {
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
   SupernodalMatrix fd(bs), ft(bs);
-  run_lu_2x2(bs, Ap, pipeline::PanelPacking::Dense, &fd);
+  run_lu_2x2(bs, Ap, PanelPacking::Dense, &fd);
   const sim::RunResult rt =
-      run_lu_2x2(bs, Ap, pipeline::PanelPacking::Targeted, &ft);
+      run_lu_2x2(bs, Ap, PanelPacking::Targeted, &ft);
   expect_factors_bitwise(bs, fd, ft);
   EXPECT_GT(rt.total_panel_saved_bytes(), 0);
 }
@@ -311,9 +309,9 @@ TEST(Fuzz, AllZeroAncestorPanelsArePrunedWholesale) {
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
 
   SupernodalMatrix fd(bs), ft(bs);
-  run_lu_2x2(bs, Ap, pipeline::PanelPacking::Dense, &fd);
+  run_lu_2x2(bs, Ap, PanelPacking::Dense, &fd);
   const sim::RunResult rt =
-      run_lu_2x2(bs, Ap, pipeline::PanelPacking::Targeted, &ft);
+      run_lu_2x2(bs, Ap, PanelPacking::Targeted, &ft);
   expect_factors_bitwise(bs, fd, ft);
   EXPECT_GT(rt.total_panel_saved_bytes(), 0);
 }

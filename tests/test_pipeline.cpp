@@ -2,9 +2,8 @@
 // factorize_2d and the z-reduction of factorize_3d):
 //  - golden per-plane comm counters pinning the Dense and the Targeted
 //    (panels and z-reduction) wire formats on the fig9 configs,
-//  - sparse z-reduction packing: bitwise-identical factors, reduced W_red,
-//    savings counters,
-//  - per-supernode vs whole-level reduction chunking,
+//  - targeted z-reduction: bitwise-identical factors, reduced W_red,
+//    savings counter,
 //  - option validation.
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <string>
 
 #include "lu3d/factor3d.hpp"
-#include "numeric/dense_kernels.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 
@@ -92,6 +90,13 @@ struct GoldenCase {
   offset_t targeted[6];
 };
 
+/// gtest's default printer dumps the raw bytes of the case, `name` pointer
+/// included, into the listed test names, so they would change from run to
+/// run under address-space randomisation.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.name << ' ' << c.Px << 'x' << c.Py << 'x' << c.Pz;
+}
+
 constexpr GoldenCase kGolden[] = {
     {"planar", 4, 4, 1, {3369936, 0, 6840, 0, 295648, 0},
      {2226848, 0, 4118, 0, 217280, 0}},
@@ -129,8 +134,8 @@ TEST_P(GoldenCommCounters, DenseModeMatchesPreRefactorBytes) {
   const Problem p = fig9_problem(std::string(c.name) == "planar");
   expect_totals(run_lu3d(p, c.Px, c.Py, c.Pz), c.lu, "Dense");
   Lu3dOptions targeted;
-  targeted.lu2d.packing = pipeline::PanelPacking::Targeted;
-  targeted.packing = pipeline::ZRedPacking::Targeted;
+  targeted.lu2d.packing = PanelPacking::Targeted;
+  targeted.packing = ZRedPacking::Targeted;
   expect_totals(run_lu3d(p, c.Px, c.Py, c.Pz, targeted), c.targeted,
                 "Targeted");
 }
@@ -144,15 +149,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Sparse z-reduction packing. Must change no numeric value (the factors are
+// Targeted z-reduction. Must change no numeric value (the factors are
 // compared bitwise against the dense run) while sending strictly fewer
-// reduction bytes and reporting the savings in the zred_* counters.
+// reduction bytes and reporting the savings in the zred_bytes_saved
+// counter. (The suite keeps the name of the retired block-framed Sparse
+// wire it used to test, so its id stays stable.)
 // ---------------------------------------------------------------------------
 
-Problem sparse_test_problem() {
+Problem fig10_tiny_problem() {
   // Exactly fig10's K2D5pt at tiny scale (32x32 five-point Laplacian,
-  // leaf_size 32): with Pz = 4 the shallow subtrees leave several ancestor
-  // replica blocks untouched, so sparse packing has something to skip.
+  // leaf_size 32): with Pz = 4 the shallow subtrees leave many ancestor
+  // replica entries untouched, so the targeted wire has zeros to elide.
   const GridGeometry g{32, 32, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const SeparatorTree tree = geometric_nd(g, {.leaf_size = 32});
@@ -189,125 +196,78 @@ void expect_bitwise_equal(const SupernodalMatrix& a, const SupernodalMatrix& b,
 }
 
 TEST(SparseZReduction, BitwiseIdenticalFactorsAndReducedWred) {
-  const Problem p = sparse_test_problem();
-  Lu3dOptions dense, sparse;
-  sparse.packing = pipeline::ZRedPacking::Sparse;
+  const Problem p = fig10_tiny_problem();
+  Lu3dOptions dense, targeted;
+  targeted.packing = ZRedPacking::Targeted;
 
-  RunResult rd, rs;
+  RunResult rd, rt;
   const SupernodalMatrix fd = gather_lu3d(p, 2, 2, 4, dense, &rd);
-  const SupernodalMatrix fs = gather_lu3d(p, 2, 2, 4, sparse, &rs);
-  expect_bitwise_equal(fd, fs, p.bs.n());
+  const SupernodalMatrix ft = gather_lu3d(p, 2, 2, 4, targeted, &rt);
+  expect_bitwise_equal(fd, ft, p.bs.n());
 
   // Dense mode reports no savings.
   EXPECT_EQ(rd.total_zred_bytes_saved(), 0);
-  EXPECT_EQ(rd.total_zred_blocks_total(), 0);
 
-  // Sparse mode skips blocks and shrinks the reduction plane everywhere
-  // it is measured: total sent, per-rank max received (paper W_red).
-  EXPECT_GT(rs.total_zred_blocks_total(), 0);
-  EXPECT_GT(rs.total_zred_blocks_skipped(), 0);
-  EXPECT_LT(rs.total_zred_blocks_skipped(), rs.total_zred_blocks_total());
-  EXPECT_GT(rs.total_zred_bytes_saved(), 0);
-  EXPECT_LT(rs.total_bytes_sent(CommPlane::Z), rd.total_bytes_sent(CommPlane::Z));
-  EXPECT_LT(rs.max_bytes_received(CommPlane::Z),
+  // Targeted mode shrinks the reduction plane everywhere it is measured:
+  // total sent, per-rank max received (paper W_red).
+  EXPECT_GT(rt.total_zred_bytes_saved(), 0);
+  EXPECT_LT(rt.total_bytes_sent(CommPlane::Z), rd.total_bytes_sent(CommPlane::Z));
+  EXPECT_LT(rt.max_bytes_received(CommPlane::Z),
             rd.max_bytes_received(CommPlane::Z));
-  // The savings counter is exact: dense volume = sparse volume + saved.
-  EXPECT_EQ(rs.total_bytes_sent(CommPlane::Z) + rs.total_zred_bytes_saved(),
+  // The savings counter is exact: dense volume = targeted volume + saved.
+  EXPECT_EQ(rt.total_bytes_sent(CommPlane::Z) + rt.total_zred_bytes_saved(),
             rd.total_bytes_sent(CommPlane::Z));
   // The XY (2D factorization) plane is untouched by the packing mode.
-  EXPECT_EQ(rs.total_bytes_sent(CommPlane::XY),
+  EXPECT_EQ(rt.total_bytes_sent(CommPlane::XY),
             rd.total_bytes_sent(CommPlane::XY));
 }
 
-TEST(SparseZReduction, ChunkedAndBlockingPathsMatchBitwise) {
-  const Problem p = sparse_test_problem();
-  const SupernodalMatrix ref = gather_lu3d(p, 2, 2, 4, {});
-
-  Lu3dOptions chunked;
-  chunked.chunk_snodes = 3;
-  chunked.packing = pipeline::ZRedPacking::Sparse;
-  expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, chunked), p.bs.n());
-
-  // One chunk per level: the message shape of a single whole-level
-  // exchange, drained before the next level like any other chunk.
-  Lu3dOptions whole_level;
-  whole_level.chunk_snodes = p.bs.n_snodes();
-  whole_level.packing = pipeline::ZRedPacking::Sparse;
-  expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, whole_level), p.bs.n());
-}
-
 // ---------------------------------------------------------------------------
-// Option validation happens once, at engine entry, for both option structs.
+// Option validation happens once, at engine entry: factorize_3d checks the
+// z-reduction packing, factorize_2d the panel options.
 // ---------------------------------------------------------------------------
 
-TEST(PipelineOptions, EngineRejectsInvalidOptionsForBothVariants) {
+Problem tiny_problem() {
   const GridGeometry g{8, 8, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const SeparatorTree tree = geometric_nd(g, {.leaf_size = 8});
-  const Problem p{BlockStructure(A, tree), A.permuted_symmetric(tree.perm())};
+  return {BlockStructure(A, tree), A.permuted_symmetric(tree.perm())};
+}
+
+TEST(PipelineOptions, EngineRejectsInvalidOptionsForBothVariants) {
+  const Problem p = tiny_problem();
 
   Lu3dOptions bad_lookahead;
   bad_lookahead.lu2d.lookahead = -1;
   EXPECT_THROW(run_lu3d(p, 2, 2, 1, bad_lookahead), Error);
 
-  Lu3dOptions bad_chunk;
-  bad_chunk.chunk_snodes = 0;
-  EXPECT_THROW(run_lu3d(p, 2, 2, 2, bad_chunk), Error);
+  Lu3dOptions bad_panel;
+  bad_panel.lu2d.packing = static_cast<PanelPacking>(2);
+  EXPECT_THROW(run_lu3d(p, 2, 2, 1, bad_panel), Error);
+
+  Lu3dOptions bad_zred;
+  bad_zred.packing = static_cast<ZRedPacking>(2);
+  EXPECT_THROW(run_lu3d(p, 2, 2, 2, bad_zred), Error);
 }
 
 TEST(PipelineOptions, ValidationMessagesAreActionable) {
-  pipeline::PanelOptions po;
-  po.lookahead = -3;
+  const Problem p = tiny_problem();
+  Lu3dOptions o;
+  o.lu2d.lookahead = -3;
   try {
-    pipeline::validate_panel_options(po);
+    run_lu3d(p, 2, 2, 1, o);
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("lookahead"), std::string::npos);
   }
-  pipeline::ZRedOptions zo;
-  zo.chunk_snodes = 0;
-  try {
-    pipeline::validate_zred_options(zo);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("chunk"), std::string::npos);
-  }
-}
-
-TEST(PipelineOptions, AliasesShareTheEngineTypes) {
-  // The driver option names are the pipeline structs (or derive from
-  // them), so code written against either name interoperates.
-  static_assert(std::is_same_v<Lu2dOptions, pipeline::PanelOptions>);
-  static_assert(std::is_base_of_v<pipeline::ZRedOptions, Lu3dOptions>);
-  Lu3dOptions o;
-  o.chunk_snodes = 2;
-  const pipeline::ZRedOptions& shared = o;
-  EXPECT_EQ(shared.chunk_snodes, 2);
 }
 
 TEST(PipelineOptions, ZeroLookaheadStillFactorsCorrectly) {
-  const Problem p = sparse_test_problem();
+  const Problem p = fig10_tiny_problem();
   const SupernodalMatrix ref = gather_lu3d(p, 2, 2, 4, {});
   Lu3dOptions no_la;
   no_la.lu2d.lookahead = 0;
   expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, no_la), p.bs.n());
-}
-
-// ---------------------------------------------------------------------------
-// Unit coverage for the sparse-packing primitives.
-// ---------------------------------------------------------------------------
-
-TEST(SparsePackPrimitives, AllZeroScan) {
-  std::vector<real_t> x(37, 0.0);
-  EXPECT_TRUE(dense::all_zero(x.data(), x.size()));
-  EXPECT_TRUE(dense::all_zero(x.data(), 0));
-  x[36] = 1e-300;
-  EXPECT_FALSE(dense::all_zero(x.data(), x.size()));
-  x[36] = 0.0;
-  x[0] = -0.0;
-  EXPECT_TRUE(dense::all_zero(x.data(), x.size()));  // signed zero is zero
-  x[17] = -2.5;
-  EXPECT_FALSE(dense::all_zero(x.data(), x.size()));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sparse/csr.hpp"
 #include "sparse/matrix_market.hpp"
@@ -154,6 +155,39 @@ TEST(MatrixMarket, RejectsGarbage) {
   std::stringstream ss;
   ss << "not a matrix market file\n";
   EXPECT_THROW(read_matrix_market(ss), Error);
+}
+
+/// Parses a MatrixMarket stream given its banner and the rest of the text.
+CsrMatrix read_mm(const std::string& banner, const std::string& body) {
+  std::stringstream ss;
+  ss << "%%MatrixMarket matrix coordinate " << banner << "\n" << body;
+  return read_matrix_market(ss);
+}
+
+TEST(MatrixMarket, RejectsUnrepresentableSizeLines) {
+  // 4294967301 = 2^32 + 5 would narrow to a 5 x 5 matrix.
+  EXPECT_THROW(read_mm("real general",
+                       "4294967301 4294967301 2\n"
+                       "1 1 1.0\n4294967301 4294967301 1.0\n"),
+               Error);
+  // More entries than cells: caught before any reservation.
+  EXPECT_THROW(read_mm("real general", "2 2 1000000000000000\n"), Error);
+  EXPECT_THROW(read_mm("real symmetric",
+                       "2147483647 2147483647 5000000000000000000\n"),
+               Error);
+}
+
+TEST(MatrixMarket, OverstatedEntryCountFailsAsTruncated) {
+  // A plausible header (nnz <= rows * cols) whose entries never arrive: the
+  // up-front reservation must not trust it.
+  try {
+    read_mm("real symmetric", "3000000 3000000 9000000000000\n1 1 1.0\n");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated entry list"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
