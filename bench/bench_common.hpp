@@ -40,9 +40,9 @@ struct DistMetrics {
   offset_t zred_saved = 0;
   offset_t z_bytes_sent = 0;
   /// Targeted panel-delivery savings (zero under PanelPacking::Dense): XY
-  /// panel bytes the footprint puts avoided (bitmap words netted out), the
-  /// dense-equivalent payload the broadcasts would have delivered, and the
-  /// XY panel messages avoided. saved / dense is the fraction of panel
+  /// panel bytes the footprint messages avoided (bitmap words netted out),
+  /// the dense-equivalent payload the broadcasts would have delivered, and
+  /// the XY panel messages avoided. saved / dense is the fraction of panel
   /// payload eliminated (fig9's Psaved and fig10's Tsaved columns).
   offset_t panel_saved = 0;
   offset_t panel_dense = 0;

@@ -73,7 +73,7 @@ void export_fig9_fig10_fig11(const std::string& dir, int threads) {
                                           ZRedPacking::Dense,
                                           PanelPacking::Dense,
                                           threads);
-        // Targeted re-run (one-sided footprint puts + Z scatter-accumulate)
+        // Targeted re-run (footprint messages on XY + frames along Z)
         // for the targeted_* columns — factors bitwise unchanged; only the
         // wire formats differ.
         const auto tg = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
     std::cout << "\n=== " << t.name << " (" << (t.planar ? "planar" : "non-planar")
               << ") ===\n";
     // Dense columns reproduce the paper's W_fact/W_red; the Tsaved and
-    // TZsaved columns re-run both planes with the targeted one-sided wire
-    // (footprint puts on XY, scatter-accumulate along Z) and report the
+    // TZsaved columns re-run both planes with the targeted wire (footprint
+    // messages on XY, one frame per ancestor along Z) and report the
     // volume it eliminates on each plane (numerics unchanged — see
     // tests/test_comm_equivalence.cpp).
     TextTable table({"P", "Pz", "W_fact(B)", "W_red(B)", "W_total(B)",

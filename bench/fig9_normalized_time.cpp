@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     // The packed columns re-run each point with the selected wire formats
     // (factors bitwise unchanged): T_pk/T is the re-run's simulated time
     // over the dense run's, Psaved the fraction of XY panel payload it
-    // eliminates. `--zred-packing targeted` adds the one-sided Z wire to
+    // eliminates. `--zred-packing targeted` adds the targeted Z wire to
     // the same re-run.
     TextTable table({"P", "Pz", "PXY", "T/T2d", "T_scu/T2d", "T_comm/T2d",
                      "speedup", "T_pk/T", "Psaved(%)", "wall_s", "thr"});

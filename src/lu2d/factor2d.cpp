@@ -18,17 +18,18 @@
 // owner's process row. Each Schur pair multiplies one entry of each role.
 // Tags are 8k + op: the diagonal along the owner's process row (op 0) and
 // column (op 1), then the row role (op 2) and column role (op 3), posted
-// in that order. The Dense and Targeted byte/message totals are pinned by
-// Fig9Configs/GoldenCommCounters in tests/test_pipeline.cpp.
+// in that order. The Dense and Targeted byte/message totals and critical
+// paths are pinned by Fig9Configs/GoldenCommCounters in
+// tests/test_pipeline.cpp.
 //
 // PanelPacking::Targeted (opt-in) replaces each role's broadcasts with
-// one-sided RMA delivery (see DESIGN.md "Targeted one-sided delivery"):
-// the data root computes every peer's block *footprint* — the entries that
+// footprint messages (see DESIGN.md "Targeted footprint messages"): the
+// data root computes every peer's block *footprint* — the entries that
 // peer's Schur pairs actually read — from the replicated symbolic
-// structure and issues ONE footprint-sized put per peer into the role's
-// window (per-entry bitmap words + present scalars, concatenated). Peers
-// with an empty footprint get no message at all; both sides evaluate the
-// same symbolic predicate, so no handshake or presence frame travels.
+// structure and sends ONE point-to-point message per peer on the role's
+// tag: the frames (encode_frame) of the footprint entries, concatenated in
+// entry order. Peers with an empty footprint get no message at all; both
+// sides evaluate the same symbolic predicate, so no handshake travels.
 // Entries are never pruned, so the Schur pair set, charged flops, and FP
 // order are identical to Dense — factors stay bitwise identical — while a
 // peer receives only the entries it reads, and only their nonzero scalars.
@@ -58,13 +59,9 @@ constexpr int kRowRole = 0;
 constexpr int kColRole = 1;
 constexpr int kDiagRowOp = 0;  ///< diagonal broadcast along the owner's row
 constexpr int kDiagColOp = 1;  ///< diagonal broadcast down the owner's column
-/// Tag op of each role's panel broadcasts.
+/// Tag op of each role's panel transfers (broadcasts or footprint
+/// messages).
 constexpr std::array<int, 2> kPanelOp = {2, 3};
-/// Window tags of the targeted-mode RMA windows (one per role per engine
-/// run, created collectively at run() entry). These live in the runtime's
-/// separate RMA tag namespace, so they cannot collide with the per-snode
-/// broadcast tags; the values merely keep the two roles' windows apart.
-constexpr std::array<int, 2> kWinTag = {6, 7};
 
 /// Checks every option a caller can set, once, at engine entry.
 void validate(const Lu2dOptions& opt) {
@@ -135,28 +132,26 @@ void scatter_local(Dist2dFactors& F, const BlockStructure& bs, int bi, int bj,
 
 /// One broadcast panel block staged for the Schur phase: `m*ns` (row role)
 /// or `ns*m` (column role) values at `offset` in the stash's flat storage.
-/// Under PanelPacking::Targeted the role's root also records each entry's
-/// presence-bitmap location (`bits_off`, in 64-bit words into its bitmap
-/// scratch) and nonzero-scalar count (`packed`), and `in_footprint` marks
-/// the entries this rank actually reads (always all of them on the root):
-/// the put wire carries exactly the marked entries, in entry order.
+/// Under PanelPacking::Targeted `in_footprint` marks the entries this rank
+/// actually reads (always all of them on the root), and the role's root
+/// records where each entry's frame sits in its frame cache (`frame_off`,
+/// `frame_len`): a footprint message carries exactly the marked entries'
+/// frames, in entry order.
 struct StashEntry {
   int panel_idx;
   std::size_t offset;
   index_t m;
-  std::size_t bits_off = 0;
-  std::size_t packed = 0;
+  std::size_t frame_off = 0;
+  std::size_t frame_len = 0;
   bool in_footprint = false;
 };
 
 /// One posted non-blocking operation, drained in post order at the Schur
-/// phase: a broadcast request or, when `delivery` is valid, a
-/// targeted-mode window delivery whose drain waits it and parses the
-/// landed footprint put of role `role` (all marked entries at once).
+/// phase: a broadcast request or, when `role` is set, a targeted footprint
+/// receive whose drain parses the message into that role's entries.
 struct PanelAsyncOp {
   sim::Request req;
   int role = -1;
-  sim::WindowDelivery delivery;
 };
 
 /// Broadcast panels of one in-flight supernode, stashed until its Schur
@@ -186,10 +181,6 @@ class PanelEngine {
 
   /// Factorizes the supernodes in `snodes` (ascending elimination order).
   void run(std::span<const int> snodes) {
-    // Targeted mode opens its per-run RMA windows first — a collective
-    // over the row and column communicators, so it must happen on every
-    // grid rank before any supernode traffic.
-    if (targeted_packing()) create_targeted_windows(snodes);
     // Position of each supernode in the list and the latest position of
     // any updater, for the lookahead schedule. All ranks compute the same
     // schedule from the (replicated) symbolic structure.
@@ -257,22 +248,6 @@ class PanelEngine {
     return F_.wants_snode(std::min(bi, bj));
   }
 
-  /// 64-bit words needed for a scalar presence bitmap over `elems` values.
-  static constexpr std::size_t bitmap_words(std::size_t elems) {
-    return (elems + 63) / 64;
-  }
-
-  /// Packs the present scalars of `src` (per the bitmap at `bits_off`) into
-  /// `dst`. The caller (a role root) computed the bitmap from the same
-  /// payload, so exactly `packed` scalars are written.
-  static void pack_present(std::span<const real_t> src,
-                           const std::vector<std::uint64_t>& bits,
-                           std::size_t bits_off, real_t* dst) {
-    std::size_t p = 0;
-    for (std::size_t i = 0; i < src.size(); ++i)
-      if ((bits[bits_off + i / 64] >> (i % 64)) & 1) dst[p++] = src[i];
-  }
-
   /// True if the role entry for panel block `a` is read by member `peer`
   /// of the role's comm: one of that peer's Schur pairs multiplies it with
   /// one of the peer's other-role entries — the panel blocks b with
@@ -291,15 +266,13 @@ class PanelEngine {
   }
 
   /// Targeted-mode replacement for one role's broadcasts. The data root
-  /// fills its dense stash storage locally, builds one bitmap + packed
-  /// cache over all entries, and issues one put per peer whose footprint
-  /// is non-empty — the concatenation, in entry order, of [bitmap words |
-  /// present scalars] for exactly the entries that peer reads. Peers
-  /// register the put with Window::expect (the window's per-origin
-  /// non-overtaking keeps slot contents intact until the matching wait)
+  /// fills its dense stash storage locally, encodes every entry's frame
+  /// into its frame cache, and sends one message per peer whose footprint
+  /// is non-empty — the frames of exactly the entries that peer reads, in
+  /// entry order, on the role's tag. Peers post the matching irecv here
   /// and parse it into dense storage at the Schur drain. Savings are
-  /// booked on the root against the dense-equivalent volume; because put
-  /// headers are uncharged, the accounting identity
+  /// booked on the root against the dense-equivalent volume, so the
+  /// accounting identity
   ///   dense_equivalent - wire == saved
   /// holds byte-exactly (and message-exactly) per role per supernode.
   void targeted_role(PanelStash& stash, int role, int k, index_t ns,
@@ -308,11 +281,8 @@ class PanelEngine {
         stash.entries[static_cast<std::size_t>(role)];
     if (entries.empty()) return;  // comm-uniform: entries depend on px/py only
     sim::Comm& comm = role_comm(role);
-    sim::Window& win = win_[static_cast<std::size_t>(role)];
     const int root = role_root(role, k);
-    const std::size_t stride = stride_[static_cast<std::size_t>(role)];
-    const std::size_t slot = static_cast<std::size_t>(
-        snode_pos_[static_cast<std::size_t>(k)] % n_slots_);
+    const int role_tag = tag(k, kPanelOp[static_cast<std::size_t>(role)]);
     if (comm.rank() != root) {
       bool any = false;
       for (StashEntry& e : entries) {
@@ -322,23 +292,23 @@ class PanelEngine {
       }
       if (!any) return;  // empty footprint: the root sends nothing either
       PanelAsyncOp& op = stash.ops.emplace_back();
+      op.req = comm.irecv(root, role_tag, CommPlane::XY);
       op.role = role;
-      op.delivery = win.expect(root);
       return;
     }
-    // Root: dense local fill + per-entry bitmap/packed cache. Entries
-    // write disjoint storage/bitmap/cache regions, so both passes fan out
-    // across the pool.
-    std::size_t total_words = 0, dense_scalars = 0;
+    // Root: dense local fill + one frame per entry, each encoded into its
+    // own dense-bound region of the frame cache. Entries write disjoint
+    // storage and cache regions, so the pass fans out across the pool.
+    std::size_t cache = 0, dense_scalars = 0;
     for (StashEntry& e : entries) {
       const auto elems =
           static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
       e.in_footprint = true;  // the root reads everything locally
-      e.bits_off = total_words;
-      total_words += bitmap_words(elems);
+      e.frame_off = cache;
+      cache += frame_bitmap_words(elems) + elems;
       dense_scalars += elems;
     }
-    bits_scratch_.assign(total_words, 0);
+    frame_cache_.resize(cache);
     threads::parallel_for(
         static_cast<std::ptrdiff_t>(entries.size()), [&](std::ptrdiff_t t, int) {
           StashEntry& e = entries[static_cast<std::size_t>(t)];
@@ -348,56 +318,28 @@ class PanelEngine {
               role, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
           SLU3D_CHECK(src.size() == elems, "panel payload size mismatch");
           std::copy(src.begin(), src.end(), stash.storage.data() + e.offset);
-          std::size_t np = 0;
-          for (std::size_t i = 0; i < elems; ++i)
-            if (src[i] != 0.0) {
-              bits_scratch_[e.bits_off + i / 64] |= std::uint64_t{1} << (i % 64);
-              ++np;
-            }
-          e.packed = np;
-        });
-    pack_off_.resize(entries.size());
-    std::size_t total_packed = 0;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      pack_off_[i] = total_packed;
-      total_packed += entries[i].packed;
-    }
-    packed_cache_.resize(total_packed);
-    threads::parallel_for(
-        static_cast<std::ptrdiff_t>(entries.size()), [&](std::ptrdiff_t t, int) {
-          const StashEntry& e = entries[static_cast<std::size_t>(t)];
-          const auto elems =
-              static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
-          pack_present(
-              {stash.storage.data() + e.offset, elems}, bits_scratch_,
-              e.bits_off,
-              packed_cache_.data() + pack_off_[static_cast<std::size_t>(t)]);
+          e.frame_len = encode_frame(
+              src, std::span{frame_cache_}.subspan(
+                       e.frame_off, frame_bitmap_words(elems) + elems));
         });
     const int p = comm.size();
     std::size_t wired = 0;
-    offset_t n_puts = 0;
+    offset_t n_msgs = 0;
     for (int r = 0; r < p; ++r) {
       if (r == root) continue;
-      put_buf_.clear();
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        const StashEntry& e = entries[i];
+      send_buf_.clear();
+      for (const StashEntry& e : entries) {
         const int s = panel[static_cast<std::size_t>(e.panel_idx)].snode;
         if (!entry_needed(panel, s, role, r)) continue;
-        const auto elems =
-            static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
-        for (std::size_t w = 0; w < bitmap_words(elems); ++w)
-          put_buf_.push_back(
-              std::bit_cast<real_t>(bits_scratch_[e.bits_off + w]));
-        put_buf_.insert(
-            put_buf_.end(),
-            packed_cache_.begin() + static_cast<std::ptrdiff_t>(pack_off_[i]),
-            packed_cache_.begin() +
-                static_cast<std::ptrdiff_t>(pack_off_[i] + e.packed));
+        const auto frame =
+            frame_cache_.begin() + static_cast<std::ptrdiff_t>(e.frame_off);
+        send_buf_.insert(send_buf_.end(), frame,
+                         frame + static_cast<std::ptrdiff_t>(e.frame_len));
       }
-      if (put_buf_.empty()) continue;  // empty footprint: no message at all
-      win.put(r, slot * stride, put_buf_);
-      wired += put_buf_.size();
-      ++n_puts;
+      if (send_buf_.empty()) continue;  // empty footprint: no message at all
+      comm.isend(r, role_tag, send_buf_, CommPlane::XY);
+      wired += send_buf_.size();
+      ++n_msgs;
     }
     if (p > 1) {
       sim::RankStats& st = comm.stats();
@@ -408,79 +350,23 @@ class PanelEngine {
           dense_bytes - static_cast<offset_t>(wired * sizeof(real_t));
       st.panel_saved_msgs += static_cast<offset_t>(p - 1) *
                                  static_cast<offset_t>(entries.size()) -
-                             n_puts;
+                             n_msgs;
     }
   }
 
-  /// Parses this rank's footprint put — landed in the role window's slot
-  /// for this supernode — into the dense stash storage. Must run right
-  /// after the matching delivery's wait: the slot is rewritten once its
-  /// next tenant's put is applied (which can only happen during a later
-  /// delivery's wait, after this supernode retired).
-  void parse_targeted(PanelStash& stash, int role, index_t ns) const {
-    const auto r = static_cast<std::size_t>(role);
-    const std::size_t slot = static_cast<std::size_t>(
-        snode_pos_[static_cast<std::size_t>(stash.k)] % n_slots_);
-    const real_t* wire = win_[r].local().data() + slot * stride_[r];
+  /// Parses this rank's footprint message for `role` — the frames of its
+  /// footprint entries, in entry order — into the dense stash storage.
+  static void parse_targeted(PanelStash& stash, int role, index_t ns,
+                             std::span<const real_t> wire) {
     std::size_t pos = 0;
-    for (const StashEntry& e : stash.entries[r]) {
+    for (const StashEntry& e : stash.entries[static_cast<std::size_t>(role)]) {
       if (!e.in_footprint) continue;
-      const auto elems =
-          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
-      const std::size_t words = bitmap_words(elems);
-      const real_t* wbits = wire + pos;
-      const real_t* packed = wire + pos + words;
-      real_t* dst = stash.storage.data() + e.offset;
-      std::size_t pp = 0;
-      for (std::size_t d = 0; d < elems; ++d) {
-        const auto wb = std::bit_cast<std::uint64_t>(wbits[d / 64]);
-        dst[d] = ((wb >> (d % 64)) & 1) ? packed[pp++] : 0.0;
-      }
-      pos += words + pp;
+      pos += decode_frame(
+          wire.subspan(pos),
+          {stash.storage.data() + e.offset,
+           static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns)});
     }
-  }
-
-  /// Collective setup of the targeted-mode RMA windows, once per run.
-  /// Each role's window is n_slots uniform slots of `stride` elements,
-  /// where the stride is the max dense-bound footprint wire size over
-  /// every (supernode, peer) of the comm — a quantity every member
-  /// computes identically from the symbolic structure, so put offsets
-  /// need no negotiation. A supernode's slot is its schedule position mod
-  /// (lookahead+1): any two live supernodes sit within lookahead+1
-  /// schedule positions of each other, so live slots never collide, and a
-  /// slot's previous tenant has always parsed its put (at its Schur
-  /// drain) before the next tenant's put can be applied.
-  void create_targeted_windows(std::span<const int> snodes) {
-    snode_pos_.assign(static_cast<std::size_t>(bs_.n_snodes()), -1);
-    for (int w = 0; w < static_cast<int>(snodes.size()); ++w)
-      snode_pos_[static_cast<std::size_t>(snodes[static_cast<std::size_t>(w)])] =
-          w;
-    n_slots_ = std::min(opt_.lookahead + 1,
-                        std::max(1, static_cast<int>(snodes.size())));
-    for (const int role : {kRowRole, kColRole}) {
-      const auto r = static_cast<std::size_t>(role);
-      stride_[r] = 0;
-      for (const int k : snodes) {
-        const index_t ns = bs_.snode_size(k);
-        if (ns == 0) continue;
-        const auto panel = bs_.lpanel(k);
-        for (int peer = 0; peer < role_size(role); ++peer) {
-          if (peer == role_root(role, k)) continue;
-          std::size_t wire = 0;
-          for (const PanelBlock& blk : panel) {
-            if (blk.n_rows() == 0 || !stashes(role, blk.snode)) continue;
-            if (!entry_needed(panel, blk.snode, role, peer)) continue;
-            const auto elems = static_cast<std::size_t>(blk.n_rows()) *
-                               static_cast<std::size_t>(ns);
-            wire += bitmap_words(elems) + elems;
-          }
-          stride_[r] = std::max(stride_[r], wire);
-        }
-      }
-      win_buf_[r].assign(stride_[r] * static_cast<std::size_t>(n_slots_), 0.0);
-      win_[r] = role_comm(role).win_create(kWinTag[r], win_buf_[r],
-                                           CommPlane::XY);
-    }
+    SLU3D_CHECK(pos == wire.size(), "footprint message not fully consumed");
   }
 
   /// Claims a free stash slot. The pool invariant — at most lookahead+1
@@ -587,7 +473,7 @@ class PanelEngine {
 
   /// Posts one role's panel transfers: a non-blocking broadcast per entry
   /// from the role's root, which copies in its owned block first — or,
-  /// targeted, one footprint put per peer (root) or one expected delivery
+  /// targeted, one footprint message per peer (root) or one posted receive
   /// (receivers with a non-empty footprint).
   void post_role(PanelStash& stash, int role, int k, index_t ns,
                  std::span<const PanelBlock> panel) {
@@ -621,17 +507,14 @@ class PanelEngine {
 
     // Drain the outstanding transfers only now, in post order: every
     // update between the panel's post and this point has overlapped them.
-    // A targeted footprint put is parsed right after its wait — before any
-    // other delivery's wait can overwrite the slot — expanding every
-    // footprint entry of the role at once.
+    // A targeted footprint message expands every footprint entry of its
+    // role at once.
     const auto panel = bs_.lpanel(k);
     for (PanelAsyncOp& op : stash->ops) {
-      if (op.delivery.valid()) {
-        op.delivery.wait();
-        parse_targeted(*stash, op.role, ns);
-      } else {
+      if (op.role < 0)
         op.req.wait();
-      }
+      else
+        parse_targeted(*stash, op.role, ns, op.req.take());
     }
     stash->ops.clear();
 
@@ -686,23 +569,49 @@ class PanelEngine {
   Lu2dOptions opt_;
   std::vector<PanelStash> stash_;  ///< slot pool, <= lookahead+1 live slots
   std::vector<real_t> diag_buf_;   ///< reusable diagonal broadcast buffer
-  // Targeted-mode state (unused otherwise), indexed by role. The window
-  // buffers must not relocate while the windows are alive, and the engine
-  // itself anchors the Window objects that pending WindowDelivery receipts
-  // point into.
-  std::array<sim::Window, 2> win_;  ///< per-run RMA windows
-  std::array<std::vector<real_t>, 2> win_buf_;  ///< slotted landing zones
-  std::array<std::size_t, 2> stride_{};  ///< slot strides (elements)
-  std::vector<int> snode_pos_;     ///< schedule position per supernode
-  int n_slots_ = 1;                ///< landing slots per window (lookahead+1)
-  std::vector<std::uint64_t> bits_scratch_;  ///< root-side bitmap build
-  std::vector<real_t> packed_cache_;  ///< root-side packed scalars, all entries
-  std::vector<std::size_t> pack_off_;  ///< per-entry offsets into packed_cache_
-  std::vector<real_t> put_buf_;    ///< per-peer put assembly buffer
+  // Targeted-mode root scratch (unused otherwise).
+  std::vector<real_t> frame_cache_;  ///< every entry's frame (dense bound each)
+  std::vector<real_t> send_buf_;     ///< per-peer footprint message
   std::vector<SchurPair> schur_pairs_;  ///< reusable pair work list
 };
 
 }  // namespace
+
+std::size_t encode_frame(std::span<const real_t> src, std::span<real_t> out) {
+  const std::size_t words = frame_bitmap_words(src.size());
+  SLU3D_CHECK(out.size() >= words + src.size(),
+              "encode_frame: output too small");
+  std::size_t len = words;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = 0;
+    const std::size_t end = std::min(src.size(), 64 * w + 64);
+    for (std::size_t i = 64 * w; i < end; ++i)
+      if (src[i] != 0.0) {
+        bits |= std::uint64_t{1} << (i % 64);
+        out[len++] = src[i];
+      }
+    out[w] = std::bit_cast<real_t>(bits);
+  }
+  return len;
+}
+
+std::size_t decode_frame(std::span<const real_t> wire, std::span<real_t> dst) {
+  const std::size_t words = frame_bitmap_words(dst.size());
+  SLU3D_CHECK(wire.size() >= words, "decode_frame: truncated bitmap");
+  std::size_t len = words;
+  for (std::size_t w = 0; w < words; ++w) {
+    const auto bits = std::bit_cast<std::uint64_t>(wire[w]);
+    const std::size_t end = std::min(dst.size(), 64 * w + 64);
+    SLU3D_CHECK(end - 64 * w == 64 || bits >> (end - 64 * w) == 0,
+                "decode_frame: presence bit beyond the span");
+    SLU3D_CHECK(len + static_cast<std::size_t>(std::popcount(bits)) <=
+                    wire.size(),
+                "decode_frame: truncated values");
+    for (std::size_t i = 64 * w; i < end; ++i)
+      dst[i] = (bits >> (i % 64)) & 1 ? wire[len++] : 0.0;
+  }
+  return len;
+}
 
 void factorize_2d(Dist2dFactors& F, sim::ProcessGrid2D& grid,
                   std::span<const int> snodes, const Lu2dOptions& options) {

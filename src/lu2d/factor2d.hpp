@@ -5,7 +5,7 @@
 //   solves at the owning row/column of processes, panel broadcast, then
 //   the owner-only-update Schur complement on every rank.
 // The schedule (lookahead pipelining, stash slots, non-blocking panel
-// broadcasts, targeted one-sided delivery) is the panel engine in
+// broadcasts, targeted footprint messages) is the panel engine in
 // factor2d.cpp.
 //
 // `snodes` restricts the factorization to a node list — this is exactly
@@ -13,6 +13,7 @@
 // invokes per elimination-forest level.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "lu2d/dist_factors.hpp"
@@ -25,20 +26,39 @@ enum class PanelPacking {
   /// Panels travel as the full m x ns union blocks, zeros included — the
   /// historical scheme, byte-identical to the golden fig9 counters.
   Dense,
-  /// One-sided delivery over simmpi RMA windows: the data root computes
-  /// each receiver's block footprint from the symbolic structure (which
-  /// entries that receiver's Schur pairs actually read) and issues one
-  /// footprint-sized put per receiver — bitmap words + present scalars of
-  /// exactly the needed entries, nothing else. Receivers whose footprint
-  /// is empty get no data message at all (both sides agree symbolically,
-  /// so no handshake is needed). Ancestor union blocks are ragged, so the
-  /// scalar bitmaps elide zeros even inside the entries a receiver reads.
-  /// Factors stay bitwise identical (the footprint covers every
-  /// pair-referenced entry, so charged flops and FP order match Dense);
-  /// savings are reported in RankStats::panel_* with an exact accounting
-  /// identity: dense_equivalent - received == saved.
+  /// Footprint messages: the data root computes each receiver's block
+  /// footprint from the symbolic structure (which entries that receiver's
+  /// Schur pairs actually read) and sends one point-to-point message per
+  /// receiver — the frames (encode_frame) of exactly the needed entries,
+  /// nothing else. Receivers whose footprint is empty get no data message
+  /// at all (both sides agree symbolically, so no handshake is needed).
+  /// Ancestor union blocks are ragged, so the frames elide zeros even
+  /// inside the entries a receiver reads. Factors stay bitwise identical
+  /// (the footprint covers every pair-referenced entry, so charged flops
+  /// and FP order match Dense); savings are reported in RankStats::panel_*
+  /// with an exact accounting identity: dense_equivalent - received ==
+  /// saved.
   Targeted,
 };
+
+/// The frame both Targeted wires (PanelPacking and ZRedPacking) carry for
+/// a span of n values: frame_bitmap_words(n) presence words, in which bit
+/// i % 64 of word i / 64 is set iff value i compares != 0, then the set
+/// values in order. Zeros of either sign are elided; every other value,
+/// NaN and subnormals included, travels bit for bit. The words ride as
+/// real_t bit patterns, so the frame is one real_t payload.
+constexpr std::size_t frame_bitmap_words(std::size_t n) {
+  return (n + 63) / 64;
+}
+
+/// Writes the frame of `src` to the front of `out`, which must hold
+/// frame_bitmap_words(src.size()) + src.size() values; returns the frame's
+/// length.
+std::size_t encode_frame(std::span<const real_t> src, std::span<real_t> out);
+
+/// Expands the frame at the front of `wire` into `dst` (elided values
+/// become +0.0); returns the frame's length.
+std::size_t decode_frame(std::span<const real_t> wire, std::span<real_t> dst);
 
 /// Upper bound on the lookahead window. The stash slot pool holds
 /// lookahead+1 live supernodes, each pinning flat panel storage plus
@@ -59,7 +79,7 @@ struct Lu2dOptions {
   /// disables pipelining). Must be <= kMaxPanelLookahead.
   int lookahead = 8;
   /// Wire format of the panel transfers; Dense is byte-identical to the
-  /// historical drivers, Targeted is the opt-in one-sided delivery.
+  /// historical drivers, Targeted is the opt-in footprint messages.
   PanelPacking packing = PanelPacking::Dense;
   /// Per-rank compute participants (caller thread + pool workers) for the
   /// dense kernels and the Schur scatter. 0 (the default) defers to the

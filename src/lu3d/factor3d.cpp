@@ -7,33 +7,24 @@
 // only when its forest level is factored, so the transfer rides under the
 // 2D factorization of deeper levels.
 //
-// Wire formats (see for_each_block for the block enumeration):
-//   Dense:  every allocated block of each ancestor travels verbatim.
+// Wire formats (see for_each_block for the block enumeration), both one
+// message per ancestor on tag kReduceTagBase + level:
+//   Dense:    every allocated block of each ancestor travels verbatim.
+//   Targeted: the same dense stream travels as one frame (encode_frame: a
+//             scalar presence bitmap plus the nonzero scalars), so every
+//             zero of the replicated copy is elided, inside touched blocks
+//             too. The owner expands the frame and accumulates the dense
+//             stream in the same order as Dense — numerically identical.
+//             Savings reconcile byte-exactly against the dense wire:
+//             received + zred_bytes_saved == dense.
 //
 // An ancestor whose *dense* packed size is zero is skipped without a
 // message — sender and receiver compute that size independently from
 // their identical masked layouts, so no handshake is needed (and the
 // decision cannot depend on numeric values, which only the sender knows).
-//
-//   Targeted: one-sided delivery over simmpi RMA windows. Each level gets
-//           its own window over the z-line communicator (created
-//           collectively up front — messages from several levels can be
-//           outstanding at once, and a level's staging offsets must not
-//           depend on other levels' masked layouts, which a sender cannot
-//           always compute). The sender scatter-accumulates each
-//           ancestor's dense stream — a scalar-granularity presence bitmap
-//           plus the nonzero scalars — into the receiver's zeroed staging
-//           region at the ancestor's dense offset, so every zero of the
-//           replicated copy is elided, inside touched blocks too. The
-//           receiver registers each ancestor with Window::expect and, at
-//           the drain, waits the delivery and accumulates the staged dense
-//           stream in the same order as Dense — numerically identical.
-//           Savings reconcile byte-exactly against the dense wire:
-//           received + zred_bytes_saved == dense.
 #include "lu3d/factor3d.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -140,62 +131,27 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
     return part.level_of(s) < lvl && part.on_grid(s, pz);
   };
 
-  // Targeted mode: per-level RMA windows over the z line, created
-  // collectively before the level loop (inactive ranks contribute empty
-  // staging). A receiver's staging for a level is the dense stream of all
-  // its ancestors at that level; each ancestor's offset within it is the
-  // cumulative dense length before it, which sender and receiver compute
-  // identically. The vectors are sized once up front — windows and staging
-  // must not relocate while deliveries are pending.
-  std::vector<std::vector<real_t>> zstage;
-  std::vector<sim::Window> zwin;
-  if (targeted) {
-    zstage.resize(static_cast<std::size_t>(l + 1));
-    zwin.resize(static_cast<std::size_t>(l + 1));
-    for (int lvl = l; lvl >= 1; --lvl) {
-      const int step = 1 << (l - lvl);
-      std::size_t mine = 0;
-      if (pz % step == 0 && (pz / step) % 2 == 0) {
-        for (int s = 0; s < bs.n_snodes(); ++s)
-          if (reduced_after(s, lvl)) mine += packed_elems(F, s);
-      }
-      zstage[static_cast<std::size_t>(lvl)].assign(mine, 0.0);
-      zwin[static_cast<std::size_t>(lvl)] = grid.zline().win_create(
-          kReduceTagBase + lvl, zstage[static_cast<std::size_t>(lvl)],
-          CommPlane::Z);
-    }
-  }
-
   // Outstanding reduction messages, one per ancestor supernode. Each is
   // drained right before the level that factors its supernode — until then
-  // its transfer rides under the 2D factorization of deeper levels. In
-  // targeted mode the message is a window delivery into `zstage[lvl]` at
-  // [off, off+len) instead of a request with its own buffer.
+  // its transfer rides under the 2D factorization of deeper levels.
   struct Pending {
     sim::Request req;
     int snode = -1;
-    sim::WindowDelivery delivery;
-    std::size_t off = 0, len = 0;
-    int lvl = 0;
   };
   std::vector<Pending> outstanding;
+  std::vector<real_t> dense;  // a Targeted frame, expanded
 
   auto unpack = [&](Pending& p) {
-    if (!targeted) {
-      const std::vector<real_t> buf = p.req.take();
-      const std::size_t end = add_snode(F, p.snode, buf, 0);
-      SLU3D_CHECK(end == buf.size(), "reduction message not fully consumed");
-      return;
+    const std::vector<real_t> msg = p.req.take();
+    std::span<const real_t> stream = msg;
+    if (targeted) {
+      dense.resize(packed_elems(F, p.snode));
+      SLU3D_CHECK(decode_frame(msg, dense) == msg.size(),
+                  "reduction frame not fully consumed");
+      stream = dense;
     }
-    // Waiting the delivery applies the scatter-accumulate (and any earlier
-    // ones from the same origin, each into its own disjoint, pre-zeroed
-    // region); the staged dense stream is then folded in exactly like a
-    // dense wire message.
-    p.delivery.wait();
-    const std::size_t end =
-        add_snode(F, p.snode, zstage[static_cast<std::size_t>(p.lvl)], p.off);
-    SLU3D_CHECK(end == p.off + p.len,
-                "targeted reduction delivery not fully consumed");
+    const std::size_t end = add_snode(F, p.snode, stream, 0);
+    SLU3D_CHECK(end == stream.size(), "reduction message not fully consumed");
   };
   auto drain = [&](auto&& keep_pending) {
     std::size_t kept = 0;
@@ -226,71 +182,38 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
 
     // Ancestor-Reduction: the (2k+1)-th active grid sends its copies of
     // every common-ancestor block to the (2k)-th, which accumulates them.
-    // Both sides walk the same ancestors in the same order, derive the same
-    // dense offsets, and skip structurally empty ancestors symmetrically,
-    // so sends (or scatter-accumulates) and their receives (or expected
-    // deliveries) pair up without any handshake.
+    // Both sides walk the same ancestors in the same order and skip
+    // structurally empty ancestors symmetrically, so sends and receives
+    // pair up without any handshake.
     const int k = pz / step;
-    sim::Window* win =
-        targeted ? &zwin[static_cast<std::size_t>(lvl)] : nullptr;
-    std::size_t off = 0;
-
     if (k % 2 == 1) {
       // The outgoing copies must include everything received so far.
       drain([](int) { return false; });
       sim::RankStats& st = grid.zline().stats();
-      std::vector<real_t> buf;
-      std::vector<std::uint64_t> bits;
-      std::vector<real_t> packed;
+      std::vector<real_t> buf, frame;
       for (int s = 0; s < bs.n_snodes(); ++s) {
         if (!reduced_after(s, lvl)) continue;
         const std::size_t len = packed_elems(F, s);
         if (len == 0) continue;  // peer skips the matching receive
         buf.clear();
         pack_snode(F, s, buf);
-        if (!targeted) {
-          grid.zline().isend(pz - step, kReduceTagBase + lvl, buf,
-                             CommPlane::Z);
-          continue;
+        std::span<const real_t> wire = buf;
+        if (targeted) {
+          frame.resize(frame_bitmap_words(len) + len);
+          wire = std::span{frame}.first(encode_frame(buf, frame));
+          st.zred_bytes_saved += (static_cast<offset_t>(len) -
+                                  static_cast<offset_t>(wire.size())) *
+                                 static_cast<offset_t>(sizeof(real_t));
         }
-        bits.assign((len + 63) / 64, 0);
-        packed.clear();
-        for (std::size_t i = 0; i < buf.size(); ++i)
-          if (buf[i] != 0.0) {
-            bits[i / 64] |= std::uint64_t{1} << (i % 64);
-            packed.push_back(buf[i]);
-          }
-        st.zred_bytes_saved +=
-            (static_cast<offset_t>(len) -
-             static_cast<offset_t>(bits.size() + packed.size())) *
-            static_cast<offset_t>(sizeof(real_t));
-        win->scatter_accumulate(pz - step, off, len, bits, packed);
-        off += len;
+        grid.zline().isend(pz - step, kReduceTagBase + lvl, wire,
+                           CommPlane::Z);
       }
     } else {
       for (int s = 0; s < bs.n_snodes(); ++s) {
-        if (!reduced_after(s, lvl)) continue;
-        const std::size_t len = packed_elems(F, s);
-        if (len == 0) continue;
-        Pending p;
-        p.snode = s;
-        if (targeted) {
-          // Zero the landing region before registering the op — the
-          // accumulate can only be applied during a wait, which always
-          // comes after this expect.
-          std::fill_n(zstage[static_cast<std::size_t>(lvl)].begin() +
-                          static_cast<std::ptrdiff_t>(off),
-                      len, 0.0);
-          p.delivery = win->expect(pz + step);
-          p.off = off;
-          p.len = len;
-          p.lvl = lvl;
-          off += len;
-        } else {
-          p.req = grid.zline().irecv(pz + step, kReduceTagBase + lvl,
-                                     CommPlane::Z);
-        }
-        outstanding.push_back(std::move(p));
+        if (!reduced_after(s, lvl) || packed_elems(F, s) == 0) continue;
+        outstanding.push_back(
+            {grid.zline().irecv(pz + step, kReduceTagBase + lvl, CommPlane::Z),
+             s});
       }
     }
   }

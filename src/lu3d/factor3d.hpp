@@ -18,14 +18,13 @@ enum class ZRedPacking {
   /// Every allocated ancestor block travels, zeros included — the paper's
   /// scheme, byte-identical to the historical drivers.
   Dense,
-  /// One-sided delivery: ancestor contributions are scatter_accumulate'd
-  /// into an RMA window over the owner's receive staging instead of being
-  /// exchanged pairwise — a scalar-granularity presence bitmap plus the
-  /// nonzero scalars travel, so every zero of the replicated copy is
-  /// elided, inside touched blocks too. Numerically identical: the owner
-  /// adds the staged dense stream in the same order as Dense. Savings land
-  /// in RankStats::zred_bytes_saved and reconcile byte-exactly:
-  /// received + zred_saved == dense received.
+  /// Each ancestor's contribution travels as one frame (encode_frame) on
+  /// the same pairwise message — a scalar-granularity presence bitmap plus
+  /// the nonzero scalars — so every zero of the replicated copy is elided,
+  /// inside touched blocks too. Numerically identical: the owner expands
+  /// the frame and adds the dense stream in the same order as Dense.
+  /// Savings land in RankStats::zred_bytes_saved and reconcile
+  /// byte-exactly: received + zred_saved == dense received.
   Targeted,
 };
 

@@ -35,9 +35,10 @@ struct RankStats {
   /// PanelPacking::Targeted is enabled). `panel_dense_bytes` is what the
   /// Dense broadcasts of the roles rooted at this rank would have delivered
   /// to the other members of their comm; `panel_saved_bytes` subtracts the
-  /// footprint puts actually sent (bitmap words included); and
-  /// `panel_saved_msgs` counts the per-entry deliveries the puts replaced
-  /// or skipped, so wire + saved == dense holds for bytes and messages.
+  /// footprint messages actually sent (bitmap words included); and
+  /// `panel_saved_msgs` counts the per-entry deliveries those messages
+  /// replaced or skipped, so wire + saved == dense holds for bytes and
+  /// messages.
   offset_t panel_dense_bytes = 0;  ///< dense-equivalent panel payload
   offset_t panel_saved_bytes = 0;  ///< XY panel bytes avoided vs Dense
   offset_t panel_saved_msgs = 0;   ///< XY panel messages avoided vs Dense
@@ -72,7 +73,7 @@ struct RankStats {
   std::array<offset_t, kNumPlanes> analysis_messages_received{};
 
   /// The single bookkeeping funnel for sent bytes: every runtime charge
-  /// site (blocking send, isend, ibcast forwarding, RMA post) goes through
+  /// site (blocking send, isend, ibcast forwarding, window put) goes through
   /// here so the analysis-phase mirror can never drift from the primary
   /// counters.
   void add_sent(CommPlane plane, offset_t bytes) {
@@ -84,7 +85,7 @@ struct RankStats {
     }
   }
   /// Same funnel for the receive side (blocking recv, request completion,
-  /// RMA apply, window get).
+  /// window put delivery).
   void add_received(CommPlane plane, offset_t bytes) {
     bytes_received[static_cast<std::size_t>(plane)] += bytes;
     messages_received[static_cast<std::size_t>(plane)] += 1;

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <tuple>
 
@@ -146,19 +145,6 @@ class Context {
     });
     if (aborted.load(std::memory_order_relaxed))
       throw Error("simmpi: run aborted by a failing rank");
-    return pop_ready(mb, key, ticket);
-  }
-
-  /// Non-blocking half of take_ticket.
-  std::optional<Envelope> try_take_ticket(int dst_world, const MsgKey& key,
-                                          std::uint64_t ticket) {
-    Mailbox& mb = *mailboxes[static_cast<std::size_t>(dst_world)];
-    const std::lock_guard<std::mutex> lock(mb.mu);
-    if (aborted.load(std::memory_order_relaxed))
-      throw Error("simmpi: run aborted by a failing rank");
-    const auto it = mb.queues.find(key);
-    if (it == mb.queues.end() || !it->second.ready.contains(ticket))
-      return std::nullopt;
     return pop_ready(mb, key, ticket);
   }
 
@@ -352,35 +338,28 @@ struct RequestState {
     }
   }
 
-  /// Tries to finish the operation; `block` waits for the match. On
-  /// completion the clock advances to max(local, sender completion) — the
-  /// overlap credit: compute done since posting has hidden transfer time.
-  bool try_complete(bool block) {
-    if (completed) return true;
-    std::optional<Envelope> env;
-    if (block) {
-      env = ctx->take_ticket(me_world, key, ticket);
-    } else {
-      env = ctx->try_take_ticket(me_world, key, ticket);
-      if (!env) return false;
-    }
+  /// Blocks for the match and finishes the operation. On completion the
+  /// clock advances to max(local, sender completion) — the overlap
+  /// credit: compute done since posting has hidden transfer time.
+  void complete() {
+    if (completed) return;
+    Envelope env = ctx->take_ticket(me_world, key, ticket);
     auto& s = st();
-    const offset_t bytes = payload_bytes(env->payload.size());
+    const offset_t bytes = payload_bytes(env.payload.size());
     const double t0 = s.clock;
-    s.clock = std::max(s.clock, env->arrival);
+    s.clock = std::max(s.clock, env.arrival);
     ctx->record(me_world, {TraceEvent::Kind::Wait, t0, s.clock, peer_world,
                            bytes, ComputeKind::Other, -1});
     s.wait_seconds += s.clock - t0;
     s.add_received(plane, bytes);
     if (kind == Kind::Bcast) {
-      SLU3D_CHECK(env->payload.size() == buf.size(), "ibcast size mismatch");
-      std::copy(env->payload.begin(), env->payload.end(), buf.begin());
-      forward_children(std::max(post_clock, env->arrival));
+      SLU3D_CHECK(env.payload.size() == buf.size(), "ibcast size mismatch");
+      std::copy(env.payload.begin(), env.payload.end(), buf.begin());
+      forward_children(std::max(post_clock, env.arrival));
     } else {
-      payload = std::move(env->payload);
+      payload = std::move(env.payload);
     }
     completed = true;
-    return true;
   }
 };
 
@@ -417,15 +396,9 @@ Request::~Request() = default;
 
 bool Request::done() const { return st_ == nullptr || st_->completed; }
 
-bool Request::test() {
-  assert_funneled();
-  if (!st_) return true;
-  return st_->try_complete(/*block=*/false);
-}
-
 void Request::wait() {
   assert_funneled();
-  if (st_) st_->try_complete(/*block=*/true);
+  if (st_) st_->complete();
 }
 
 std::vector<real_t> Request::take() {
@@ -433,13 +406,8 @@ std::vector<real_t> Request::take() {
   SLU3D_CHECK(st_ != nullptr, "take: empty request");
   SLU3D_CHECK(st_->kind == detail::RequestState::Kind::Recv,
               "take: not a receive request");
-  st_->try_complete(/*block=*/true);
+  st_->complete();
   return std::move(st_->payload);
-}
-
-void wait_all(std::span<Request> requests) {
-  for (Request& r : requests)
-    if (r.valid()) r.wait();
 }
 
 // ---- Comm basics ---------------------------------------------------------
@@ -874,22 +842,8 @@ Comm Comm::split(int color, int key) const {
 
 namespace {
 
-/// Wire format of a window operation: two uncharged header words, then the
-/// data. Word 0 packs the kind into the top byte and the target element
-/// offset into the low 56 bits; word 1 is the dense span length. For
-/// ScatterAcc the data is ceil(len/64) bitmap words followed by the packed
-/// nonzeros; for Put it is the len elements themselves.
-enum class RmaKind : std::uint64_t { Put = 0, ScatterAcc = 1 };
-constexpr std::uint64_t kRmaOffsetMask = (std::uint64_t{1} << 56) - 1;
-
-real_t rma_header(RmaKind kind, std::size_t offset) {
-  SLU3D_CHECK(offset <= kRmaOffsetMask, "window op: offset out of range");
-  return std::bit_cast<real_t>((static_cast<std::uint64_t>(kind) << 56) |
-                               static_cast<std::uint64_t>(offset));
-}
-
-/// All operations of one window share a single matching stream per origin:
-/// uid as the communicator field, the origin as source, one reserved tag.
+/// All puts to one window share a single matching stream per origin: uid
+/// as the communicator field, the origin as source, one reserved tag.
 std::int64_t rma_op_tag() { return detail::full_tag(Op::Rma, 0); }
 
 }  // namespace
@@ -938,15 +892,21 @@ std::size_t Window::extent(int target) const {
   return sh_->extents[static_cast<std::size_t>(target)];
 }
 
-/// Origin-side injection, charged exactly like isend: alpha on the clock,
-/// the transfer (data bytes only — the header words ride free) serialized
+/// The envelope is one header word, the target element offset as a bit
+/// pattern, then the data. Charged exactly like isend: alpha on the clock,
+/// the transfer (data bytes only — the header word rides free) serialized
 /// across the route to the target, bytes/messages booked as sent on the
 /// plane.
-void Window::post_op(int target, std::vector<real_t> payload,
-                     offset_t data_bytes) {
+void Window::put(int target, std::size_t offset, std::span<const real_t> data) {
   assert_funneled();
-  SLU3D_CHECK(valid(), "window op: invalid window");
-  SLU3D_CHECK(target >= 0 && target < size(), "window op: bad target");
+  SLU3D_CHECK(valid(), "put: invalid window");
+  SLU3D_CHECK(target >= 0 && target < size(), "put: bad target");
+  SLU3D_CHECK(offset + data.size() <= extent(target), "put: out of range");
+  std::vector<real_t> payload;
+  payload.reserve(data.size() + 1);
+  payload.push_back(std::bit_cast<real_t>(static_cast<std::uint64_t>(offset)));
+  payload.insert(payload.end(), data.begin(), data.end());
+  const offset_t data_bytes = payload_bytes(data.size());
   const int me = members_[static_cast<std::size_t>(rank_)];
   const int dst = members_[static_cast<std::size_t>(target)];
   auto& st = ctx_->stats[static_cast<std::size_t>(me)];
@@ -958,34 +918,6 @@ void Window::post_op(int target, std::vector<real_t> payload,
   st.add_sent(plane_, data_bytes);
   ctx_->deliver(dst, {sh_->uid, me, rma_op_tag()},
                 {std::move(payload), arrival});
-}
-
-void Window::put(int target, std::size_t offset, std::span<const real_t> data) {
-  SLU3D_CHECK(offset + data.size() <= extent(target), "put: out of range");
-  std::vector<real_t> payload;
-  payload.reserve(data.size() + 2);
-  payload.push_back(rma_header(RmaKind::Put, offset));
-  payload.push_back(std::bit_cast<real_t>(static_cast<std::uint64_t>(data.size())));
-  payload.insert(payload.end(), data.begin(), data.end());
-  post_op(target, std::move(payload), payload_bytes(data.size()));
-}
-
-void Window::scatter_accumulate(int target, std::size_t offset,
-                                std::size_t span_len,
-                                std::span<const std::uint64_t> bitmap,
-                                std::span<const real_t> packed) {
-  const std::size_t words = (span_len + 63) / 64;
-  SLU3D_CHECK(bitmap.size() == words, "scatter_accumulate: bitmap size");
-  SLU3D_CHECK(offset + span_len <= extent(target),
-              "scatter_accumulate: out of range");
-  std::vector<real_t> payload;
-  payload.reserve(2 + words + packed.size());
-  payload.push_back(rma_header(RmaKind::ScatterAcc, offset));
-  payload.push_back(std::bit_cast<real_t>(static_cast<std::uint64_t>(span_len)));
-  for (const std::uint64_t w : bitmap)
-    payload.push_back(std::bit_cast<real_t>(w));
-  payload.insert(payload.end(), packed.begin(), packed.end());
-  post_op(target, std::move(payload), payload_bytes(words + packed.size()));
 }
 
 WindowDelivery Window::expect(int origin) {
@@ -1003,8 +935,8 @@ WindowDelivery Window::expect(int origin) {
   return WindowDelivery(this, origin, os.next_expect++);
 }
 
-/// Applies every not-yet-applied operation from `origin` up to and
-/// including `seq`, in post order — the non-overtaking guarantee: waiting
+/// Applies every not-yet-applied put from `origin` up to and including
+/// `seq`, in post order — the non-overtaking guarantee: waiting
 /// a later delivery first forces the earlier ones in before it.
 void Window::apply_through(int origin, std::uint64_t seq) {
   assert_funneled();
@@ -1020,16 +952,16 @@ void Window::apply_through(int origin, std::uint64_t seq) {
   }
 }
 
-/// Receiver-side completion of one landed operation: charged like an irecv
-/// wait (clock to max(local, arrival), wait credit, data bytes + one
-/// message received on the plane), then the decoded update is applied to
-/// the local window memory.
+/// Receiver-side completion of one landed put: charged like an irecv wait
+/// (clock to max(local, arrival), wait credit, data bytes + one message
+/// received on the plane), then the data is copied into the local window
+/// memory.
 void Window::apply_envelope(int origin, std::vector<real_t> payload,
                             double arrival) {
-  SLU3D_CHECK(payload.size() >= 2, "window op: truncated payload");
+  SLU3D_CHECK(!payload.empty(), "put: truncated payload");
   const int me = members_[static_cast<std::size_t>(rank_)];
   auto& s = ctx_->stats[static_cast<std::size_t>(me)];
-  const offset_t bytes = payload_bytes(payload.size() - 2);
+  const offset_t bytes = payload_bytes(payload.size() - 1);
   const double t0 = s.clock;
   s.clock = std::max(s.clock, arrival);
   ctx_->record(me, {TraceEvent::Kind::Wait, t0, s.clock,
@@ -1037,39 +969,12 @@ void Window::apply_envelope(int origin, std::vector<real_t> payload,
                     ComputeKind::Other, -1});
   s.wait_seconds += s.clock - t0;
   s.add_received(plane_, bytes);
-  const std::uint64_t h0 = std::bit_cast<std::uint64_t>(payload[0]);
-  const std::size_t offset = static_cast<std::size_t>(h0 & kRmaOffsetMask);
-  const std::size_t len = static_cast<std::size_t>(
-      std::bit_cast<std::uint64_t>(payload[1]));
-  SLU3D_CHECK(offset + len <= local_.size(), "window op: lands out of range");
-  const std::span<const real_t> data(payload.data() + 2, payload.size() - 2);
-  switch (static_cast<RmaKind>(h0 >> 56)) {
-    case RmaKind::Put:
-      SLU3D_CHECK(data.size() == len, "put: data size mismatch");
-      std::copy(data.begin(), data.end(), local_.begin() + static_cast<std::ptrdiff_t>(offset));
-      break;
-    case RmaKind::ScatterAcc: {
-      const std::size_t words = (len + 63) / 64;
-      SLU3D_CHECK(data.size() >= words, "scatter_accumulate: truncated bitmap");
-      const std::span<const real_t> packed = data.subspan(words);
-      std::size_t next = 0;
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t bits = std::bit_cast<std::uint64_t>(data[w]);
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          const std::size_t i = w * 64 + static_cast<std::size_t>(b);
-          SLU3D_CHECK(i < len, "scatter_accumulate: bit beyond span");
-          local_[offset + i] += packed[next++];
-        }
-      }
-      SLU3D_CHECK(next == packed.size(),
-                  "scatter_accumulate: popcount != packed size");
-      break;
-    }
-    default:
-      throw Error("window op: unknown kind");
-  }
+  const auto offset =
+      static_cast<std::size_t>(std::bit_cast<std::uint64_t>(payload[0]));
+  SLU3D_CHECK(offset + payload.size() - 1 <= local_.size(),
+              "put: lands out of range");
+  std::copy(payload.begin() + 1, payload.end(),
+            local_.begin() + static_cast<std::ptrdiff_t>(offset));
 }
 
 void WindowDelivery::wait() {

@@ -4,7 +4,7 @@
 // thread. Ranks communicate only through Comm: blocking typed send/recv
 // plus log-depth collectives, with MPI point-to-point matching
 // semantics (FIFO per (communicator, source, tag)), and non-blocking
-// isend/irecv/ibcast returning a Request with wait/test.
+// isend/irecv/ibcast returning a Request to wait on.
 //
 // Every rank carries a LogGP-style logical clock: compute advances it by
 // gamma*flops, and every transfer is charged through the Platform
@@ -53,7 +53,7 @@ class Window;
 
 /// Handle for an outstanding non-blocking operation. Default-constructed
 /// requests are inert (valid() == false). A pending irecv/ibcast request
-/// MUST eventually be completed with wait()/test(): for ibcast, interior
+/// MUST eventually be completed with wait(): for ibcast, interior
 /// tree ranks forward the payload to their children inside wait(), so a
 /// dropped request starves the subtree (as dropping an active MPI request
 /// would). Move-only.
@@ -67,9 +67,6 @@ class Request {
   bool valid() const { return st_ != nullptr; }
   /// True once the operation has completed (wait() would not block).
   bool done() const;
-  /// Non-blocking progress: completes the operation if it can finish now
-  /// (applying the clock/statistics effects of wait()); returns done().
-  bool test();
   /// Blocks until the operation completes. For receive-like requests the
   /// caller's clock advances to max(local, sender_completion) — time spent
   /// computing since the request was posted overlaps the transfer.
@@ -82,9 +79,6 @@ class Request {
   explicit Request(std::unique_ptr<detail::RequestState> st);
   std::unique_ptr<detail::RequestState> st_;
 };
-
-/// Waits every valid request in order.
-void wait_all(std::span<Request> requests);
 
 /// A communicator: an ordered group of ranks with a private matching
 /// context. Copyable; all copies refer to the same runtime context.
@@ -155,10 +149,9 @@ class Comm {
   /// Collective: exposes `local` as a one-sided RMA window over this
   /// communicator (MPI_Win_create). Every member must call with the same
   /// `tag`; `local` must outlive the Window. Repeated creations on the
-  /// same (communicator, tag) are matched by call order, so per-level
-  /// windows never alias across levels. The setup handshake itself is
-  /// uncharged (like split()); all put/scatter_accumulate traffic on the
-  /// window is LogGP-charged on `plane`.
+  /// same (communicator, tag) are matched by call order, so successive
+  /// windows never alias. The setup handshake itself is uncharged (like
+  /// split()); all put traffic on the window is LogGP-charged on `plane`.
   Window win_create(int tag, std::span<real_t> local, CommPlane plane);
 
   /// Brackets the cold-start analysis stage (ordering + symbolic run
@@ -195,10 +188,9 @@ class Comm {
   int rank_;                  ///< my rank within this communicator
 };
 
-/// Receipt for one expected one-sided delivery (see Window::expect).
-/// Waiting applies the matched operation — and every earlier unapplied
-/// operation from the same origin first, so operations from one origin
-/// always land in post order (MPI's accumulate-ordering rule; the RMA
+/// Receipt for one expected put (see Window::expect). Waiting applies the
+/// matched put — and every earlier unapplied put from the same origin
+/// first, so puts from one origin always land in post order (the RMA
 /// analogue of the equal-tag ibcast non-overtaking fix). Copyable and
 /// inert when default-constructed; wait() after completion is a no-op.
 /// The Window must outlive (and not relocate under) pending deliveries.
@@ -206,8 +198,8 @@ class WindowDelivery {
  public:
   WindowDelivery() = default;
   bool valid() const { return win_ != nullptr; }
-  /// Blocks until the expected operation (and all earlier ones from the
-  /// same origin) has been applied to the local window memory, charging
+  /// Blocks until the expected put (and all earlier ones from the same
+  /// origin) has been applied to the local window memory, charging
   /// the receive like an irecv wait: clock to max(local, arrival), the
   /// data bytes (headers are free) and one message on the window's plane.
   void wait();
@@ -222,13 +214,13 @@ class WindowDelivery {
 };
 
 /// A one-sided RMA window over a communicator (created collectively by
-/// Comm::win_create). Origin-side operations — put and
-/// scatter_accumulate — are charged exactly like isend: alpha on the
+/// Comm::win_create). A put is charged exactly like isend: alpha on the
 /// origin's clock, the transfer serialized on the origin's wire, and the
 /// data bytes booked as sent on the window's plane. The receiver calls
-/// expect(origin) once per operation it knows (symbolically) is coming,
-/// and wait()s the returned delivery at the point the data is needed.
-/// Move-only.
+/// expect(origin) once per put it knows is coming, and wait()s the
+/// returned delivery at the point the data is needed. No engine uses
+/// windows; perf_ledger's `simmpi.put_p64_us` row measures the host cost
+/// of a put. Move-only.
 class Window {
  public:
   Window() = default;
@@ -247,29 +239,20 @@ class Window {
 
   /// Copies `data` into target's window at element `offset`.
   void put(int target, std::size_t offset, std::span<const real_t> data);
-  /// Sparse accumulate: adds `packed` (the nonzeros of a dense span of
-  /// `span_len` elements, selected by `bitmap`, one bit per element,
-  /// LSB-first within each word) into target's window at `offset`. Only
-  /// the bitmap words + packed scalars travel; popcount(bitmap) must
-  /// equal packed.size().
-  void scatter_accumulate(int target, std::size_t offset, std::size_t span_len,
-                          std::span<const std::uint64_t> bitmap,
-                          std::span<const real_t> packed);
 
-  /// Registers the next incoming operation from `origin` (in that
-  /// origin's post order) and returns its delivery receipt. The matching
-  /// is reserved at call time, exactly like an irecv posting.
+  /// Registers the next incoming put from `origin` (in that origin's post
+  /// order) and returns its delivery receipt. The matching is reserved at
+  /// call time, exactly like an irecv posting.
   WindowDelivery expect(int origin);
 
  private:
   friend class Comm;
   friend class WindowDelivery;
   struct OriginSeq {
-    std::uint64_t next_expect = 0;   ///< ops registered via expect()
-    std::uint64_t next_applied = 0;  ///< ops applied to local memory
+    std::uint64_t next_expect = 0;   ///< puts registered via expect()
+    std::uint64_t next_applied = 0;  ///< puts applied to local memory
   };
 
-  void post_op(int target, std::vector<real_t> payload, offset_t data_bytes);
   void apply_through(int origin, std::uint64_t seq);
   void apply_envelope(int origin, std::vector<real_t> payload, double arrival);
 

@@ -196,8 +196,8 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
     EXPECT_EQ(v.total_panel_saved_bytes(), 0);
     EXPECT_EQ(v.total_panel_saved_msgs(), 0);
   } else {
-    // One-sided footprint puts: headers are uncharged and no presence
-    // frame travels, so the saved counters reconcile the targeted wire to
+    // Footprint messages: no header or presence handshake travels beside
+    // the frames, so the saved counters reconcile the targeted wire to
     // the dense equivalent exactly — to the byte AND to the message — on
     // the XY plane (diag broadcasts are identical on both sides of the
     // identity and cancel).
@@ -332,7 +332,7 @@ TEST(CommEquivalence, Fig10ClassPanelSavingsAtLeast15Percent) {
 // reads any panel entry. Leaf supernode 0 couples only to the root
 // separator (block 2, whose Schur targets all live on supernode 0's own
 // process row), and leaf supernode 1 is an isolated island with an empty
-// panel. Under Targeted the data root therefore posts *zero* puts — the
+// panel. Under Targeted the data root therefore sends *zero* messages — the
 // entire dense-equivalent panel payload is saved, byte for byte and
 // message for message — while the factors still match the dense run.
 // ---------------------------------------------------------------------------

@@ -166,9 +166,9 @@ TEST_P(RandomPackingFuzz, SparsePanelPackingSolvesBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPackingFuzz, ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
-// Targeted one-sided delivery under the same randomized-density regime:
+// Targeted footprint messages under the same randomized-density regime:
 // whatever footprint the symbolic structure implies for each receiver, the
-// put-based wire must solve bit-identically to the dense broadcasts, and
+// targeted wire must solve bit-identically to the dense broadcasts, and
 // the XY factor volume may only shrink.
 // ---------------------------------------------------------------------------
 
@@ -255,7 +255,7 @@ void expect_factors_bitwise(const BlockStructure& bs, const SupernodalMatrix& a,
 }
 
 TEST(Fuzz, FullyDensePanelsSurviveSparsePacking) {
-  // Near-dense matrix: the targeted puts' presence bitmaps are (almost) all
+  // Near-dense matrix: the targeted frames' presence bitmaps are (almost) all
   // ones, the degenerate end of the packing format. Must stay bit-identical
   // to the dense wire, and still save bytes by skipping the entries a peer
   // never reads.

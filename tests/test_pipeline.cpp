@@ -1,14 +1,20 @@
 // Tests for the factorization pipeline engines (the 2D panel engine of
 // factorize_2d and the z-reduction of factorize_3d):
-//  - golden per-plane comm counters pinning the Dense and the Targeted
-//    (panels and z-reduction) wire formats on the fig9 configs,
+//  - golden per-plane comm counters and critical-path clocks pinning the
+//    Dense and the Targeted (panels and z-reduction) wires on the fig9
+//    configs,
+//  - the Targeted frame codec both engines share,
 //  - targeted z-reduction: bitwise-identical factors, reduced W_red,
 //    savings counter,
 //  - option validation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "lu3d/factor3d.hpp"
 #include "order/nested_dissection.hpp"
@@ -75,10 +81,13 @@ RunResult run_lu3d(const Problem& p, int Px, int Py, int Pz,
 // wire format and schedule to the byte/message counts measured on the fig9
 // configs before the pipeline refactor: any change to panel broadcast
 // payloads, stash scheduling, ancestor enumeration order, or packed block
-// layout shows up here. `targeted` pins the one-sided wire
+// layout shows up here. `targeted` pins the Targeted wire
 // (PanelPacking::Targeted + ZRedPacking::Targeted) the same way: the
 // targeted accounting identity (wire + saved == dense) still holds when a
 // footprint predicate grows wider, so only absolute counts catch that.
+// `lu_clock` and `targeted_clock` pin each wire's simulated critical path
+// (RunResult::max_clock(), recorded with %a): a transport change that
+// moves simulated time fails here even when no byte or message moves.
 // ---------------------------------------------------------------------------
 
 struct GoldenCase {
@@ -88,6 +97,8 @@ struct GoldenCase {
   // maxed over all ranks.
   offset_t lu[6];
   offset_t targeted[6];
+  double lu_clock;
+  double targeted_clock;
 };
 
 /// gtest's default printer dumps the raw bytes of the case, `name` pointer
@@ -99,21 +110,29 @@ void PrintTo(const GoldenCase& c, std::ostream* os) {
 
 constexpr GoldenCase kGolden[] = {
     {"planar", 4, 4, 1, {3369936, 0, 6840, 0, 295648, 0},
-     {2226848, 0, 4118, 0, 217280, 0}},
+     {2226848, 0, 4118, 0, 217280, 0},
+     0x1.57109757c304ap-9, 0x1.93a1cbaad86cap-10},
     {"planar", 2, 4, 2, {2246624, 18432, 4560, 1, 202448, 18432},
-     {1589736, 18720, 2588, 1, 147712, 18720}},
+     {1589736, 18720, 2588, 1, 147712, 18720},
+     0x1.74af2c90703cp-10, 0x1.b2dcb0cd6c49fp-11},
     {"planar", 2, 2, 4, {1123312, 100232, 2280, 7, 127824, 59904},
-     {952624, 54616, 1444, 7, 92664, 37040}},
+     {952624, 54616, 1444, 7, 92664, 37040},
+     0x1.2ad62537b3503p-11, 0x1.8ac524e997aa6p-12},
     {"planar", 1, 2, 8, {561656, 351088, 1140, 23, 74320, 124416},
-     {476312, 97792, 505, 23, 51776, 48416}},
+     {476312, 97792, 505, 23, 51776, 48416},
+     0x1.3316d9bc6e8dfp-12, 0x1.5805690d422d7p-13},
     {"nonplanar", 4, 4, 1, {7395072, 0, 2844, 0, 690736, 0},
-     {5047760, 0, 1864, 0, 633760, 0}},
+     {5047760, 0, 1864, 0, 633760, 0},
+     0x1.0826ad22696p-9, 0x1.a97358cb9ed3cp-10},
     {"nonplanar", 2, 4, 2, {4930048, 165888, 1896, 1, 613944, 165888},
-     {3486984, 168480, 1071, 1, 445608, 168480}},
+     {3486984, 168480, 1071, 1, 445608, 168480},
+     0x1.72eeac67f4d39p-10, 0x1.1ad851c7ea2abp-10},
     {"nonplanar", 2, 2, 4, {2465024, 872064, 948, 7, 482968, 539136},
-     {1926208, 434112, 548, 7, 297168, 313704}},
+     {1926208, 434112, 548, 7, 297168, 313704},
+     0x1.10e4ad7fdcaf1p-10, 0x1.cb9b659edabfp-11},
     {"nonplanar", 1, 2, 8, {1232512, 2571848, 474, 23, 427056, 1005696},
-     {963104, 695040, 194, 23, 247560, 394728}},
+     {963104, 695040, 194, 23, 247560, 394728},
+     0x1.9dda562d4a441p-11, 0x1.77cd31f2a4765p-11},
 };
 
 class GoldenCommCounters : public ::testing::TestWithParam<GoldenCase> {};
@@ -132,12 +151,16 @@ void expect_totals(const RunResult& res, const offset_t (&want)[6],
 TEST_P(GoldenCommCounters, DenseModeMatchesPreRefactorBytes) {
   const GoldenCase& c = GetParam();
   const Problem p = fig9_problem(std::string(c.name) == "planar");
-  expect_totals(run_lu3d(p, c.Px, c.Py, c.Pz), c.lu, "Dense");
-  Lu3dOptions targeted;
-  targeted.lu2d.packing = PanelPacking::Targeted;
-  targeted.packing = ZRedPacking::Targeted;
-  expect_totals(run_lu3d(p, c.Px, c.Py, c.Pz, targeted), c.targeted,
-                "Targeted");
+  const RunResult dense = run_lu3d(p, c.Px, c.Py, c.Pz);
+  expect_totals(dense, c.lu, "Dense");
+  EXPECT_EQ(dense.max_clock(), c.lu_clock) << "Dense critical path";
+  Lu3dOptions opt;
+  opt.lu2d.packing = PanelPacking::Targeted;
+  opt.packing = ZRedPacking::Targeted;
+  const RunResult targeted = run_lu3d(p, c.Px, c.Py, c.Pz, opt);
+  expect_totals(targeted, c.targeted, "Targeted");
+  EXPECT_EQ(targeted.max_clock(), c.targeted_clock)
+      << "Targeted critical path";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -147,6 +170,51 @@ INSTANTIATE_TEST_SUITE_P(
              "x" + std::to_string(pi.param.Py) + "x" +
              std::to_string(pi.param.Pz);
     });
+
+// ---------------------------------------------------------------------------
+// The frame both Targeted wires carry (encode_frame / decode_frame): a round
+// trip restores every value bit for bit except zeros of either sign, which
+// travel only as clear bitmap bits and decode as +0.0.
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits_of(real_t v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(TargetedFrame, RoundTripElidesOnlyZeros) {
+  const real_t specials[] = {std::numeric_limits<real_t>::quiet_NaN(), 0.0,
+                             std::numeric_limits<real_t>::denorm_min(), -0.0,
+                             -3.25};
+  const std::size_t lengths[] = {1, 63, 64, 65, 130};
+  for (const std::size_t n : lengths) {
+    const std::size_t words = frame_bitmap_words(n);
+    EXPECT_EQ(words, (n + 63) / 64);
+    // Trailing slack past the frame must be left alone by both sides.
+    std::vector<real_t> frame(words + n + 1, 9.0);
+    std::vector<real_t> out(n, 9.0);
+
+    // An all-zero span travels as its bitmap words only.
+    const std::vector<real_t> zeros(n, 0.0);
+    ASSERT_EQ(encode_frame(zeros, frame), words) << "n = " << n;
+    for (std::size_t w = 0; w < words; ++w) EXPECT_EQ(bits_of(frame[w]), 0u);
+    EXPECT_EQ(decode_frame(frame, out), words);
+    for (const real_t v : out) EXPECT_EQ(bits_of(v), bits_of(0.0));
+
+    std::vector<real_t> src(n);
+    std::vector<real_t> nonzeros;
+    for (std::size_t i = 0; i < n; ++i) {
+      src[i] = i % 6 < 5 ? specials[i % 6] : static_cast<real_t>(i) + 0.5;
+      if (src[i] != 0.0) nonzeros.push_back(src[i]);
+    }
+    const std::size_t len = encode_frame(src, frame);
+    ASSERT_EQ(len, words + nonzeros.size()) << "n = " << n;
+    for (std::size_t j = 0; j < nonzeros.size(); ++j)
+      EXPECT_EQ(bits_of(frame[words + j]), bits_of(nonzeros[j]));
+    EXPECT_EQ(bits_of(frame[len]), bits_of(9.0)) << "wrote past the frame";
+    EXPECT_EQ(decode_frame(frame, out), len);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(bits_of(out[i]), bits_of(src[i] == 0.0 ? 0.0 : src[i]))
+          << "n = " << n << ", i = " << i;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Targeted z-reduction. Must change no numeric value (the factors are

@@ -290,8 +290,8 @@ TEST(Funneled, WorkerCallingSimmpiThrows) {
 }
 
 // The one-sided entry points are charged exactly like isend/irecv and are
-// covered by the same funneled contract: a pool worker reaching
-// put/scatter_accumulate (or the expect/wait completion side) throws.
+// covered by the same funneled contract: a pool worker reaching put (or
+// the expect/wait completion side) throws.
 TEST(Funneled, WorkerCallingRmaWindowThrows) {
   std::atomic<bool> had_workers{false};
   std::atomic<int> rma_throws{0};
@@ -304,9 +304,6 @@ TEST(Funneled, WorkerCallingRmaWindowThrows) {
     // Every charged window entry point on the rank thread is fine...
     win.put(0, 0, std::vector<real_t>{1, 2});
     win.expect(0).wait();
-    win.scatter_accumulate(0, 0, 1, std::vector<std::uint64_t>{1},
-                           std::vector<real_t>{1});
-    win.expect(0).wait();
     // ...and throws from a worker.
     pk.pool().for_each_slot([&](int slot) {
       if (slot == 0) return;
@@ -318,17 +315,13 @@ TEST(Funneled, WorkerCallingRmaWindowThrows) {
         }
       };
       expect_throw([&] { win.put(0, 0, std::vector<real_t>{1}); });
-      expect_throw([&] {
-        win.scatter_accumulate(0, 0, 1, std::vector<std::uint64_t>{1},
-                               std::vector<real_t>{1});
-      });
       expect_throw([&] { (void)win.expect(0); });
     });
   });
   if (!had_workers.load()) GTEST_SKIP() << "worker budget exhausted";
-  // Every guarded call threw on every worker (3 entry points each).
+  // Every guarded call threw on every worker (2 entry points each).
   EXPECT_GT(rma_throws.load(), 0);
-  EXPECT_EQ(rma_throws.load() % 3, 0);
+  EXPECT_EQ(rma_throws.load() % 2, 0);
 }
 
 // ParallelKernels presizes every worker's thread-local pack arena at

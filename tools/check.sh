@@ -21,29 +21,36 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# Suites that certify the funneled-threading, schedule-equivalence, and
-# one-sided (RMA window / targeted delivery) contracts; every
-# configuration must actually contain them. The tsan leg thereby drives
-# the targeted put/scatter-accumulate paths — mailbox op streams,
-# per-level staging — under the race detector with a compute pool
-# beneath every rank. The Fleet suite rides along so the sharded
-# front end (coalesced batch dispatch, cache-warm migration) also runs
-# every sanitizer leg with SLU3D_THREADS=4 pools under the shards.
-# SolveSchedule (bitwise solution pins plus a fuzz of the critical-path
-# solve order's matching rule) and AllgathervSweep (the log-depth
-# allgatherv at P = 1..17) certify the blocking solve sweeps and the
-# collective every solve and analysis ends with. GoldenCommCounters pins
-# the Dense and Targeted wire bytes of the factorization engines.
-REQUIRED_SUITES=(CommEquivalence ThreadPool Funneled Determinism Rma
-                 RandomTargetedDeliveryFuzz Fleet PlatformRuntime
-                 DistAnalysis SolveSchedule AllgathervSweep
-                 GoldenCommCounters)
+# Suites every configuration must register, matched by whole gtest suite
+# name (after any `Instance/` prefix, before the `.`):
+#   Funneled, ThreadPool: the funneled-threading contract and the per-rank
+#     compute pool, which the tsan leg runs with SLU3D_THREADS=4 pools;
+#   CommEquivalence, Determinism, GoldenCommCounters: bitwise factors
+#     across schedules, wires and thread counts, and the pinned bytes,
+#     messages and critical-path clocks of the Dense and Targeted wires;
+#   RandomTargetedDeliveryFuzz: the Targeted footprint messages under
+#     random densities;
+#   Rma: the one-sided windows the ledger's put microbenchmark drives;
+#   PlatformRuntime, AllgathervSweep: the charge path and the log-depth
+#     allgatherv every solve and analysis ends with;
+#   DistAnalysis: the in-sim analysis against its host oracle;
+#   SolveSchedulePin, SolveScheduleFuzz: bitwise solution pins and a fuzz
+#     of the critical-path solve order's matching rule;
+#   SolverFleet: the sharded front end (coalesced batch dispatch,
+#     cache-warm migration) with compute pools under the shards.
+REQUIRED_SUITES=(Funneled ThreadPool CommEquivalence Determinism
+                 GoldenCommCounters RandomTargetedDeliveryFuzz Rma
+                 PlatformRuntime AllgathervSweep DistAnalysis
+                 SolveSchedulePin SolveScheduleFuzz SolverFleet)
 
 require_suites() {
-  local dir="$1" list
-  list="$(ctest --test-dir "$dir" -N)"
+  local dir="$1" suites
+  # `ctest -N` lists "Test #N: [Instance/]Suite.Test[/Param] ...".
+  suites="$(ctest --test-dir "$dir" -N |
+    sed -n 's/^ *Test *#[0-9]*: \([^ .]*\)\..*/\1/p' | sed 's|.*/||' |
+    sort -u)"
   for suite in "${REQUIRED_SUITES[@]}"; do
-    if ! grep -q "$suite" <<<"$list"; then
+    if ! grep -qxF "$suite" <<<"$suites"; then
       echo "error: required test suite '$suite' not registered in $dir" >&2
       exit 1
     fi
