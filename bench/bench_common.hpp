@@ -21,7 +21,6 @@
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 #include "support/table.hpp"
-#include "threads/thread_pool.hpp"
 
 namespace slu3d::bench {
 
@@ -52,28 +51,10 @@ struct DistMetrics {
   /// (zero means the run never contended for a wire; grows with shared
   /// uplinks on hierarchical platforms).
   double link_queue_s = 0;
-  /// Host wall-clock seconds of the whole run_ranks call and the per-rank
-  /// compute-thread count it ran with. Unlike every simulated counter
-  /// above (bitwise independent of threading), wall_s measures the real
-  /// machine — it is the column the thread-pool speedups show up in.
+  /// Host wall-clock seconds of the whole run_ranks call. Unlike every
+  /// simulated counter above, wall_s measures the real machine.
   double wall_s = 0;
-  int threads = 1;
 };
-
-/// Parses `--threads N` / `--threads=N` from argv (0 = SLU3D_THREADS env or
-/// 1); every bench driver forwards the result into run_dist_lu / the
-/// kernel pools so speedup sweeps don't need env juggling.
-inline int bench_threads(int argc, char** argv) {
-  int threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--threads=", 10) == 0)
-      threads = std::atoi(a + 10);
-    else if (std::strcmp(a, "--threads") == 0 && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
-  }
-  return threads;
-}
 
 /// Wire-format selection shared by the bench drivers: `--panel-packing`
 /// and `--zred-packing` (each dense | targeted), in both the
@@ -212,7 +193,6 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
                                PartitionStrategy strategy = PartitionStrategy::Greedy,
                                ZRedPacking packing = ZRedPacking::Dense,
                                PanelPacking panel_packing = PanelPacking::Dense,
-                               int threads = 0,
                                const sim::Platform* platform = nullptr) {
   const ForestPartition part(bs, Pz, strategy);
   const int P = Px * Py * Pz;
@@ -227,7 +207,6 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
         Lu3dOptions opt;
         opt.lu2d.lookahead = lookahead;
         opt.lu2d.packing = panel_packing;
-        opt.lu2d.threads = threads;
         opt.packing = packing;
         factorize_3d(F, grid, part, opt);
       });
@@ -235,7 +214,6 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
 
   DistMetrics m;
   m.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  m.threads = threads::resolve_threads(threads);
   m.time = res.max_clock();
   // Critical-path rank: the one with the largest final clock.
   const sim::RankStats* crit = &res.ranks.front();

@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
           const auto [Px, Py] = bench::square_ish(pxy);
           const auto m = bench::run_dist_lu(
               bs, Ap, Px, Py, pz, /*lookahead=*/8, PartitionStrategy::Greedy,
-              ZRedPacking::Dense, PanelPacking::Dense,
-              /*threads=*/0, &platform);
+              ZRedPacking::Dense, PanelPacking::Dense, &platform);
           const double gflops = flops / m.time / 1e9;
           row.push_back(TextTable::num(gflops, 2));
           if (pz == 1) best2d = std::max(best2d, gflops);

@@ -10,7 +10,6 @@
 
 int main(int argc, char** argv) {
   using namespace slu3d;
-  const int threads = bench::bench_threads(argc, argv);
   bench::bench_platform(argc, argv);
   // --panel-packing / --zred-packing select the wire formats of the packed
   // re-run (default: targeted panel delivery, dense z-reduction).
@@ -33,8 +32,7 @@ int main(int argc, char** argv) {
     const auto base_run = bench::run_dist_lu(bs, Ap, 8, 8, 1, 8,
                                              PartitionStrategy::Greedy,
                                              ZRedPacking::Dense,
-                                             PanelPacking::Dense,
-                                             threads);
+                                             PanelPacking::Dense);
     const double baseline = base_run.time;
     // The packed columns re-run each point with the selected wire formats
     // (factors bitwise unchanged): T_pk/T is the re-run's simulated time
@@ -42,7 +40,7 @@ int main(int argc, char** argv) {
     // eliminates. `--zred-packing targeted` adds the targeted Z wire to
     // the same re-run.
     TextTable table({"P", "Pz", "PXY", "T/T2d", "T_scu/T2d", "T_comm/T2d",
-                     "speedup", "T_pk/T", "Psaved(%)", "wall_s", "thr"});
+                     "speedup", "T_pk/T", "Psaved(%)", "wall_s"});
     for (int P : machine_sizes) {
       for (int Pz : pz_values) {
         if (P % Pz != 0) continue;
@@ -50,11 +48,10 @@ int main(int argc, char** argv) {
         const auto m = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                           PartitionStrategy::Greedy,
                                           ZRedPacking::Dense,
-                                          PanelPacking::Dense,
-                                          threads);
+                                          PanelPacking::Dense);
         const auto pp = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
                                            PartitionStrategy::Greedy,
-                                           pk.zred, pk.panel, threads);
+                                           pk.zred, pk.panel);
         const double psaved =
             pp.panel_dense > 0
                 ? 100.0 * static_cast<double>(pp.panel_saved) /
@@ -68,8 +65,7 @@ int main(int argc, char** argv) {
                        TextTable::num(baseline / m.time, 2),
                        TextTable::num(pp.time / m.time, 4),
                        TextTable::num(psaved, 1),
-                       TextTable::num(m.wall_s, 3),
-                       std::to_string(m.threads)});
+                       TextTable::num(m.wall_s, 3)});
       }
     }
     table.print(std::cout);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "numeric/dense_kernels.hpp"
-#include "numeric/kernel_scratch.hpp"
 #include "numeric/seq_lu.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
@@ -157,61 +156,6 @@ void BM_GetrfRef(benchmark::State& state) {
 }
 BENCHMARK(BM_GetrfRef)->Arg(64)->Arg(128)->Arg(256);
 
-// ---- thread-pool sweeps -------------------------------------------------
-// The same GEMM shapes through a ParallelKernels pool of T participants
-// (the form the pipeline engines install per rank); T = 1 is the
-// pool-bypass baseline, so the speedup at T = 4 is read directly off one
-// run. The thread count is the benchmark argument — SLU3D_THREADS does not
-// apply here. Results are bitwise identical across T by construction; only
-// wall-clock moves.
-
-void BM_GemmMinusThreaded(benchmark::State& state) {
-  const auto n = static_cast<index_t>(state.range(0));
-  const auto threads = static_cast<int>(state.range(1));
-  dense::ParallelKernels pool(threads);
-  const auto a = random_dominant(n, 4);
-  const auto b = random_dominant(n, 5);
-  std::vector<real_t> c(a.size(), 0.0);
-  for (auto _ : state) {
-    dense::gemm_minus(n, n, n, a.data(), n, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["workers"] =
-      static_cast<double>(pool.pool().workers());
-  state.SetItemsProcessed(state.iterations() * dense::gemm_flops(n, n, n));
-}
-BENCHMARK(BM_GemmMinusThreaded)
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({256, 4})
-    ->Args({384, 1})
-    ->Args({384, 2})
-    ->Args({384, 4})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->Args({512, 4});
-
-void BM_GemmMinusNtThreaded(benchmark::State& state) {
-  const auto n = static_cast<index_t>(state.range(0));
-  const auto threads = static_cast<int>(state.range(1));
-  dense::ParallelKernels pool(threads);
-  const auto a = random_dominant(n, 7);
-  const auto b = random_dominant(n, 8);
-  std::vector<real_t> c(a.size(), 0.0);
-  for (auto _ : state) {
-    dense::gemm_minus_nt(n, n, n, a.data(), n, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["workers"] =
-      static_cast<double>(pool.pool().workers());
-  state.SetItemsProcessed(state.iterations() * dense::gemm_flops(n, n, n));
-}
-BENCHMARK(BM_GemmMinusNtThreaded)
-    ->Args({256, 1})
-    ->Args({256, 4})
-    ->Args({512, 1})
-    ->Args({512, 4});
-
 void BM_SequentialSparseLU(benchmark::State& state) {
   const auto side = static_cast<index_t>(state.range(0));
   const GridGeometry g{side, side, 1};
@@ -228,27 +172,6 @@ void BM_SequentialSparseLU(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * bs.total_flops());
 }
 BENCHMARK(BM_SequentialSparseLU)->Arg(32)->Arg(64);
-
-void BM_SequentialSparseLUThreaded(benchmark::State& state) {
-  const auto side = static_cast<index_t>(state.range(0));
-  const auto threads = static_cast<int>(state.range(1));
-  dense::ParallelKernels pool(threads);
-  const GridGeometry g{side, side, 1};
-  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
-  const SeparatorTree tree = geometric_nd(g, {.leaf_size = 32});
-  const BlockStructure bs(A, tree);
-  const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
-  for (auto _ : state) {
-    SupernodalMatrix F(bs);
-    F.fill_from(Ap);
-    factorize_sequential(F);
-    benchmark::DoNotOptimize(F.diag(0).data());
-  }
-  state.counters["workers"] =
-      static_cast<double>(pool.pool().workers());
-  state.SetItemsProcessed(state.iterations() * bs.total_flops());
-}
-BENCHMARK(BM_SequentialSparseLUThreaded)->Args({64, 1})->Args({64, 4});
 
 }  // namespace
 

@@ -46,7 +46,6 @@
 #include "numeric/kernel_scratch.hpp"
 #include "numeric/schur.hpp"
 #include "support/check.hpp"
-#include "threads/thread_pool.hpp"
 
 namespace slu3d {
 
@@ -73,8 +72,6 @@ void validate(const Lu2dOptions& opt) {
   SLU3D_CHECK(opt.packing == PanelPacking::Dense ||
                   opt.packing == PanelPacking::Targeted,
               "lu2d: unknown PanelPacking value");
-  SLU3D_CHECK(opt.threads >= 0,
-              "lu2d: threads must be >= 0 (0 = SLU3D_THREADS env or 1)");
 }
 
 /// Adds V into the owned target block (bi, bj) — the distributed version
@@ -172,11 +169,6 @@ class PanelEngine {
               const Lu2dOptions& opt)
       : F_(F), g_(grid), bs_(F.structure()), opt_(opt) {
     validate(opt_);
-    // Attach this rank thread's compute pool (created lazily, reused across
-    // engines — one per 3D level — and resized only when the option
-    // changes). All communication stays on this thread; the pool only ever
-    // executes the packing / GEMM / scatter closures below.
-    dense::ParallelKernels::rank_local(threads::resolve_threads(opt_.threads));
   }
 
   /// Factorizes the supernodes in `snodes` (ascending elimination order).
@@ -297,8 +289,7 @@ class PanelEngine {
       return;
     }
     // Root: dense local fill + one frame per entry, each encoded into its
-    // own dense-bound region of the frame cache. Entries write disjoint
-    // storage and cache regions, so the pass fans out across the pool.
+    // own dense-bound region of the frame cache.
     std::size_t cache = 0, dense_scalars = 0;
     for (StashEntry& e : entries) {
       const auto elems =
@@ -309,19 +300,17 @@ class PanelEngine {
       dense_scalars += elems;
     }
     frame_cache_.resize(cache);
-    threads::parallel_for(
-        static_cast<std::ptrdiff_t>(entries.size()), [&](std::ptrdiff_t t, int) {
-          StashEntry& e = entries[static_cast<std::size_t>(t)];
-          const auto elems =
-              static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
-          const std::span<const real_t> src = payload(
-              role, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
-          SLU3D_CHECK(src.size() == elems, "panel payload size mismatch");
-          std::copy(src.begin(), src.end(), stash.storage.data() + e.offset);
-          e.frame_len = encode_frame(
-              src, std::span{frame_cache_}.subspan(
-                       e.frame_off, frame_bitmap_words(elems) + elems));
-        });
+    for (StashEntry& e : entries) {
+      const auto elems =
+          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
+      const std::span<const real_t> src = payload(
+          role, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
+      SLU3D_CHECK(src.size() == elems, "panel payload size mismatch");
+      std::copy(src.begin(), src.end(), stash.storage.data() + e.offset);
+      e.frame_len = encode_frame(
+          src, std::span{frame_cache_}.subspan(
+                   e.frame_off, frame_bitmap_words(elems) + elems));
+    }
     const int p = comm.size();
     std::size_t wired = 0;
     offset_t n_msgs = 0;
@@ -518,15 +507,7 @@ class PanelEngine {
     }
     stash->ops.clear();
 
-    // Build the Schur pair list and charge the modelled flops serially on
-    // this (rank) thread, in the historical nested order — the logical
-    // clocks and RankStats are thread-count independent by construction
-    // (no communication happens between the charges, so their order within
-    // the phase does not move any timestamp). Workers then execute the
-    // GEMM + scatter of each pair (and must not touch the simulator):
-    // distinct pairs scatter into distinct owned (bi, bj) target blocks,
-    // so the partitions are disjoint and no factor datum needs an atomic.
-    schur_pairs_.clear();
+    // Every owned Schur pair scatters into a distinct (bi, bj) target block.
     for (const StashEntry& le : stash->entries[kRowRole]) {
       const PanelBlock& bi = panel[static_cast<std::size_t>(le.panel_idx)];
       for (const StashEntry& ue : stash->entries[kColRole]) {
@@ -534,34 +515,19 @@ class PanelEngine {
         if (!wants_target(bi.snode, bj.snode)) continue;
         g_.grid().add_compute(dense::gemm_flops(le.m, ue.m, ns),
                               ComputeKind::SchurUpdate);
-        schur_pairs_.push_back({&le, &ue});
+        auto scratch = dense::KernelScratch::per_rank().stage_zero(
+            static_cast<std::size_t>(le.m) * static_cast<std::size_t>(ue.m));
+        dense::gemm_minus(le.m, ue.m, ns, stash->storage.data() + le.offset,
+                          le.m, stash->storage.data() + ue.offset, ns,
+                          scratch.data(), le.m);
+        scatter_local(F_, bs_, bi.snode, bj.snode, bi.rows, bj.rows, scratch);
       }
     }
-    threads::parallel_for(
-        static_cast<std::ptrdiff_t>(schur_pairs_.size()),
-        [&](std::ptrdiff_t t, int) {
-          const auto [le, ue] = schur_pairs_[static_cast<std::size_t>(t)];
-          const PanelBlock& bi = panel[static_cast<std::size_t>(le->panel_idx)];
-          const PanelBlock& bj = panel[static_cast<std::size_t>(ue->panel_idx)];
-          auto scratch = dense::KernelScratch::per_rank().stage_zero(
-              static_cast<std::size_t>(le->m) * static_cast<std::size_t>(ue->m));
-          dense::gemm_minus(le->m, ue->m, ns, stash->storage.data() + le->offset,
-                            le->m, stash->storage.data() + ue->offset, ns,
-                            scratch.data(), le->m);
-          scatter_local(F_, bs_, bi.snode, bj.snode, bi.rows, bj.rows, scratch);
-        });
     dense::KernelScratch::per_rank().recycle(std::move(stash->storage));
     stash->storage = std::vector<real_t>{};
     for (std::vector<StashEntry>& entries : stash->entries) entries.clear();
     stash->k = -1;
   }
-
-  /// One Schur block pair of the current supernode, flattened for the
-  /// pool: row-role (L) entry x column-role (U) entry.
-  struct SchurPair {
-    const StashEntry* le;
-    const StashEntry* ue;
-  };
 
   Dist2dFactors& F_;
   sim::ProcessGrid2D& g_;
@@ -572,7 +538,6 @@ class PanelEngine {
   // Targeted-mode root scratch (unused otherwise).
   std::vector<real_t> frame_cache_;  ///< every entry's frame (dense bound each)
   std::vector<real_t> send_buf_;     ///< per-peer footprint message
-  std::vector<SchurPair> schur_pairs_;  ///< reusable pair work list
 };
 
 }  // namespace

@@ -81,15 +81,6 @@ struct Lu2dOptions {
   /// Wire format of the panel transfers; Dense is byte-identical to the
   /// historical drivers, Targeted is the opt-in footprint messages.
   PanelPacking packing = PanelPacking::Dense;
-  /// Per-rank compute participants (caller thread + pool workers) for the
-  /// dense kernels and the Schur scatter. 0 (the default) defers to the
-  /// SLU3D_THREADS environment variable, falling back to 1 (the historical
-  /// single-threaded rank). Workers come out of the process-wide
-  /// threads::WorkerBudget, so asking for more than the host has degrades
-  /// gracefully. Factors, RankStats counters, and simulated clocks are
-  /// bitwise identical for every value — threading is a wall-clock-only
-  /// optimization (see DESIGN.md, "Funneled threading model").
-  int threads = 0;
 };
 
 /// Factorizes the supernodes in `snodes` (ascending elimination order) in

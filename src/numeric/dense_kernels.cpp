@@ -14,7 +14,6 @@
 
 #include "numeric/kernel_scratch.hpp"
 #include "support/check.hpp"
-#include "threads/thread_pool.hpp"
 
 #define SLU3D_RESTRICT __restrict__
 
@@ -25,16 +24,7 @@ namespace {
 
 thread_local offset_t t_flops_performed = 0;
 
-/// Kernels running on a pool worker must not touch the rank's counter (the
-/// audit is per rank thread); they add to the pool's side channel, which
-/// flops_performed()/ParallelKernels folds back in. Integer addition
-/// commutes, so the total is deterministic under any interleaving.
-inline void count(offset_t flops) {
-  if (threads::ThreadPool* p = threads::ThreadPool::worker_pool())
-    p->accumulate(flops);
-  else
-    t_flops_performed += flops;
-}
+inline void count(offset_t flops) { t_flops_performed += flops; }
 
 /// Column-major element offset, computed in pointer-width arithmetic.
 inline std::ptrdiff_t off(index_t r, index_t c, index_t ld) {
@@ -170,102 +160,19 @@ inline void micro_tile_edge(index_t kc, const real_t* SLU3D_RESTRICT ap,
 
 // ---- blocked GEMM core --------------------------------------------------
 
-/// Below this op count the two fork-join regions per (jc, pc) iteration
-/// cost more than the parallelism recovers; such GEMMs stay serial.
-constexpr offset_t kParallelGemmMinOps = offset_t{1} << 18;
-
-/// Parallel body of one (jc, pc) cache iteration: region 1 packs the B
-/// panel (per kNR micro-panel) and the *full* m-row A panel (per kMC
-/// block) into disjoint regions of the rank arena's buffers; region 2
-/// sweeps the micro-kernel over jr column panels, each task walking its
-/// ic/ir tiles in the serial order. Every C tile is visited exactly once
-/// per iteration with bit-identical packed operands, and accumulation
-/// across pc stays serialized by the region barrier — so the result is
-/// bitwise equal to the serial path for any worker count. The full-panel A
-/// layout equals the serial per-kMC concatenation because kMC % kMR == 0.
-static_assert(kMC % kMR == 0, "full-panel A pack relies on aligned MC blocks");
-void gemm_tile_parallel(index_t m, index_t nc, index_t kc, const real_t* a,
-                        index_t lda, const real_t* b, index_t ldb, real_t* c,
-                        index_t ldc, bool b_trans, KernelScratch& ws) {
-  const index_t np = (nc + kNR - 1) / kNR;
-  const index_t mb = (m + kMC - 1) / kMC;
-  const std::size_t panel_a = static_cast<std::size_t>(kc) * kMR;
-  const std::size_t panel_b = static_cast<std::size_t>(kc) * kNR;
-  // Buffers acquired (and possibly grown) on the rank thread, before any
-  // worker can observe them; workers write disjoint micro-panel slices.
-  real_t* bbuf = ws.pack_b(static_cast<std::size_t>(np) * kPanelB);
-  real_t* abuf =
-      ws.pack_a(static_cast<std::size_t>((m + kMR - 1) / kMR) * kPanelA);
-  threads::parallel_for(
-      static_cast<std::ptrdiff_t>(mb) + np, [&](std::ptrdiff_t t, int) {
-        if (t < mb) {
-          const index_t ic = static_cast<index_t>(t) * kMC;
-          const index_t mc = std::min(kMC, m - ic);
-          pack_block_a(mc, kc, a + off(ic, 0, lda), lda,
-                       abuf + static_cast<std::size_t>(ic / kMR) * panel_a);
-        } else {
-          const index_t j0 = static_cast<index_t>(t - mb) * kNR;
-          const index_t nr = std::min(kNR, nc - j0);
-          real_t* dst = bbuf + static_cast<std::size_t>(j0 / kNR) * panel_b;
-          if (b_trans)
-            pack_panel_b_trans(kc, nr, b + off(j0, 0, ldb), ldb, dst);
-          else
-            pack_panel_b(kc, nr, b + off(0, j0, ldb), ldb, dst);
-        }
-      });
-  threads::parallel_for(static_cast<std::ptrdiff_t>(np), [&](std::ptrdiff_t t,
-                                                             int) {
-    const index_t jr = static_cast<index_t>(t) * kNR;
-    const index_t nr = std::min(kNR, nc - jr);
-    const real_t* bp = bbuf + static_cast<std::size_t>(jr / kNR) * panel_b;
-    for (index_t ic = 0; ic < m; ic += kMC) {
-      const index_t mc = std::min(kMC, m - ic);
-      for (index_t ir = 0; ir < mc; ir += kMR) {
-        const index_t mr = std::min(kMR, mc - ir);
-        const real_t* ap =
-            abuf + static_cast<std::size_t>((ic + ir) / kMR) * panel_a;
-        real_t* ct = c + off(ic + ir, jr, ldc);
-        if (mr == kMR && nr == kNR)
-          micro_tile_full(kc, ap, bp, ct, ldc);
-        else
-          micro_tile_edge(kc, ap, bp, mr, nr, ct, ldc);
-      }
-    }
-  });
-}
-
 /// C <- C - A op(B) with op(B) = B (b_trans false) or B^T (true). Both
 /// operands are packed into the per-rank aligned scratch; the inner loops
-/// are branch-free regardless of the operand values. When the calling
-/// thread has an active ambient pool (and the GEMM is big enough to
-/// amortize the fork-join), the per-iteration packing and micro sweeps fan
-/// out across the pool — bitwise identical results either way. Nested
-/// calls from pool workers always take the serial path.
+/// are branch-free regardless of the operand values.
 void gemm_minus_blocked(index_t m, index_t n, index_t k, const real_t* a,
                         index_t lda, const real_t* b, index_t ldb, real_t* c,
                         index_t ldc, bool b_trans) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   KernelScratch& ws = KernelScratch::per_rank();
-  bool parallel = false;
-  if (!threads::ThreadPool::in_worker()) {
-    // busy() excludes slot-0 task bodies: a GEMM issued from inside one of
-    // the pool's own regions (e.g. a Schur pair the owner thread executes)
-    // stays serial instead of re-entering the live region.
-    threads::ThreadPool* pool = threads::current_pool();
-    parallel = pool != nullptr && pool->active() && !pool->busy() &&
-               static_cast<offset_t>(m) * n * k >= kParallelGemmMinOps;
-  }
   for (index_t jc = 0; jc < n; jc += kNC) {
     const index_t nc = std::min(kNC, n - jc);
     const index_t np = (nc + kNR - 1) / kNR;  // micro-panels in this B panel
     for (index_t pc = 0; pc < k; pc += kKC) {
       const index_t kc = std::min(kKC, k - pc);
-      if (parallel) {
-        gemm_tile_parallel(m, nc, kc, a + off(0, pc, lda), lda,
-                           b_trans ? b + off(jc, pc, ldb) : b + off(pc, jc, ldb),
-                           ldb, c + off(0, jc, ldc), ldc, b_trans, ws);
-        continue;
-      }
       real_t* bbuf = ws.pack_b(static_cast<std::size_t>(np) * kPanelB);
       if (b_trans)
         pack_panel_b_trans(kc, nc, b + off(jc, pc, ldb), ldb, bbuf);
@@ -533,24 +440,9 @@ void potrf_lower(index_t n, real_t* a, index_t lda) {
   count(potrf_flops(n));
 }
 
-offset_t flops_performed() {
-  offset_t f = t_flops_performed;
-  // Fold in (without draining) the ambient pool's side channel, so an
-  // audit taken while a rank's pool is still alive sees worker flops too.
-  if (!threads::ThreadPool::in_worker())
-    if (const threads::ThreadPool* p = threads::current_pool())
-      f += p->accumulated();
-  return f;
-}
+offset_t flops_performed() { return t_flops_performed; }
 
-void reset_flops_performed() {
-  t_flops_performed = 0;
-  if (!threads::ThreadPool::in_worker())
-    if (threads::ThreadPool* p = threads::current_pool())
-      (void)p->take_accumulated();
-}
-
-void note_flops_performed(offset_t flops) { t_flops_performed += flops; }
+void reset_flops_performed() { t_flops_performed = 0; }
 
 // ---- triangular vector solves (unchanged scalar kernels) ---------------
 

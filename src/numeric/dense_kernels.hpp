@@ -10,8 +10,6 @@
 // zero-skipping variant sparse-scatter callers may opt into.
 #pragma once
 
-#include <cstddef>
-
 #include "support/types.hpp"
 
 namespace slu3d {
@@ -24,19 +22,6 @@ inline constexpr index_t kKC = 256;  ///< k-dimension cache block (packed panel 
 inline constexpr index_t kMC = 128;  ///< m-dimension cache block (A block, ~L2)
 inline constexpr index_t kNC = 512;  ///< n-dimension cache block (B panel)
 inline constexpr index_t kTB = 64;   ///< triangular/diagonal block for TRSM/GETRF/POTRF
-
-// Worst-case pack-buffer footprints of one *serial* GEMM invocation — the
-// form a pool worker runs inside a Schur-pair task (the parallel top-level
-// GEMM packs through the rank thread's arena instead). A: one kMC x kKC
-// cache block; B: one kNC-wide panel of kNR-column micro-panels at depth
-// kKC. ParallelKernels presizes every worker's thread-local KernelScratch
-// to these at pool construction, so worker tasks never grow a pack buffer
-// on the hot path (KernelScratch asserts they don't).
-inline constexpr std::size_t kWorkerPackA =
-    static_cast<std::size_t>(kMC) * static_cast<std::size_t>(kKC);
-inline constexpr std::size_t kWorkerPackB =
-    (static_cast<std::size_t>(kNC) + kNR - 1) / kNR *
-    static_cast<std::size_t>(kNR) * static_cast<std::size_t>(kKC);
 
 /// In-place LU factorization without pivoting: A = L U with L unit lower
 /// triangular, both overwriting A. Throws if a diagonal entry collapses
@@ -125,16 +110,9 @@ inline offset_t gemm_flops(offset_t m, offset_t n, offset_t k) {
 // satisfies charged == performed exactly; test_model asserts this.
 
 /// Model flops performed by this thread's dense kernels since the last
-/// reset_flops_performed(). Kernels executed on a pool worker accumulate
-/// into the pool's side channel instead of the worker's own counter;
-/// flops_performed() folds the ambient pool's accumulator in (and
-/// ParallelKernels drains it into the owner's counter at destruction), so
-/// the audit identity holds unchanged under any worker count.
+/// reset_flops_performed().
 offset_t flops_performed();
 void reset_flops_performed();
-/// Adds externally-harvested flops (a pool's drained side channel) to this
-/// thread's performed-flop counter.
-void note_flops_performed(offset_t flops);
 
 // ---- reference kernels --------------------------------------------------
 // The original unblocked triple-loop implementations, kept verbatim: the

@@ -4,8 +4,6 @@
 #include <memory>
 #include <new>
 
-#include "numeric/dense_kernels.hpp"
-
 namespace slu3d {
 namespace dense {
 
@@ -33,39 +31,6 @@ real_t* AlignedBuffer::acquire(std::size_t elems) {
 KernelScratch& KernelScratch::per_rank() {
   thread_local KernelScratch arena;
   return arena;
-}
-
-// ---- ParallelKernels ----------------------------------------------------
-
-ParallelKernels::ParallelKernels(int threads)
-    : pool_(threads), scope_(&pool_) {
-  // Size every participant's thread-local arena for the serial GEMMs that
-  // run inside worker tasks, on the thread that owns it — after this, no
-  // worker grows a pack buffer on the hot path (KernelScratch asserts so).
-  pool_.for_each_slot([](int) {
-    KernelScratch::per_rank().ensure_pack_capacity(kWorkerPackA, kWorkerPackB);
-  });
-}
-
-ParallelKernels::~ParallelKernels() {
-  note_flops_performed(pool_.take_accumulated());
-}
-
-namespace {
-thread_local std::unique_ptr<ParallelKernels> t_rank_kernels;
-}
-
-ParallelKernels& ParallelKernels::rank_local(int threads) {
-  if (!t_rank_kernels || t_rank_kernels->pool().requested() != threads) {
-    t_rank_kernels.reset();  // release budget/scope before re-acquiring
-    t_rank_kernels = std::make_unique<ParallelKernels>(threads);
-  }
-  return *t_rank_kernels;
-}
-
-void ParallelKernels::ensure_rank_local(int threads) {
-  if (threads::current_pool() == nullptr && !threads::ThreadPool::in_worker())
-    (void)rank_local(threads);
 }
 
 }  // namespace dense

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "support/types.hpp"
-#include "threads/thread_pool.hpp"
 
 namespace slu3d {
 namespace dense {
@@ -23,8 +22,6 @@ class AlignedBuffer {
   /// Returns a pointer to at least `elems` elements, 64-byte aligned.
   /// Contents are unspecified; growing invalidates previous pointers.
   real_t* acquire(std::size_t elems);
-
-  std::size_t capacity() const { return cap_; }
 
  private:
   struct Free {
@@ -43,26 +40,8 @@ class AlignedBuffer {
 /// staging span.
 class KernelScratch {
  public:
-  real_t* pack_a(std::size_t elems) {
-    assert_no_worker_growth(elems, a_.capacity());
-    return a_.acquire(elems);
-  }
-  real_t* pack_b(std::size_t elems) {
-    assert_no_worker_growth(elems, b_.capacity());
-    return b_.acquire(elems);
-  }
-
-  /// Grows the pack buffers to at least the given capacities now — called
-  /// once per worker thread at pool construction (ParallelKernels), so the
-  /// serial GEMMs a worker runs inside a Schur pair never allocate on the
-  /// hot path. The bounds for any worker-side (serial, per-MC-block) GEMM
-  /// are kWorkerPackA/kWorkerPackB in dense_kernels.hpp.
-  void ensure_pack_capacity(std::size_t a_elems, std::size_t b_elems) {
-    (void)a_.acquire(a_elems);
-    (void)b_.acquire(b_elems);
-  }
-  std::size_t pack_a_capacity() const { return a_.capacity(); }
-  std::size_t pack_b_capacity() const { return b_.capacity(); }
+  real_t* pack_a(std::size_t elems) { return a_.acquire(elems); }
+  real_t* pack_b(std::size_t elems) { return b_.acquire(elems); }
 
   /// `n` zero-initialized elements (the GEMM accumulation target).
   std::span<real_t> stage_zero(std::size_t n) {
@@ -92,50 +71,10 @@ class KernelScratch {
   static KernelScratch& per_rank();
 
  private:
-  /// A pool worker's arena was sized once at pool construction; a growth
-  /// request past that on a worker means a kernel escaped its documented
-  /// per-task bounds — fail loudly instead of reallocating mid-region.
-  static void assert_no_worker_growth(std::size_t elems, std::size_t cap) {
-    SLU3D_CHECK(elems <= cap || !threads::ThreadPool::in_worker(),
-                "worker-side pack buffer growth: KernelScratch is presized at "
-                "pool construction (kWorkerPackA/kWorkerPackB); a worker task "
-                "asked for more");
-  }
-
   AlignedBuffer a_, b_;
   std::vector<real_t> stage_;
   std::vector<index_t> idx_;
   std::vector<std::vector<real_t>> pool_;
-};
-
-/// RAII bundle tying a rank thread to its compute pool: owns the
-/// ThreadPool, installs it as the ambient pool (PoolScope) so the dense
-/// kernels and the pipeline engine pick it up, presizes every worker's
-/// thread-local KernelScratch pack buffers, and at destruction folds the
-/// workers' side-channel flop count back into this thread's performed-flop
-/// counter (keeping charged == performed for the model audit).
-class ParallelKernels {
- public:
-  /// `threads` >= 1 participants (caller + granted workers).
-  explicit ParallelKernels(int threads);
-  ~ParallelKernels();
-  ParallelKernels(const ParallelKernels&) = delete;
-  ParallelKernels& operator=(const ParallelKernels&) = delete;
-
-  threads::ThreadPool& pool() { return pool_; }
-
-  /// The calling thread's cached instance, (re)created when `threads`
-  /// differs from the cached request — so every PanelEngine a rank runs
-  /// (one per 3D level) reuses one pool instead of respawning workers.
-  /// Lives until the thread exits.
-  static ParallelKernels& rank_local(int threads);
-  /// rank_local(threads), but only when no ambient pool is installed yet —
-  /// entry points that may run under an engine's pool use this.
-  static void ensure_rank_local(int threads);
-
- private:
-  threads::ThreadPool pool_;
-  threads::PoolScope scope_;
 };
 
 }  // namespace dense

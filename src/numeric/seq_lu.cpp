@@ -1,25 +1,21 @@
 #include "numeric/seq_lu.hpp"
 
 #include <numeric>
-#include <utility>
 #include <vector>
 
 #include "numeric/dense_kernels.hpp"
 #include "numeric/kernel_scratch.hpp"
 #include "numeric/schur.hpp"
 #include "support/check.hpp"
-#include "threads/thread_pool.hpp"
 
 namespace slu3d {
 
 namespace {
 
 /// Factor one supernode's diagonal + panels and apply its Schur update.
-/// The Schur staging block comes from the per-rank scratch arena and the
-/// pair work list is reused across supernodes, so the loop performs no
-/// per-supernode allocation once the arena has warmed up.
-void eliminate_snode(SupernodalMatrix& F, int s,
-                     std::vector<std::pair<int, int>>& pairs) {
+/// The Schur staging block comes from the per-rank scratch arena, so the
+/// loop performs no per-supernode allocation once the arena has warmed up.
+void eliminate_snode(SupernodalMatrix& F, int s) {
   const BlockStructure& bs = F.structure();
   const index_t ns = bs.snode_size(s);
   if (ns == 0) return;  // empty separator block
@@ -34,32 +30,23 @@ void eliminate_snode(SupernodalMatrix& F, int s,
   dense::trsm_right_upper(ns, m, F.diag(s).data(), ns, F.lpanel(s).data(), m);
   dense::trsm_left_lower_unit(ns, m, F.diag(s).data(), ns, F.upanel(s).data(), ns);
 
-  // 3. Schur-complement update, block pair by block pair. The pairs are
-  // flattened and fanned out across the ambient thread pool: each (bi, bj)
-  // pair scatters into a distinct target block, so the partitions are
-  // disjoint and the result is bitwise identical to the serial sweep.
-  const auto panel = bs.lpanel(s);
-  pairs.clear();
-  for (int i = 0; i < static_cast<int>(panel.size()); ++i)
-    for (int j = 0; j < static_cast<int>(panel.size()); ++j)
-      pairs.push_back({i, j});
-  threads::parallel_for(
-      static_cast<std::ptrdiff_t>(pairs.size()), [&](std::ptrdiff_t t, int) {
-        const auto [i, j] = pairs[static_cast<std::size_t>(t)];
-        const PanelBlock& bi = panel[static_cast<std::size_t>(i)];
-        const PanelBlock& bj = panel[static_cast<std::size_t>(j)];
-        const auto [oi, mi] = F.block_range(s, bi.snode);
-        const auto [oj, mj] = F.block_range(s, bj.snode);
-        // V = -(L block) * (U block), then scatter-add.
-        auto scratch = dense::KernelScratch::per_rank().stage_zero(
-            static_cast<std::size_t>(mi) * static_cast<std::size_t>(mj));
-        dense::gemm_minus(mi, mj, ns, F.lpanel(s).data() + oi, m,
-                          F.upanel(s).data() +
-                              static_cast<std::size_t>(oj) *
-                                  static_cast<std::size_t>(ns),
-                          ns, scratch.data(), mi);
-        schur_scatter_add(F, bi.snode, bj.snode, bi.rows, bj.rows, scratch);
-      });
+  // 3. Schur-complement update, block pair by block pair; each (bi, bj)
+  // pair scatters into a distinct target block.
+  for (const PanelBlock& bi : bs.lpanel(s)) {
+    const auto [oi, mi] = F.block_range(s, bi.snode);
+    for (const PanelBlock& bj : bs.lpanel(s)) {
+      const auto [oj, mj] = F.block_range(s, bj.snode);
+      // V = -(L block) * (U block), then scatter-add.
+      auto scratch = dense::KernelScratch::per_rank().stage_zero(
+          static_cast<std::size_t>(mi) * static_cast<std::size_t>(mj));
+      dense::gemm_minus(mi, mj, ns, F.lpanel(s).data() + oi, m,
+                        F.upanel(s).data() +
+                            static_cast<std::size_t>(oj) *
+                                static_cast<std::size_t>(ns),
+                        ns, scratch.data(), mi);
+      schur_scatter_add(F, bi.snode, bj.snode, bi.rows, bj.rows, scratch);
+    }
+  }
 }
 
 }  // namespace
@@ -71,15 +58,10 @@ void factorize_sequential(SupernodalMatrix& F) {
 }
 
 void factorize_snodes_sequential(SupernodalMatrix& F, std::span<const int> snodes) {
-  // Attach the ambient compute pool unless a caller (e.g. the pipeline
-  // engine, whose schur_pair tasks reach eliminate_leading_block) already
-  // installed one or we are the pool ourselves.
-  dense::ParallelKernels::ensure_rank_local(threads::resolve_threads(0));
-  std::vector<std::pair<int, int>> pairs;
   for (int s : snodes) {
     SLU3D_CHECK(F.has_snode(s) || F.structure().snode_size(s) == 0,
                 "supernode not allocated");
-    eliminate_snode(F, s, pairs);
+    eliminate_snode(F, s);
   }
 }
 

@@ -76,6 +76,10 @@ struct SolverService::Resident {
 
 SolverService::SolverService(const ServiceOptions& options) : opt_(options) {
   SLU3D_CHECK(opt_.max_patterns >= 1, "need capacity for at least one pattern");
+  // A negative count would space solve_stream's per-request tag bases by
+  // zero or less, breaking their disjoint-tag-range contract.
+  SLU3D_CHECK(opt_.refinement_steps >= 0,
+              "refinement_steps must be non-negative");
 }
 
 SolverService::~SolverService() = default;

@@ -51,7 +51,8 @@ struct ServiceOptions {
   /// The network the simulated runs charge against (flat Edison-like by
   /// default; hierarchical platforms add shared-uplink contention).
   sim::Platform platform;
-  /// Iterative-refinement sweeps appended to every solve request.
+  /// Iterative-refinement sweeps appended to every solve request; must be
+  /// non-negative.
   int refinement_steps = 1;
   /// Where cold-start analysis (ordering + symbolic factorization) runs
   /// on a cache miss: on the host outside the simulated clock (Host, the

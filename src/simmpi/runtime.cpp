@@ -10,7 +10,6 @@
 #include <tuple>
 
 #include "support/check.hpp"
-#include "threads/thread_pool.hpp"
 
 namespace slu3d::sim {
 
@@ -373,17 +372,6 @@ offset_t payload_bytes(std::size_t n_reals) {
   return static_cast<offset_t>(n_reals * sizeof(real_t));
 }
 
-/// The funneled threading contract (DESIGN.md, "Funneled threading model"):
-/// compute-pool workers execute pure closures over disjoint data and must
-/// never reach the simulated MPI runtime — clocks, counters, and message
-/// queues belong to the owning rank thread. Every charged entry point
-/// checks; a violation is a programming error in a parallelized hot path.
-void assert_funneled() {
-  SLU3D_CHECK(!threads::ThreadPool::in_worker(),
-              "simmpi called from a compute-pool worker: communication and "
-              "clock charging are funneled through the rank thread");
-}
-
 }  // namespace
 
 // ---- Request -------------------------------------------------------------
@@ -397,12 +385,10 @@ Request::~Request() = default;
 bool Request::done() const { return st_ == nullptr || st_->completed; }
 
 void Request::wait() {
-  assert_funneled();
   if (st_) st_->complete();
 }
 
 std::vector<real_t> Request::take() {
-  assert_funneled();
   SLU3D_CHECK(st_ != nullptr, "take: empty request");
   SLU3D_CHECK(st_->kind == detail::RequestState::Kind::Recv,
               "take: not a receive request");
@@ -427,14 +413,12 @@ double Comm::clock() const {
 }
 
 void Comm::begin_analysis_phase() {
-  assert_funneled();
   auto& st = stats();
   st.in_analysis_phase = true;
   st.analysis_phase_start = st.clock;
 }
 
 void Comm::end_analysis_phase() {
-  assert_funneled();
   auto& st = stats();
   if (!st.in_analysis_phase) return;
   st.in_analysis_phase = false;
@@ -442,7 +426,6 @@ void Comm::end_analysis_phase() {
 }
 
 void Comm::add_compute(offset_t flops, ComputeKind kind) {
-  assert_funneled();
   const double dt = ctx_->model.compute_time(flops);
   auto& st = stats();
   ctx_->record(world_rank(), {TraceEvent::Kind::Compute, st.clock,
@@ -515,7 +498,6 @@ std::vector<real_t> recv_charged(detail::Context* ctx, std::uint64_t comm_id,
 
 void Comm::send(int dst, int tag, std::span<const real_t> payload,
                 CommPlane plane) {
-  assert_funneled();
   SLU3D_CHECK(dst >= 0 && dst < size(), "send: bad destination rank");
   send_charged(ctx_, comm_id_, world_rank(),
                members_[static_cast<std::size_t>(dst)],
@@ -524,7 +506,6 @@ void Comm::send(int dst, int tag, std::span<const real_t> payload,
 }
 
 std::vector<real_t> Comm::recv(int src, int tag, CommPlane plane) {
-  assert_funneled();
   SLU3D_CHECK(src >= 0 && src < size(), "recv: bad source rank");
   return recv_charged(ctx_, comm_id_, world_rank(),
                       members_[static_cast<std::size_t>(src)],
@@ -533,7 +514,6 @@ std::vector<real_t> Comm::recv(int src, int tag, CommPlane plane) {
 
 Request Comm::isend(int dst, int tag, std::span<const real_t> payload,
                     CommPlane plane) {
-  assert_funneled();
   SLU3D_CHECK(dst >= 0 && dst < size(), "isend: bad destination rank");
   const std::int64_t ft = detail::full_tag(Op::P2P, tag);
   const int me = world_rank();
@@ -562,7 +542,6 @@ Request Comm::isend(int dst, int tag, std::span<const real_t> payload,
 }
 
 Request Comm::irecv(int src, int tag, CommPlane plane) {
-  assert_funneled();
   SLU3D_CHECK(src >= 0 && src < size(), "irecv: bad source rank");
   const int me = world_rank();
   auto state = std::make_unique<detail::RequestState>();
@@ -632,7 +611,6 @@ void reduce_tree(detail::Context* ctx, std::uint64_t comm_id,
 }  // namespace
 
 void Comm::bcast(int root, int tag, std::span<real_t> buf, CommPlane plane) {
-  assert_funneled();
   const int p = size();
   SLU3D_CHECK(root >= 0 && root < p, "bcast: bad root");
   if (p == 1) return;
@@ -663,7 +641,6 @@ void Comm::bcast(int root, int tag, std::span<real_t> buf, CommPlane plane) {
 }
 
 Request Comm::ibcast(int root, int tag, std::span<real_t> buf, CommPlane plane) {
-  assert_funneled();
   const int p = size();
   SLU3D_CHECK(root >= 0 && root < p, "ibcast: bad root");
   const int me = world_rank();
@@ -709,19 +686,16 @@ Request Comm::ibcast(int root, int tag, std::span<real_t> buf, CommPlane plane) 
 }
 
 void Comm::reduce_sum(int root, int tag, std::span<real_t> buf, CommPlane plane) {
-  assert_funneled();
   reduce_tree(ctx_, comm_id_, members_, rank_, root, tag, buf, plane,
               RedOp::Sum);
 }
 
 void Comm::allreduce_sum(int tag, std::span<real_t> buf, CommPlane plane) {
-  assert_funneled();
   reduce_sum(0, tag, buf, plane);
   bcast(0, tag, buf, plane);
 }
 
 double Comm::allreduce_max(int tag, double value, CommPlane plane) {
-  assert_funneled();
   std::vector<real_t> v{value};
   reduce_tree(ctx_, comm_id_, members_, rank_, 0, tag, v, plane, RedOp::Max);
   bcast(0, tag, v, plane);
@@ -730,7 +704,6 @@ double Comm::allreduce_max(int tag, double value, CommPlane plane) {
 
 std::vector<real_t> Comm::allgatherv(int tag, std::span<const real_t> mine,
                                      CommPlane plane) {
-  assert_funneled();
   const int p = size();
   // Bruck's algorithm. Before the round at distance d, this rank holds the
   // blocks of ranks rank, rank+1, ..., rank+d-1 (mod p) back to back in
@@ -775,7 +748,6 @@ std::vector<real_t> Comm::allgatherv(int tag, std::span<const real_t> mine,
 }
 
 void Comm::barrier(int tag, CommPlane plane) {
-  assert_funneled();
   std::vector<real_t> empty;
   reduce_sum(0, tag, empty, plane);
   bcast(0, tag, empty, plane);
@@ -849,7 +821,6 @@ std::int64_t rma_op_tag() { return detail::full_tag(Op::Rma, 0); }
 }  // namespace
 
 Window Comm::win_create(int tag, std::span<real_t> local, CommPlane plane) {
-  assert_funneled();
   const int p = size();
   // Lockstep per-member creation count makes the uid computable locally and
   // identical across members without exchanging it.
@@ -898,7 +869,6 @@ std::size_t Window::extent(int target) const {
 /// across the route to the target, bytes/messages booked as sent on the
 /// plane.
 void Window::put(int target, std::size_t offset, std::span<const real_t> data) {
-  assert_funneled();
   SLU3D_CHECK(valid(), "put: invalid window");
   SLU3D_CHECK(target >= 0 && target < size(), "put: bad target");
   SLU3D_CHECK(offset + data.size() <= extent(target), "put: out of range");
@@ -921,7 +891,6 @@ void Window::put(int target, std::size_t offset, std::span<const real_t> data) {
 }
 
 WindowDelivery Window::expect(int origin) {
-  assert_funneled();
   SLU3D_CHECK(valid(), "expect: invalid window");
   SLU3D_CHECK(origin >= 0 && origin < size(), "expect: bad origin");
   const detail::MsgKey key{sh_->uid,
@@ -939,7 +908,6 @@ WindowDelivery Window::expect(int origin) {
 /// `seq`, in post order — the non-overtaking guarantee: waiting
 /// a later delivery first forces the earlier ones in before it.
 void Window::apply_through(int origin, std::uint64_t seq) {
-  assert_funneled();
   auto& os = origin_[static_cast<std::size_t>(origin)];
   const detail::MsgKey key{sh_->uid,
                            members_[static_cast<std::size_t>(origin)],

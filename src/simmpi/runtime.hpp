@@ -301,7 +301,7 @@ struct RunResult {
   offset_t total_zred_bytes_saved() const;
   /// Aggregate targeted panel-delivery savings across ranks (zero when
   /// PanelPacking::Dense): dense-equivalent panel payload, and the XY
-  /// bytes and messages the footprint puts avoided.
+  /// bytes and messages the footprint messages avoided.
   offset_t total_panel_dense_bytes() const;
   offset_t total_panel_saved_bytes() const;
   offset_t total_panel_saved_msgs() const;

@@ -208,8 +208,8 @@ TEST(DistAnalysis, NoPhaseMeansZeroAnalysisSplit) {
 // >= 12 random graphs: the full pipeline from the distributed analysis
 // must equal the host-analysis pipeline bitwise — same symbolic flops,
 // same factor bytes, and a bitwise-identical solution panel. The numeric
-// phase is deterministic (Determinism suite), so any deviation here is
-// the analysis producing a different structure.
+// phase is deterministic, so any deviation here is the analysis producing
+// a different structure.
 TEST(DistAnalysisFuzz, RandomGraphsFactorBitwiseEqualEndToEnd) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     const index_t n = 120 + static_cast<index_t>(seed) * 7;

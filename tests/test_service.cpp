@@ -194,6 +194,18 @@ TEST(SolverService, QueuedSolveStreamIsTagIsolated) {
   for (std::size_t i = 0; i < y3.size(); ++i) EXPECT_EQ(x3[i], y3[i]);
 }
 
+TEST(SolverService, RejectsNegativeRefinementSteps) {
+  // solve_stream spaces request tag bases by (1 + refinement_steps) solve
+  // spans; a negative count would overlap or invert those ranges.
+  ServiceOptions o = small_grid_options();
+  o.refinement_steps = -1;
+  EXPECT_THROW(SolverService{o}, Error);
+  o.refinement_steps = -2;
+  EXPECT_THROW(SolverService{o}, Error);
+  o.refinement_steps = 0;
+  EXPECT_NO_THROW(SolverService{o});
+}
+
 TEST(SolverService, LruEvictionBoundsResidentPatterns) {
   const CsrMatrix A =
       grid2d_laplacian(GridGeometry{8, 8, 1}, Stencil2D::FivePoint);

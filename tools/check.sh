@@ -3,13 +3,12 @@
 # ASan/UBSan (SLU3D_SANITIZE=ON) and ThreadSanitizer (SLU3D_TSAN=ON). The
 # simulated MPI ranks are real threads, so the TSAN run is what certifies
 # the non-blocking communication layer (shared mailbox queues, per-rank
-# network clocks) free of data races — and, with SLU3D_THREADS forcing a
-# compute pool under every rank, the intra-rank work-stealing paths too.
+# network clocks) free of data races.
 #
 # ctest runs with --stop-on-failure, so the sweep fails fast on the first
 # failing test of the first failing configuration instead of burning the
 # remaining (sanitizer-slowed) legs. Before testing, the presence of the
-# load-bearing suites (comm-equivalence, thread pool) is asserted so a
+# load-bearing suites (comm-equivalence, golden counters) is asserted so a
 # registration regression cannot silently pass an empty sweep.
 #
 #   tools/check.sh          # all three configurations
@@ -23,11 +22,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # Suites every configuration must register, matched by whole gtest suite
 # name (after any `Instance/` prefix, before the `.`):
-#   Funneled, ThreadPool: the funneled-threading contract and the per-rank
-#     compute pool, which the tsan leg runs with SLU3D_THREADS=4 pools;
-#   CommEquivalence, Determinism, GoldenCommCounters: bitwise factors
-#     across schedules, wires and thread counts, and the pinned bytes,
-#     messages and critical-path clocks of the Dense and Targeted wires;
+#   CommEquivalence, GoldenCommCounters: bitwise factors across schedules
+#     and wires, and the pinned bytes, messages and critical-path clocks of
+#     the Dense and Targeted wires;
 #   RandomTargetedDeliveryFuzz: the Targeted footprint messages under
 #     random densities;
 #   Rma: the one-sided windows the ledger's put microbenchmark drives;
@@ -37,9 +34,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   SolveSchedulePin, SolveScheduleFuzz: bitwise solution pins and a fuzz
 #     of the critical-path solve order's matching rule;
 #   SolverFleet: the sharded front end (coalesced batch dispatch,
-#     cache-warm migration) with compute pools under the shards.
-REQUIRED_SUITES=(Funneled ThreadPool CommEquivalence Determinism
-                 GoldenCommCounters RandomTargetedDeliveryFuzz Rma
+#     cache-warm migration).
+REQUIRED_SUITES=(CommEquivalence GoldenCommCounters
+                 RandomTargetedDeliveryFuzz Rma
                  PlatformRuntime AllgathervSweep DistAnalysis
                  SolveSchedulePin SolveScheduleFuzz SolverFleet)
 
@@ -82,11 +79,7 @@ if want "$sel" asan; then
 fi
 if want "$sel" tsan; then
   # TSAN slows the rank threads ~10x; benches and examples add nothing.
-  # SLU3D_THREADS=4 puts a work-stealing pool under every rank so the
-  # fork-join handoffs, the steal path, and the funneled guards are all
-  # exercised under the race detector (results are bitwise unchanged).
-  TSAN_OPTIONS="halt_on_error=1" SLU3D_THREADS="${SLU3D_THREADS:-4}" \
-    run_config tsan build-tsan -DSLU3D_TSAN=ON -DSLU3D_BUILD_BENCH=OFF \
-    -DSLU3D_BUILD_EXAMPLES=OFF
+  TSAN_OPTIONS="halt_on_error=1" run_config tsan build-tsan -DSLU3D_TSAN=ON \
+    -DSLU3D_BUILD_BENCH=OFF -DSLU3D_BUILD_EXAMPLES=OFF
 fi
 echo "==== all requested configurations passed ===="
