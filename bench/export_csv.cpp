@@ -244,14 +244,6 @@ void export_kernel_benchmarks(const std::string& dir) {
            dense::ref::gemm_minus(n, n, n, a.data(), n, b.data(), n, c.data(),
                                   n);
          }));
-    emit("gemm_minus_nt", "blocked", n, measure_gflops(fl, [&] {
-           dense::gemm_minus_nt(n, n, n, a.data(), n, b.data(), n, c.data(),
-                                n);
-         }));
-    emit("gemm_minus_nt", "ref", n, measure_gflops(fl, [&] {
-           dense::ref::gemm_minus_nt(n, n, n, a.data(), n, b.data(), n,
-                                     c.data(), n);
-         }));
   }
   for (index_t n : {64, 128, 256}) {
     const auto a0 = random_dominant_matrix(n, 1);

@@ -117,32 +117,6 @@ BENCHMARK(BM_GemmMinusRankK)
     ->Args({512, 64})
     ->Args({512, 128});
 
-void BM_GemmMinusNt(benchmark::State& state) {
-  const auto n = static_cast<index_t>(state.range(0));
-  const auto a = random_dominant(n, 7);
-  const auto b = random_dominant(n, 8);
-  std::vector<real_t> c(a.size(), 0.0);
-  for (auto _ : state) {
-    dense::gemm_minus_nt(n, n, n, a.data(), n, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * dense::gemm_flops(n, n, n));
-}
-BENCHMARK(BM_GemmMinusNt)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-void BM_GemmMinusNtRef(benchmark::State& state) {
-  const auto n = static_cast<index_t>(state.range(0));
-  const auto a = random_dominant(n, 7);
-  const auto b = random_dominant(n, 8);
-  std::vector<real_t> c(a.size(), 0.0);
-  for (auto _ : state) {
-    dense::ref::gemm_minus_nt(n, n, n, a.data(), n, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * dense::gemm_flops(n, n, n));
-}
-BENCHMARK(BM_GemmMinusNtRef)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
 void BM_GetrfRef(benchmark::State& state) {
   const auto n = static_cast<index_t>(state.range(0));
   const auto a0 = random_dominant(n, 1);

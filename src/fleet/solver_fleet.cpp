@@ -4,7 +4,7 @@
 #include <limits>
 #include <utility>
 
-#include "numeric/factor_io.hpp"
+#include "sparse/fingerprint.hpp"
 #include "support/check.hpp"
 
 namespace slu3d::service {

@@ -2,9 +2,9 @@
 // substrate"). One BLIS-style micro-kernel carries every BLAS-3 entry
 // point: GEMM runs the full KC/MC/NC packing pipeline, the TRSM variants
 // peel kTB-wide triangular blocks and push the remaining rank-kb update
-// through the same packed GEMM, and GETRF/POTRF are right-looking block
-// algorithms over those TRSMs and GEMMs. The dense path contains no
-// zero-skip branches (dense::ref keeps them for sparse-scatter callers).
+// through the same packed GEMM, and GETRF is a right-looking block
+// algorithm over those TRSMs and GEMMs. The dense path contains no
+// zero-skip branches (only the dense::ref oracle has them).
 #include "numeric/dense_kernels.hpp"
 
 #include <algorithm>
@@ -65,23 +65,6 @@ void pack_panel_b(index_t kc, index_t nc, const real_t* b, index_t ldb,
       real_t* dst = buf + p * kNR;
       index_t j = 0;
       for (; j < nr; ++j) dst[j] = b[off(p, j0 + j, ldb)];
-      for (; j < kNR; ++j) dst[j] = 0.0;
-    }
-    buf += static_cast<std::size_t>(kc) * kNR;
-  }
-}
-
-/// Transposed-operand variant: packs op(B) = B^T where element (p, j) of
-/// the packed panel reads b[(j0 + j) + p * ldb].
-void pack_panel_b_trans(index_t kc, index_t nc, const real_t* b, index_t ldb,
-                        real_t* SLU3D_RESTRICT buf) {
-  for (index_t j0 = 0; j0 < nc; j0 += kNR) {
-    const index_t nr = std::min(kNR, nc - j0);
-    for (index_t p = 0; p < kc; ++p) {
-      const real_t* src = b + off(j0, p, ldb);
-      real_t* dst = buf + p * kNR;
-      index_t j = 0;
-      for (; j < nr; ++j) dst[j] = src[j];
       for (; j < kNR; ++j) dst[j] = 0.0;
     }
     buf += static_cast<std::size_t>(kc) * kNR;
@@ -160,12 +143,12 @@ inline void micro_tile_edge(index_t kc, const real_t* SLU3D_RESTRICT ap,
 
 // ---- blocked GEMM core --------------------------------------------------
 
-/// C <- C - A op(B) with op(B) = B (b_trans false) or B^T (true). Both
-/// operands are packed into the per-rank aligned scratch; the inner loops
-/// are branch-free regardless of the operand values.
+/// C <- C - A B. Both operands are packed into the per-rank aligned
+/// scratch; the inner loops are branch-free regardless of the operand
+/// values.
 void gemm_minus_blocked(index_t m, index_t n, index_t k, const real_t* a,
                         index_t lda, const real_t* b, index_t ldb, real_t* c,
-                        index_t ldc, bool b_trans) {
+                        index_t ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   KernelScratch& ws = KernelScratch::per_rank();
   for (index_t jc = 0; jc < n; jc += kNC) {
@@ -174,10 +157,7 @@ void gemm_minus_blocked(index_t m, index_t n, index_t k, const real_t* a,
     for (index_t pc = 0; pc < k; pc += kKC) {
       const index_t kc = std::min(kKC, k - pc);
       real_t* bbuf = ws.pack_b(static_cast<std::size_t>(np) * kPanelB);
-      if (b_trans)
-        pack_panel_b_trans(kc, nc, b + off(jc, pc, ldb), ldb, bbuf);
-      else
-        pack_panel_b(kc, nc, b + off(pc, jc, ldb), ldb, bbuf);
+      pack_panel_b(kc, nc, b + off(pc, jc, ldb), ldb, bbuf);
       for (index_t ic = 0; ic < m; ic += kMC) {
         const index_t mc = std::min(kMC, m - ic);
         const index_t mp = (mc + kMR - 1) / kMR;
@@ -247,22 +227,8 @@ void trsm_left_upper_small(index_t n, index_t m, const real_t* a, index_t lda,
   }
 }
 
-void trsm_right_lower_trans_small(index_t n, index_t m, const real_t* a,
-                                  index_t lda, real_t* b, index_t ldb) {
-  for (index_t k = 0; k < n; ++k) {
-    real_t* SLU3D_RESTRICT bk = b + off(0, k, ldb);
-    for (index_t c = 0; c < k; ++c) {
-      const real_t lkc = a[off(k, c, lda)];  // (L^T)(c, k)
-      const real_t* SLU3D_RESTRICT bc = b + off(0, c, ldb);
-      for (index_t i = 0; i < m; ++i) bk[i] -= bc[i] * lkc;
-    }
-    const real_t inv = 1.0 / a[off(k, k, lda)];
-    for (index_t i = 0; i < m; ++i) bk[i] *= inv;
-  }
-}
-
-// ---- blocked TRSM drivers (shared by the public TRSMs and GETRF/POTRF;
-// they do not touch the flop counter so composite kernels count once) ----
+// ---- blocked TRSM drivers (shared by the public TRSMs and GETRF; they
+// do not touch the flop counter so composite kernels count once) ---------
 
 void trsm_left_lower_unit_impl(index_t n, index_t m, const real_t* a,
                                index_t lda, real_t* b, index_t ldb) {
@@ -273,7 +239,7 @@ void trsm_left_lower_unit_impl(index_t n, index_t m, const real_t* a,
     const index_t rest = k0 + kb;
     if (rest < n)
       gemm_minus_blocked(n - rest, m, kb, a + off(rest, k0, lda), lda, b + k0,
-                         ldb, b + rest, ldb, false);
+                         ldb, b + rest, ldb);
   }
 }
 
@@ -289,7 +255,7 @@ void trsm_left_upper_impl(index_t n, index_t m, const real_t* a, index_t lda,
     trsm_left_upper_small(kb, m, a + off(k0, k0, lda), lda, b + k0, ldb);
     if (k0 > 0)
       gemm_minus_blocked(k0, m, kb, a + off(0, k0, lda), lda, b + k0, ldb, b,
-                         ldb, false);
+                         ldb);
   }
 }
 
@@ -304,22 +270,7 @@ void trsm_right_upper_impl(index_t n, index_t m, const real_t* a, index_t lda,
     if (rest < n)
       gemm_minus_blocked(m, n - rest, kb, b + off(0, k0, ldb), ldb,
                          a + off(k0, rest, lda), lda, b + off(0, rest, ldb),
-                         ldb, false);
-  }
-}
-
-void trsm_right_lower_trans_impl(index_t n, index_t m, const real_t* a,
-                                 index_t lda, real_t* b, index_t ldb) {
-  if (n <= 0 || m <= 0) return;
-  for (index_t k0 = 0; k0 < n; k0 += kTB) {
-    const index_t kb = std::min(kTB, n - k0);
-    trsm_right_lower_trans_small(kb, m, a + off(k0, k0, lda), lda,
-                                 b + off(0, k0, ldb), ldb);
-    const index_t rest = k0 + kb;
-    if (rest < n)
-      gemm_minus_blocked(m, n - rest, kb, b + off(0, k0, ldb), ldb,
-                         a + off(rest, k0, lda), lda, b + off(0, rest, ldb),
-                         ldb, true);
+                         ldb);
   }
 }
 
@@ -351,7 +302,7 @@ void getrf_nopiv(index_t n, real_t* a, index_t lda, real_t tiny) {
     // Trailing update: A22 -= L21 * U12.
     gemm_minus_blocked(n - rest, n - rest, kb, a + off(rest, k0, lda), lda,
                        a + off(k0, rest, lda), lda, a + off(rest, rest, lda),
-                       lda, false);
+                       lda);
   }
   count(getrf_flops(n));
 }
@@ -374,70 +325,10 @@ void trsm_left_upper(index_t n, index_t m, const real_t* a, index_t lda,
   count(trsm_flops(n, m));
 }
 
-void trsm_right_lower_trans(index_t n, index_t m, const real_t* a, index_t lda,
-                            real_t* b, index_t ldb) {
-  trsm_right_lower_trans_impl(n, m, a, lda, b, ldb);
-  count(trsm_flops(n, m));
-}
-
 void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
                 const real_t* b, index_t ldb, real_t* c, index_t ldc) {
-  gemm_minus_blocked(m, n, k, a, lda, b, ldb, c, ldc, false);
+  gemm_minus_blocked(m, n, k, a, lda, b, ldb, c, ldc);
   if (m > 0 && n > 0 && k > 0) count(gemm_flops(m, n, k));
-}
-
-void gemm_minus_nt(index_t m, index_t n, index_t k, const real_t* a,
-                   index_t lda, const real_t* b, index_t ldb, real_t* c,
-                   index_t ldc) {
-  gemm_minus_blocked(m, n, k, a, lda, b, ldb, c, ldc, true);
-  if (m > 0 && n > 0 && k > 0) count(gemm_flops(m, n, k));
-}
-
-void potrf_lower(index_t n, real_t* a, index_t lda) {
-  for (index_t k0 = 0; k0 < n; k0 += kTB) {
-    const index_t kb = std::min(kTB, n - k0);
-    real_t* d = a + off(k0, k0, lda);
-    // Unblocked right-looking Cholesky of the kb x kb diagonal block.
-    for (index_t k = 0; k < kb; ++k) {
-      real_t* SLU3D_RESTRICT ck = d + off(0, k, lda);
-      const real_t akk = ck[k];
-      SLU3D_CHECK(akk > 0.0, "matrix is not positive definite");
-      const real_t lkk = std::sqrt(akk);
-      ck[k] = lkk;
-      const real_t inv = 1.0 / lkk;
-      for (index_t i = k + 1; i < kb; ++i) ck[i] *= inv;
-      for (index_t j = k + 1; j < kb; ++j) {
-        real_t* SLU3D_RESTRICT cj = d + off(0, j, lda);
-        const real_t ljk = ck[j];
-        for (index_t i = j; i < kb; ++i) cj[i] -= ck[i] * ljk;
-      }
-    }
-    const index_t rest = k0 + kb;
-    if (rest >= n) break;
-    // L21 = A21 L11^{-T}.
-    trsm_right_lower_trans_impl(kb, n - rest, d, lda, a + off(rest, k0, lda),
-                                lda);
-    // Trailing update A22 -= L21 L21^T, one kTB-wide block column at a
-    // time. The strictly-below-diagonal part is a plain packed GEMM; the
-    // diagonal block lands in a local tile first so only its lower
-    // triangle is merged (the caller's upper triangle must stay intact).
-    for (index_t j0 = rest; j0 < n; j0 += kTB) {
-      const index_t jb = std::min(kTB, n - j0);
-      const real_t* lj = a + off(j0, k0, lda);
-      if (j0 + jb < n)
-        gemm_minus_blocked(n - j0 - jb, jb, kb, a + off(j0 + jb, k0, lda), lda,
-                           lj, lda, a + off(j0 + jb, j0, lda), lda, true);
-      real_t tile[static_cast<std::size_t>(kTB) * kTB];
-      std::fill_n(tile, static_cast<std::size_t>(jb) * static_cast<std::size_t>(jb), 0.0);
-      gemm_minus_blocked(jb, jb, kb, lj, lda, lj, lda, tile, jb, true);
-      for (index_t c = 0; c < jb; ++c) {
-        real_t* tc = a + off(j0, j0 + c, lda);
-        const real_t* sc = tile + off(0, c, jb);
-        for (index_t r = c; r < jb; ++r) tc[r] += sc[r];
-      }
-    }
-  }
-  count(potrf_flops(n));
 }
 
 offset_t flops_performed() { return t_flops_performed; }
@@ -445,25 +336,6 @@ offset_t flops_performed() { return t_flops_performed; }
 void reset_flops_performed() { t_flops_performed = 0; }
 
 // ---- triangular vector solves (unchanged scalar kernels) ---------------
-
-void trsv_lower(index_t n, const real_t* a, index_t lda, real_t* y) {
-  for (index_t k = 0; k < n; ++k) {
-    y[k] /= a[k + k * lda];
-    const real_t yk = y[k];
-    if (yk == 0.0) continue;
-    const real_t* ak = a + k * lda;
-    for (index_t i = k + 1; i < n; ++i) y[i] -= ak[i] * yk;
-  }
-}
-
-void trsv_lower_trans(index_t n, const real_t* a, index_t lda, real_t* y) {
-  for (index_t k = n - 1; k >= 0; --k) {
-    const real_t* ak = a + k * lda;
-    real_t v = y[k];
-    for (index_t i = k + 1; i < n; ++i) v -= ak[i] * y[i];
-    y[k] = v / ak[k];
-  }
-}
 
 void trsv_lower_unit(index_t n, const real_t* a, index_t lda, real_t* y) {
   for (index_t k = 0; k < n; ++k) {

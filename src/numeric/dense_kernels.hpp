@@ -6,8 +6,8 @@
 // MR x NR register-tiled micro-kernel under KC/MC/NC cache blocking with
 // explicit packing of A and B into contiguous aligned buffers (see
 // DESIGN.md, "Dense kernel substrate"). The historical triple-loop
-// kernels are preserved under dense::ref for testing and as the
-// zero-skipping variant sparse-scatter callers may opt into.
+// kernels are preserved under dense::ref as the oracle for the tests and
+// the kernel sweeps.
 #pragma once
 
 #include "support/types.hpp"
@@ -21,7 +21,7 @@ inline constexpr index_t kNR = 6;    ///< micro-tile columns
 inline constexpr index_t kKC = 256;  ///< k-dimension cache block (packed panel depth)
 inline constexpr index_t kMC = 128;  ///< m-dimension cache block (A block, ~L2)
 inline constexpr index_t kNC = 512;  ///< n-dimension cache block (B panel)
-inline constexpr index_t kTB = 64;   ///< triangular/diagonal block for TRSM/GETRF/POTRF
+inline constexpr index_t kTB = 64;   ///< triangular/diagonal block for TRSM/GETRF
 
 /// In-place LU factorization without pivoting: A = L U with L unit lower
 /// triangular, both overwriting A. Throws if a diagonal entry collapses
@@ -57,32 +57,6 @@ void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
 /// y <- L^{-1} y for one vector (unit lower part of a).
 void trsv_lower_unit(index_t n, const real_t* a, index_t lda, real_t* y);
 
-// ---- Cholesky kernels (the LL^T variant, paper §VII) -------------------
-
-/// In-place Cholesky of the lower triangle: A = L L^T, L overwriting the
-/// lower part of A (the upper part is untouched). Throws if a pivot is
-/// not positive (matrix not SPD).
-void potrf_lower(index_t n, real_t* a, index_t lda);
-
-/// B <- B L^{-T} with L the (non-unit) lower part of `a`; B is m x n.
-/// (Cholesky panel solve.)
-void trsm_right_lower_trans(index_t n, index_t m, const real_t* a, index_t lda,
-                            real_t* b, index_t ldb);
-
-/// C <- C - A B^T with A (m x k), B (n x k), C (m x n).
-/// (Symmetric Schur update V = L_i L_j^T.)
-void gemm_minus_nt(index_t m, index_t n, index_t k, const real_t* a,
-                   index_t lda, const real_t* b, index_t ldb, real_t* c,
-                   index_t ldc);
-
-/// y <- L^{-1} y with non-unit lower triangular L.
-void trsv_lower(index_t n, const real_t* a, index_t lda, real_t* y);
-
-/// y <- L^{-T} y with non-unit lower triangular L.
-void trsv_lower_trans(index_t n, const real_t* a, index_t lda, real_t* y);
-
-inline offset_t potrf_flops(offset_t n) { return n * n * n / 3; }
-
 /// y <- U^{-1} y for one vector (upper part of a).
 void trsv_upper(index_t n, const real_t* a, index_t lda, real_t* y);
 
@@ -103,11 +77,11 @@ inline offset_t gemm_flops(offset_t m, offset_t n, offset_t k) {
 
 // ---- flop accounting audit ---------------------------------------------
 // Every public BLAS-3 entry point above adds its canonical model count
-// (the *_flops formula of its arguments; trsm_right_lower_trans counts
-// trsm_flops(n, m), packing traffic is never counted, and internal calls
-// inside a blocked kernel are not re-counted) to a thread-local counter.
-// A call site that charges the same formula to the simulator therefore
-// satisfies charged == performed exactly; test_model asserts this.
+// (the *_flops formula of its arguments; packing traffic is never
+// counted, and internal calls inside a blocked kernel are not re-counted)
+// to a thread-local counter. A call site that charges the same formula to
+// the simulator therefore satisfies charged == performed exactly;
+// test_model asserts this.
 
 /// Model flops performed by this thread's dense kernels since the last
 /// reset_flops_performed().
@@ -115,11 +89,9 @@ offset_t flops_performed();
 void reset_flops_performed();
 
 // ---- reference kernels --------------------------------------------------
-// The original unblocked triple-loop implementations, kept verbatim: the
-// oracle for the blocked substrate's tests, and the only variants that
-// skip explicit zeros (a property some sparse-scatter callers may rely
-// on; the dense path must not pay the branch). They do not touch the
-// flop counter.
+// The original unblocked triple-loop implementations, kept verbatim as the
+// oracle for the blocked substrate's tests and the kernel sweeps. No
+// production path calls them. They do not touch the flop counter.
 namespace ref {
 
 void getrf_nopiv(index_t n, real_t* a, index_t lda, real_t tiny = 1e-300);
@@ -127,14 +99,8 @@ void trsm_left_lower_unit(index_t n, index_t m, const real_t* a, index_t lda,
                           real_t* b, index_t ldb);
 void trsm_right_upper(index_t n, index_t m, const real_t* a, index_t lda,
                       real_t* b, index_t ldb);
-void trsm_right_lower_trans(index_t n, index_t m, const real_t* a, index_t lda,
-                            real_t* b, index_t ldb);
 void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
                 const real_t* b, index_t ldb, real_t* c, index_t ldc);
-void gemm_minus_nt(index_t m, index_t n, index_t k, const real_t* a,
-                   index_t lda, const real_t* b, index_t ldb, real_t* c,
-                   index_t ldc);
-void potrf_lower(index_t n, real_t* a, index_t lda);
 
 }  // namespace ref
 

@@ -1,7 +1,6 @@
 // Reference (pre-substrate) dense kernels: the original unblocked
-// triple-loop implementations, kept as the test oracle for the blocked
-// substrate and as the zero-skipping variants available to sparse-scatter
-// callers. Not used on the dense factorization hot path.
+// triple-loop implementations, kept as the oracle for the blocked
+// substrate's tests and the kernel sweeps. No production path calls them.
 #include <cmath>
 
 #include "numeric/dense_kernels.hpp"
@@ -85,52 +84,6 @@ void gemm_minus(index_t m, index_t n, index_t k, const real_t* a, index_t lda,
       if (bpj == 0.0) continue;
       const real_t* ap = a + p * lda;
       for (index_t i = 0; i < m; ++i) cj[i] -= ap[i] * bpj;
-    }
-  }
-}
-
-void potrf_lower(index_t n, real_t* a, index_t lda) {
-  for (index_t k = 0; k < n; ++k) {
-    real_t akk = a[k + k * lda];
-    for (index_t p = 0; p < k; ++p) akk -= a[k + p * lda] * a[k + p * lda];
-    SLU3D_CHECK(akk > 0.0, "matrix is not positive definite");
-    const real_t lkk = std::sqrt(akk);
-    a[k + k * lda] = lkk;
-    const real_t inv = 1.0 / lkk;
-    for (index_t i = k + 1; i < n; ++i) {
-      real_t v = a[i + k * lda];
-      for (index_t p = 0; p < k; ++p) v -= a[i + p * lda] * a[k + p * lda];
-      a[i + k * lda] = v * inv;
-    }
-  }
-}
-
-void trsm_right_lower_trans(index_t n, index_t m, const real_t* a, index_t lda,
-                            real_t* b, index_t ldb) {
-  // Solve X L^T = B column-by-column of X: X(:,k) needs X(:,<k).
-  for (index_t k = 0; k < n; ++k) {
-    real_t* bk = b + k * ldb;
-    for (index_t c = 0; c < k; ++c) {
-      const real_t lkc = a[k + c * lda];  // (L^T)(c, k)
-      if (lkc == 0.0) continue;
-      const real_t* bc = b + c * ldb;
-      for (index_t i = 0; i < m; ++i) bk[i] -= bc[i] * lkc;
-    }
-    const real_t inv = 1.0 / a[k + k * lda];
-    for (index_t i = 0; i < m; ++i) bk[i] *= inv;
-  }
-}
-
-void gemm_minus_nt(index_t m, index_t n, index_t k, const real_t* a,
-                   index_t lda, const real_t* b, index_t ldb, real_t* c,
-                   index_t ldc) {
-  for (index_t j = 0; j < n; ++j) {
-    real_t* cj = c + j * ldc;
-    for (index_t p = 0; p < k; ++p) {
-      const real_t bjp = b[j + p * ldb];  // B^T(p, j)
-      if (bjp == 0.0) continue;
-      const real_t* ap = a + p * lda;
-      for (index_t i = 0; i < m; ++i) cj[i] -= ap[i] * bjp;
     }
   }
 }

@@ -149,58 +149,4 @@ void solve_factored_transpose(const SupernodalMatrix& F, std::span<real_t> x) {
   }
 }
 
-void solve_factored_multi(const SupernodalMatrix& F, std::span<real_t> x,
-                          index_t nrhs) {
-  const BlockStructure& bs = F.structure();
-  const index_t n = bs.n();
-  SLU3D_CHECK(nrhs >= 1, "need at least one rhs");
-  SLU3D_CHECK(x.size() == static_cast<std::size_t>(n) * static_cast<std::size_t>(nrhs),
-              "X extent mismatch");
-
-  // Forward substitution on all columns.
-  for (int s = 0; s < bs.n_snodes(); ++s) {
-    const index_t ns = bs.snode_size(s);
-    if (ns == 0) continue;
-    const index_t f = bs.first_col(s);
-    // X(f:f+ns, :) <- L_ss^{-1} X(f:f+ns, :)
-    dense::trsm_left_lower_unit(ns, nrhs, F.diag(s).data(), ns, x.data() + f, n);
-    const auto rows = F.panel_rows(s);
-    const auto lp = F.lpanel(s);
-    const auto m = static_cast<index_t>(rows.size());
-    for (index_t k = 0; k < nrhs; ++k) {
-      real_t* xc = x.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
-      for (index_t c = 0; c < ns; ++c) {
-        const real_t v = xc[f + c];
-        if (v == 0.0) continue;
-        for (index_t r = 0; r < m; ++r)
-          xc[rows[static_cast<std::size_t>(r)]] -=
-              lp[static_cast<std::size_t>(r + c * m)] * v;
-      }
-    }
-  }
-
-  // Backward substitution on all columns.
-  for (int s = bs.n_snodes() - 1; s >= 0; --s) {
-    const index_t ns = bs.snode_size(s);
-    if (ns == 0) continue;
-    const index_t f = bs.first_col(s);
-    const auto cols = F.panel_rows(s);
-    const auto up = F.upanel(s);
-    for (index_t k = 0; k < nrhs; ++k) {
-      real_t* xc = x.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(n);
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        const real_t v = xc[cols[c]];
-        if (v == 0.0) continue;
-        for (index_t r = 0; r < ns; ++r)
-          xc[f + r] -= up[static_cast<std::size_t>(r) + c * static_cast<std::size_t>(ns)] * v;
-      }
-    }
-    // X(f:f+ns, :) <- U_ss^{-1} X(f:f+ns, :): column-by-column trsv to
-    // reuse the single-vector kernel on the strided layout.
-    for (index_t k = 0; k < nrhs; ++k)
-      dense::trsv_upper(ns, F.diag(s).data(), ns,
-                        x.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(n) + f);
-  }
-}
-
 }  // namespace slu3d

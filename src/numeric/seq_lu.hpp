@@ -31,11 +31,4 @@ void solve_factored(const SupernodalMatrix& F, std::span<real_t> x);
 /// solve needed by the 1-norm condition estimator and Aᵀ x = b users.
 void solve_factored_transpose(const SupernodalMatrix& F, std::span<real_t> x);
 
-/// Blocked multi-right-hand-side solve: X is n x nrhs column-major, each
-/// column a right-hand side on entry and a solution on exit. Panels are
-/// applied to all columns at once (TRSM/GEMM-shaped inner loops), which is
-/// how production solvers amortize the factor traversal over many RHS.
-void solve_factored_multi(const SupernodalMatrix& F, std::span<real_t> x,
-                          index_t nrhs);
-
 }  // namespace slu3d

@@ -89,11 +89,11 @@ SolveReport SparseLuSolver::solve(std::span<const real_t> b,
     for (std::size_t i = 0; i < n; ++i) x[i] += dx[i];
     const real_t res = relative_residual(*A_, x, b);
     ++report.refinement_steps_used;
-    if (res >= report.final_residual_norm) {  // converged / stagnated
-      report.final_residual_norm = std::min(res, report.final_residual_norm);
-      break;
-    }
+    // Report the residual of the x returned, even when this step did not
+    // lower it (SuperLU_DIST's pdgsrfs reports its final iterate's berr).
+    const bool stagnated = res >= report.final_residual_norm;
     report.final_residual_norm = res;
+    if (stagnated) break;
   }
   return report;
 }

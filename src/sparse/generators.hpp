@@ -40,7 +40,7 @@ CsrMatrix grid3d_laplacian(GridGeometry geom, Stencil3D stencil,
                            real_t diag_boost = 0.05);
 
 /// 2D convection-diffusion: 5-point pattern with *nonsymmetric values*
-/// (upwinded convection). Exercises the LU (vs Cholesky) code paths.
+/// (upwinded convection), so U is not the D Lᵀ of a symmetric matrix.
 CsrMatrix grid2d_convection_diffusion(GridGeometry geom, real_t convection,
                                       real_t diag_boost = 0.05);
 

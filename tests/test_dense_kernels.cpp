@@ -150,6 +150,36 @@ TEST(Trsv, LowerThenUpperSolvesSystem) {
     EXPECT_NEAR(b[static_cast<std::size_t>(i)], x[static_cast<std::size_t>(i)], 1e-9);
 }
 
+TEST(TrsvLowerVariants, RoundTrip) {
+  // The unit-lower solves read only the strict lower part: the diagonal and
+  // upper part hold U, as in a GETRF-packed supernode, and must be ignored.
+  const index_t n = 21;
+  Rng rng(9);
+  Dense A(n, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i)
+      A(i, j) = i > j ? rng.uniform(-0.3, 0.3) : rng.uniform(1, 2);
+  auto L = [&](index_t i, index_t j) { return i == j ? 1.0 : i > j ? A(i, j) : 0.0; };
+  std::vector<real_t> x(static_cast<std::size_t>(n)), t(static_cast<std::size_t>(n)),
+      y(static_cast<std::size_t>(n));
+  for (auto& v : x) v = rng.uniform(-1, 1);
+  // y = L L^T x, then undo L and L^T in turn.
+  for (index_t i = 0; i < n; ++i) {
+    real_t acc = 0;
+    for (index_t k = i; k < n; ++k) acc += L(k, i) * x[static_cast<std::size_t>(k)];
+    t[static_cast<std::size_t>(i)] = acc;
+  }
+  for (index_t i = 0; i < n; ++i) {
+    real_t acc = 0;
+    for (index_t j = 0; j <= i; ++j) acc += L(i, j) * t[static_cast<std::size_t>(j)];
+    y[static_cast<std::size_t>(i)] = acc;
+  }
+  dense::trsv_lower_unit(n, A.a.data(), n, y.data());
+  dense::trsv_lower_unit_trans(n, A.a.data(), n, y.data());
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_NEAR(y[static_cast<std::size_t>(i)], x[static_cast<std::size_t>(i)], 1e-9);
+}
+
 TEST(FlopCounts, BasicFormulas) {
   EXPECT_EQ(dense::getrf_flops(3), 18);
   EXPECT_EQ(dense::trsm_flops(2, 5), 20);

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "numeric/cholesky.hpp"
 #include "numeric/solver.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
@@ -41,14 +40,21 @@ TEST(Helmholtz, ShiftMakesItIndefiniteButSolvable) {
   const GridGeometry g{16, 16, 1};
   // Shift well inside the spectrum: indefinite, still nonsingular for a
   // generic shift.
-  const CsrMatrix A = grid2d_helmholtz(g, 1.37);
-  // Verify indefiniteness indirectly: Cholesky must refuse...
-  EXPECT_THROW(SparseCholeskySolver{A}, Error);
+  const real_t shift = 1.37;
+  const CsrMatrix A = grid2d_helmholtz(g, shift);
+  const auto n = static_cast<std::size_t>(A.n_rows());
+  // Indefinite: the graph Laplacian's rows sum to zero, so
+  // onesᵀ A ones = -shift n < 0, while A(0,0) > 0.
+  std::vector<real_t> ones(n, 1.0), a_ones(n);
+  A.spmv(ones, a_ones);
+  real_t quad = 0.0;
+  for (const real_t v : a_ones) quad += v;
+  EXPECT_NEAR(quad, -shift * static_cast<real_t>(n), 1e-9);
+  EXPECT_GT(A.at(0, 0), 0.0);
   // ...but LU with refinement solves it.
   SolverOptions opt;
   opt.refinement_steps = 3;
   const SparseLuSolver solver(A, opt);
-  const auto n = static_cast<std::size_t>(A.n_rows());
   Rng rng(143);
   std::vector<real_t> xref(n), b(n), x(n);
   for (auto& v : xref) v = rng.uniform(-1, 1);

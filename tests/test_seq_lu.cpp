@@ -131,6 +131,23 @@ TEST(Solver, RefinementImprovesIllConditioned) {
   EXPECT_LT(rep.final_residual_norm, 1e-12);
 }
 
+TEST(Solver, ReportsResidualOfReturnedSolution) {
+  // A refinement step that fails to lower the residual still leaves its
+  // x in place, so the report must describe that x.
+  const GridGeometry g{8, 8, 1};
+  const CsrMatrix A = grid2d_convection_diffusion(g, 0.95);
+  SolverOptions opt;
+  opt.refinement_steps = 3;
+  const SparseLuSolver solver(A, opt);
+  const auto n = static_cast<std::size_t>(A.n_rows());
+  Rng rng(195);
+  std::vector<real_t> x_true(n), b(n), x(n);
+  for (auto& v : x_true) v = rng.uniform(-1, 1);
+  A.spmv(x_true, b);
+  const auto rep = solver.solve(b, x);
+  EXPECT_EQ(rep.final_residual_norm, relative_residual(A, x, b));
+}
+
 TEST(SeqLu, RestrictedSnodeListMatchesFull) {
   // Factoring [0..k) then [k..end) must equal factoring everything at once.
   const GridGeometry g{8, 8, 1};

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "lu3d/solve3d.hpp"
+#include "numeric/seq_lu.hpp"
 #include "order/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
@@ -193,6 +194,48 @@ TEST(Solve3d, BatchedMessageCountIndependentOfNrhs) {
   const offset_t sixteen = solve_messages(16);
   EXPECT_GT(one, 0);
   EXPECT_EQ(one, sixteen);
+}
+
+TEST(MultiRhsSolve, MatchesSingleRhsSolves) {
+  // The production multi-RHS path (one nrhs-wide solve_3d sweep on the 3D
+  // factors) against the sequential oracle solving each column on its own.
+  const GridGeometry g{10, 9, 1};
+  const CsrMatrix A = grid2d_convection_diffusion(g, 0.3);
+  const SeparatorTree tree = nested_dissection(A, {.leaf_size = 8});
+  const BlockStructure bs(A, tree);
+  const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+  SupernodalMatrix ref(bs);
+  ref.fill_from(Ap);
+  factorize_sequential(ref);
+  const ForestPartition part(bs, 2);
+
+  const auto n = static_cast<std::size_t>(A.n_rows());
+  const index_t nrhs = 5;
+  Rng rng(101);
+  std::vector<real_t> X(n * static_cast<std::size_t>(nrhs));
+  for (auto& v : X) v = rng.uniform(-1, 1);
+  const auto X0 = X;
+
+  run_ranks(8, kModel, [&](sim::Comm& world) {
+    auto grid = ProcessGrid3D::create(world, 2, 2, 2);
+    Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
+    factorize_3d(F, grid, part, {});
+    std::vector<real_t> x(X0);
+    Solve3dOptions opt;
+    opt.nrhs = nrhs;
+    solve_3d(F, world, grid, part, x, opt);
+    if (world.rank() == 0) X = std::move(x);
+  });
+
+  ASSERT_EQ(X.size(), X0.size());
+  for (index_t k = 0; k < nrhs; ++k) {
+    std::vector<real_t> col(X0.begin() + static_cast<std::ptrdiff_t>(k) * static_cast<std::ptrdiff_t>(n),
+                            X0.begin() + static_cast<std::ptrdiff_t>(k + 1) * static_cast<std::ptrdiff_t>(n));
+    solve_factored(ref, col);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(X[static_cast<std::size_t>(k) * n + i], col[i], 1e-12)
+          << "rhs " << k << " row " << i;
+  }
 }
 
 }  // namespace

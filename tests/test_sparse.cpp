@@ -2,8 +2,11 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sparse/csr.hpp"
+#include "sparse/fingerprint.hpp"
+#include "sparse/generators.hpp"
 #include "sparse/matrix_market.hpp"
 #include "support/check.hpp"
 
@@ -188,6 +191,29 @@ TEST(MatrixMarket, OverstatedEntryCountFailsAsTruncated) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(Fingerprint, PatternOnlyIgnoresValuesAndSeesStructure) {
+  const GridGeometry g{8, 8, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+
+  // Same pattern, different values -> same fingerprint (this is what lets
+  // a service key refactorization caches on it).
+  auto vals = std::vector<real_t>(A.values().begin(), A.values().end());
+  for (auto& v : vals) v *= 1.75;
+  const CsrMatrix A2 = CsrMatrix::from_raw(
+      A.n_rows(), A.n_cols(),
+      std::vector<offset_t>(A.row_ptr().begin(), A.row_ptr().end()),
+      std::vector<index_t>(A.col_idx().begin(), A.col_idx().end()),
+      std::move(vals));
+  EXPECT_EQ(pattern_fingerprint(A), pattern_fingerprint(A2));
+
+  // Different pattern -> different fingerprint.
+  const CsrMatrix B = grid2d_laplacian(g, Stencil2D::NinePoint);
+  const CsrMatrix C = grid2d_laplacian(GridGeometry{8, 9, 1},
+                                       Stencil2D::FivePoint);
+  EXPECT_NE(pattern_fingerprint(A), pattern_fingerprint(B));
+  EXPECT_NE(pattern_fingerprint(A), pattern_fingerprint(C));
 }
 
 }  // namespace
