@@ -41,19 +41,19 @@ using namespace slu3d;
 // critical path is the slowest shard (they miss concurrently); the
 // analysis split columns isolate the phase the Distributed mode moves
 // onto the ranks. Host rows keep the legacy behavior (analysis on host
-// wall time, zero simulated split) as the reference.
+// wall time, zero simulated split) as the reference; the 1x1x1 dist rows
+// are the serial in-sim baseline.
 void run_cold_sweep(service::ServiceOptions so, const std::string& out) {
   const index_t g = bench::bench_scale() == 0 ? 32 : 40;
   struct GridShape {
     int Px, Py, Pz;
   };
-  const GridShape shapes[] = {{2, 2, 2}, {4, 2, 2}, {4, 4, 4}};
+  const GridShape shapes[] = {{1, 1, 1}, {2, 2, 2}, {4, 2, 2}, {4, 4, 4}};
   struct Mode {
     const char* name;
     AnalysisMode mode;
   };
   const Mode modes[] = {{"host", AnalysisMode::Host},
-                        {"seqsim", AnalysisMode::SequentialSim},
                         {"dist", AnalysisMode::Distributed}};
 
   so.nd.leaf_size = 8;

@@ -5,22 +5,19 @@
 
 #include "order/parallel_nd.hpp"
 #include "support/check.hpp"
-#include "symbolic/etree.hpp"
 
 namespace slu3d {
 
 namespace {
 
 using sim::CommPlane;
-using sim::ComputeKind;
 
-/// Flop-equivalents per symbolic-analysis operation (an edge scan, an
-/// ancestor-chain hop, a rowset merge step — all irregular pointer-chasing
-/// work). gamma in the machine model is calibrated to streaming dense
-/// flops; latency-bound graph operations run ~100x slower per touched
-/// element, so each counted op is charged this many model flops. The same
-/// calibration drives the dissection work model (kNdWorkFactor in
-/// order/parallel_nd.cpp).
+/// Flop-equivalents per symbolic-analysis operation (an edge scan or a
+/// rowset merge step — irregular pointer-chasing work). gamma in the
+/// machine model is calibrated to streaming dense flops; latency-bound
+/// graph operations run ~100x slower per touched element, so each counted
+/// op is charged this many model flops. The same calibration drives the
+/// dissection work model (kNdWorkFactor in order/parallel_nd.cpp).
 constexpr offset_t kGraphOpFlops = 100;
 
 void charge_ops(sim::Comm& comm, offset_t ops) {
@@ -28,36 +25,10 @@ void charge_ops(sim::Comm& comm, offset_t ops) {
 }
 
 // Tag layout (disjoint from parallel_nd's 100/300/500 channels):
-constexpr int kSeqTreeTag = 600;    // +1 payload
-constexpr int kSeqEtreeTag = 602;
-constexpr int kSeqRowsTag = 603;    // +1 payload
-constexpr int kEtreeTag = 700;      // + stack level
-constexpr int kSymTag = 800;        // + stack level
-constexpr int kGatherEtreeTag = 900;
+constexpr int kSymTag = 800;  // + stack level
 constexpr int kGatherRowsTag = 901;
 
-// ---- flat real_t codecs for the simulated wire -----------------------
-
-std::vector<real_t> encode_pairs(
-    const std::vector<std::pair<index_t, index_t>>& pairs) {
-  std::vector<real_t> out;
-  out.reserve(pairs.size() * 2);
-  for (const auto& [a, b] : pairs) {
-    out.push_back(static_cast<real_t>(a));
-    out.push_back(static_cast<real_t>(b));
-  }
-  return out;
-}
-
-std::vector<std::pair<index_t, index_t>> decode_pairs(
-    std::span<const real_t> v) {
-  SLU3D_CHECK(v.size() % 2 == 0, "pair stream must have even length");
-  std::vector<std::pair<index_t, index_t>> out;
-  out.reserve(v.size() / 2);
-  for (std::size_t i = 0; i < v.size(); i += 2)
-    out.push_back({static_cast<index_t>(v[i]), static_cast<index_t>(v[i + 1])});
-  return out;
-}
+// ---- flat real_t codec for the simulated wire ------------------------
 
 void encode_rowset(int s, std::span<const index_t> rows,
                    std::vector<real_t>& out) {
@@ -126,82 +97,6 @@ std::vector<GroupLevel> descent_stack(const SeparatorTree& tree, int rank,
   }
   return stack;
 }
-
-// ---- distributed elimination tree (Liu over subtree row ranges) ------
-
-/// Liu's algorithm restricted to a contiguous row range, with global-size
-/// parent/ancestor state. The separator-tree structure guarantees every
-/// sub-diagonal reference from a subtree row stays inside the subtree, so
-/// the range can be processed with no information about other ranges;
-/// `assigned` records the (vertex, parent) facts this rank established.
-struct EtreeState {
-  const CsrMatrix& S;  ///< symmetrized permuted pattern (replicated)
-  std::vector<index_t> parent, ancestor;
-  std::vector<std::pair<index_t, index_t>> assigned;
-  offset_t ops = 0;
-
-  explicit EtreeState(const CsrMatrix& pattern)
-      : S(pattern),
-        parent(static_cast<std::size_t>(pattern.n_rows()), -1),
-        ancestor(static_cast<std::size_t>(pattern.n_rows()), -1) {}
-
-  void process_rows(index_t row_begin, index_t row_end) {
-    for (index_t i = row_begin; i < row_end; ++i) {
-      for (index_t j : S.row_cols(i)) {
-        ++ops;
-        if (j >= i) break;  // rows are sorted; only the lower triangle
-        index_t v = j;
-        while (ancestor[static_cast<std::size_t>(v)] != -1 &&
-               ancestor[static_cast<std::size_t>(v)] != i) {
-          ++ops;
-          const index_t next = ancestor[static_cast<std::size_t>(v)];
-          ancestor[static_cast<std::size_t>(v)] = i;
-          v = next;
-        }
-        if (ancestor[static_cast<std::size_t>(v)] == -1) {
-          ancestor[static_cast<std::size_t>(v)] = i;
-          parent[static_cast<std::size_t>(v)] = i;
-          assigned.push_back({v, i});
-        }
-      }
-    }
-  }
-
-  index_t find_root(index_t v) {
-    while (ancestor[static_cast<std::size_t>(v)] != -1) {
-      ++ops;
-      v = ancestor[static_cast<std::size_t>(v)];
-    }
-    return v;
-  }
-
-  /// True when vertex k is referenced by any row at or beyond `bound`
-  /// (i.e. outside the column range of the current subtree).
-  bool escapes(index_t k, index_t bound) {
-    const auto cols = S.row_cols(k);
-    ops += static_cast<offset_t>(cols.size());
-    return !cols.empty() && cols.back() >= bound;
-  }
-
-  /// Rebuilds the boundary map for a subtree whose columns end at `bound`
-  /// from candidate vertices (previous boundary + imports + new separator
-  /// rows), dropping vertices no later row can reference.
-  std::vector<std::pair<index_t, index_t>> boundary_map(
-      std::vector<index_t>& candidates, index_t bound) {
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    std::vector<std::pair<index_t, index_t>> map;
-    std::vector<index_t> kept;
-    for (index_t k : candidates) {
-      if (!escapes(k, bound)) continue;
-      kept.push_back(k);
-      map.push_back({k, find_root(k)});
-    }
-    candidates = std::move(kept);
-    return map;
-  }
-};
 
 // ---- distributed supernodal symbolic (boolean SpGEMM upward merge) ---
 
@@ -317,11 +212,13 @@ std::vector<int> subtree_snodes(const SeparatorTree& tree,
   return out;
 }
 
-/// Decodes a concatenated (snode, rowset) stream into `rowsets`,
-/// asserting each snode appears at most once.
-void decode_all_rowsets(std::span<const real_t> v,
-                        std::vector<std::vector<index_t>>& rowsets,
-                        std::vector<char>& seen) {
+/// Decodes a concatenated (snode, rowset) stream into the full rowset
+/// table, asserting each of the `n_snodes` snodes appears exactly once.
+std::vector<std::vector<index_t>> decode_all_rowsets(
+    std::span<const real_t> v, int n_snodes) {
+  std::vector<std::vector<index_t>> rowsets(
+      static_cast<std::size_t>(n_snodes));
+  std::vector<char> seen(static_cast<std::size_t>(n_snodes), 0);
   std::size_t pos = 0;
   while (pos < v.size()) {
     const int s = static_cast<int>(v[pos++]);
@@ -335,77 +232,13 @@ void decode_all_rowsets(std::span<const real_t> v,
       rs.push_back(static_cast<index_t>(v[pos++]));
   }
   SLU3D_CHECK(pos == v.size(), "rowset stream not fully consumed");
-}
-
-AnalysisResult sequential_sim(const CsrMatrix& A, sim::Comm& comm,
-                              const NdOptions& opts) {
-  AnalysisResult out;
-  const index_t n = A.n_rows();
-
-  // Rank 0 runs the whole host analysis, charged to its clock; everyone
-  // else waits on the broadcasts — the serial-analysis baseline.
-  std::vector<real_t> tree_enc;
-  std::vector<real_t> size1(1, 0.0);
-  if (comm.rank() == 0) {
-    SeparatorTree t = nested_dissection(A, opts);
-    comm.add_compute(order_detail::nd_tree_work(A, t), ComputeKind::Other);
-    tree_enc = order_detail::encode_tree(t);
-    size1[0] = static_cast<real_t>(tree_enc.size());
-  }
-  comm.bcast(0, kSeqTreeTag, size1, CommPlane::XY);
-  if (comm.rank() != 0) tree_enc.resize(static_cast<std::size_t>(size1[0]));
-  comm.bcast(0, kSeqTreeTag + 1, tree_enc, CommPlane::XY);
-  out.tree = std::make_unique<SeparatorTree>(order_detail::decode_tree(tree_enc));
-
-  std::vector<real_t> etree_enc(static_cast<std::size_t>(n), 0.0);
-  std::vector<real_t> rows_enc;
-  if (comm.rank() == 0) {
-    const CsrMatrix Ap = A.permuted_symmetric(out.tree->perm());
-    const CsrMatrix S =
-        Ap.pattern_is_symmetric() ? Ap : Ap.symmetrized_pattern();
-    const SnodeNumbering num = SnodeNumbering::from_tree(*out.tree);
-    charge_ops(comm, Ap.nnz() + S.nnz() + n);
-
-    EtreeState et(S);
-    et.process_rows(0, n);
-    charge_ops(comm, et.ops);
-    for (index_t v = 0; v < n; ++v)
-      etree_enc[static_cast<std::size_t>(v)] =
-          static_cast<real_t>(et.parent[static_cast<std::size_t>(v)]);
-
-    const std::vector<int> all_mine(static_cast<std::size_t>(num.n_snodes), 0);
-    SymState sym(S, num, all_mine, 0);
-    for (int s = 0; s < num.n_snodes; ++s) sym.process(s);
-    charge_ops(comm, sym.ops);
-    for (int s = 0; s < num.n_snodes; ++s)
-      encode_rowset(s, sym.rowsets[static_cast<std::size_t>(s)], rows_enc);
-    size1[0] = static_cast<real_t>(rows_enc.size());
-  }
-  comm.bcast(0, kSeqEtreeTag, etree_enc, CommPlane::XY);
-  out.etree.resize(static_cast<std::size_t>(n));
-  for (index_t v = 0; v < n; ++v)
-    out.etree[static_cast<std::size_t>(v)] =
-        static_cast<index_t>(etree_enc[static_cast<std::size_t>(v)]);
-
-  comm.bcast(0, kSeqRowsTag, size1, CommPlane::XY);
-  if (comm.rank() != 0) rows_enc.resize(static_cast<std::size_t>(size1[0]));
-  comm.bcast(0, kSeqRowsTag + 1, rows_enc, CommPlane::XY);
-
-  const int n_snodes = out.tree->n_nodes();
-  std::vector<std::vector<index_t>> rowsets(static_cast<std::size_t>(n_snodes));
-  std::vector<char> seen(static_cast<std::size_t>(n_snodes), 0);
-  decode_all_rowsets(rows_enc, rowsets, seen);
-  offset_t layout = n_snodes;
-  for (const auto& rs : rowsets) layout += static_cast<offset_t>(rs.size());
-  charge_ops(comm, layout);
-  out.bs = std::make_unique<BlockStructure>(*out.tree, std::move(rowsets));
-  return out;
+  for (const char c : seen) SLU3D_CHECK(c, "snode never contributed");
+  return rowsets;
 }
 
 AnalysisResult distributed(const CsrMatrix& A, sim::Comm& comm,
                            const NdOptions& opts) {
   AnalysisResult out;
-  const index_t n = A.n_rows();
   const int me = comm.rank();
 
   // Phase A: cooperative nested dissection (charges its own compute).
@@ -418,7 +251,7 @@ AnalysisResult distributed(const CsrMatrix& A, sim::Comm& comm,
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
   const CsrMatrix S = Ap.pattern_is_symmetric() ? Ap : Ap.symmetrized_pattern();
   const SnodeNumbering num = SnodeNumbering::from_tree(tree);
-  charge_ops(comm, Ap.nnz() + S.nnz() + n);
+  charge_ops(comm, Ap.nnz() + S.nnz() + A.n_rows());
 
   std::vector<int> owner(static_cast<std::size_t>(num.n_snodes), -1);
   assign_owners(tree, num, tree.root(), 0, comm.size(), owner);
@@ -426,64 +259,7 @@ AnalysisResult distributed(const CsrMatrix& A, sim::Comm& comm,
   const GroupLevel& term = stack.back();
   const bool own_terminal = me == term.lo;
 
-  // Phase B1: distributed elimination tree.
-  EtreeState et(S);
-  std::vector<index_t> boundary;
-  if (own_terminal) {
-    const SepTreeNode& nd = tree.node(term.node);
-    et.process_rows(nd.subtree_first, nd.sep_last);
-    for (index_t k = nd.subtree_first; k < nd.sep_last; ++k)
-      if (et.escapes(k, nd.sep_last)) boundary.push_back(k);
-    charge_ops(comm, et.ops);
-    et.ops = 0;
-  }
-  for (int i = static_cast<int>(stack.size()) - 2; i >= 0; --i) {
-    const GroupLevel& e = stack[static_cast<std::size_t>(i)];
-    const int half = e.cnt / 2;
-    if (me == e.lo + half) {
-      std::vector<std::pair<index_t, index_t>> map;
-      map.reserve(boundary.size());
-      for (index_t k : boundary) map.push_back({k, et.find_root(k)});
-      charge_ops(comm, et.ops);
-      et.ops = 0;
-      comm.send(e.lo, kEtreeTag + i, encode_pairs(map), CommPlane::XY);
-      break;
-    }
-    if (me != e.lo) break;
-    const auto imported =
-        decode_pairs(comm.recv(e.lo + half, kEtreeTag + i, CommPlane::XY));
-    for (const auto& [k, rk] : imported)
-      if (rk != k) et.ancestor[static_cast<std::size_t>(k)] = rk;
-    const SepTreeNode& nd = tree.node(e.node);
-    et.process_rows(nd.sep_first, nd.sep_last);
-    for (const auto& [k, rk] : imported) boundary.push_back(k);
-    for (index_t k = nd.sep_first; k < nd.sep_last; ++k) boundary.push_back(k);
-    // Keep only vertices later rows can still reference (the refreshed
-    // boundary of the merged subtree); roots are refetched at send time.
-    std::vector<index_t> kept;
-    std::sort(boundary.begin(), boundary.end());
-    boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                   boundary.end());
-    for (index_t k : boundary)
-      if (et.escapes(k, nd.sep_last)) kept.push_back(k);
-    boundary = std::move(kept);
-    charge_ops(comm, et.ops);
-    et.ops = 0;
-  }
-  // Union the per-rank parent assignments (each vertex assigned at most
-  // once globally, so this reconstructs Liu's parent array bitwise).
-  const std::vector<real_t> et_all = comm.allgatherv(
-      kGatherEtreeTag, encode_pairs(et.assigned), CommPlane::XY);
-  out.etree.assign(static_cast<std::size_t>(n), -1);
-  for (const auto& [v, p] : decode_pairs(et_all)) {
-    SLU3D_CHECK(out.etree[static_cast<std::size_t>(v)] == -1,
-                "etree vertex assigned twice");
-    out.etree[static_cast<std::size_t>(v)] = p;
-  }
-  comm.add_compute(n + static_cast<offset_t>(et_all.size()) / 2,
-                   ComputeKind::Other);
-
-  // Phase B2: distributed supernodal symbolic.
+  // Phase B: distributed supernodal symbolic.
   SymState sym(S, num, owner, me);
   std::vector<int> owned;  // everything this rank finalized, for the gather
   if (own_terminal) {
@@ -518,12 +294,8 @@ AnalysisResult distributed(const CsrMatrix& A, sim::Comm& comm,
     encode_rowset(s, sym.rowsets[static_cast<std::size_t>(s)], mine);
   const std::vector<real_t> all =
       comm.allgatherv(kGatherRowsTag, mine, CommPlane::XY);
-  std::vector<std::vector<index_t>> rowsets(
-      static_cast<std::size_t>(num.n_snodes));
-  std::vector<char> seen(static_cast<std::size_t>(num.n_snodes), 0);
-  decode_all_rowsets(all, rowsets, seen);
-  for (int s = 0; s < num.n_snodes; ++s)
-    SLU3D_CHECK(seen[static_cast<std::size_t>(s)], "snode never contributed");
+  std::vector<std::vector<index_t>> rowsets =
+      decode_all_rowsets(all, num.n_snodes);
   offset_t layout = num.n_snodes;
   for (const auto& rs : rowsets) layout += static_cast<offset_t>(rs.size());
   charge_ops(comm, layout);
@@ -536,8 +308,6 @@ AnalysisResult distributed(const CsrMatrix& A, sim::Comm& comm,
 AnalysisResult analyze_host(const CsrMatrix& A, const NdOptions& opts) {
   AnalysisResult out;
   out.tree = std::make_unique<SeparatorTree>(nested_dissection(A, opts));
-  const CsrMatrix Ap = A.permuted_symmetric(out.tree->perm());
-  out.etree = elimination_tree(Ap);
   out.bs = std::make_unique<BlockStructure>(A, *out.tree);
   return out;
 }
@@ -546,9 +316,7 @@ AnalysisResult analyze_in_sim(const CsrMatrix& A, sim::Comm& comm,
                               const NdOptions& opts, AnalysisMode mode) {
   SLU3D_CHECK(mode != AnalysisMode::Host, "host analysis is not in-sim");
   comm.begin_analysis_phase();
-  AnalysisResult out = mode == AnalysisMode::SequentialSim
-                           ? sequential_sim(A, comm, opts)
-                           : distributed(A, comm, opts);
+  AnalysisResult out = distributed(A, comm, opts);
   comm.end_analysis_phase();
   return out;
 }

@@ -3,30 +3,24 @@
 // cost of analysis lands on the simulated clock (and in the W_analysis /
 // msg_analysis counters) instead of host wall time.
 //
-// Two in-sim modes share one entry point:
-//  - SequentialSim: rank 0 runs the whole host analysis, charged to its
-//    clock, then broadcasts the results — the honest "serial analysis"
-//    baseline every distributed claim is measured against.
-//  - Distributed: subtree-parallel nested dissection (order/parallel_nd)
-//    followed by distributed symbolic factorization — a boolean SpGEMM
-//    over the separator hierarchy. Each rank owns a contiguous subtree of
-//    supernodes (the same leader mapping the dissection recursion uses),
-//    computes their candidate row structures locally from the replicated
-//    symmetrized pattern, merges fill upward, and ships only the row sets
-//    that escape its subtree up the leader chain. The elimination tree is
-//    computed the same way: Liu's algorithm over contiguous subtree row
-//    ranges, with compressed boundary maps {(vertex, current root)}
-//    climbing the same chain.
+// The in-sim analysis builds exactly what the factorization reads: the
+// separator tree, from subtree-parallel nested dissection
+// (order/parallel_nd), and the BlockStructure, from a distributed symbolic
+// factorization — a boolean SpGEMM over the separator hierarchy. Each rank
+// owns a contiguous subtree of supernodes (the same leader mapping the
+// dissection recursion uses), computes their candidate row structures
+// locally from the replicated symmetrized pattern, merges fill upward, and
+// ships only the row sets that escape its subtree up the leader chain. On
+// one rank it is the serial analysis, charged to that rank's clock.
 //
-// Determinism contract: both modes return bitwise-identical permutations,
-// separator trees, elimination trees, and BlockStructures to the host
-// analysis (analyze_host), on every rank. The sequential path is the
-// oracle; tests/test_dist_analysis.cpp pins the equivalence. See
-// DESIGN.md, "Distributed analysis" for the structural argument.
+// Determinism contract: the in-sim analysis returns a bitwise-identical
+// permutation, separator tree, and BlockStructure to the host analysis
+// (analyze_host), on every rank. The host path is the oracle;
+// tests/test_dist_analysis.cpp pins the equivalence. See DESIGN.md,
+// "Distributed analysis" for the structural argument.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "order/nested_dissection.hpp"
 #include "simmpi/runtime.hpp"
@@ -36,26 +30,24 @@ namespace slu3d {
 
 /// Where the cold-start analysis (ordering + symbolic) runs.
 enum class AnalysisMode {
-  Host,           ///< on the host, outside the simulated clock (legacy)
-  SequentialSim,  ///< in-sim: rank 0 computes everything and broadcasts
-  Distributed,    ///< in-sim: subtree-parallel over all ranks
+  Host,         ///< on the host, outside the simulated clock (legacy)
+  Distributed,  ///< in-sim: subtree-parallel over all ranks
 };
 
-/// The complete analysis product. All three parts are identical across
-/// ranks and modes (the determinism contract above).
+/// The complete analysis product. Both parts are identical across ranks
+/// and modes (the determinism contract above).
 struct AnalysisResult {
   std::unique_ptr<SeparatorTree> tree;
-  std::vector<index_t> etree;  ///< scalar etree of the permuted pattern
   std::unique_ptr<BlockStructure> bs;
 };
 
-/// Host-side analysis — the oracle the in-sim modes must reproduce.
+/// Host-side analysis — the oracle the in-sim analysis must reproduce.
 AnalysisResult analyze_host(const CsrMatrix& A, const NdOptions& opts);
 
 /// Collective in-sim analysis over all ranks of `comm`. `mode` must be
-/// SequentialSim or Distributed. Every rank returns the full (identical)
-/// result; the work and traffic are bracketed in the rank's analysis-phase
-/// counters (Comm::begin/end_analysis_phase).
+/// Distributed. Every rank returns the full (identical) result; the work
+/// and traffic are bracketed in the rank's analysis-phase counters
+/// (Comm::begin/end_analysis_phase).
 AnalysisResult analyze_in_sim(const CsrMatrix& A, sim::Comm& comm,
                               const NdOptions& opts, AnalysisMode mode);
 

@@ -26,15 +26,16 @@ SubTree from_tree(const SeparatorTree& t) {
           t.root()};
 }
 
-/// See order_detail::nd_split_work. One bisection sweeps the subgraph's
-/// edges a bounded number of times (coarsen + initial cut + refine, ~8
-/// passes), and each edge visit is an irregular, memory-latency-bound
-/// graph operation worth ~100 of the machine model's streaming flops
-/// (gamma models dense GEMM throughput; graph codes run ~100x slower per
-/// touched element). Folded into one constant: ~800 flop-equivalents per
-/// subgraph edge per bisection, which puts the simulated ordering rate in
-/// the tens of millions of edges per second a real multilevel
-/// partitioner achieves.
+/// Work model for in-sim dissection, in add_compute flop units: one
+/// bisection pass over a vertex subset costs a constant multiple of
+/// Σ_v (deg_A(v) + 1). One bisection sweeps the subgraph's edges a bounded
+/// number of times (coarsen + initial cut + refine, ~8 passes), and each
+/// edge visit is an irregular, memory-latency-bound graph operation worth
+/// ~100 of the machine model's streaming flops (gamma models dense GEMM
+/// throughput; graph codes run ~100x slower per touched element). Folded
+/// into one constant: ~800 flop-equivalents per subgraph edge per
+/// bisection, which puts the simulated ordering rate in the tens of
+/// millions of edges per second a real multilevel partitioner achieves.
 constexpr offset_t kNdWorkFactor = 800;
 
 offset_t split_work(const CsrMatrix& A, std::span<const index_t> verts) {
@@ -247,26 +248,5 @@ SeparatorTree parallel_nested_dissection(const CsrMatrix& A, sim::Comm& comm,
   SubTree full = decode_subtree(encoded);
   return SeparatorTree(std::move(full.perm), std::move(full.nodes), full.root);
 }
-
-namespace order_detail {
-
-std::vector<real_t> encode_tree(const SeparatorTree& t) {
-  return encode_subtree(from_tree(t));
-}
-
-SeparatorTree decode_tree(std::span<const real_t> v) {
-  SubTree t = decode_subtree(v);
-  return SeparatorTree(std::move(t.perm), std::move(t.nodes), t.root);
-}
-
-offset_t nd_split_work(const CsrMatrix& A, std::span<const index_t> verts) {
-  return split_work(A, verts);
-}
-
-offset_t nd_tree_work(const CsrMatrix& A, const SeparatorTree& t) {
-  return recursion_work(A, t.perm(), t.nodes());
-}
-
-}  // namespace order_detail
 
 }  // namespace slu3d

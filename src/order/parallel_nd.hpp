@@ -17,33 +17,9 @@ namespace slu3d {
 /// nested_dissection would produce (separator choices at the top levels
 /// are identical — the parallelism only changes who computes what).
 /// Every split a rank computes is charged to its simulated clock through
-/// the work model below, so the ordering stage shows up in the LogGP
-/// critical path like any numeric kernel would.
+/// a work model (kNdWorkFactor in parallel_nd.cpp), so the ordering stage
+/// shows up in the LogGP critical path like any numeric kernel would.
 SeparatorTree parallel_nested_dissection(const CsrMatrix& A, sim::Comm& comm,
                                          const NdOptions& opts = {});
-
-namespace order_detail {
-
-/// Flat real_t codecs for shipping a whole separator tree over the
-/// simulated wire (used by parallel_nested_dissection's final broadcast
-/// and by the analysis phase's sequential-baseline mode).
-std::vector<real_t> encode_tree(const SeparatorTree& t);
-SeparatorTree decode_tree(std::span<const real_t> v);
-
-/// Work model for in-sim dissection, in add_compute flop units: one
-/// bisection pass over a vertex subset costs a constant multiple of
-/// Σ_v (deg_A(v) + 1) — the multilevel splitter sweeps the subgraph's
-/// edges a bounded number of times (coarsen + initial cut + refine), and
-/// each irregular edge visit is worth ~100 streaming flops (see
-/// kNdWorkFactor in parallel_nd.cpp for the calibration).
-offset_t nd_split_work(const CsrMatrix& A, std::span<const index_t> verts);
-
-/// Total dissection work for a finished tree: the sum of nd_split_work
-/// over every node's subtree vertex range (each node's range is what its
-/// split pass scanned). This is what a rank that ran the whole recursion
-/// locally is charged.
-offset_t nd_tree_work(const CsrMatrix& A, const SeparatorTree& t);
-
-}  // namespace order_detail
 
 }  // namespace slu3d

@@ -1,6 +1,7 @@
 #include "service/solver_service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 
 #include "model/cost_model.hpp"
@@ -75,6 +76,13 @@ struct SolverService::Resident {
 };
 
 SolverService::SolverService(const ServiceOptions& options) : opt_(options) {
+  // Reject an unrunnable grid here, before any factor() pays a full
+  // analysis only for ForestPartition to refuse the shape.
+  SLU3D_CHECK(opt_.Px >= 1 && opt_.Py >= 1, "Px and Py must be positive");
+  SLU3D_CHECK(opt_.Pz == 0 || (opt_.Pz > 0 &&
+                                std::has_single_bit(
+                                    static_cast<unsigned>(opt_.Pz))),
+              "Pz must be 0 (automatic) or a power of two");
   SLU3D_CHECK(opt_.max_patterns >= 1, "need capacity for at least one pattern");
   // A negative count would space solve_stream's per-request tag bases by
   // zero or less, breaking their disjoint-tag-range contract.

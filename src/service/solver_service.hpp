@@ -37,8 +37,8 @@
 namespace slu3d::service {
 
 struct ServiceOptions {
-  int Px = 2;
-  int Py = 2;
+  int Px = 2;  ///< >= 1
+  int Py = 2;  ///< >= 1
   /// Number of 2D grids (power of two). 0 = choose per pattern: the
   /// largest power of two <= the §IV communication-optimal value that
   /// divides Px*Py (given as the total rank budget) and keeps the plane
@@ -56,11 +56,10 @@ struct ServiceOptions {
   int refinement_steps = 1;
   /// Where cold-start analysis (ordering + symbolic factorization) runs
   /// on a cache miss: on the host outside the simulated clock (Host, the
-  /// legacy default), serially on simulated rank 0 (SequentialSim — the
-  /// honest baseline that puts serial analysis on the critical path), or
-  /// subtree-parallel across all simulated ranks (Distributed; see
-  /// src/analysis/). Ignored when `geometry` is set. Cache hits never
-  /// analyze, in-sim or not.
+  /// legacy default), or subtree-parallel across all simulated ranks and
+  /// charged to their clocks (Distributed; see src/analysis/). A 1x1x1
+  /// grid makes the Distributed run the serial baseline. Ignored when
+  /// `geometry` is set. Cache hits never analyze, in-sim or not.
   AnalysisMode analysis = AnalysisMode::Host;
   /// Resident-pattern capacity; least-recently-used entries are evicted.
   std::size_t max_patterns = 8;

@@ -58,48 +58,33 @@ struct RankStats {
   double link_queue_seconds = 0.0;
   /// Analysis-phase split (the paper-pipeline's cold-start ordering +
   /// symbolic stage run in-sim; see src/analysis/). While a rank is inside
-  /// Comm::begin/end_analysis_phase every byte/message charged at any
-  /// runtime charge site is mirrored into the analysis_* counters, and the
-  /// clock advance between the bracketing calls accumulates into
+  /// Comm::begin/end_analysis_phase every byte received and message sent
+  /// at any runtime charge site, on either plane, is also counted here,
+  /// and the clock advance between the bracketing calls accumulates into
   /// analysis_seconds — so W_analysis / msg_analysis report exactly the
   /// traffic of the analysis stage, separated from the numeric W_fact /
   /// W_red of the same run.
   bool in_analysis_phase = false;      ///< live toggle, not a statistic
   double analysis_phase_start = 0.0;   ///< clock at begin_analysis_phase
   double analysis_seconds = 0.0;       ///< clock advance inside the phase
-  std::array<offset_t, kNumPlanes> analysis_bytes_sent{};
-  std::array<offset_t, kNumPlanes> analysis_bytes_received{};
-  std::array<offset_t, kNumPlanes> analysis_messages_sent{};
-  std::array<offset_t, kNumPlanes> analysis_messages_received{};
+  offset_t analysis_bytes_received = 0;
+  offset_t analysis_messages_sent = 0;
 
   /// The single bookkeeping funnel for sent bytes: every runtime charge
   /// site (blocking send, isend, ibcast forwarding, window put) goes through
-  /// here so the analysis-phase mirror can never drift from the primary
-  /// counters.
+  /// here so the analysis-phase counters can never drift from the primary
+  /// ones.
   void add_sent(CommPlane plane, offset_t bytes) {
     bytes_sent[static_cast<std::size_t>(plane)] += bytes;
     messages_sent[static_cast<std::size_t>(plane)] += 1;
-    if (in_analysis_phase) {
-      analysis_bytes_sent[static_cast<std::size_t>(plane)] += bytes;
-      analysis_messages_sent[static_cast<std::size_t>(plane)] += 1;
-    }
+    if (in_analysis_phase) analysis_messages_sent += 1;
   }
   /// Same funnel for the receive side (blocking recv, request completion,
   /// window put delivery).
   void add_received(CommPlane plane, offset_t bytes) {
     bytes_received[static_cast<std::size_t>(plane)] += bytes;
     messages_received[static_cast<std::size_t>(plane)] += 1;
-    if (in_analysis_phase) {
-      analysis_bytes_received[static_cast<std::size_t>(plane)] += bytes;
-      analysis_messages_received[static_cast<std::size_t>(plane)] += 1;
-    }
-  }
-
-  offset_t total_analysis_bytes_received() const {
-    return analysis_bytes_received[0] + analysis_bytes_received[1];
-  }
-  offset_t total_analysis_messages_sent() const {
-    return analysis_messages_sent[0] + analysis_messages_sent[1];
+    if (in_analysis_phase) analysis_bytes_received += bytes;
   }
 
   offset_t total_bytes_sent() const {

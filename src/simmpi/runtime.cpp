@@ -1019,13 +1019,13 @@ double RunResult::max_analysis_seconds() const {
 offset_t RunResult::max_analysis_bytes_received() const {
   offset_t best = 0;
   for (const auto& r : ranks)
-    best = std::max(best, r.total_analysis_bytes_received());
+    best = std::max(best, r.analysis_bytes_received);
   return best;
 }
 
 offset_t RunResult::total_analysis_messages_sent() const {
   offset_t total = 0;
-  for (const auto& r : ranks) total += r.total_analysis_messages_sent();
+  for (const auto& r : ranks) total += r.analysis_messages_sent;
   return total;
 }
 

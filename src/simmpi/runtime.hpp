@@ -155,12 +155,12 @@ class Comm {
   Window win_create(int tag, std::span<real_t> local, CommPlane plane);
 
   /// Brackets the cold-start analysis stage (ordering + symbolic run
-  /// in-sim; see src/analysis/). Between the two calls every byte/message
-  /// charged on this rank is mirrored into RankStats::analysis_* and the
-  /// clock advance accumulates into analysis_seconds, so W_analysis /
-  /// msg_analysis can be reported separately from the numeric phase of
-  /// the same run. Nesting is not supported; end without begin is a
-  /// no-op.
+  /// in-sim; see src/analysis/). Between the two calls every byte received
+  /// and message sent on this rank is also counted in
+  /// RankStats::analysis_* and the clock advance accumulates into
+  /// analysis_seconds, so W_analysis / msg_analysis can be reported
+  /// separately from the numeric phase of the same run. Nesting is not
+  /// supported; end without begin is a no-op.
   void begin_analysis_phase();
   void end_analysis_phase();
 

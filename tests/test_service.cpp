@@ -206,6 +206,24 @@ TEST(SolverService, RejectsNegativeRefinementSteps) {
   EXPECT_NO_THROW(SolverService{o});
 }
 
+TEST(SolverService, RejectsUnusableGridAtConstruction) {
+  // A grid the factorization cannot run must fail at construction, not
+  // after every factor() has paid a full in-sim analysis.
+  ServiceOptions o = small_grid_options();
+  o.analysis = AnalysisMode::Distributed;
+  const int bad[][3] = {{2, 2, 3}, {0, 2, 1}, {2, -1, 1}, {2, 2, -2}};
+  for (const auto& [px, py, pz] : bad) {
+    o.Px = px;
+    o.Py = py;
+    o.Pz = pz;
+    EXPECT_THROW(SolverService{o}, Error) << px << 'x' << py << 'x' << pz;
+  }
+  o.Px = 2;
+  o.Py = 2;
+  o.Pz = 0;  // automatic
+  EXPECT_NO_THROW(SolverService{o});
+}
+
 TEST(SolverService, LruEvictionBoundsResidentPatterns) {
   const CsrMatrix A =
       grid2d_laplacian(GridGeometry{8, 8, 1}, Stencil2D::FivePoint);
