@@ -10,92 +10,147 @@
 
 namespace slu3d {
 
-namespace {
-
-using sim::CommPlane;
-using sim::ComputeKind;
-
-/// A (descendant supernode c, index of a block in lpanel(c)) pair.
-using PanelRef = std::pair<int, int>;
-
-/// The static order in which every rank visits supernodes (see the
-/// header), and the descendant index that routes contributions. Both
-/// sweeps' orders are valid elimination orders, because a panel block of c
-/// always targets a strict ND ancestor of c. Every rank walks the same
-/// global order and each blocking receive is matched by a send issued
-/// earlier in that order, so the blocking sweeps cannot deadlock.
-class SolveSchedule {
- public:
-  explicit SolveSchedule(const BlockStructure& bs);
-
-  /// Forward visiting order: ascending ND height, then id.
-  std::span<const int> forward() const { return forward_; }
-  /// Backward visiting order: ascending ND depth, then id.
-  std::span<const int> backward() const { return backward_; }
-
-  /// Every (c, k) with lpanel(c)[k].snode == a, ascending c: the forward
-  /// contributions a's diagonal owner accumulates, in the order it adds
-  /// them.
-  std::span<const PanelRef> into(int a) const {
-    return into_[static_cast<std::size_t>(a)];
-  }
-  /// The same pairs in backward visiting order of c: the order in which
-  /// the backward contributions of a must be sent.
-  std::span<const PanelRef> out_of(int a) const {
-    return out_of_[static_cast<std::size_t>(a)];
-  }
-
- private:
-  std::vector<int> forward_, backward_;
-  std::vector<std::vector<PanelRef>> into_, out_of_;
-};
-
-SolveSchedule::SolveSchedule(const BlockStructure& bs) {
+SolvePlan::SolvePlan(const BlockStructure& bs, const ForestPartition& part,
+                     int Px, int Py)
+    : bs_(&bs), Px_(Px), Py_(Py), Pz_(part.Pz()) {
+  SLU3D_CHECK(Px >= 1 && Py >= 1, "solve plan needs a positive grid shape");
   const int nsn = bs.n_snodes();
-  const auto at = [](auto& v, int s) -> auto& {
-    return v[static_cast<std::size_t>(s)];
+  const auto nsz = static_cast<std::size_t>(nsn);
+  const auto ix = [](int i) { return static_cast<std::size_t>(i); };
+  const auto world_of = [&](int pz, int px, int py) {
+    return pz * Px * Py + px * Py + py;
   };
-  // Parents have larger ids than their children, so one ascending pass
-  // settles every height and one descending pass every depth.
-  std::vector<int> height(static_cast<std::size_t>(nsn), 0);
-  std::vector<int> depth(static_cast<std::size_t>(nsn), 0);
+
+  // The schedule. Parents have larger ids than their children, so one
+  // ascending pass settles every height and one descending pass every
+  // depth. Both orders are valid elimination orders, because a panel block
+  // of c always targets a strict ND ancestor of c.
+  std::vector<int> height(nsz, 0), depth(nsz, 0);
   for (int s = 0; s < nsn; ++s)
     if (const int p = bs.nd_parent(s); p >= 0)
-      at(height, p) = std::max(at(height, p), at(height, s) + 1);
+      height[ix(p)] = std::max(height[ix(p)], height[ix(s)] + 1);
   for (int s = nsn - 1; s >= 0; --s)
-    if (const int p = bs.nd_parent(s); p >= 0) at(depth, s) = at(depth, p) + 1;
-
+    if (const int p = bs.nd_parent(s); p >= 0) depth[ix(s)] = depth[ix(p)] + 1;
   const auto order_by = [&](const std::vector<int>& key) {
-    std::vector<int> order(static_cast<std::size_t>(nsn));
+    std::vector<int> order(nsz);
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return at(key, a) != at(key, b) ? at(key, a) < at(key, b) : a < b;
+      return key[ix(a)] != key[ix(b)] ? key[ix(a)] < key[ix(b)] : a < b;
     });
     return order;
   };
   forward_ = order_by(height);
   backward_ = order_by(depth);
+  std::vector<int> fpos(nsz), bpos(nsz);
+  for (int i = 0; i < nsn; ++i) {
+    fpos[ix(forward_[ix(i)])] = i;
+    bpos[ix(backward_[ix(i)])] = i;
+  }
 
-  into_.resize(static_cast<std::size_t>(nsn));
+  owner_.resize(nsz);
+  entry_base_.resize(nsz + 1, 0);
+  into_.resize(nsz);
   for (int c = 0; c < nsn; ++c) {
+    owner_[ix(c)] = world_of(part.anchor_of(c), c % Px, c % Py);
     const auto panel = bs.lpanel(c);
+    entry_base_[ix(c) + 1] = entry_base_[ix(c)] + static_cast<int>(panel.size());
     for (int k = 0; k < static_cast<int>(panel.size()); ++k) {
-      const int a = panel[static_cast<std::size_t>(k)].snode;
+      const int a = panel[ix(k)].snode;
       // What the sweeps need of an ND ancestor: visited after c going
       // forward and before c going backward.
-      SLU3D_CHECK(at(height, a) > at(height, c) && at(depth, a) < at(depth, c),
+      SLU3D_CHECK(height[ix(a)] > height[ix(c)] && depth[ix(a)] < depth[ix(c)],
                   "panel block must target a higher and shallower supernode");
-      at(into_, a).push_back({c, k});
+      into_[ix(a)].push_back({c, k});
     }
   }
-  std::vector<int> bpos(static_cast<std::size_t>(nsn));
-  for (int i = 0; i < nsn; ++i) at(bpos, at(backward_, i)) = i;
   out_of_ = into_;
   for (auto& refs : out_of_)
-    std::sort(refs.begin(), refs.end(), [&](const PanelRef& u, const PanelRef& v) {
-      return at(bpos, u.first) < at(bpos, v.first);
+    std::stable_sort(refs.begin(), refs.end(),
+                     [&](const PanelRef& u, const PanelRef& v) {
+                       return bpos[ix(u.first)] < bpos[ix(v.first)];
+                     });
+
+  // Packs. `refs` lists one target's pieces in the order their sources
+  // compute them; each source's pieces go back to back into its pack.
+  // `slot_of` maps a world rank to its slot for the current target (-1:
+  // none yet).
+  std::vector<int> slot_of(ix(Px * Py * Pz_), -1);
+  const auto lay_out = [&](const std::vector<std::pair<PanelRef, int>>& refs,
+                           std::vector<Piece>& pieces,
+                           std::vector<Source>& sources, const auto& rows_of) {
+    for (const auto& [ref, src] : refs) {
+      int& slot = slot_of[ix(src)];
+      if (slot < 0) {
+        slot = static_cast<int>(sources.size());
+        sources.push_back({src, 0});
+      }
+      pieces[ix(entry(ref.first, ref.second))] = {src, slot,
+                                                  sources[ix(slot)].rows};
+      sources[ix(slot)].rows += rows_of(ref);
+    }
+    for (const Source& src : sources) slot_of[ix(src.rank)] = -1;
+  };
+  const auto total = static_cast<std::size_t>(entry_base_.back());
+  fwd_.resize(total);
+  bwd_.resize(total);
+  fwd_src_.resize(nsz);
+  bwd_src_.resize(nsz);
+  std::vector<std::pair<PanelRef, int>> refs;
+  for (int t = 0; t < nsn; ++t) {
+    // Forward target t: L(t, c) lives on (anchor(c), t % Px, c % Py),
+    // which computes it when it visits c.
+    refs.clear();
+    for (const PanelRef& r : into_[ix(t)])
+      refs.push_back({r, world_of(part.anchor_of(r.first), t % Px,
+                                  r.first % Py)});
+    std::stable_sort(refs.begin(), refs.end(), [&](const auto& u, const auto& v) {
+      return fpos[ix(u.first.first)] < fpos[ix(v.first.first)];
     });
+    lay_out(refs, fwd_, fwd_src_[ix(t)], [&](const PanelRef& r) {
+      return bs.lpanel(r.first)[ix(r.second)].n_rows();
+    });
+
+    // Backward target t: U(t, a) lives on (anchor(t), t % Px, a % Py),
+    // which computes it when it visits a.
+    refs.clear();
+    const auto panel = bs.lpanel(t);
+    for (int k = 0; k < static_cast<int>(panel.size()); ++k)
+      refs.push_back({{t, k}, world_of(part.anchor_of(t), t % Px,
+                                       panel[ix(k)].snode % Py)});
+    std::stable_sort(refs.begin(), refs.end(), [&](const auto& u, const auto& v) {
+      return bpos[ix(panel[ix(u.first.second)].snode)] <
+             bpos[ix(panel[ix(v.first.second)].snode)];
+    });
+    lay_out(refs, bwd_, bwd_src_[ix(t)],
+            [&](const PanelRef&) { return bs.snode_size(t); });
+  }
+
+  // Broadcast trees: the diagonal owner, then the other owners of L(a, s)
+  // for a in lpanel(s) (y_s), resp. of U(c, s) for c with s in lpanel(c)
+  // (x_s), in ascending rank.
+  ytree_.resize(nsz);
+  xtree_.resize(nsz);
+  const auto root_first = [&](int s, std::vector<int>& members) {
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    std::erase(members, owner_[ix(s)]);
+    members.insert(members.begin(), owner_[ix(s)]);
+  };
+  for (int s = 0; s < nsn; ++s) {
+    for (const PanelBlock& blk : bs.lpanel(s))
+      ytree_[ix(s)].push_back(
+          world_of(part.anchor_of(s), blk.snode % Px, s % Py));
+    root_first(s, ytree_[ix(s)]);
+    for (const auto& [c, k] : into_[ix(s)])
+      xtree_[ix(s)].push_back(world_of(part.anchor_of(c), c % Px, s % Py));
+    root_first(s, xtree_[ix(s)]);
+  }
 }
+
+namespace {
+
+using sim::CommPlane;
+using sim::ComputeKind;
 
 /// An n x nrhs column-major right-hand-side / solution panel (ldx = n).
 /// One sweep over the panel serves all nrhs columns: message counts are
@@ -123,21 +178,22 @@ struct SolvePanel {
   }
 };
 
-/// Contribution messages carry the *negated* partial product (gemm_minus
-/// computes C -= A B into a zeroed buffer), so receivers accumulate with +=.
-/// Supernodes are visited in the SolveSchedule order.
+}  // namespace
+
+/// Contribution pieces carry the *negated* partial product (gemm_minus
+/// computes C -= A B into a zeroed buffer), so diagonal owners accumulate
+/// with +=. Supernodes are visited in the plan's order.
 class Solve3dDriver {
  public:
-  Solve3dDriver(Dist2dFactors& F, sim::Comm& world, sim::ProcessGrid3D& grid,
-                const ForestPartition& part, const Solve3dOptions& opt)
-      : F_(F), world_(world), g_(grid), part_(part), bs_(F.structure()),
-        opt_(opt), sched_(bs_) {
-    // One z sub-communicator per forest level: the replication group of a
-    // level-lvl supernode is a dyadic pz range of size 2^(l - lvl).
-    const int l = part.n_levels() - 1;
-    for (int lvl = 0; lvl <= l; ++lvl)
-      zgroup_.push_back(
-          g_.zline().split(g_.pz() >> (l - lvl), g_.pz()));
+  Solve3dDriver(Dist2dFactors& F, sim::Comm& world, const SolvePlan& plan,
+                const Solve3dOptions& opt)
+      : F_(F), world_(world), plan_(plan), bs_(F.structure()), opt_(opt),
+        me_(world.rank()),
+        packs_(static_cast<std::size_t>(bs_.n_snodes())) {
+    SLU3D_CHECK(&plan.structure() == &bs_,
+                "solve plan was built for another block structure");
+    SLU3D_CHECK(world.size() == plan.Px() * plan.Py() * plan.Pz(),
+                "solve plan grid does not match the communicator");
   }
 
   void run(std::span<real_t> x) {
@@ -152,37 +208,35 @@ class Solve3dDriver {
   }
 
  private:
-  int Px() const { return g_.plane().Px(); }
-  int Py() const { return g_.plane().Py(); }
-  /// World rank of plane position (px, py) on grid pz.
-  int world_of(int pz, int px, int py) const {
-    return pz * Px() * Py() + px * Py() + py;
-  }
-  int diag_owner(int s) const {
-    return world_of(part_.anchor_of(s), s % Px(), s % Py());
-  }
-  int ftag(int s) const { return opt_.tag_base + s; }
-  int btag(int s) const { return opt_.tag_base + bs_.n_snodes() + s; }
+  int ftag(int a) const { return opt_.tag_base + a; }
+  int btag(int c) const { return opt_.tag_base + bs_.n_snodes() + c; }
+  int ttag(int s) const { return opt_.tag_base + 2 * bs_.n_snodes() + s; }
   int gtag() const { return opt_.tag_base + 3 * bs_.n_snodes(); }
+  /// XY between ranks of one grid, Z across grids.
+  CommPlane plane_to(int r) const {
+    return plan_.grid_of(r) == plan_.grid_of(me_) ? CommPlane::XY
+                                                  : CommPlane::Z;
+  }
+  std::size_t len(index_t rows) const {
+    return static_cast<std::size_t>(rows) * static_cast<std::size_t>(opt_.nrhs);
+  }
 
   void forward(const SolvePanel& p) {
     const index_t n = p.n, nrhs = p.nrhs;
     std::vector<real_t> ybuf, vbuf;
-    for (const int s : sched_.forward()) {
+    for (const int s : plan_.forward()) {
       const index_t ns = bs_.snode_size(s);
       if (ns == 0) continue;
       const index_t f = bs_.first_col(s);
-      const bool my_grid = g_.pz() == part_.anchor_of(s);
-      const bool in_pcol = my_grid && g_.plane().py() == s % Py();
 
-      if (world_.rank() == diag_owner(s)) {
-        for (const auto& [c, blkidx] : sched_.into(s)) {
-          const PanelBlock& blk = bs_.lpanel(c)[static_cast<std::size_t>(blkidx)];
-          const int src = world_of(part_.anchor_of(c), s % Px(), c % Py());
-          const auto v = world_.recv(src, ftag(c), CommPlane::Z);
+      if (me_ == plan_.owner(s)) {
+        collect(s, plan_.fwd_sources(s), ftag(s));
+        for (const auto& [c, k] : plan_.into(s)) {
+          const PanelBlock& blk = bs_.lpanel(c)[static_cast<std::size_t>(k)];
+          const SolvePlan::Piece& pc = plan_.fwd_piece(c, k);
+          const real_t* v =
+              in_[static_cast<std::size_t>(pc.slot)].data() + len(pc.row);
           const auto m = blk.rows.size();
-          SLU3D_CHECK(v.size() == m * static_cast<std::size_t>(nrhs),
-                      "contribution size");
           for (index_t j = 0; j < nrhs; ++j)
             for (std::size_t r = 0; r < m; ++r)
               p.x[static_cast<std::size_t>(blk.rows[r] + j * n)] +=
@@ -191,51 +245,41 @@ class Solve3dDriver {
         dense::trsm_left_lower_unit(ns, nrhs, F_.diag(s).data(), ns,
                                     p.x.data() + f, n);
         world_.add_compute(dense::trsm_flops(ns, nrhs), ComputeKind::Other);
+        p.gather(f, ns, ybuf);
       }
 
-      // y_s to the L-block owners (all live on anchor(s), column s%Py).
-      if (in_pcol) {
-        p.gather(f, ns, ybuf);
-        g_.plane().col().bcast(s % Px(), ftag(s), ybuf, CommPlane::XY);
-        p.scatter(ybuf, f, ns);
-
-        for (const OwnedBlock& ob : F_.lblocks(s)) {
-          const PanelBlock& blk =
-              bs_.lpanel(s)[static_cast<std::size_t>(ob.panel_idx)];
-          const auto m = static_cast<index_t>(blk.rows.size());
-          vbuf.assign(static_cast<std::size_t>(m) *
-                          static_cast<std::size_t>(nrhs),
-                      0.0);
-          dense::gemm_minus(m, nrhs, ns, ob.data.data(), m, ybuf.data(), ns,
-                            vbuf.data(), m);
-          world_.add_compute(dense::gemm_flops(m, nrhs, ns),
-                             ComputeKind::Other);
-          world_.send(diag_owner(blk.snode), ftag(s), vbuf, CommPlane::Z);
-        }
+      // y_s to the owners of L(a, s), which all live on anchor(s).
+      if (!tree_bcast(plan_.ytree(s), ttag(s), ybuf, len(ns))) continue;
+      for (const OwnedBlock& ob : F_.lblocks(s)) {
+        const PanelBlock& blk =
+            bs_.lpanel(s)[static_cast<std::size_t>(ob.panel_idx)];
+        const auto m = static_cast<index_t>(blk.rows.size());
+        vbuf.assign(len(m), 0.0);
+        dense::gemm_minus(m, nrhs, ns, ob.data.data(), m, ybuf.data(), ns,
+                          vbuf.data(), m);
+        world_.add_compute(dense::gemm_flops(m, nrhs, ns), ComputeKind::Other);
+        stash(plan_.fwd_piece(s, ob.panel_idx), plan_.fwd_sources(blk.snode),
+              blk.snode, ftag(blk.snode), vbuf);
       }
     }
+    check_shipped();
   }
 
   void backward(const SolvePanel& p) {
     const index_t n = p.n, nrhs = p.nrhs;
     std::vector<real_t> xbuf, gbuf, vbuf;
-    for (const int s : sched_.backward()) {
+    for (const int s : plan_.backward()) {
       const index_t ns = bs_.snode_size(s);
       if (ns == 0) continue;
       const index_t f = bs_.first_col(s);
-      const bool in_group = part_.on_grid(s, g_.pz());
-      const bool on_zline =
-          in_group && g_.plane().px() == s % Px() && g_.plane().py() == s % Py();
-      const bool in_pcol = in_group && g_.plane().py() == s % Py();
 
-      if (world_.rank() == diag_owner(s)) {
-        // U(s, a) blocks live with supernode s on my own grid.
-        for (const PanelBlock& blk : bs_.lpanel(s)) {
-          const int src = world_of(part_.anchor_of(s), s % Px(), blk.snode % Py());
-          const auto v = world_.recv(src, btag(blk.snode), CommPlane::Z);
-          SLU3D_CHECK(v.size() == static_cast<std::size_t>(ns) *
-                                      static_cast<std::size_t>(nrhs),
-                      "contribution size");
+      if (me_ == plan_.owner(s)) {
+        collect(s, plan_.bwd_sources(s), btag(s));
+        // U(s, a) pieces, added in lpanel order.
+        for (int k = 0; k < static_cast<int>(bs_.lpanel(s).size()); ++k) {
+          const SolvePlan::Piece& pc = plan_.bwd_piece(s, k);
+          const real_t* v =
+              in_[static_cast<std::size_t>(pc.slot)].data() + len(pc.row);
           for (index_t j = 0; j < nrhs; ++j)
             for (index_t r = 0; r < ns; ++r)
               p.x[static_cast<std::size_t>(f + r + j * n)] +=
@@ -244,111 +288,163 @@ class Solve3dDriver {
         dense::trsm_left_upper(ns, nrhs, F_.diag(s).data(), ns, p.x.data() + f,
                                n);
         world_.add_compute(dense::trsm_flops(ns, nrhs), ComputeKind::Other);
+        p.gather(f, ns, xbuf);
       }
 
-      // Propagate x_s down the replication group: along z to each grid's
-      // (s%Px, s%Py) rank, then along each plane's process column.
-      if (on_zline) {
-        p.gather(f, ns, xbuf);
-        zgroup_[static_cast<std::size_t>(part_.level_of(s))].bcast(
-            0, btag(s), xbuf, CommPlane::Z);
-        p.scatter(xbuf, f, ns);
-      }
-      if (in_pcol) {
-        p.gather(f, ns, xbuf);
-        g_.plane().col().bcast(s % Px(), btag(s), xbuf, CommPlane::XY);
-        p.scatter(xbuf, f, ns);
-
-        // U(c, s) contributions for descendants c anchored on my grid, in
-        // the receivers' visiting order: contributions to different
-        // descendants share this rank's (source, btag(s)) pair.
-        for (const auto& [c, blkidx] : sched_.out_of(s)) {
-          if (part_.anchor_of(c) != g_.pz() || c % Px() != g_.plane().px())
-            continue;
-          OwnedBlock* ob = F_.find_ublock(c, s);
-          SLU3D_CHECK(ob != nullptr, "missing owned U block in 3D solve");
-          const PanelBlock& blk = bs_.lpanel(c)[static_cast<std::size_t>(blkidx)];
-          const index_t nc = bs_.snode_size(c);
-          const auto m = static_cast<index_t>(blk.rows.size());
-          // Gather the (non-contiguous) ancestor rows of x used by this
-          // U block into an m x nrhs panel for the GEMM.
-          gbuf.resize(static_cast<std::size_t>(m) *
-                      static_cast<std::size_t>(nrhs));
-          for (index_t j = 0; j < nrhs; ++j)
-            for (index_t k = 0; k < m; ++k)
-              gbuf[static_cast<std::size_t>(k + j * m)] =
-                  p.x[static_cast<std::size_t>(
-                      blk.rows[static_cast<std::size_t>(k)] + j * n)];
-          vbuf.assign(static_cast<std::size_t>(nc) *
-                          static_cast<std::size_t>(nrhs),
-                      0.0);
-          dense::gemm_minus(nc, nrhs, m, ob->data.data(), nc, gbuf.data(), m,
-                            vbuf.data(), nc);
-          world_.add_compute(dense::gemm_flops(nc, nrhs, m),
-                             ComputeKind::Other);
-          world_.send(diag_owner(c), btag(s), vbuf, CommPlane::Z);
-        }
+      // x_s to the owners of U(c, s), on the anchor grids of the c.
+      if (!tree_bcast(plan_.xtree(s), ttag(s), xbuf, len(ns))) continue;
+      if (me_ != plan_.owner(s)) p.scatter(xbuf, f, ns);
+      for (const auto& [c, k] : plan_.out_of(s)) {
+        const SolvePlan::Piece& pc = plan_.bwd_piece(c, k);
+        if (pc.src != me_) continue;
+        OwnedBlock* ob = F_.find_ublock(c, s);
+        SLU3D_CHECK(ob != nullptr, "missing owned U block in 3D solve");
+        const PanelBlock& blk = bs_.lpanel(c)[static_cast<std::size_t>(k)];
+        const index_t nc = bs_.snode_size(c);
+        const auto m = static_cast<index_t>(blk.rows.size());
+        // Gather the (non-contiguous) ancestor rows of x used by this
+        // U block into an m x nrhs panel for the GEMM.
+        gbuf.resize(len(m));
+        for (index_t j = 0; j < nrhs; ++j)
+          for (index_t r = 0; r < m; ++r)
+            gbuf[static_cast<std::size_t>(r + j * m)] =
+                p.x[static_cast<std::size_t>(
+                    blk.rows[static_cast<std::size_t>(r)] + j * n)];
+        vbuf.assign(len(nc), 0.0);
+        dense::gemm_minus(nc, nrhs, m, ob->data.data(), nc, gbuf.data(), m,
+                          vbuf.data(), nc);
+        world_.add_compute(dense::gemm_flops(nc, nrhs, m), ComputeKind::Other);
+        stash(pc, plan_.bwd_sources(c), c, btag(c), vbuf);
       }
     }
+    check_shipped();
+  }
+
+  /// Fills in_ with target t's packs, one per source slot: my own pack
+  /// from packs_, every other one received.
+  void collect(int t, std::span<const SolvePlan::Source> sources, int tag) {
+    in_.resize(sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const int src = sources[i].rank;
+      in_[i] = src == me_ ? std::exchange(packs_[static_cast<std::size_t>(t)], {})
+                          : world_.recv(src, tag, plane_to(src));
+      SLU3D_CHECK(in_[i].size() == len(sources[i].rows),
+                  "contribution pack size");
+    }
+  }
+
+  /// Appends a piece to my pack for target t (whose pack sources are
+  /// `sources`). The pack ships to t's diagonal owner once it holds all
+  /// my pieces for t, unless that owner is me: then it waits in packs_
+  /// for collect().
+  void stash(const SolvePlan::Piece& pc,
+             std::span<const SolvePlan::Source> sources, int t, int tag,
+             std::span<const real_t> piece) {
+    SLU3D_CHECK(pc.src == me_, "solve plan assigns this piece to another rank");
+    auto& pack = packs_[static_cast<std::size_t>(t)];
+    SLU3D_CHECK(pack.size() == len(pc.row), "contribution out of pack order");
+    pack.insert(pack.end(), piece.begin(), piece.end());
+    const int dst = plan_.owner(t);
+    if (dst != me_ &&
+        pack.size() == len(sources[static_cast<std::size_t>(pc.slot)].rows)) {
+      world_.send(dst, tag, pack, plane_to(dst));
+      pack.clear();
+    }
+  }
+
+  /// At the end of a sweep every pack this rank owed has shipped or been
+  /// collected.
+  void check_shipped() const {
+    for (const auto& pack : packs_)
+      SLU3D_CHECK(pack.empty(), "a contribution pack was never shipped");
+  }
+
+  /// Binomial broadcast of `buf` (`n` elements) from members[0] on
+  /// point-to-point messages: receive from the parent (my position with
+  /// its lowest set bit cleared), then send to the children, farthest
+  /// first, as Comm::bcast does. Returns false, touching nothing, when
+  /// this rank is not a member.
+  bool tree_bcast(std::span<const int> members, int tag,
+                  std::vector<real_t>& buf, std::size_t n) {
+    const auto it = std::find(members.begin(), members.end(), me_);
+    if (it == members.end()) return false;
+    const auto pos = static_cast<int>(it - members.begin());
+    const auto size = static_cast<int>(members.size());
+    int mask = 1;
+    if (pos == 0) {
+      while (mask < size) mask <<= 1;
+    } else {
+      while ((pos & mask) == 0) mask <<= 1;
+      const int parent = members[static_cast<std::size_t>(pos - mask)];
+      buf = world_.recv(parent, tag, plane_to(parent));
+      SLU3D_CHECK(buf.size() == n, "solved slice size");
+    }
+    for (mask >>= 1; mask > 0; mask >>= 1)
+      if (pos + mask < size) {
+        const int child = members[static_cast<std::size_t>(pos + mask)];
+        world_.send(child, tag, buf, plane_to(child));
+      }
+    return true;
   }
 
   /// Gives every rank the full solution: each supernode's solved slice
   /// lives on its diagonal owner, and one allgatherv concatenates the
   /// owners' slices in world-rank order.
   void redistribute(const SolvePanel& p) {
-    std::vector<int> own(static_cast<std::size_t>(bs_.n_snodes()));
     std::vector<real_t> packed, slice;
-    for (int s = 0; s < bs_.n_snodes(); ++s) {
-      own[static_cast<std::size_t>(s)] = diag_owner(s);
-      if (own[static_cast<std::size_t>(s)] == world_.rank()) {
+    for (int s = 0; s < bs_.n_snodes(); ++s)
+      if (plan_.owner(s) == me_) {
         p.gather(bs_.first_col(s), bs_.snode_size(s), slice);
         packed.insert(packed.end(), slice.begin(), slice.end());
       }
-    }
-    const std::vector<real_t> all =
-        world_.allgatherv(gtag(), packed, CommPlane::Z);
+    const std::vector<real_t> all = world_.allgatherv(
+        gtag(), packed, plan_.Pz() == 1 ? CommPlane::XY : CommPlane::Z);
     // The stream holds rank 0's slices in ascending s, then rank 1's, ...
-    std::vector<int> order(own.size());
+    std::vector<int> order(static_cast<std::size_t>(bs_.n_snodes()));
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return own[static_cast<std::size_t>(a)] < own[static_cast<std::size_t>(b)];
+      return plan_.owner(a) < plan_.owner(b);
     });
     std::size_t pos = 0;
     for (const int s : order) {
       const auto ns = bs_.snode_size(s);
-      const auto len =
-          static_cast<std::size_t>(ns) * static_cast<std::size_t>(p.nrhs);
-      SLU3D_CHECK(pos + len <= all.size(), "gather underflow");
-      p.scatter(std::span<const real_t>(all).subspan(pos, len),
+      SLU3D_CHECK(pos + len(ns) <= all.size(), "gather underflow");
+      p.scatter(std::span<const real_t>(all).subspan(pos, len(ns)),
                 bs_.first_col(s), ns);
-      pos += len;
+      pos += len(ns);
     }
     SLU3D_CHECK(pos == all.size(), "gather stream not fully consumed");
   }
 
   Dist2dFactors& F_;
   sim::Comm& world_;
-  sim::ProcessGrid3D& g_;
-  const ForestPartition& part_;
+  const SolvePlan& plan_;
   const BlockStructure& bs_;
   Solve3dOptions opt_;
-  SolveSchedule sched_;
-  std::vector<sim::Comm> zgroup_;
+  int me_;
+  std::vector<std::vector<real_t>> packs_;  ///< my pack per target
+  std::vector<std::vector<real_t>> in_;     ///< one target's packs, by slot
 };
 
-}  // namespace
-
 int solve3d_tag_span(const BlockStructure& bs) {
-  // ftag/btag use n_snodes tags each, gtag one more at 3*n_snodes; the
-  // remaining headroom keeps queued solves on a resident grid strictly
-  // disjoint even if the schedule grows another tag class.
+  // Packs into a, packs into c and tree messages use n_snodes tags each,
+  // the allgatherv one more at 3*n_snodes; the remaining headroom keeps
+  // queued solves on a resident grid strictly disjoint even if the
+  // routing grows another tag class.
   return 4 * bs.n_snodes() + 8;
+}
+
+void solve_3d(Dist2dFactors& F, sim::Comm& world, const SolvePlan& plan,
+              std::span<real_t> x, const Solve3dOptions& options) {
+  Solve3dDriver(F, world, plan, options).run(x);
 }
 
 void solve_3d(Dist2dFactors& F, sim::Comm& world, sim::ProcessGrid3D& grid,
               const ForestPartition& part, std::span<real_t> x,
               const Solve3dOptions& options) {
-  Solve3dDriver(F, world, grid, part, options).run(x);
+  solve_3d(F, world, SolvePlan(F.structure(), part, grid.plane().Px(),
+                               grid.plane().Py()),
+           x, options);
 }
 
 }  // namespace slu3d

@@ -71,6 +71,9 @@ struct SolverService::Resident {
   SymbolicState sym;
   std::unique_ptr<CsrMatrix> Ap;  ///< permuted matrix, current values
   std::vector<std::unique_ptr<Dist2dFactors>> per_rank;
+  /// The routing of every solve, built host-side on the first solve and
+  /// shared read-only by the rank threads of every later one.
+  std::unique_ptr<SolvePlan> plan;
   bool factored = false;  ///< per_rank holds valid factors of Ap's values
   std::uint64_t last_used = 0;
 };
@@ -338,6 +341,10 @@ std::vector<SolveReport> SolverService::run_solves(
   // construction, so queued solves on the resident grid cannot collide.
   const int span_per_request =
       solve3d_tag_span(*op.sym.bs) * (1 + opt_.refinement_steps);
+  if (!op.plan)
+    op.plan = std::make_unique<SolvePlan>(*op.sym.bs, *op.sym.part, op.sym.Px,
+                                          op.sym.Py);
+  const SolvePlan& plan = *op.plan;
 
   // Permute each request's rhs panel once on the host (replicated input).
   std::vector<std::vector<real_t>> pb(k);
@@ -363,7 +370,6 @@ std::vector<SolveReport> SolverService::run_solves(
   std::vector<std::vector<real_t>> xperm(k);  // solved panels, permuted space
 
   sim::run_ranks(P, opt_.platform, [&](sim::Comm& world) {
-    auto grid = sim::ProcessGrid3D::create(world, op.sym.Px, op.sym.Py, op.sym.Pz);
     Dist2dFactors& F = *op.per_rank[static_cast<std::size_t>(world.rank())];
     for (std::size_t i = 0; i < k; ++i) {
       const index_t nrhs = requests[i].nrhs;
@@ -372,7 +378,7 @@ std::vector<SolveReport> SolverService::run_solves(
       Solve3dOptions sopt;
       sopt.nrhs = nrhs;
       sopt.tag_base = opt_.solve_tag_base + static_cast<int>(i) * span_per_request;
-      solve_3d(F, world, grid, *op.sym.part, xr, sopt);
+      solve_3d(F, world, plan, xr, sopt);
       for (int it = 0; it < opt_.refinement_steps; ++it) {
         // Residual of the permuted system, column by column; the
         // correction panel re-solves in one batched sweep.
@@ -384,7 +390,7 @@ std::vector<SolveReport> SolverService::run_solves(
         }
         for (std::size_t q = 0; q < dx.size(); ++q) dx[q] = pb[i][q] - dx[q];
         sopt.tag_base += solve3d_tag_span(*op.sym.bs);
-        solve_3d(F, world, grid, *op.sym.part, dx, sopt);
+        solve_3d(F, world, plan, dx, sopt);
         for (std::size_t q = 0; q < xr.size(); ++q) xr[q] += dx[q];
       }
       after[i][static_cast<std::size_t>(world.rank())] = world.stats();

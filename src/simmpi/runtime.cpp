@@ -499,6 +499,7 @@ std::vector<real_t> recv_charged(detail::Context* ctx, std::uint64_t comm_id,
 void Comm::send(int dst, int tag, std::span<const real_t> payload,
                 CommPlane plane) {
   SLU3D_CHECK(dst >= 0 && dst < size(), "send: bad destination rank");
+  SLU3D_CHECK(dst != rank_, "send: a rank may not message itself");
   send_charged(ctx_, comm_id_, world_rank(),
                members_[static_cast<std::size_t>(dst)],
                detail::full_tag(Op::P2P, tag),
@@ -515,6 +516,7 @@ std::vector<real_t> Comm::recv(int src, int tag, CommPlane plane) {
 Request Comm::isend(int dst, int tag, std::span<const real_t> payload,
                     CommPlane plane) {
   SLU3D_CHECK(dst >= 0 && dst < size(), "isend: bad destination rank");
+  SLU3D_CHECK(dst != rank_, "isend: a rank may not message itself");
   const std::int64_t ft = detail::full_tag(Op::P2P, tag);
   const int me = world_rank();
   const int dst_world = members_[static_cast<std::size_t>(dst)];

@@ -92,7 +92,10 @@ class Comm {
   /// are ranks within this communicator. Matching is FIFO per
   /// (communicator, src, tag); blocking and non-blocking operations on the
   /// same (communicator, src, tag) share one matching queue, ordered by
-  /// call (post) order exactly as MPI orders them.
+  /// call (post) order exactly as MPI orders them. A rank never messages
+  /// itself: data it already holds is not a transfer, and the charge path
+  /// would bill it alpha + beta*bytes like one, so send and isend throw
+  /// slu3d::Error when `dst` is the calling rank.
   void send(int dst, int tag, std::span<const real_t> payload, CommPlane plane);
   std::vector<real_t> recv(int src, int tag, CommPlane plane);
 

@@ -58,6 +58,24 @@ TEST(Runtime, MessagesMatchFifoPerTag) {
   });
 }
 
+TEST(Runtime, SelfSendIsRejected) {
+  // Data a rank already holds is not a transfer: a message to oneself is
+  // a checked error, blocking or not, so no caller pays alpha for it.
+  EXPECT_THROW(run_ranks(2, kModel,
+                         [](Comm& world) {
+                           world.send(world.rank(), 1, std::vector<real_t>{1},
+                                      CommPlane::XY);
+                         }),
+               Error);
+  EXPECT_THROW(run_ranks(2, kModel,
+                         [](Comm& world) {
+                           (void)world.isend(world.rank(), 1,
+                                             std::vector<real_t>{1},
+                                             CommPlane::Z);
+                         }),
+               Error);
+}
+
 TEST(Runtime, PlanesAreAccountedSeparately) {
   const auto result = run_ranks(2, kModel, [](Comm& world) {
     if (world.rank() == 0) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 
 #include "lu3d/solve3d.hpp"
 #include "numeric/seq_lu.hpp"
@@ -194,6 +195,135 @@ TEST(Solve3d, BatchedMessageCountIndependentOfNrhs) {
   const offset_t sixteen = solve_messages(16);
   EXPECT_GT(one, 0);
   EXPECT_EQ(one, sixteen);
+}
+
+/// One rank's side of a solve: its solution panel and its stats around
+/// the solve call.
+struct RankSolve {
+  std::vector<real_t> x;
+  sim::RankStats before, after;
+};
+
+/// A matrix ordered by nested dissection, with its block structure.
+struct Ordered {
+  CsrMatrix Ap;  ///< the permuted matrix
+  BlockStructure bs;
+};
+
+Ordered order_nd(const CsrMatrix& A, const NdOptions& nd) {
+  const SeparatorTree tree = nested_dissection(A, nd);
+  return {A.permuted_symmetric(tree.perm()), BlockStructure(A, tree)};
+}
+
+/// Factors `o` on a Px x Py x part.Pz() grid, then solves a seeded
+/// n x nrhs panel, routed by `plan` when it is given and by a plan built
+/// on the call otherwise.
+std::vector<RankSolve> solve_per_rank(const Ordered& o,
+                                      const ForestPartition& part, int Px,
+                                      int Py, index_t nrhs,
+                                      const SolvePlan* plan) {
+  const BlockStructure& bs = o.bs;
+  const CsrMatrix& Ap = o.Ap;
+  Rng rng(57);
+  std::vector<real_t> B(static_cast<std::size_t>(bs.n()) *
+                        static_cast<std::size_t>(nrhs));
+  for (auto& v : B) v = rng.uniform(-1, 1);
+  const int P = Px * Py * part.Pz();
+  std::vector<RankSolve> out(static_cast<std::size_t>(P));
+  run_ranks(P, kModel, [&](sim::Comm& world) {
+    auto grid = ProcessGrid3D::create(world, Px, Py, part.Pz());
+    Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
+    factorize_3d(F, grid, part, {});
+    RankSolve& me = out[static_cast<std::size_t>(world.rank())];
+    me.x = B;
+    Solve3dOptions opt;
+    opt.nrhs = nrhs;
+    me.before = world.stats();
+    if (plan != nullptr)
+      solve_3d(F, world, *plan, me.x, opt);
+    else
+      solve_3d(F, world, grid, part, me.x, opt);
+    me.after = world.stats();
+  });
+  return out;
+}
+
+/// Messages sent on `plane` by all ranks during the solve.
+offset_t solve_messages(const std::vector<RankSolve>& ranks,
+                        sim::CommPlane plane) {
+  const auto pl = static_cast<std::size_t>(plane);
+  offset_t total = 0;
+  for (const RankSolve& r : ranks)
+    total += r.after.messages_sent[pl] - r.before.messages_sent[pl];
+  return total;
+}
+
+TEST(Solve3d, SingleRankSolveSendsNothing) {
+  // A rank's contributions to its own diagonal blocks are added in place,
+  // so one rank solves without a single message and its clock advances
+  // by exactly its compute.
+  const Ordered o =
+      order_nd(grid2d_laplacian({32, 32, 1}, Stencil2D::FivePoint), {});
+  const ForestPartition part(o.bs, 1);
+  for (const index_t nrhs : {1, 16}) {
+    const auto ranks = solve_per_rank(o, part, 1, 1, nrhs, nullptr);
+    const RankSolve& r = ranks.front();
+    EXPECT_EQ(solve_messages(ranks, sim::CommPlane::XY), 0) << "nrhs " << nrhs;
+    EXPECT_EQ(solve_messages(ranks, sim::CommPlane::Z), 0) << "nrhs " << nrhs;
+    const auto other = static_cast<std::size_t>(sim::ComputeKind::Other);
+    EXPECT_GT(r.after.compute_seconds[other], r.before.compute_seconds[other]);
+    // Equal up to the rounding of the two running sums; one message would
+    // add alpha.
+    EXPECT_NEAR(r.after.clock - r.before.clock,
+                r.after.compute_seconds[other] - r.before.compute_seconds[other],
+                1e-12 * r.after.clock)
+        << "nrhs " << nrhs;
+  }
+}
+
+TEST(Solve3d, SingleGridSolveSendsNoZTraffic) {
+  // Z labels messages between grids; with one grid there are none.
+  const Ordered o =
+      order_nd(grid2d_laplacian({32, 32, 1}, Stencil2D::FivePoint), {});
+  const ForestPartition part(o.bs, 1);
+  for (const auto& [Px, Py] : {std::pair{4, 4}, std::pair{2, 3}}) {
+    const auto ranks = solve_per_rank(o, part, Px, Py, 1, nullptr);
+    EXPECT_GT(solve_messages(ranks, sim::CommPlane::XY), 0)
+        << Px << "x" << Py;
+    EXPECT_EQ(solve_messages(ranks, sim::CommPlane::Z), 0) << Px << "x" << Py;
+  }
+}
+
+TEST(Solve3d, SharedPlanMatchesPerCallPlan) {
+  // The service's shared plan and the plan solve_3d builds per call route
+  // identically: same panels, clocks, bytes and messages on every rank.
+  const Ordered o = order_nd(
+      grid2d_laplacian({21, 18, 1}, Stencil2D::FivePoint), {.leaf_size = 8});
+  const int Px = 2, Py = 2, Pz = 4;
+  const ForestPartition part(o.bs, Pz);
+  const SolvePlan plan(o.bs, part, Px, Py);
+  const auto shared = solve_per_rank(o, part, Px, Py, 3, &plan);
+  const auto per_call = solve_per_rank(o, part, Px, Py, 3, nullptr);
+  ASSERT_EQ(shared.size(), per_call.size());
+  for (std::size_t r = 0; r < shared.size(); ++r) {
+    const RankSolve &u = shared[r], &v = per_call[r];
+    EXPECT_EQ(u.x, v.x) << "rank " << r;
+    EXPECT_EQ(u.after.clock - u.before.clock, v.after.clock - v.before.clock)
+        << "rank " << r;
+    for (std::size_t pl = 0; pl < static_cast<std::size_t>(sim::kNumPlanes);
+         ++pl) {
+      EXPECT_EQ(u.after.bytes_sent[pl] - u.before.bytes_sent[pl],
+                v.after.bytes_sent[pl] - v.before.bytes_sent[pl])
+          << "rank " << r << " plane " << pl;
+      EXPECT_EQ(u.after.bytes_received[pl] - u.before.bytes_received[pl],
+                v.after.bytes_received[pl] - v.before.bytes_received[pl])
+          << "rank " << r << " plane " << pl;
+      EXPECT_EQ(u.after.messages_sent[pl] - u.before.messages_sent[pl],
+                v.after.messages_sent[pl] - v.before.messages_sent[pl])
+          << "rank " << r << " plane " << pl;
+    }
+  }
+  EXPECT_GT(solve_messages(shared, sim::CommPlane::Z), 0);
 }
 
 TEST(MultiRhsSolve, MatchesSingleRhsSolves) {

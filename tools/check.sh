@@ -32,7 +32,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #     allgatherv every solve and analysis ends with;
 #   DistAnalysis: the in-sim analysis against its host oracle;
 #   SolveSchedulePin, SolveScheduleFuzz: bitwise solution pins and a fuzz
-#     of the critical-path solve order's matching rule;
+#     of the solve's routing over unbalanced trees at every z-depth;
 #   SolverFleet: the sharded front end (coalesced batch dispatch,
 #     cache-warm migration).
 REQUIRED_SUITES=(CommEquivalence GoldenCommCounters
