@@ -125,9 +125,9 @@ inline std::uint64_t bench_seed(int argc, char** argv,
 
 /// Fleet load-generator knobs: `--shards N` pins one shard count (0 keeps
 /// the default {1, 2, 4, 8} sweep), `--coalesce-window W` sets the batch
-/// window in units of the probe request service time (simulated seconds
-/// vary with the machine model, service times don't lie about ratios), and
-/// `--queue-depth N` bounds each shard's admission queue.
+/// window in units of the reference request service time (simulated
+/// seconds vary with the machine model, service times don't lie about
+/// ratios), and `--queue-depth N` bounds each shard's admission queue.
 struct FleetFlags {
   int shards = 0;
   double window_mult = 1.0;

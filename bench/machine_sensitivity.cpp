@@ -13,30 +13,6 @@
 
 #include "bench_common.hpp"
 
-namespace {
-
-struct PlatformRun {
-  double time = 0;
-  double link_queue = 0;  ///< total seconds transfers queued behind links
-};
-
-PlatformRun run_with(const slu3d::BlockStructure& bs,
-                     const slu3d::CsrMatrix& Ap, int Px, int Py, int Pz,
-                     const slu3d::sim::Platform& platform) {
-  using namespace slu3d;
-  const ForestPartition part(bs, Pz);
-  const int P = Px * Py * Pz;
-  const sim::RunResult res =
-      sim::run_ranks(P, platform, [&](sim::Comm& world) {
-        auto grid = sim::ProcessGrid3D::create(world, Px, Py, Pz);
-        Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
-        factorize_3d(F, grid, part, {});
-      });
-  return {res.max_clock(), res.total_link_queue_seconds()};
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace slu3d;
   const auto& base = bench::bench_platform(argc, argv);
@@ -48,6 +24,11 @@ int main(int argc, char** argv) {
   const SeparatorTree tree = bench::order_matrix(t);
   const BlockStructure bs(t.A, tree);
   const CsrMatrix Ap = t.A.permuted_symmetric(tree.perm());
+  const auto run = [&](int Px, int Py, int Pz, const sim::Platform& platform) {
+    return bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8, PartitionStrategy::Greedy,
+                              ZRedPacking::Dense, PanelPacking::Dense,
+                              &platform);
+  };
 
   std::cout << "Platform sensitivity: 3D (2x2x16) vs 2D (8x8) at P=64, planar "
             << side << "x" << side
@@ -57,12 +38,12 @@ int main(int argc, char** argv) {
                     "Tqueue_2d(s)", "Tqueue_3d(s)"});
   for (const char* name : {"edison", "fattree-2to1", "torus"}) {
     const sim::Platform platform = sim::Platform::preset(name);
-    const PlatformRun r2d = run_with(bs, Ap, 8, 8, 1, platform);
-    const PlatformRun r3d = run_with(bs, Ap, 2, 2, 16, platform);
+    const bench::DistMetrics r2d = run(8, 8, 1, platform);
+    const bench::DistMetrics r3d = run(2, 2, 16, platform);
     ptable.add_row({name, TextTable::sci(r2d.time), TextTable::sci(r3d.time),
                     TextTable::num(r2d.time / r3d.time, 2) + "x",
-                    TextTable::sci(r2d.link_queue),
-                    TextTable::sci(r3d.link_queue)});
+                    TextTable::sci(r2d.link_queue_s),
+                    TextTable::sci(r3d.link_queue_s)});
   }
   ptable.print(std::cout);
 
@@ -73,8 +54,8 @@ int main(int argc, char** argv) {
       m.alpha *= ax;
       m.beta *= bx;
       const sim::Platform flat = sim::Platform::flat(m);
-      const double t2d = run_with(bs, Ap, 8, 8, 1, flat).time;
-      const double t3d = run_with(bs, Ap, 2, 2, 16, flat).time;
+      const double t2d = run(8, 8, 1, flat).time;
+      const double t3d = run(2, 2, 16, flat).time;
       table.add_row({TextTable::num(ax, 1), TextTable::num(bx, 1),
                      TextTable::sci(t2d), TextTable::sci(t3d),
                      TextTable::num(t2d / t3d, 2) + "x"});

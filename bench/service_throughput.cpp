@@ -2,12 +2,14 @@
 // of Poisson-scheduled mixed traffic (six patterns with a skewed
 // popularity mix, values-version bumps, panel widths 1/4/16, eight
 // tenants) replayed bit-identically against shard counts {1, 2, 4, 8}.
-// The arrival rate is calibrated to 3x one shard's hot-request capacity,
-// so the single-shard run saturates its admission queue and sheds while
-// the wider fleets absorb the same trace.
+// The arrival rate is fixed per SLU3D_SCALE at 3x one shard's capacity at
+// a frozen reference service time, so no flag moves the offered load: the
+// single-shard run saturates its admission queue and sheds while the
+// wider fleets absorb the same trace.
 //
 //   --shards N            pin one shard count (default: sweep 1, 2, 4, 8)
-//   --coalesce-window W   batch window, in probe service times (default 1)
+//   --coalesce-window W   batch window, in reference service times
+//                         (default 1)
 //   --queue-depth N       per-shard admission bound (default 16)
 //   --seed N              traffic trace seed (default 2026)
 //   --panel-packing / --zred-packing   wire formats the shards factor with
@@ -146,13 +148,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const bench::FleetTrace trace = bench::make_fleet_trace(so, scale, seed);
+  const bench::FleetTrace trace = bench::make_fleet_trace(scale, seed);
 
   std::cout << "=== SolverFleet open-loop traffic (seed " << seed << ", "
             << trace.items.size() << " requests, " << trace.patterns
             << " patterns, 8 tenants) ===\n";
   TextTable setup({"metric", "value"});
-  setup.add_row({"probe service time (sim s)",
+  setup.add_row({"reference service time (sim s)",
                  TextTable::num(trace.probe_seconds, 6)});
   setup.add_row({"arrival rate (req/sim s)", TextTable::num(trace.rate, 1)});
   setup.add_row({"coalesce window (sim s)",

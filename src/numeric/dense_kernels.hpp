@@ -6,8 +6,7 @@
 // MR x NR register-tiled micro-kernel under KC/MC/NC cache blocking with
 // explicit packing of A and B into contiguous aligned buffers (see
 // DESIGN.md, "Dense kernel substrate"). The historical triple-loop
-// kernels are preserved under dense::ref as the oracle for the tests and
-// the kernel sweeps.
+// kernels are preserved under dense::ref as the oracle for the tests.
 #pragma once
 
 #include "support/types.hpp"
@@ -90,8 +89,8 @@ void reset_flops_performed();
 
 // ---- reference kernels --------------------------------------------------
 // The original unblocked triple-loop implementations, kept verbatim as the
-// oracle for the blocked substrate's tests and the kernel sweeps. No
-// production path calls them. They do not touch the flop counter.
+// oracle for the blocked substrate's tests. No production path calls
+// them. They do not touch the flop counter.
 namespace ref {
 
 void getrf_nopiv(index_t n, real_t* a, index_t lda, real_t tiny = 1e-300);

@@ -1,6 +1,6 @@
 // Reference (pre-substrate) dense kernels: the original unblocked
 // triple-loop implementations, kept as the oracle for the blocked
-// substrate's tests and the kernel sweeps. No production path calls them.
+// substrate's tests. No production path calls them.
 #include <cmath>
 
 #include "numeric/dense_kernels.hpp"

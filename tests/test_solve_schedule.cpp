@@ -215,10 +215,10 @@ real_t relative_residual(const CsrMatrix& A, const SeparatorTree& tree,
 class SolveScheduleFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolveScheduleFuzz, EveryRankAgreesAndResidualIsSmall) {
-  // Backward contributions from one rank to one diagonal owner share a
-  // (source, tag) pair across descendants in different subtrees; they only
-  // match if sent in the receiver's schedule order. Random unbalanced
-  // trees with empty separators, under every z-depth, exercise that rule.
+  // Random unbalanced trees with empty separators, under every z-depth,
+  // drive the solve's contribution packs (one per source and target per
+  // sweep) and its slice broadcast trees through shapes the grid
+  // generators never produce.
   const int seed = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 4391 + 17);
   const index_t n = 40 + rng.next_index(80);

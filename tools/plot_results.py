@@ -138,7 +138,7 @@ def main():
     fig9(read_csv(results / "fig9_normalized_time.csv"), out)
     fig10(read_csv(results / "fig10_comm_volume.csv"), out)
     fig11(read_csv(results / "fig11_memory.csv"), out)
-    fig12(read_csv(results / "fig12_heatmap.csv"), out)
+    fig12(read_csv(results / "fig12_edison.csv"), out)
     print(f"figures written to {out}")
 
 
