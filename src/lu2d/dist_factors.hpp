@@ -37,9 +37,6 @@ class Dist2dFactors {
 
   const BlockStructure& structure() const { return *bs_; }
 
-  int owner_of(int block_row, int block_col) const {
-    return (block_row % Px_) * Py_ + (block_col % Py_);
-  }
   bool owns(int block_row, int block_col) const {
     return block_row % Px_ == px_ && block_col % Py_ == py_;
   }

@@ -239,8 +239,11 @@ std::optional<SupernodalMatrix> gather_3d_to_root(const Dist2dFactors& F,
     return std::nullopt;
   }
 
+  const sim::GridLayout layout{Px, Py, grid.Pz()};
   SupernodalMatrix full(bs);
-  auto unpack_rank = [&](int spz, int spx, int spy, std::span<const real_t> buf) {
+  auto unpack_rank = [&](int src, std::span<const real_t> buf) {
+    const int spz = layout.pz_of(src), spx = layout.px_of(src),
+              spy = layout.py_of(src);
     std::size_t pos = 0;
     auto rank_owns = [&](int bi, int bj) {
       return bi % Px == spx && bj % Py == spy;
@@ -286,12 +289,9 @@ std::optional<SupernodalMatrix> gather_3d_to_root(const Dist2dFactors& F,
     SLU3D_CHECK(pos == buf.size(), "gather stream not fully consumed");
   };
 
-  unpack_rank(grid.pz(), plane.px(), plane.py(), mine);
-  const int pxy = Px * Py;
-  for (int r = 1; r < world.size(); ++r) {
-    const auto buf = world.recv(r, kGatherTag, CommPlane::Z);
-    unpack_rank(r / pxy, (r % pxy) / Py, (r % pxy) % Py, buf);
-  }
+  unpack_rank(0, mine);
+  for (int r = 1; r < world.size(); ++r)
+    unpack_rank(r, world.recv(r, kGatherTag, CommPlane::Z));
   return full;
 }
 

@@ -12,14 +12,11 @@ namespace slu3d {
 
 SolvePlan::SolvePlan(const BlockStructure& bs, const ForestPartition& part,
                      int Px, int Py)
-    : bs_(&bs), Px_(Px), Py_(Py), Pz_(part.Pz()) {
+    : bs_(&bs), layout_{Px, Py, part.Pz()} {
   SLU3D_CHECK(Px >= 1 && Py >= 1, "solve plan needs a positive grid shape");
   const int nsn = bs.n_snodes();
   const auto nsz = static_cast<std::size_t>(nsn);
   const auto ix = [](int i) { return static_cast<std::size_t>(i); };
-  const auto world_of = [&](int pz, int px, int py) {
-    return pz * Px * Py + px * Py + py;
-  };
 
   // The schedule. Parents have larger ids than their children, so one
   // ascending pass settles every height and one descending pass every
@@ -51,7 +48,7 @@ SolvePlan::SolvePlan(const BlockStructure& bs, const ForestPartition& part,
   entry_base_.resize(nsz + 1, 0);
   into_.resize(nsz);
   for (int c = 0; c < nsn; ++c) {
-    owner_[ix(c)] = world_of(part.anchor_of(c), c % Px, c % Py);
+    owner_[ix(c)] = layout_.rank_of(c % Px, c % Py, part.anchor_of(c));
     const auto panel = bs.lpanel(c);
     entry_base_[ix(c) + 1] = entry_base_[ix(c)] + static_cast<int>(panel.size());
     for (int k = 0; k < static_cast<int>(panel.size()); ++k) {
@@ -74,7 +71,7 @@ SolvePlan::SolvePlan(const BlockStructure& bs, const ForestPartition& part,
   // compute them; each source's pieces go back to back into its pack.
   // `slot_of` maps a world rank to its slot for the current target (-1:
   // none yet).
-  std::vector<int> slot_of(ix(Px * Py * Pz_), -1);
+  std::vector<int> slot_of(ix(Px * Py * layout_.Pz), -1);
   const auto lay_out = [&](const std::vector<std::pair<PanelRef, int>>& refs,
                            std::vector<Piece>& pieces,
                            std::vector<Source>& sources, const auto& rows_of) {
@@ -101,8 +98,8 @@ SolvePlan::SolvePlan(const BlockStructure& bs, const ForestPartition& part,
     // which computes it when it visits c.
     refs.clear();
     for (const PanelRef& r : into_[ix(t)])
-      refs.push_back({r, world_of(part.anchor_of(r.first), t % Px,
-                                  r.first % Py)});
+      refs.push_back({r, layout_.rank_of(t % Px, r.first % Py,
+                                         part.anchor_of(r.first))});
     std::stable_sort(refs.begin(), refs.end(), [&](const auto& u, const auto& v) {
       return fpos[ix(u.first.first)] < fpos[ix(v.first.first)];
     });
@@ -115,8 +112,8 @@ SolvePlan::SolvePlan(const BlockStructure& bs, const ForestPartition& part,
     refs.clear();
     const auto panel = bs.lpanel(t);
     for (int k = 0; k < static_cast<int>(panel.size()); ++k)
-      refs.push_back({{t, k}, world_of(part.anchor_of(t), t % Px,
-                                       panel[ix(k)].snode % Py)});
+      refs.push_back({{t, k}, layout_.rank_of(t % Px, panel[ix(k)].snode % Py,
+                                              part.anchor_of(t))});
     std::stable_sort(refs.begin(), refs.end(), [&](const auto& u, const auto& v) {
       return bpos[ix(panel[ix(u.first.second)].snode)] <
              bpos[ix(panel[ix(v.first.second)].snode)];
@@ -139,10 +136,11 @@ SolvePlan::SolvePlan(const BlockStructure& bs, const ForestPartition& part,
   for (int s = 0; s < nsn; ++s) {
     for (const PanelBlock& blk : bs.lpanel(s))
       ytree_[ix(s)].push_back(
-          world_of(part.anchor_of(s), blk.snode % Px, s % Py));
+          layout_.rank_of(blk.snode % Px, s % Py, part.anchor_of(s)));
     root_first(s, ytree_[ix(s)]);
     for (const auto& [c, k] : into_[ix(s)])
-      xtree_[ix(s)].push_back(world_of(part.anchor_of(c), c % Px, s % Py));
+      xtree_[ix(s)].push_back(
+          layout_.rank_of(c % Px, s % Py, part.anchor_of(c)));
     root_first(s, xtree_[ix(s)]);
   }
 }

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "lu3d/factor3d.hpp"
+#include "simmpi/process_grid.hpp"
 
 namespace slu3d {
 
@@ -105,13 +106,13 @@ class SolvePlan {
   };
 
   const BlockStructure& structure() const { return *bs_; }
-  int Px() const { return Px_; }
-  int Py() const { return Py_; }
-  int Pz() const { return Pz_; }
+  int Px() const { return layout_.Px; }
+  int Py() const { return layout_.Py; }
+  int Pz() const { return layout_.Pz; }
   /// World rank of the diagonal block of supernode s.
   int owner(int s) const { return at(owner_, s); }
   /// Grid (pz) of world rank r.
-  int grid_of(int r) const { return r / (Px_ * Py_); }
+  int grid_of(int r) const { return layout_.pz_of(r); }
 
   /// Forward visiting order: ascending ND height, then id.
   std::span<const int> forward() const { return forward_; }
@@ -146,7 +147,7 @@ class SolvePlan {
   int entry(int c, int k) const { return at(entry_base_, c) + k; }
 
   const BlockStructure* bs_;
-  int Px_, Py_, Pz_;
+  sim::GridLayout layout_;
   std::vector<int> owner_;
   std::vector<int> forward_, backward_;
   std::vector<std::vector<PanelRef>> into_, out_of_;

@@ -1,5 +1,7 @@
 #include "order/parallel_nd.hpp"
 
+#include <numeric>
+
 #include "support/check.hpp"
 
 namespace slu3d {
@@ -207,7 +209,11 @@ SubTree dissect_group(const CsrMatrix& A, sim::Comm& comm,
   // Halve the communicator: lower ranks take side A, upper ranks side B.
   const int half = comm.size() / 2;
   const bool lower = comm.rank() < half;
-  sim::Comm sub = comm.split(lower ? 0 : 1, comm.rank());
+  const int first = lower ? 0 : half;
+  const int last = lower ? half : comm.size();
+  std::vector<int> side(static_cast<std::size_t>(last - first));
+  std::iota(side.begin(), side.end(), first);
+  sim::Comm sub = comm.sub(std::move(side));
   SubTree mine = dissect_group(A, sub, lower ? va : vb, opts, depth + 1);
 
   // Merge on the group leader: the upper half's leader ships its subtree.

@@ -1,24 +1,42 @@
 // 2D and 3D logical process grids over a Comm, mirroring SuperLU_DIST's
 // layout: a 2D grid of Px x Py ranks with per-row and per-column
 // sub-communicators, and the paper's 3D grid = Pz stacked 2D grids with a
-// z-axis sub-communicator for ancestor reduction.
+// z-axis sub-communicator for ancestor reduction. Every rank lists each of
+// its communicators' members from the GridLayout arithmetic alone, so
+// building a grid exchanges no message.
 #pragma once
+
+#include <vector>
 
 #include "simmpi/runtime.hpp"
 #include "support/check.hpp"
 
 namespace slu3d::sim {
 
+/// The rank layout of a Px x Py x Pz grid: Pz stacked Px x Py planes, each
+/// row-major, so world rank = (pz*Px + px)*Py + py. A 2D grid is the
+/// Pz = 1 case.
+struct GridLayout {
+  int Px = 1, Py = 1, Pz = 1;
+
+  int rank_of(int px, int py, int pz) const { return (pz * Px + px) * Py + py; }
+  int px_of(int rank) const { return rank / Py % Px; }
+  int py_of(int rank) const { return rank % Py; }
+  int pz_of(int rank) const { return rank / (Px * Py); }
+};
+
 class ProcessGrid2D {
  public:
   static ProcessGrid2D create(Comm& comm, int Px, int Py) {
     SLU3D_CHECK(comm.size() == Px * Py, "comm size must equal Px*Py");
-    const int px = comm.rank() / Py;
-    const int py = comm.rank() % Py;
-    Comm row = comm.split(/*color=*/px, /*key=*/py);
-    Comm col = comm.split(/*color=*/py, /*key=*/px);
-    SLU3D_CHECK(row.size() == Py && col.size() == Px, "grid split failed");
-    return ProcessGrid2D(comm, std::move(row), std::move(col), Px, Py, px, py);
+    const GridLayout L{Px, Py, 1};
+    const int px = L.px_of(comm.rank());
+    const int py = L.py_of(comm.rank());
+    std::vector<int> row, col;
+    for (int j = 0; j < Py; ++j) row.push_back(L.rank_of(px, j, 0));
+    for (int i = 0; i < Px; ++i) col.push_back(L.rank_of(i, py, 0));
+    return ProcessGrid2D(comm, comm.sub(std::move(row)),
+                         comm.sub(std::move(col)), Px, Py, px, py);
   }
 
   /// All Px*Py ranks; rank = px*Py + py (row-major).
@@ -35,10 +53,10 @@ class ProcessGrid2D {
 
   /// Owner (as a grid rank) of supernodal block (i, j) under the 2D
   /// block-cyclic distribution.
-  int owner(int i, int j) const { return (i % Px_) * Py_ + (j % Py_); }
+  int owner(int i, int j) const {
+    return GridLayout{Px_, Py_, 1}.rank_of(i % Px_, j % Py_, 0);
+  }
   bool owns(int i, int j) const { return owner(i, j) == grid_.rank(); }
-  int owner_prow(int i) const { return i % Px_; }  ///< process-row of block row i
-  int owner_pcol(int j) const { return j % Py_; }  ///< process-col of block col j
 
  private:
   ProcessGrid2D(Comm grid, Comm row, Comm col, int Px, int Py, int px, int py)
@@ -55,13 +73,17 @@ class ProcessGrid3D {
  public:
   static ProcessGrid3D create(Comm& world, int Px, int Py, int Pz) {
     SLU3D_CHECK(world.size() == Px * Py * Pz, "world size must equal Px*Py*Pz");
-    const int pxy = Px * Py;
-    const int pz = world.rank() / pxy;
-    Comm plane_comm = world.split(/*color=*/pz, /*key=*/world.rank() % pxy);
-    ProcessGrid2D plane = ProcessGrid2D::create(plane_comm, Px, Py);
-    Comm zline = world.split(/*color=*/world.rank() % pxy, /*key=*/pz);
-    SLU3D_CHECK(zline.size() == Pz, "z split failed");
-    return ProcessGrid3D(std::move(plane), std::move(zline), Pz, pz);
+    const GridLayout L{Px, Py, Pz};
+    const int px = L.px_of(world.rank());
+    const int py = L.py_of(world.rank());
+    const int pz = L.pz_of(world.rank());
+    std::vector<int> plane, zline;
+    for (int i = 0; i < Px; ++i)
+      for (int j = 0; j < Py; ++j) plane.push_back(L.rank_of(i, j, pz));
+    for (int k = 0; k < Pz; ++k) zline.push_back(L.rank_of(px, py, k));
+    Comm plane_comm = world.sub(std::move(plane));
+    return ProcessGrid3D(ProcessGrid2D::create(plane_comm, Px, Py),
+                         world.sub(std::move(zline)), Pz, pz);
   }
 
   /// My 2D grid (all ranks with my pz).

@@ -27,7 +27,7 @@ std::uint64_t mix64(std::uint64_t z) {
 // user tag. User tags span the full non-negative int range: a sharded
 // fleet hands each service a disjoint 2^24-wide base, so the matching key
 // is 64-bit internally.
-enum class Op : int { P2P = 0, Coll = 1, Setup = 2, Rma = 3 };
+enum class Op : int { P2P = 0, Coll = 1, Rma = 2 };
 std::int64_t full_tag(Op op, int tag) {
   SLU3D_CHECK(tag >= 0, "tag out of range");
   return (static_cast<std::int64_t>(op) << 32) |
@@ -367,10 +367,7 @@ struct RequestState {
 namespace {
 
 using detail::Op;
-
-offset_t payload_bytes(std::size_t n_reals) {
-  return static_cast<offset_t>(n_reals * sizeof(real_t));
-}
+using detail::payload_bytes;
 
 }  // namespace
 
@@ -439,7 +436,8 @@ void Comm::add_compute(offset_t flops, ComputeKind kind) {
 
 namespace {
 
-/// Uncharged internal send/recv used by split(); charged ones below.
+/// Uncharged internal send/recv used by win_create's handshake; charged
+/// ones below.
 struct Wire {
   detail::Context* ctx;
   std::uint64_t comm_id;
@@ -755,61 +753,24 @@ void Comm::barrier(int tag, CommPlane plane) {
   bcast(0, tag, empty, plane);
 }
 
-Comm Comm::split(int color, int key) const {
-  // Exchange (color, key) via zero-cost setup messages: gather to member 0,
-  // broadcast the full table, then each rank filters its own group.
-  const Wire wire{ctx_, comm_id_};
-  const std::int64_t setup_tag = detail::full_tag(Op::Setup, 0);
-  const int p = size();
-  std::vector<real_t> table;  // triples (old_rank, color, key)
-  if (rank_ == 0) {
-    table.reserve(static_cast<std::size_t>(p) * 3);
-    table.insert(table.end(), {0.0, static_cast<real_t>(color), static_cast<real_t>(key)});
-    // Receive in rank order for determinism.
-    std::vector<std::vector<real_t>> rows(static_cast<std::size_t>(p));
-    for (int r = 1; r < p; ++r)
-      rows[static_cast<std::size_t>(r)] = wire.recv_free(
-          world_rank(), members_[static_cast<std::size_t>(r)], setup_tag);
-    for (int r = 1; r < p; ++r) {
-      table.push_back(static_cast<real_t>(r));
-      table.push_back(rows[static_cast<std::size_t>(r)][0]);
-      table.push_back(rows[static_cast<std::size_t>(r)][1]);
-    }
-    for (int r = 1; r < p; ++r)
-      wire.send_free(world_rank(), members_[static_cast<std::size_t>(r)],
-                     setup_tag + 1, table);
-  } else {
-    wire.send_free(world_rank(), members_[0], setup_tag,
-                   {static_cast<real_t>(color), static_cast<real_t>(key)});
-    table = wire.recv_free(world_rank(), members_[0], setup_tag + 1);
-  }
-
-  struct Row {
-    int old_rank;
-    int color;
-    int key;
-  };
-  std::vector<Row> rows;
-  for (std::size_t i = 0; i + 2 < table.size(); i += 3)
-    rows.push_back({static_cast<int>(table[i]), static_cast<int>(table[i + 1]),
-                    static_cast<int>(table[i + 2])});
-  std::vector<Row> mine;
-  for (const Row& r : rows)
-    if (r.color == color) mine.push_back(r);
-  std::stable_sort(mine.begin(), mine.end(), [](const Row& a, const Row& b) {
-    return a.key != b.key ? a.key < b.key : a.old_rank < b.old_rank;
-  });
-  std::vector<int> new_members;
+Comm Comm::sub(std::vector<int> ranks) const {
+  // Every member derives the id alone: the parent's id mixed with the
+  // members' world ranks in new-rank order.
+  std::uint64_t id =
+      detail::mix64(comm_id_ * std::uint64_t{0x9e3779b97f4a7c15});
+  std::vector<char> listed(members_.size(), 0);
   int new_rank = -1;
-  for (const Row& r : mine) {
-    if (r.old_rank == rank_) new_rank = static_cast<int>(new_members.size());
-    new_members.push_back(members_[static_cast<std::size_t>(r.old_rank)]);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    int& r = ranks[i];
+    SLU3D_CHECK(r >= 0 && r < size(), "sub: rank out of range");
+    SLU3D_CHECK(!listed[static_cast<std::size_t>(r)], "sub: rank listed twice");
+    listed[static_cast<std::size_t>(r)] = 1;
+    if (r == rank_) new_rank = static_cast<int>(i);
+    r = members_[static_cast<std::size_t>(r)];
+    id = detail::mix64(id ^ static_cast<std::uint64_t>(r));
   }
-  SLU3D_CHECK(new_rank >= 0, "split: caller missing from its own group");
-  const std::uint64_t new_id = detail::mix64(
-      comm_id_ * std::uint64_t{0x9e3779b97f4a7c15} +
-      static_cast<std::uint64_t>(color) + std::uint64_t{0x1234567});
-  return Comm(ctx_, new_id, std::move(new_members), new_rank);
+  SLU3D_CHECK(new_rank >= 0, "sub: caller not listed");
+  return Comm(ctx_, id, std::move(ranks), new_rank);
 }
 
 // ---- one-sided windows -----------------------------------------------------
@@ -833,9 +794,9 @@ Window Comm::win_create(int tag, std::span<real_t> local, CommPlane plane) {
       count * std::uint64_t{0x9e3779b97f4a7c15});
   auto sh = ctx_->window_shared(uid, p);
   sh->extents[static_cast<std::size_t>(rank_)] = local.size();
-  // Uncharged handshake (like split()): gather-to-member-0 + replies. This
-  // orders every member's slot writes before every member's return, so no
-  // operation can race window creation.
+  // Uncharged handshake: gather-to-member-0 + replies. This orders every
+  // member's slot writes before every member's return, so no operation can
+  // race window creation.
   const Wire wire{ctx_, comm_id_};
   const std::int64_t hs = detail::full_tag(Op::Rma, tag);
   if (rank_ == 0) {

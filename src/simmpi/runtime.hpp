@@ -145,16 +145,23 @@ class Comm {
 
   void barrier(int tag, CommPlane plane);
 
-  /// MPI_Comm_split: ranks with equal `color` form a new communicator,
-  /// ordered by (key, old rank).
-  Comm split(int color, int key) const;
+  /// The communicator of the listed ranks of this one; new rank i is
+  /// `ranks[i]`. Local: called by exactly the listed ranks, it exchanges
+  /// no message and charges nothing. Its matching id is a pure function of
+  /// this communicator's id and the members' world ranks, so every member
+  /// derives the same id alone, and a child listing all of its parent's
+  /// ranks still matches apart from the parent. Two calls with the same
+  /// list on one communicator return the same group, matching context
+  /// included. Throws slu3d::Error unless the caller is listed and every
+  /// listed rank is in range and distinct.
+  Comm sub(std::vector<int> ranks) const;
 
   /// Collective: exposes `local` as a one-sided RMA window over this
   /// communicator (MPI_Win_create). Every member must call with the same
   /// `tag`; `local` must outlive the Window. Repeated creations on the
   /// same (communicator, tag) are matched by call order, so successive
-  /// windows never alias. The setup handshake itself is uncharged (like
-  /// split()); all put traffic on the window is LogGP-charged on `plane`.
+  /// windows never alias. The setup handshake itself is uncharged; all put
+  /// traffic on the window is LogGP-charged on `plane`.
   Window win_create(int tag, std::span<real_t> local, CommPlane plane);
 
   /// Brackets the cold-start analysis stage (ordering + symbolic run

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "simmpi/process_grid.hpp"
 #include "simmpi/runtime.hpp"
@@ -258,7 +260,8 @@ TEST(Runtime, RecvArrivalRaisesReceiverClock) {
 
 TEST(Runtime, SplitFormsDisjointGroups) {
   run_ranks(6, kModel, [](Comm& world) {
-    Comm half = world.split(world.rank() % 2, world.rank());
+    const int parity = world.rank() % 2;
+    Comm half = world.sub({parity, parity + 2, parity + 4});
     EXPECT_EQ(half.size(), 3);
     // Communicate within the split comm only.
     std::vector<real_t> v{static_cast<real_t>(world.rank())};
@@ -272,12 +275,60 @@ TEST(Runtime, SplitFormsDisjointGroups) {
 
 TEST(Runtime, SplitIsFreeOfCharge) {
   const auto result = run_ranks(4, kModel, [](Comm& world) {
-    (void)world.split(world.rank() / 2, world.rank());
+    const int lo = world.rank() / 2 * 2;
+    (void)world.sub({lo, lo + 1});
   });
   for (const auto& r : result.ranks) {
     EXPECT_EQ(r.total_bytes_sent(), 0);
     EXPECT_DOUBLE_EQ(r.clock, 0.0);
   }
+}
+
+TEST(Runtime, SubInvolvesOnlyItsMembers) {
+  // Ranks 0 and 2 never call sub(); ranks 1 and 3 still form their
+  // communicator and talk over it.
+  run_ranks(4, kModel, [](Comm& world) {
+    if (world.rank() % 2 == 0) return;
+    Comm pair = world.sub({3, 1});
+    EXPECT_EQ(pair.size(), 2);
+    EXPECT_EQ(pair.rank(), world.rank() == 3 ? 0 : 1);
+    EXPECT_EQ(pair.world_rank(), world.rank());
+    const int peer = 1 - pair.rank();
+    pair.send(peer, 4, std::vector<real_t>{static_cast<real_t>(world.rank())},
+              CommPlane::XY);
+    EXPECT_DOUBLE_EQ(pair.recv(peer, 4, CommPlane::XY)[0],
+                     world.rank() == 1 ? 3.0 : 1.0);
+  });
+}
+
+TEST(Runtime, SubWithItsParentsMembersMatchesApart) {
+  // Parent, child and grandchild hold the same two ranks in the same
+  // order; one tag on one (source, destination) pair must still match
+  // within each communicator, whatever order the receives run in.
+  run_ranks(2, kModel, [](Comm& world) {
+    Comm child = world.sub({0, 1});
+    Comm grandchild = child.sub({0, 1});
+    if (world.rank() == 0) {
+      world.send(1, 9, std::vector<real_t>{1}, CommPlane::XY);
+      child.send(1, 9, std::vector<real_t>{2}, CommPlane::XY);
+      grandchild.send(1, 9, std::vector<real_t>{3}, CommPlane::XY);
+    } else {
+      EXPECT_DOUBLE_EQ(grandchild.recv(0, 9, CommPlane::XY)[0], 3);
+      EXPECT_DOUBLE_EQ(child.recv(0, 9, CommPlane::XY)[0], 2);
+      EXPECT_DOUBLE_EQ(world.recv(0, 9, CommPlane::XY)[0], 1);
+    }
+  });
+}
+
+TEST(Runtime, SubRejectsBadMemberLists) {
+  run_ranks(2, kModel, [](Comm& world) {
+    const int me = world.rank();
+    EXPECT_THROW((void)world.sub({1 - me}), Error);  // caller missing
+    EXPECT_THROW((void)world.sub({}), Error);        // caller missing
+    EXPECT_THROW((void)world.sub({me, 2}), Error);   // out of range
+    EXPECT_THROW((void)world.sub({-1, me}), Error);  // out of range
+    EXPECT_THROW((void)world.sub({me, me}), Error);  // listed twice
+  });
 }
 
 TEST(Runtime, RankExceptionPropagatesAndUnblocksOthers) {
@@ -319,6 +370,65 @@ TEST(ProcessGrid3D, PlaneAndZLine) {
     EXPECT_DOUBLE_EQ(v[0], 3 * mine[0]);
   });
 }
+
+// Every communicator of a ProcessGrid3D lists its members, in rank order,
+// by the GridLayout arithmetic.
+class GridLayoutShapes : public ::testing::TestWithParam<GridLayout> {};
+
+TEST_P(GridLayoutShapes, RoundTripsAndOrdersEveryCommunicator) {
+  const GridLayout L = GetParam();
+  const int P = L.Px * L.Py * L.Pz;
+  int r = 0;
+  for (int pz = 0; pz < L.Pz; ++pz)
+    for (int px = 0; px < L.Px; ++px)
+      for (int py = 0; py < L.Py; ++py, ++r) {
+        EXPECT_EQ(L.rank_of(px, py, pz), r);
+        EXPECT_EQ(L.px_of(r), px);
+        EXPECT_EQ(L.py_of(r), py);
+        EXPECT_EQ(L.pz_of(r), pz);
+      }
+  run_ranks(P, kModel, [&L](Comm& world) {
+    auto g = ProcessGrid3D::create(world, L.Px, L.Py, L.Pz);
+    auto& plane = g.plane();
+    const int me = world.rank();
+    EXPECT_EQ(plane.px(), L.px_of(me));
+    EXPECT_EQ(plane.py(), L.py_of(me));
+    EXPECT_EQ(g.pz(), L.pz_of(me));
+    const auto members = [](Comm& c) {
+      const std::vector<real_t> mine{static_cast<real_t>(c.world_rank())};
+      const auto all = c.allgatherv(1, mine, CommPlane::XY);
+      return std::vector<int>(all.begin(), all.end());
+    };
+    std::vector<int> want;
+    for (int q = 0; q < L.Px * L.Py; ++q)
+      want.push_back(L.rank_of(q / L.Py, q % L.Py, g.pz()));
+    EXPECT_EQ(members(plane.grid()), want);
+    want.clear();
+    for (int j = 0; j < L.Py; ++j)
+      want.push_back(L.rank_of(plane.px(), j, g.pz()));
+    EXPECT_EQ(members(plane.row()), want);
+    want.clear();
+    for (int i = 0; i < L.Px; ++i)
+      want.push_back(L.rank_of(i, plane.py(), g.pz()));
+    EXPECT_EQ(members(plane.col()), want);
+    want.clear();
+    for (int k = 0; k < L.Pz; ++k)
+      want.push_back(L.rank_of(plane.px(), plane.py(), k));
+    EXPECT_EQ(members(g.zline()), want);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, GridLayoutShapes,
+                         ::testing::Values(GridLayout{2, 3, 1},
+                                           GridLayout{1, 4, 2},
+                                           GridLayout{4, 4, 4},
+                                           GridLayout{1, 1, 1}),
+                         [](const auto& pi) {
+                           const GridLayout& L = pi.param;
+                           return std::to_string(L.Px) + "x" +
+                                  std::to_string(L.Py) + "x" +
+                                  std::to_string(L.Pz);
+                         });
 
 TEST(NonBlocking, IsendIrecvMatchInPostOrderEvenWhenWaitedReversed) {
   // MPI non-overtaking: messages on the same (comm, src, tag) match posted
