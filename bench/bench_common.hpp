@@ -46,7 +46,6 @@ struct DistMetrics {
   offset_t panel_saved = 0;
   offset_t panel_dense = 0;
   offset_t panel_saved_msgs = 0;
-  offset_t xy_bytes_sent = 0;
   /// Total seconds transfers spent queued behind busy platform links
   /// (zero means the run never contended for a wire; grows with shared
   /// uplinks on hierarchical platforms).
@@ -56,22 +55,16 @@ struct DistMetrics {
   double wall_s = 0;
 };
 
-/// Wire-format selection shared by the bench drivers: `--panel-packing`
-/// and `--zred-packing` (each dense | targeted), in both the
-/// separate-argument and `=value` spellings. Drivers pass their own
-/// defaults, so e.g. fig9 measures targeted panel savings when no flag is
-/// given while `--zred-packing targeted` swaps the Z wire of the same
-/// re-run. An unknown value exits with status 2.
+/// Wire-format selection: `--panel-packing` and `--zred-packing` (each
+/// dense | targeted, default dense), in both the separate-argument and
+/// `=value` spellings. An unknown value exits with status 2.
 struct PackingFlags {
   PanelPacking panel = PanelPacking::Dense;
   ZRedPacking zred = ZRedPacking::Dense;
 };
 
-inline PackingFlags parse_packing_flags(
-    int argc, char** argv,
-    PanelPacking def_panel = PanelPacking::Dense,
-    ZRedPacking def_zred = ZRedPacking::Dense) {
-  PackingFlags f{def_panel, def_zred};
+inline PackingFlags parse_packing_flags(int argc, char** argv) {
+  PackingFlags f;
   auto reject = [](const char* flag, const char* accepted, const char* v) {
     std::fprintf(stderr, "%s: expected %s, got '%s'\n", flag, accepted, v);
     std::exit(2);
@@ -228,7 +221,6 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
   m.panel_saved = res.total_panel_saved_bytes();
   m.panel_dense = res.total_panel_dense_bytes();
   m.panel_saved_msgs = res.total_panel_saved_msgs();
-  m.xy_bytes_sent = res.total_bytes_sent(sim::CommPlane::XY);
   m.link_queue_s = res.total_link_queue_seconds();
   for (offset_t b : mem) {
     m.mem_total += b;

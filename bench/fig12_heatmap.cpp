@@ -5,35 +5,29 @@
 // configuration over best 2D configuration).
 //
 // `--platform SPEC` selects the network the heatmap is executed under
-// (preset name or platform file); `--sweep-platforms` runs the heatmap on
-// the flat Edison-like machine AND the oversubscribed fat-tree AND the
-// torus-like preset, showing where the paper's (P_XY, P_z) sweet spot
-// moves once z-reduction and panel broadcasts contend for shared uplinks
-// — the what-if axis the paper's flat-machine extrapolation cannot see.
+// (preset name or platform file; default `edison`). Run once per preset —
+// the flat Edison-like machine, the oversubscribed fat tree, the torus —
+// it shows where the paper's (P_XY, P_z) sweet spot moves once
+// z-reduction and panel broadcasts contend for shared uplinks: the what-if
+// axis the paper's flat-machine extrapolation cannot see.
+//
+// Writes results/fig12_<platform name>.csv under the working directory,
+// with the per-run link-queueing total alongside GFLOP/s so the
+// Pz-dependent divergence under contention is visible in one file;
+// tools/plot_results.py draws fig12_edison.csv.
+#include <filesystem>
+#include <fstream>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "model/cost_model.hpp"
 
-namespace {
-
-bool flag_present(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace slu3d;
-  const auto& base = bench::bench_platform(argc, argv);
-  std::vector<sim::Platform> platforms{base};
-  if (flag_present(argc, argv, "--sweep-platforms")) {
-    platforms.clear();
-    for (const char* name : {"edison", "fattree-2to1", "torus"})
-      platforms.push_back(sim::Platform::preset(name));
-  }
+  const auto& platform = bench::bench_platform(argc, argv);
+  std::filesystem::create_directories("results");
+  std::ofstream csv("results/fig12_" + platform.name + ".csv");
+  csv << "matrix,class,Pxy,Pz,platform,gflops,time_s,link_queue_s\n";
   const auto suite = paper_test_suite(bench::bench_scale());
 
   for (const auto& t : suite) {
@@ -43,54 +37,54 @@ int main(int argc, char** argv) {
     const CsrMatrix Ap = t.A.permuted_symmetric(tree.perm());
     const double flops = static_cast<double>(bs.total_flops());
 
-    for (const auto& platform : platforms) {
-      std::cout << "\n=== " << t.name << " ("
-                << (t.planar ? "planar" : "non-planar")
-                << "), GFLOP/s (executed) on " << platform.describe()
-                << " ===\n";
-      const std::vector<int> pxy_values{4, 8, 16, 32};
-      const std::vector<int> pz_values{1, 2, 4, 8};
+    const char* cls = t.planar ? "planar" : "nonplanar";
+    std::cout << "\n=== " << t.name << " ("
+              << (t.planar ? "planar" : "non-planar")
+              << "), GFLOP/s (executed) on " << platform.describe()
+              << " ===\n";
+    const std::vector<int> pxy_values{4, 8, 16, 32};
+    const std::vector<int> pz_values{1, 2, 4, 8};
 
-      std::vector<std::string> headers{"Pz \\ PXY"};
-      for (int pxy : pxy_values) headers.push_back(std::to_string(pxy));
-      TextTable table(headers);
+    std::vector<std::string> headers{"Pz \\ PXY"};
+    for (int pxy : pxy_values) headers.push_back(std::to_string(pxy));
+    TextTable table(headers);
 
-      double best2d = 0, best3d = 0;
-      std::string best3d_cfg;
-      for (int pz : pz_values) {
-        std::vector<std::string> row{std::to_string(pz)};
-        for (int pxy : pxy_values) {
-          const auto [Px, Py] = bench::square_ish(pxy);
-          const auto m = bench::run_dist_lu(
-              bs, Ap, Px, Py, pz, /*lookahead=*/8, PartitionStrategy::Greedy,
-              ZRedPacking::Dense, PanelPacking::Dense, &platform);
-          const double gflops = flops / m.time / 1e9;
-          row.push_back(TextTable::num(gflops, 2));
-          if (pz == 1) best2d = std::max(best2d, gflops);
-          if (gflops > best3d) {
-            best3d = gflops;
-            best3d_cfg = std::to_string(pxy) + "x" + std::to_string(pz);
-          }
+    double best2d = 0, best3d = 0;
+    std::string best3d_cfg;
+    for (int pz : pz_values) {
+      std::vector<std::string> row{std::to_string(pz)};
+      for (int pxy : pxy_values) {
+        const auto [Px, Py] = bench::square_ish(pxy);
+        const auto m = bench::run_dist_lu(bs, Ap, Px, Py, pz);
+        const double gflops = flops / m.time / 1e9;
+        csv << t.name << ',' << cls << ',' << pxy << ',' << pz << ','
+            << platform.name << ',' << gflops << ',' << m.time << ','
+            << m.link_queue_s << '\n';
+        row.push_back(TextTable::num(gflops, 2));
+        if (pz == 1) best2d = std::max(best2d, gflops);
+        if (gflops > best3d) {
+          best3d = gflops;
+          best3d_cfg = std::to_string(pxy) + "x" + std::to_string(pz);
         }
-        table.add_row(std::move(row));
       }
-      table.print(std::cout);
-      std::cout << "best 2D: " << TextTable::num(best2d, 2)
-                << " GFLOP/s;  best 3D (" << best3d_cfg
-                << "): " << TextTable::num(best3d, 2)
-                << " GFLOP/s;  best-case speedup: "
-                << TextTable::num(best3d / best2d, 2) << "x\n";
+      table.add_row(std::move(row));
     }
+    table.print(std::cout);
+    std::cout << "best 2D: " << TextTable::num(best2d, 2)
+              << " GFLOP/s;  best 3D (" << best3d_cfg
+              << "): " << TextTable::num(best3d, 2)
+              << " GFLOP/s;  best-case speedup: "
+              << TextTable::num(best3d / best2d, 2) << "x\n";
 
     // Model extrapolation to the paper's machine sizes (up to 24k cores),
     // evaluated at the *paper-scale* problem size for this matrix class.
     // The analytical model is flat alpha-beta by construction — that is
-    // exactly the blind spot the executed platform sweep above fills — so
-    // it uses the base platform's machine constants.
+    // exactly the blind spot the executed heatmap above fills on a
+    // hierarchical platform — so it uses the platform's machine constants.
     const double n = t.name == "K2D5pt" ? 16.7e6 : 1.06e6;
     std::cout << "\n--- model extrapolation (" << t.name
               << " at paper n=" << n << "), GFLOP/s ---\n";
-    const auto machine = base.machine;
+    const auto machine = platform.machine;
     TextTable ext({"Pz \\ P", "96", "384", "1536", "6144", "24576"});
     for (int pz : {1, 4, 16, 64}) {
       std::vector<std::string> row{std::to_string(pz)};

@@ -1,5 +1,5 @@
 // Open-loop fleet traffic harness shared by bench/service_throughput and
-// bench/export_csv: one seeded trace of Poisson-scheduled requests (on the
+// perf_ledger: one seeded trace of Poisson-scheduled requests (on the
 // simulated clock) replayed bit-identically across shard-count sweeps.
 //
 // The arrival rate is a fixed offered load: three times one shard's

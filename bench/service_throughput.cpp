@@ -13,15 +13,17 @@
 //   --queue-depth N       per-shard admission bound (default 16)
 //   --seed N              traffic trace seed (default 2026)
 //   --panel-packing / --zred-packing   wire formats the shards factor with
-//   --cold-only [--out F] skip the traffic replay; sweep the cold-start
+//   --out F               CSV to write (default results/fleet_throughput.csv,
+//                         or results/cold_start.csv with --cold-only)
+//   --cold-only           skip the traffic replay; sweep the cold-start
 //                         (cache-miss) critical path over shards x P x
-//                         analysis mode and write the CSV (default
-//                         results/cold_start.csv) — the acceptance
-//                         artifact for the distributed analysis phase
+//                         analysis mode — the acceptance artifact for the
+//                         distributed analysis phase
 //
 // Reports per shard count: simulated latency p50/p90/p99 of completed
 // requests, wall-clock throughput, fleet cache hit rate, coalesce rate,
-// shed rate, and cache-warm migrations. Shard misses run their analysis
+// shed rate, and cache-warm migrations, and writes them with the fleet's
+// cold-start analysis bill to the CSV. Shard misses run their analysis
 // inside the simulated machine (AnalysisMode::Distributed), so cold
 // starts pay their ordering + symbolic cost on the simulated clock.
 #include <cstring>
@@ -36,6 +38,13 @@
 namespace {
 
 using namespace slu3d;
+
+/// Opens `path` for writing, creating its parent directories.
+std::ofstream open_csv(const std::string& path) {
+  const auto parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+  return std::ofstream(path);
+}
 
 // Cold-start sweep: every (shards, P, analysis mode) point factors
 // `shards` *distinct* patterns cold, one per shard service — the bill a
@@ -61,11 +70,7 @@ void run_cold_sweep(service::ServiceOptions so, const std::string& out) {
   so.nd.leaf_size = 8;
   so.nd.algorithm = NdAlgorithm::Multilevel;
 
-  std::filesystem::create_directories(
-      std::filesystem::path(out).parent_path().empty()
-          ? "."
-          : std::filesystem::path(out).parent_path().string());
-  std::ofstream f(out);
+  std::ofstream f = open_csv(out);
   f << "shards,P,Px,Py,Pz,mode,n,cold_path_s,t_analysis_s,"
        "w_analysis_bytes,msg_analysis,analysis_frac\n";
   TextTable tab({"shards", "P", "mode", "cold path(sim s)", "t_analysis(s)",
@@ -121,15 +126,18 @@ int main(int argc, char** argv) {
   const bench::FleetFlags flags = bench::parse_fleet_flags(argc, argv);
 
   bool cold_only = false;
-  std::string cold_out = "results/cold_start.csv";
+  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--cold-only") == 0)
       cold_only = true;
     else if (std::strncmp(argv[i], "--out=", 6) == 0)
-      cold_out = argv[i] + 6;
+      out_path = argv[i] + 6;
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-      cold_out = argv[++i];
+      out_path = argv[++i];
   }
+  if (out_path.empty())
+    out_path = cold_only ? "results/cold_start.csv"
+                         : "results/fleet_throughput.csv";
 
   service::ServiceOptions so;
   so.platform = bench::platform();
@@ -144,7 +152,7 @@ int main(int argc, char** argv) {
   so.analysis = AnalysisMode::Distributed;
 
   if (cold_only) {
-    run_cold_sweep(so, cold_out);
+    run_cold_sweep(so, out_path);
     return 0;
   }
 
@@ -168,12 +176,23 @@ int main(int argc, char** argv) {
   else
     sweep = {1, 2, 4, 8};
 
+  std::ofstream f = open_csv(out_path);
+  f << "shards,seed,requests,completed,shed,coalesced,batches,migrations,"
+       "p50_s,p90_s,p99_s,wall_s,req_per_s,hit_rate,coalesce_rate,shed_rate,"
+       "analyses,analysis_s,analysis_bytes,analysis_msgs\n";
   TextTable out({"shards", "done", "shed", "p50(sim s)", "p90(sim s)",
                  "p99(sim s)", "req/s(wall)", "hit", "coalesce", "shed rate",
                  "migr"});
   for (const int shards : sweep) {
     const bench::FleetRunResult r = bench::run_fleet_trace(
         trace, bench::fleet_bench_options(so, trace, flags, shards));
+    f << r.shards << ',' << seed << ',' << r.submitted << ',' << r.completed
+      << ',' << r.shed << ',' << r.coalesced << ',' << r.batches << ','
+      << r.migrations << ',' << r.p50 << ',' << r.p90 << ',' << r.p99 << ','
+      << r.wall_s << ',' << r.wall_rps << ',' << r.hit_rate << ','
+      << r.coalesce_rate << ',' << r.shed_rate << ',' << r.analyses << ','
+      << r.analysis_s << ',' << r.analysis_bytes << ',' << r.analysis_msgs
+      << '\n';
     out.add_row({std::to_string(r.shards), std::to_string(r.completed),
                  std::to_string(r.shed), TextTable::num(r.p50, 6),
                  TextTable::num(r.p90, 6), TextTable::num(r.p99, 6),
@@ -184,6 +203,7 @@ int main(int argc, char** argv) {
   }
   out.print(std::cout);
   std::cout << "same seed => same trace: rerun with --shards/--queue-depth/"
-               "--coalesce-window to move only the fleet, never the load\n";
+               "--coalesce-window to move only the fleet, never the load\n"
+            << "wrote " << out_path << "\n";
   return 0;
 }

@@ -240,15 +240,12 @@ void refine(const WeightedGraph& g, std::vector<char>& side, int max_passes) {
 }  // namespace
 
 std::optional<Bisection> multilevel_bisect(const Adjacency& g,
-                                           std::span<const index_t> verts,
-                                           std::uint64_t seed) {
+                                           std::span<const index_t> verts) {
   const auto nv = static_cast<index_t>(verts.size());
   if (nv < 2) return std::nullopt;
-  // `seed` is accepted for API stability but deliberately unused: every
-  // stage below breaks ties by vertex id, so the bisection is a pure
+  // Every stage below breaks ties by vertex id, so the bisection is a pure
   // function of (g, verts) — the determinism contract distributed analysis
   // relies on (see DESIGN.md, "Distributed analysis").
-  (void)seed;
 
   // Build the induced local weighted graph.
   std::unordered_map<index_t, index_t> local;

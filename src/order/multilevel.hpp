@@ -21,12 +21,10 @@ struct Bisection {
 /// Balanced edge bisection of the subgraph of `g` induced by `verts`
 /// (which must form a single connected component). Returns nullopt when
 /// the subgraph cannot be split (fewer than 2 vertices).
-/// Deterministic and seed-INDEPENDENT: every stage (matching visit order,
-/// equal-weight neighbour choice, initial-partition start vertex) breaks
-/// ties by vertex id, so the result is a pure function of (g, verts).
-/// `seed` is retained for API stability only and is ignored.
+/// Deterministic: every stage (matching visit order, equal-weight
+/// neighbour choice, initial-partition start vertex) breaks ties by vertex
+/// id, so the result is a pure function of (g, verts).
 std::optional<Bisection> multilevel_bisect(const Adjacency& g,
-                                           std::span<const index_t> verts,
-                                           std::uint64_t seed);
+                                           std::span<const index_t> verts);
 
 }  // namespace slu3d::order_detail

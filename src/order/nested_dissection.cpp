@@ -69,22 +69,26 @@ class GeneralDissector {
   SeparatorTree run() {
     std::vector<index_t> all(static_cast<std::size_t>(n_));
     std::iota(all.begin(), all.end(), 0);
-    return run_on(std::move(all));
+    return run_on(all);
   }
 
   /// Dissects only the given (global-id) vertex subset.
-  SeparatorTree run_on(std::vector<index_t> verts) {
-    const int root = dissect(std::move(verts));
+  SeparatorTree run_on(std::span<const index_t> verts) {
+    const int root = dissect(verts);
     return builder_.finish(root);
   }
 
-  /// One split step for the parallel dissection: components first, then
-  /// the configured separator algorithm. nullopt when unsplittable.
-  std::optional<order_detail::TopSplit> split_top(std::vector<index_t> verts) {
+  /// One split step, shared by the recursion below and the parallel
+  /// dissection: nullopt at or below the leaf size or when unsplittable.
+  /// `mark_[v] == stamp_` identifies vertices inside the current subproblem.
+  std::optional<order_detail::TopSplit> split_top(
+      std::span<const index_t> verts) {
     if (static_cast<index_t>(verts.size()) <= opts_.leaf_size)
       return std::nullopt;
     stamp_++;
     for (index_t v : verts) mark_[static_cast<std::size_t>(v)] = stamp_;
+    // Components first: a disconnected subgraph splits for free (empty
+    // separator), which is also how elimination *forests* arise (§III-C).
     auto comps = components(verts);
     if (comps.size() > 1) {
       auto [ga, gb] = balance_components(comps);
@@ -102,32 +106,11 @@ class GeneralDissector {
  private:
   static constexpr int kOutside = -1;
 
-  /// `mark_[v] == stamp` identifies vertices inside the current subproblem.
-  int dissect(std::vector<index_t> verts) {
-    if (static_cast<index_t>(verts.size()) <= opts_.leaf_size)
-      return builder_.add_leaf(verts);
-
-    stamp_++;
-    for (index_t v : verts) mark_[static_cast<std::size_t>(v)] = stamp_;
-
-    // Components first: a disconnected subgraph splits for free (empty
-    // separator), which is also how elimination *forests* arise (§III-C).
-    auto comps = components(verts);
-    if (comps.size() > 1) {
-      auto [groupA, groupB] = balance_components(comps);
-      const int left = dissect(std::move(groupA));
-      const int right = dissect(std::move(groupB));
-      return builder_.add_internal(left, right, {});
-    }
-
-    std::optional<Split> split;
-    if (opts_.algorithm == NdAlgorithm::Multilevel)
-      split = multilevel_separator(verts);
-    if (!split.has_value()) split = level_set_separator(verts);
-    if (!split.has_value()) return builder_.add_leaf(verts);  // unsplittable
-
-    const int left = dissect(std::move(split->a));
-    const int right = dissect(std::move(split->b));
+  int dissect(std::span<const index_t> verts) {
+    const auto split = split_top(verts);
+    if (!split.has_value()) return builder_.add_leaf(verts);
+    const int left = dissect(split->a);
+    const int right = dissect(split->b);
     return builder_.add_internal(left, right, split->sep);
   }
 
@@ -288,8 +271,7 @@ class GeneralDissector {
   /// Multilevel edge bisection, then a vertex separator extracted from
   /// the cut (boundary vertices of the smaller side), thinned as usual.
   std::optional<Split> multilevel_separator(std::span<const index_t> verts) {
-    auto bis = order_detail::multilevel_bisect(
-        g_, verts, static_cast<std::uint64_t>(verts.size()) * 2654435761u + 17u);
+    auto bis = order_detail::multilevel_bisect(g_, verts);
     if (!bis.has_value()) return std::nullopt;
     Split s;
     s.a = std::move(bis->a);
@@ -422,8 +404,7 @@ SeparatorTree nested_dissection_subgraph(const CsrMatrix& A,
                                          const NdOptions& opts) {
   SLU3D_CHECK(A.n_rows() == A.n_cols(), "nested dissection needs square A");
   SLU3D_CHECK(!verts.empty(), "empty vertex subset");
-  return GeneralDissector(A, opts).run_on(
-      std::vector<index_t>(verts.begin(), verts.end()));
+  return GeneralDissector(A, opts).run_on(verts);
 }
 
 namespace order_detail {
@@ -431,8 +412,7 @@ std::optional<TopSplit> single_split(const CsrMatrix& A,
                                      std::span<const index_t> verts,
                                      const NdOptions& opts) {
   SLU3D_CHECK(!verts.empty(), "empty vertex subset");
-  return GeneralDissector(A, opts).split_top(
-      std::vector<index_t>(verts.begin(), verts.end()));
+  return GeneralDissector(A, opts).split_top(verts);
 }
 }  // namespace order_detail
 

@@ -41,7 +41,7 @@ TEST(MultilevelBisect, BalancedCutOnGrid) {
   std::vector<index_t> verts(static_cast<std::size_t>(A.n_rows()));
   for (std::size_t i = 0; i < verts.size(); ++i)
     verts[i] = static_cast<index_t>(i);
-  const auto bis = order_detail::multilevel_bisect(adj, verts, 7);
+  const auto bis = order_detail::multilevel_bisect(adj, verts);
   ASSERT_TRUE(bis.has_value());
   EXPECT_EQ(bis->a.size() + bis->b.size(), verts.size());
   // Balance within the FM constraint (each side >= 1/3).
@@ -60,7 +60,7 @@ TEST(MultilevelBisect, TinyGraphs) {
   const CsrMatrix A = CsrMatrix::from_coo(coo);
   const auto adj = order_detail::build_adjacency(A);
   const std::vector<index_t> verts{0, 1};
-  const auto bis = order_detail::multilevel_bisect(adj, verts, 1);
+  const auto bis = order_detail::multilevel_bisect(adj, verts);
   ASSERT_TRUE(bis.has_value());
   EXPECT_EQ(bis->a.size(), 1u);
   EXPECT_EQ(bis->b.size(), 1u);

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Plot the paper's figures from the CSV files written by bench/export_csv.
+"""Plot the paper's figures from the CSV files written by bench/pz_sweep
+(Figs. 9-11) and bench/fig12_heatmap (Fig. 12).
 
 Usage:
     python3 tools/plot_results.py [results_dir] [output_dir]
