@@ -10,7 +10,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -54,50 +53,6 @@ struct DistMetrics {
   /// simulated counter above, wall_s measures the real machine.
   double wall_s = 0;
 };
-
-/// Wire-format selection: `--panel-packing` and `--zred-packing` (each
-/// dense | targeted, default dense), in both the separate-argument and
-/// `=value` spellings. An unknown value exits with status 2.
-struct PackingFlags {
-  PanelPacking panel = PanelPacking::Dense;
-  ZRedPacking zred = ZRedPacking::Dense;
-};
-
-inline PackingFlags parse_packing_flags(int argc, char** argv) {
-  PackingFlags f;
-  auto reject = [](const char* flag, const char* accepted, const char* v) {
-    std::fprintf(stderr, "%s: expected %s, got '%s'\n", flag, accepted, v);
-    std::exit(2);
-  };
-  auto set_panel = [&](const char* v) {
-    if (std::strcmp(v, "dense") == 0)
-      f.panel = PanelPacking::Dense;
-    else if (std::strcmp(v, "targeted") == 0)
-      f.panel = PanelPacking::Targeted;
-    else
-      reject("--panel-packing", "dense|targeted", v);
-  };
-  auto set_zred = [&](const char* v) {
-    if (std::strcmp(v, "dense") == 0)
-      f.zred = ZRedPacking::Dense;
-    else if (std::strcmp(v, "targeted") == 0)
-      f.zred = ZRedPacking::Targeted;
-    else
-      reject("--zred-packing", "dense|targeted", v);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--panel-packing=", 16) == 0)
-      set_panel(a + 16);
-    else if (std::strcmp(a, "--panel-packing") == 0 && i + 1 < argc)
-      set_panel(argv[++i]);
-    else if (std::strncmp(a, "--zred-packing=", 15) == 0)
-      set_zred(a + 15);
-    else if (std::strcmp(a, "--zred-packing") == 0 && i + 1 < argc)
-      set_zred(argv[++i]);
-  }
-  return f;
-}
 
 /// Parses `--seed N` / `--seed=N` from argv. One seed drives the whole
 /// traffic trace of the fleet bench: arrivals, pattern mix, values-version

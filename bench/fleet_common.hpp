@@ -62,9 +62,10 @@ inline double fleet_percentile(std::vector<double> v, double p) {
 
 /// One hot request's simulated service time at each SLU3D_SCALE: a
 /// numeric refactorization plus a single-RHS solve of the first pattern
-/// on a resident 2x2x2 service (Dense wires, `edison` platform, in-sim
-/// analysis, one refinement step), recorded bit for bit and frozen so
-/// that neither solver changes nor service options move the offered load.
+/// on a resident 2x2x2 service (on the Dense wires the service then ran,
+/// `edison` platform, in-sim analysis, one refinement step), recorded bit
+/// for bit and frozen so that neither solver changes nor service options,
+/// the wire included, move the offered load.
 inline double fleet_reference_seconds(int scale) {
   return scale == 0   ? 0x1.5ba8d963c5326p-14   // 8.29e-05
          : scale == 1 ? 0x1.7a7c0399db0d6p-13   // 1.80e-04

@@ -12,7 +12,6 @@
 //                         (default 1)
 //   --queue-depth N       per-shard admission bound (default 16)
 //   --seed N              traffic trace seed (default 2026)
-//   --panel-packing / --zred-packing   wire formats the shards factor with
 //   --out F               CSV to write (default results/fleet_throughput.csv,
 //                         or results/cold_start.csv with --cold-only)
 //   --cold-only           skip the traffic replay; sweep the cold-start
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
 
   const int scale = bench::bench_scale();
   bench::bench_platform(argc, argv);
-  const auto pk = bench::parse_packing_flags(argc, argv);
   const std::uint64_t seed = bench::bench_seed(argc, argv);
   const bench::FleetFlags flags = bench::parse_fleet_flags(argc, argv);
 
@@ -145,8 +143,6 @@ int main(int argc, char** argv) {
   so.Py = 2;
   so.Pz = 2;
   so.refinement_steps = 1;
-  so.lu3d.lu2d.packing = pk.panel;
-  so.lu3d.packing = pk.zred;
   // Cold misses pay their analysis on the simulated clock, distributed
   // over the shard's ranks — the honest cold-start accounting.
   so.analysis = AnalysisMode::Distributed;

@@ -22,17 +22,18 @@
 // paths are pinned by Fig9Configs/GoldenCommCounters in
 // tests/test_pipeline.cpp.
 //
-// PanelPacking::Targeted (opt-in) replaces each role's broadcasts with
-// footprint messages (see DESIGN.md "Targeted footprint messages"): the
-// data root computes every peer's block *footprint* — the entries that
-// peer's Schur pairs actually read — from the replicated symbolic
-// structure and sends ONE point-to-point message per peer on the role's
-// tag: the frames (encode_frame) of the footprint entries, concatenated in
-// entry order. Peers with an empty footprint get no message at all; both
-// sides evaluate the same symbolic predicate, so no handshake travels.
-// Entries are never pruned, so the Schur pair set, charged flops, and FP
-// order are identical to Dense — factors stay bitwise identical — while a
-// peer receives only the entries it reads, and only their nonzero scalars.
+// PanelPacking::Targeted (the service's wire; the engine defaults to Dense)
+// replaces each role's broadcasts with footprint messages (see DESIGN.md
+// "Targeted footprint messages"): the data root computes every peer's
+// block *footprint* — the entries that peer's Schur pairs actually read —
+// from the replicated symbolic structure and sends ONE point-to-point
+// message per peer on the role's tag: the frames (encode_frame) of the
+// footprint entries, concatenated in entry order. Peers with an empty
+// footprint get no message at all; both sides evaluate the same symbolic
+// predicate, so no handshake travels. Entries are never pruned, so the
+// Schur pair set, charged flops, and FP order are identical to Dense —
+// factors stay bitwise identical — while a peer receives only the entries
+// it reads, and only their nonzero scalars.
 #include "lu2d/factor2d.hpp"
 
 #include <algorithm>

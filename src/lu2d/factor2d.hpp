@@ -79,7 +79,8 @@ struct Lu2dOptions {
   /// disables pipelining). Must be <= kMaxPanelLookahead.
   int lookahead = 8;
   /// Wire format of the panel transfers; Dense is byte-identical to the
-  /// historical drivers, Targeted is the opt-in footprint messages.
+  /// historical drivers and reproduces the paper, Targeted is the footprint
+  /// messages. SolverService overrides this default with Targeted.
   PanelPacking packing = PanelPacking::Dense;
 };
 

@@ -147,6 +147,8 @@ TEST_P(RandomPackingFuzz, SparsePanelPackingSolvesBitIdentical) {
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
 
+  opt.lu3d.lu2d.packing = PanelPacking::Dense;
+  opt.lu3d.packing = ZRedPacking::Dense;
   SolverService dense(opt);
   const auto fd = dense.factor(A);
   const auto repd = dense.solve({b, xd, 1});

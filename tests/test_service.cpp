@@ -426,5 +426,38 @@ TEST(SolverService, ExtractInsertMovesSymbolicStateBetweenServices) {
     EXPECT_EQ(x_dst[i], x_cold[i]) << "component " << i;
 }
 
+TEST(SolverService, DefaultsToTargetedWires) {
+  // The service factors on the Targeted footprint wire on both planes,
+  // unlike the engines' Dense default: the same solution panel, bit for
+  // bit, for fewer plane and z bytes and a shorter factorization. The grid
+  // and the default ND leaves are large enough that the frames' bitmaps
+  // cost less than the zeros they elide from the replicated ancestors; with
+  // leaves of 8 the replicas are nearly dense and Targeted's w_red is larger.
+  const CsrMatrix A =
+      grid2d_laplacian(GridGeometry{32, 32, 1}, Stencil2D::FivePoint);
+  const auto n = static_cast<std::size_t>(A.n_rows());
+  const index_t nrhs = 4;
+  const std::vector<real_t> b = random_panel(n, nrhs, 67);
+
+  ServiceOptions opt;
+  opt.Pz = 2;
+  SolverService targeted(opt);
+  opt.lu3d.packing = ZRedPacking::Dense;
+  opt.lu3d.lu2d.packing = PanelPacking::Dense;
+  SolverService dense(opt);
+
+  const FactorReport ft = targeted.factor(A);
+  const FactorReport fd = dense.factor(A);
+  EXPECT_LT(ft.w_fact, fd.w_fact);
+  EXPECT_LT(ft.w_red, fd.w_red);
+  EXPECT_LT(ft.factor_time, fd.factor_time);
+
+  std::vector<real_t> xt(b.size()), xd(b.size());
+  targeted.solve({b, xt, nrhs});
+  dense.solve({b, xd, nrhs});
+  for (std::size_t i = 0; i < b.size(); ++i)
+    ASSERT_EQ(xt[i], xd[i]) << "entry " << i;
+}
+
 }  // namespace
 }  // namespace slu3d
