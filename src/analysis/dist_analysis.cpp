@@ -47,10 +47,16 @@ struct GroupLevel {
   int node = -1;
 };
 
+/// Gives every piece of tree node `node` to `rank`.
+void own_pieces(const SnodeNumbering& num, int node, int rank,
+                std::vector<int>& owner) {
+  for (int s = num.first_piece(node); s < num.beyond_piece(node); ++s)
+    owner[static_cast<std::size_t>(s)] = rank;
+}
+
 void mark_subtree(const SeparatorTree& tree, const SnodeNumbering& num,
                   int node, int rank, std::vector<int>& owner) {
-  owner[static_cast<std::size_t>(num.to_snode[static_cast<std::size_t>(node)])] =
-      rank;
+  own_pieces(num, node, rank, owner);
   const SepTreeNode& nd = tree.node(node);
   if (nd.left >= 0) mark_subtree(tree, num, nd.left, rank, owner);
   if (nd.right >= 0) mark_subtree(tree, num, nd.right, rank, owner);
@@ -70,8 +76,7 @@ void assign_owners(const SeparatorTree& tree, const SnodeNumbering& num,
   const int half = cnt / 2;
   assign_owners(tree, num, nd.left, lo, half, owner);
   assign_owners(tree, num, nd.right, lo + half, cnt - half, owner);
-  owner[static_cast<std::size_t>(num.to_snode[static_cast<std::size_t>(node)])] =
-      lo;
+  own_pieces(num, node, lo, owner);
 }
 
 /// This rank's root-to-terminal path through the recursion. Every rank of
@@ -196,13 +201,14 @@ struct SymState {
   }
 };
 
-/// Snode ids under `node`, ascending — the processing order of a rank
-/// that owns the whole subtree.
+/// Snode ids under `node` (every piece of every node), ascending — the
+/// processing order of a rank that owns the whole subtree.
 std::vector<int> subtree_snodes(const SeparatorTree& tree,
                                 const SnodeNumbering& num, int node) {
   std::vector<int> out;
   const auto walk = [&](auto&& self, int v) -> void {
-    out.push_back(num.to_snode[static_cast<std::size_t>(v)]);
+    for (int s = num.first_piece(v); s < num.beyond_piece(v); ++s)
+      out.push_back(s);
     const SepTreeNode& nd = tree.node(v);
     if (nd.left >= 0) self(self, nd.left);
     if (nd.right >= 0) self(self, nd.right);
@@ -278,10 +284,12 @@ AnalysisResult distributed(const CsrMatrix& A, sim::Comm& comm,
     if (me != e.lo) break;
     const auto payload = comm.recv(e.lo + half, kSymTag + i, CommPlane::XY);
     sym.decode_imports(payload);
-    const int sp =
-        num.to_snode[static_cast<std::size_t>(e.node)];
-    sym.process(sp);
-    owned.push_back(sp);
+    // The separator's pieces, bottom of the chain first: each piece's row
+    // set is routed to the next before that one is processed.
+    for (int sp = num.first_piece(e.node); sp < num.beyond_piece(e.node); ++sp) {
+      sym.process(sp);
+      owned.push_back(sp);
+    }
     charge_ops(comm, sym.ops);
     sym.ops = 0;
   }

@@ -10,35 +10,44 @@ namespace slu3d {
 SnodeNumbering SnodeNumbering::from_tree(const SeparatorTree& tree) {
   SnodeNumbering num;
   num.n = tree.n();
-  num.n_snodes = tree.n_nodes();
+  const int n_nodes = tree.n_nodes();
 
-  // --- Renumber tree nodes into column order (== a postorder). ---------
-  num.by_col.resize(static_cast<std::size_t>(num.n_snodes));
-  std::iota(num.by_col.begin(), num.by_col.end(), 0);
+  // --- Order tree nodes by column (== a postorder). ----------------------
+  std::vector<int> order(static_cast<std::size_t>(n_nodes));
+  std::iota(order.begin(), order.end(), 0);
   // Ties at sep_first happen with empty separator blocks. An empty node
   // marks the end of its subtree, so it must precede any node of the
   // *next* branch starting at the same column (smaller sep_last first);
   // among nested empty nodes at the same boundary, the deeper one is the
   // descendant and must come first.
-  std::vector<int> depth(static_cast<std::size_t>(num.n_snodes));
-  for (int v = 0; v < num.n_snodes; ++v)
+  std::vector<int> depth(static_cast<std::size_t>(n_nodes));
+  for (int v = 0; v < n_nodes; ++v)
     depth[static_cast<std::size_t>(v)] = tree.depth(v);
-  std::sort(num.by_col.begin(), num.by_col.end(), [&](int a, int b) {
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
     if (tree.node(a).sep_first != tree.node(b).sep_first)
       return tree.node(a).sep_first < tree.node(b).sep_first;
     if (tree.node(a).sep_last != tree.node(b).sep_last)
       return tree.node(a).sep_last < tree.node(b).sep_last;
     return depth[static_cast<std::size_t>(a)] > depth[static_cast<std::size_t>(b)];
   });
-  num.to_snode.resize(static_cast<std::size_t>(num.n_snodes));
-  for (int s = 0; s < num.n_snodes; ++s)
-    num.to_snode[static_cast<std::size_t>(num.by_col[static_cast<std::size_t>(s)])] = s;
 
-  num.snode_first.resize(static_cast<std::size_t>(num.n_snodes) + 1);
-  for (int s = 0; s < num.n_snodes; ++s)
-    num.snode_first[static_cast<std::size_t>(s)] =
-        tree.node(num.by_col[static_cast<std::size_t>(s)]).sep_first;
-  num.snode_first[static_cast<std::size_t>(num.n_snodes)] = num.n;
+  // --- Split each node's block into its chain of pieces. -----------------
+  num.to_snode.resize(static_cast<std::size_t>(n_nodes));
+  num.n_pieces.resize(static_cast<std::size_t>(n_nodes));
+  for (int v : order) {
+    const SepTreeNode& nd = tree.node(v);
+    const index_t b = nd.block_size();
+    const index_t k = std::max<index_t>(1, (b + kMaxSnodeWidth - 1) / kMaxSnodeWidth);
+    num.to_snode[static_cast<std::size_t>(v)] = static_cast<int>(num.by_col.size());
+    num.n_pieces[static_cast<std::size_t>(v)] = static_cast<int>(k);
+    for (index_t i = 0; i < k; ++i) {
+      num.by_col.push_back(v);
+      num.snode_first.push_back(nd.sep_first + static_cast<index_t>(
+                                                   static_cast<offset_t>(b) * i / k));
+    }
+  }
+  num.n_snodes = static_cast<int>(num.by_col.size());
+  num.snode_first.push_back(num.n);
 
   num.col_to_snode.resize(static_cast<std::size_t>(num.n));
   for (int s = 0; s < num.n_snodes; ++s)
@@ -53,21 +62,25 @@ void BlockStructure::init_tree(const SeparatorTree& tree, SnodeNumbering num) {
   nd_parent_.assign(static_cast<std::size_t>(n_snodes_), -1);
   nd_children_.assign(static_cast<std::size_t>(n_snodes_), {});
   for (int s = 0; s < n_snodes_; ++s) {
-    const auto& nd = tree.node(num.by_col[static_cast<std::size_t>(s)]);
-    if (nd.parent >= 0) {
-      const int p = num.to_snode[static_cast<std::size_t>(nd.parent)];
+    const int v = num.by_col[static_cast<std::size_t>(s)];
+    const auto& nd = tree.node(v);
+    // A piece below the top of its chain feeds the next piece; the top
+    // piece feeds the bottom piece of the tree parent.
+    const bool top = s + 1 == num.beyond_piece(v);
+    if (!top || nd.parent >= 0) {
+      const int p = top ? num.first_piece(nd.parent) : s + 1;
       SLU3D_CHECK(p > s, "parent supernode must come after its children");
       nd_parent_[static_cast<std::size_t>(s)] = p;
       nd_children_[static_cast<std::size_t>(p)].push_back(s);
     }
   }
   // The supernode ranges must tile [0, n) exactly in id order: each
-  // node's own column range must end where the next one's begins. (This
-  // is what guarantees that snode ids, ranges, and tree links stay
-  // mutually consistent — see the tie-break comment in from_tree.)
-  for (int s = 0; s < n_snodes_; ++s)
-    SLU3D_CHECK(tree.node(num.by_col[static_cast<std::size_t>(s)]).sep_last ==
-                    num.snode_first[static_cast<std::size_t>(s) + 1],
+  // node's chain must end where the next node's begins. (This is what
+  // guarantees that snode ids, ranges, and tree links stay mutually
+  // consistent — see the tie-break comment in from_tree.)
+  for (int v = 0; v < tree.n_nodes(); ++v)
+    SLU3D_CHECK(tree.node(v).sep_last ==
+                    num.snode_first[static_cast<std::size_t>(num.beyond_piece(v))],
                 "supernode ranges must tile the column space in id order");
   snode_first_ = std::move(num.snode_first);
   col_to_snode_ = std::move(num.col_to_snode);

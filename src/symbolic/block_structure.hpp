@@ -1,9 +1,9 @@
 // Supernodal block symbolic factorization. The separator tree's node
-// blocks are the supernodes; this computes, for each supernode, the exact
-// row structure of its L panel (and by pattern symmetry the column
-// structure of its U panel), the supernodal elimination tree, and the
-// flop / storage statistics that the paper's cost analysis (§IV) is built
-// on.
+// blocks, each split into a chain of at most kMaxSnodeWidth columns, are
+// the supernodes; this computes, for each supernode, the exact row
+// structure of its L panel (and by pattern symmetry the column structure
+// of its U panel), the supernodal elimination tree, and the flop / storage
+// statistics that the paper's cost analysis (§IV) is built on.
 #pragma once
 
 #include <span>
@@ -25,22 +25,40 @@ struct PanelBlock {
   index_t n_rows() const { return static_cast<index_t>(rows.size()); }
 };
 
+/// Widest supernode, in columns. A wider separator block is one dense
+/// `getrf` on one rank at the top of the tree, where the critical path
+/// runs, so it is split into a chain of near-equal pieces instead (the
+/// role of SuperLU_DIST's `maxsuper`).
+inline constexpr index_t kMaxSnodeWidth = 80;
+
 /// The deterministic renumbering of separator-tree nodes into column order
-/// (== postorder) that defines supernode ids. Factored out of
-/// BlockStructure so the distributed analysis phase (src/analysis/) can
-/// compute identical supernode ids on every rank — the tie-break for empty
-/// separator blocks below is part of the determinism contract (see
-/// DESIGN.md, "Distributed analysis") and must not change independently of
-/// BlockStructure.
+/// (== postorder) that defines supernode ids. A node whose block has b
+/// columns becomes k = max(1, ceil(b / kMaxSnodeWidth)) consecutive
+/// supernodes, its *pieces*: piece i starts at sep_first + floor(b * i / k).
+/// Factored out of BlockStructure so the distributed analysis phase
+/// (src/analysis/) can compute identical supernode ids on every rank — the
+/// tie-break for empty separator blocks below and the piece rule are part
+/// of the determinism contract (see DESIGN.md, "Distributed analysis") and
+/// must not change independently of BlockStructure.
 struct SnodeNumbering {
   int n_snodes = 0;
   index_t n = 0;
-  std::vector<int> by_col;           ///< snode id -> tree node id
-  std::vector<int> to_snode;         ///< tree node id -> snode id
+  std::vector<int> by_col;           ///< snode id -> tree node id (every piece)
+  std::vector<int> to_snode;         ///< tree node id -> its first piece
+  std::vector<int> n_pieces;         ///< tree node id -> piece count (>= 1)
   std::vector<index_t> snode_first;  ///< size n_snodes + 1, tiles [0, n)
   std::vector<int> col_to_snode;     ///< size n
 
   static SnodeNumbering from_tree(const SeparatorTree& tree);
+
+  /// Supernode ids of tree node `node`'s pieces: [first, beyond), bottom
+  /// of the chain first.
+  int first_piece(int node) const {
+    return to_snode[static_cast<std::size_t>(node)];
+  }
+  int beyond_piece(int node) const {
+    return first_piece(node) + n_pieces[static_cast<std::size_t>(node)];
+  }
 
   int snode_of_col(index_t col) const {
     return col_to_snode[static_cast<std::size_t>(col)];
@@ -54,9 +72,9 @@ struct SnodeNumbering {
 };
 
 /// Complete block symbolic structure for a pattern-symmetric LU
-/// factorization. Supernode ids are the separator-tree nodes renumbered in
-/// column order (== postorder), so ascending id order is a valid
-/// elimination order.
+/// factorization. Supernode ids are the pieces of the separator-tree nodes
+/// numbered in column order (== postorder; see SnodeNumbering), so
+/// ascending id order is a valid elimination order.
 class BlockStructure {
  public:
   /// Computes the structure for matrix `A` permuted by `tree.perm()`.
@@ -88,9 +106,13 @@ class BlockStructure {
   }
 
   /// Parent of s in the separator (ND) tree, as a supernode id; -1 for the
-  /// root. This is the dependence tree the 2D/3D schedulers walk (§II-D).
+  /// root. A split separator's pieces form a chain: each piece's parent is
+  /// the next piece, and the last piece's parent is the first piece of the
+  /// tree parent. This is the dependence tree the 2D/3D schedulers walk
+  /// (§II-D).
   int nd_parent(int s) const { return nd_parent_[static_cast<std::size_t>(s)]; }
-  /// Children of s in the ND tree (0 or 2 entries).
+  /// Children of s in the ND tree: 0 or 2 for a node's first piece (the
+  /// last pieces of its tree children), 1 for any later piece.
   std::span<const int> nd_children(int s) const {
     return nd_children_[static_cast<std::size_t>(s)];
   }

@@ -21,6 +21,7 @@
 //    top separator), which is what makes the oracle equality possible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <vector>
 
@@ -161,6 +162,34 @@ INSTANTIATE_TEST_SUITE_P(Fig9Fig10Classes, DistAnalysisSweep,
                                   std::to_string(c.Py) + "x" +
                                   std::to_string(c.Pz);
                          });
+
+// SnodeWidthCap: a separator wider than kMaxSnodeWidth becomes a chain of
+// supernodes, and the in-sim analysis must give every piece to the rank
+// that owns the separator. The 12x12x12 grid's widest separator under the
+// default NdOptions is wider than the cap, so its chain has two or more
+// pieces, and the in-sim structures must still equal the host oracle's.
+TEST(SnodeWidthCap, ChainsMatchHostOracle) {
+  const CsrMatrix A = grid3d_laplacian({12, 12, 12}, Stencil3D::SevenPoint);
+  const NdOptions opts;
+  const AnalysisResult oracle = analyze_host(A, opts);
+  index_t widest = 0;
+  for (const SepTreeNode& nd : oracle.tree->nodes())
+    widest = std::max(widest, nd.block_size());
+  ASSERT_GT(widest, kMaxSnodeWidth);
+  ASSERT_GT(oracle.bs->n_snodes(), oracle.tree->n_nodes());
+  // The rank counts of the 1x1x1, 2x2x1, 2x2x2 and 4x2x2 grids.
+  for (const int P : {1, 4, 8, 16}) {
+    std::vector<int> ok(static_cast<std::size_t>(P), -1);
+    run_ranks(P, kModel, [&](sim::Comm& world) {
+      const AnalysisResult r =
+          analyze_in_sim(A, world, opts, AnalysisMode::Distributed);
+      ok[static_cast<std::size_t>(world.rank())] =
+          same_tree(*oracle.tree, *r.tree) && same_bs(*oracle.bs, *r.bs);
+    });
+    for (int r = 0; r < P; ++r)
+      EXPECT_EQ(ok[static_cast<std::size_t>(r)], 1) << "P=" << P << " rank=" << r;
+  }
+}
 
 // Full-tree tie-break pin: sequential and parallel ND must agree on the
 // ENTIRE tree, bitwise, on irregular graphs full of equal-degree /

@@ -459,5 +459,29 @@ TEST(SolverService, DefaultsToTargetedWires) {
     ASSERT_EQ(xt[i], xd[i]) << "entry " << i;
 }
 
+TEST(SnodeWidthCap, SolvesThroughChains) {
+  // The 12x12x12 grid's widest separator is split into a chain of
+  // supernodes (test_dist_analysis.cpp pins the structure). Both wires
+  // must solve through the chain to the fp64 residual, bit for bit alike.
+  const CsrMatrix A =
+      grid3d_laplacian(GridGeometry{12, 12, 12}, Stencil3D::SevenPoint);
+  const auto n = static_cast<std::size_t>(A.n_rows());
+  const std::vector<real_t> b = random_panel(n, 1, 91);
+
+  ServiceOptions opt;
+  opt.Pz = 4;
+  SolverService targeted(opt);
+  opt.lu3d.packing = ZRedPacking::Dense;
+  opt.lu3d.lu2d.packing = PanelPacking::Dense;
+  SolverService dense(opt);
+  targeted.factor(A);
+  dense.factor(A);
+
+  std::vector<real_t> xt(n), xd(n);
+  EXPECT_LE(targeted.solve({b, xt, 1}).residual, 1e-10);
+  EXPECT_LE(dense.solve({b, xd, 1}).residual, 1e-10);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(xt[i], xd[i]) << "entry " << i;
+}
+
 }  // namespace
 }  // namespace slu3d

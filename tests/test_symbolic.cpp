@@ -113,7 +113,16 @@ TEST_P(BlockStructureOnSuite, Invariants) {
   const BlockStructure bs(t.A, tree);
 
   EXPECT_EQ(bs.n(), t.A.n_rows());
-  EXPECT_EQ(bs.n_snodes(), tree.n_nodes());
+  // The pieces of each tree node cover its block in id order.
+  const SnodeNumbering num = SnodeNumbering::from_tree(tree);
+  for (int v = 0; v < tree.n_nodes(); ++v) {
+    index_t col = tree.node(v).sep_first;
+    for (int s = num.first_piece(v); s < num.beyond_piece(v); ++s) {
+      EXPECT_EQ(bs.first_col(s), col);
+      col += bs.snode_size(s);
+    }
+    EXPECT_EQ(col, tree.node(v).sep_last);
+  }
 
   offset_t covered = 0;
   for (int s = 0; s < bs.n_snodes(); ++s) {
@@ -219,6 +228,41 @@ TEST(BlockStructure, GeometricNdAgrees) {
   EXPECT_EQ(bs.n(), 81);
   // Root supernode of the geometric ND of a 9x9 grid is a full line of 9.
   EXPECT_EQ(bs.snode_size(bs.n_snodes() - 1), 9);
+}
+
+// SnodeWidthCap: no supernode is wider than kMaxSnodeWidth. A wider
+// separator block becomes a chain of near-equal pieces; the in-sim analysis
+// and the solve through chains are pinned in test_dist_analysis.cpp and
+// test_service.cpp.
+TEST(SnodeWidthCap, EverySupernodeFitsTheCap) {
+  int split = 0;
+  for (const TestMatrix& t : paper_test_suite(1)) {
+    const SeparatorTree tree = nested_dissection(t.A);
+    const BlockStructure bs(t.A, tree);
+    const SnodeNumbering num = SnodeNumbering::from_tree(tree);
+    ASSERT_EQ(bs.n_snodes(), num.n_snodes) << t.name;
+    for (int s = 0; s < bs.n_snodes(); ++s)
+      EXPECT_LE(bs.snode_size(s), kMaxSnodeWidth) << t.name << " snode " << s;
+    for (int v = 0; v < tree.n_nodes(); ++v) {
+      const SepTreeNode& nd = tree.node(v);
+      index_t col = nd.sep_first;
+      index_t widest = 0, narrowest = nd.block_size();
+      for (int s = num.first_piece(v); s < num.beyond_piece(v); ++s) {
+        EXPECT_EQ(bs.first_col(s), col) << t.name << " node " << v;
+        col += bs.snode_size(s);
+        widest = std::max(widest, bs.snode_size(s));
+        narrowest = std::min(narrowest, bs.snode_size(s));
+        // A chain: every piece but the top one feeds the next.
+        if (s + 1 < num.beyond_piece(v)) {
+          EXPECT_EQ(bs.nd_parent(s), s + 1);
+        }
+      }
+      EXPECT_EQ(col, nd.sep_last) << t.name << " node " << v;
+      EXPECT_LE(widest - narrowest, 1) << t.name << " node " << v;
+      if (num.n_pieces[static_cast<std::size_t>(v)] > 1) ++split;
+    }
+  }
+  EXPECT_GT(split, 0) << "no separator of the suite is wider than the cap";
 }
 
 }  // namespace
