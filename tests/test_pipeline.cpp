@@ -121,18 +121,18 @@ constexpr GoldenCase kGolden[] = {
     {"planar", 1, 2, 8, {561656, 351088, 1140, 23, 74320, 124416},
      {476312, 97792, 505, 23, 51776, 48416},
      0x1.3316d9bc6e8dfp-12, 0x1.5805690d422d7p-13},
-    {"nonplanar", 4, 4, 1, {7395072, 0, 2844, 0, 690736, 0},
-     {5047760, 0, 1864, 0, 633760, 0},
-     0x1.0826ad22696p-9, 0x1.a97358cb9ed3cp-10},
-    {"nonplanar", 2, 4, 2, {4930048, 165888, 1896, 1, 613944, 165888},
-     {3486984, 168480, 1071, 1, 445608, 168480},
-     0x1.72eeac67f4d39p-10, 0x1.1ad851c7ea2abp-10},
-    {"nonplanar", 2, 2, 4, {2465024, 872064, 948, 7, 482968, 539136},
-     {1926208, 434112, 548, 7, 297168, 313704},
-     0x1.10e4ad7fdcaf1p-10, 0x1.cb9b659edabfp-11},
-    {"nonplanar", 1, 2, 8, {1232512, 2571848, 474, 23, 427056, 1005696},
-     {963104, 695040, 194, 23, 247560, 394728},
-     0x1.9dda562d4a441p-11, 0x1.77cd31f2a4765p-11},
+    {"nonplanar", 4, 4, 1, {7146240, 0, 2892, 0, 573736, 0},
+     {5119376, 0, 1924, 0, 450200, 0},
+     0x1.b1fed6376c417p-10, 0x1.54c395dd47a78p-10},
+    {"nonplanar", 2, 4, 2, {4764160, 165888, 1928, 4, 470392, 41472},
+     {3602192, 168480, 1104, 4, 386176, 42120},
+     0x1.2f16e95a87f07p-10, 0x1.baa559f88e2b1p-11},
+    {"nonplanar", 2, 2, 4, {2382080, 872064, 964, 18, 353864, 207360},
+     {2085008, 434120, 566, 18, 290672, 127944},
+     0x1.8941c7458562p-11, 0x1.3e0e3b53a97a9p-11},
+    {"nonplanar", 1, 2, 8, {1191040, 2571848, 482, 41, 344112, 663552},
+     {1042504, 695032, 198, 41, 285472, 251712},
+     0x1.4b20e2391fd01p-11, 0x1.2520c9c2b7e63p-11},
 };
 
 class GoldenCommCounters : public ::testing::TestWithParam<GoldenCase> {};
