@@ -193,6 +193,61 @@ TEST(MatrixMarket, OverstatedEntryCountFailsAsTruncated) {
   }
 }
 
+/// The message of the Error `read_mm(banner, body)` throws ("" if none).
+std::string mm_error(const std::string& banner, const std::string& body) {
+  try {
+    read_mm(banner, body);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MatrixMarket, ReportsMalformedEntriesByLine) {
+  const std::string head = "% comment\n2 2 3\n1 1 1.0\n";
+  // A bad value is malformed, not missing, and the error names its line.
+  for (const char* v : {"nan", "1e400", "x", "inf"}) {
+    const std::string msg =
+        mm_error("real general", head + "2 1 " + v + "\n2 2 1.0\n");
+    EXPECT_NE(msg.find("malformed entry"), std::string::npos) << v << ": " << msg;
+    EXPECT_NE(msg.find("(line 5)"), std::string::npos) << v << ": " << msg;
+  }
+  // A fourth field does not shift the later entries.
+  const std::string extra =
+      mm_error("real general", head + "2 1 1.0 7\n2 2 1.0\n");
+  EXPECT_NE(extra.find("malformed entry: 4 fields, expected 3 (line 5)"),
+            std::string::npos)
+      << extra;
+  // Pattern entries carry exactly two fields.
+  EXPECT_NE(mm_error("pattern general", "2 2 2\n1 1\n2 2 1.0\n")
+                .find("malformed entry: 3 fields, expected 2 (line 4)"),
+            std::string::npos);
+  // A missing entry is still reported as a truncation.
+  EXPECT_NE(mm_error("real general", head + "2 2 1.0\n").find("truncated entry list"),
+            std::string::npos);
+  // So is a surplus one, against the declared count.
+  EXPECT_NE(mm_error("real general", head + "2 1 1.0\n2 2 1.0\n1 2 1.0\n")
+                .find("more entries than the size line declares (line 7)"),
+            std::string::npos);
+  // Blank lines are allowed anywhere after the banner, and '+' signs too.
+  const CsrMatrix A = read_mm("real general", "\n2 2 2\n\n+1 1 +2.5\n2 2 1e0\n\n");
+  EXPECT_DOUBLE_EQ(A.at(0, 0), 2.5);
+  EXPECT_DOUBLE_EQ(A.at(1, 1), 1.0);
+}
+
+TEST(MatrixMarket, RejectsSizeLinesThatLeaveARowEmpty) {
+  // 3 entries reach at most 3 rows and 3 columns (6 when mirrored).
+  EXPECT_NE(mm_error("real general", "4 3 3\n1 1 1.0\n2 2 1.0\n3 3 1.0\n")
+                .find("leave a row or column empty (line 2)"),
+            std::string::npos);
+  EXPECT_THROW(read_mm("real general", "1000 1000 1\n1 1 1.0\n"), Error);
+  EXPECT_THROW(read_mm("real general", "1 1 0\n"), Error);
+  // A mirrored entry reaches two rows: 2 x 2 from one off-diagonal entry.
+  const CsrMatrix A = read_mm("real symmetric", "2 2 1\n2 1 3.0\n");
+  EXPECT_EQ(A.nnz(), 2);
+  EXPECT_THROW(read_mm("real symmetric", "3 3 1\n2 1 3.0\n"), Error);
+}
+
 TEST(Fingerprint, PatternOnlyIgnoresValuesAndSeesStructure) {
   const GridGeometry g{8, 8, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
