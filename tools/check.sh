@@ -34,11 +34,17 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   SolveSchedulePin, SolveScheduleFuzz: bitwise solution pins and a fuzz
 #     of the solve's routing over unbalanced trees at every z-depth;
 #   SolverFleet: the sharded front end (coalesced batch dispatch,
-#     cache-warm migration).
+#     cache-warm migration);
+#   SnodeWidthCap: supernodes of at most kMaxSnodeWidth columns, the
+#     chains of split separators against the host oracle and through the
+#     solve;
+#   ParserFuzz: mutated MatrixMarket and platform texts parse or throw
+#     slu3d::Error.
 REQUIRED_SUITES=(CommEquivalence GoldenCommCounters
                  RandomTargetedDeliveryFuzz Rma
                  PlatformRuntime AllgathervSweep DistAnalysis
-                 SolveSchedulePin SolveScheduleFuzz SolverFleet)
+                 SolveSchedulePin SolveScheduleFuzz SolverFleet
+                 SnodeWidthCap ParserFuzz)
 
 require_suites() {
   local dir="$1" suites
