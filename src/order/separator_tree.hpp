@@ -1,7 +1,9 @@
-// The separator tree produced by nested dissection. It is simultaneously
-// the supernode partition (each node's own vertex range is one supernode /
-// block column) and the supernodal elimination tree (a node depends on its
-// children), which is exactly how the paper uses the etree (§II-D).
+// The separator tree produced by nested dissection. It defines the
+// supernode partition (each node's own vertex range is one supernode /
+// block column, or a chain of them when it is wider than kMaxSnodeWidth;
+// see SnodeNumbering in symbolic/block_structure.hpp) and the supernodal
+// elimination tree (a node depends on its children), which is how the
+// paper uses the etree (§II-D).
 #pragma once
 
 #include <span>
