@@ -9,6 +9,7 @@
 //   memory  — numeric block bytes, total and max per rank.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -31,20 +32,11 @@ struct DistMetrics {
   offset_t w_red = 0;
   offset_t mem_total = 0;
   offset_t mem_max = 0;
-  /// Targeted z-reduction savings (zero under ZRedPacking::Dense): W_red
-  /// bytes avoided across all ranks, and the actual total bytes sent along
-  /// Z (so saved / (saved + sent) is the fraction of dense-equivalent
-  /// reduction volume eliminated).
-  offset_t zred_saved = 0;
-  offset_t z_bytes_sent = 0;
-  /// Targeted panel-delivery savings (zero under PanelPacking::Dense): XY
-  /// panel bytes the footprint messages avoided (bitmap words netted out),
-  /// the dense-equivalent payload the broadcasts would have delivered, and
-  /// the XY panel messages avoided. saved / dense is the fraction of panel
-  /// payload eliminated (fig9's Psaved and fig10's Tsaved columns).
-  offset_t panel_saved = 0;
-  offset_t panel_dense = 0;
-  offset_t panel_saved_msgs = 0;
+  /// Bytes and messages received, summed over all ranks, per plane
+  /// (indexed by sim::CommPlane). A Dense run minus a Targeted run of the
+  /// same point is the traffic the Targeted wire eliminates.
+  std::array<offset_t, sim::kNumPlanes> bytes_received{};
+  std::array<offset_t, sim::kNumPlanes> messages_received{};
   /// Total seconds transfers spent queued behind busy platform links
   /// (zero means the run never contended for a wire; grows with shared
   /// uplinks on hierarchical platforms).
@@ -171,11 +163,11 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
   m.t_comm = crit->comm_seconds();
   m.w_fact = res.max_bytes_received(sim::CommPlane::XY);
   m.w_red = res.max_bytes_received(sim::CommPlane::Z);
-  m.zred_saved = res.total_zred_bytes_saved();
-  m.z_bytes_sent = res.total_bytes_sent(sim::CommPlane::Z);
-  m.panel_saved = res.total_panel_saved_bytes();
-  m.panel_dense = res.total_panel_dense_bytes();
-  m.panel_saved_msgs = res.total_panel_saved_msgs();
+  for (const sim::RankStats& r : res.ranks)
+    for (std::size_t pl = 0; pl < sim::kNumPlanes; ++pl) {
+      m.bytes_received[pl] += r.bytes_received[pl];
+      m.messages_received[pl] += r.messages_received[pl];
+    }
   m.link_queue_s = res.total_link_queue_seconds();
   for (offset_t b : mem) {
     m.mem_total += b;

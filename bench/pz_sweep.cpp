@@ -3,7 +3,9 @@
 // simulated ranks (the paper's 96- and 384-rank machines, scaled down).
 // Each point runs twice: on the Dense wires, and Targeted on both planes
 // (footprint messages on XY, one frame per ancestor along Z). The factors
-// are bitwise equal across wires; only the traffic differs.
+// are bitwise equal across wires; only the traffic differs, so the Dense
+// run's received volume minus the Targeted run's is what the Targeted wire
+// saves.
 //
 //   Fig. 9  — factorization time per matrix, normalized to the 2D run
 //             (P_z = 1) at P = 64 (the paper normalizes to 2D
@@ -40,10 +42,25 @@ namespace {
 
 using namespace slu3d;
 
+constexpr auto kXY = static_cast<std::size_t>(sim::CommPlane::XY);
+constexpr auto kZ = static_cast<std::size_t>(sim::CommPlane::Z);
+
 struct Point {
   int P = 0, Pz = 0, Px = 0, Py = 0;
   bench::DistMetrics dense;     ///< Dense on both planes
   bench::DistMetrics targeted;  ///< Targeted on both planes
+
+  /// Bytes received on `plane`: Dense run minus Targeted run.
+  offset_t saved_bytes(std::size_t plane) const {
+    return dense.bytes_received[plane] - targeted.bytes_received[plane];
+  }
+  /// Share of the Dense run's volume on `plane` the Targeted wire saves.
+  double saved_pct(std::size_t plane) const {
+    const offset_t all = dense.bytes_received[plane];
+    return all > 0 ? 100.0 * static_cast<double>(saved_bytes(plane)) /
+                         static_cast<double>(all)
+                   : 0.0;
+  }
 };
 
 /// One matrix's points, in sweep order (P outer, P_z inner).
@@ -60,19 +77,9 @@ struct MatrixSweep {
   }
 };
 
-double pct(offset_t saved, offset_t dense_eq) {
-  return dense_eq > 0 ? 100.0 * static_cast<double>(saved) /
-                            static_cast<double>(dense_eq)
-                      : 0.0;
-}
-
-/// Share of the dense-equivalent Z volume the Targeted frames eliminate.
-double zred_saved_pct(const bench::DistMetrics& tg) {
-  return pct(tg.zred_saved, tg.z_bytes_sent + tg.zred_saved);
-}
-
 /// T_pk/T is the Targeted run's simulated time over the Dense run's, and
-/// Psaved the share of XY panel payload the footprint messages eliminate.
+/// Psaved the share of the Dense run's XY volume the footprint messages
+/// eliminate.
 void print_fig9(const MatrixSweep& s, index_t n) {
   std::cout << "\n=== " << s.name << " ("
             << (s.planar ? "planar" : "non-planar") << ", n=" << n
@@ -89,8 +96,7 @@ void print_fig9(const MatrixSweep& s, index_t n) {
                    TextTable::num(m.t_comm / baseline),
                    TextTable::num(baseline / m.time, 2),
                    TextTable::num(p.targeted.time / m.time, 4),
-                   TextTable::num(pct(p.targeted.panel_saved,
-                                      p.targeted.panel_dense), 1),
+                   TextTable::num(p.saved_pct(kXY), 1),
                    TextTable::num(m.wall_s, 3)});
   }
   table.print(std::cout);
@@ -109,17 +115,15 @@ void print_fig10(const MatrixSweep& s) {
     for (int Pz : {1, 2, 4, 8, 16}) {
       const Point& p = s.at(P, Pz);
       const bench::DistMetrics& m = p.dense;
-      const bench::DistMetrics& tg = p.targeted;
       const offset_t total = m.w_fact + m.w_red;
       table.add_row({std::to_string(P), std::to_string(Pz),
                      std::to_string(m.w_fact), std::to_string(m.w_red),
                      std::to_string(total),
                      TextTable::num(static_cast<double>(w2d) /
                                     static_cast<double>(total), 2) + "x",
-                     std::to_string(tg.panel_saved),
-                     TextTable::num(pct(tg.panel_saved, tg.panel_dense), 1) +
-                         "%",
-                     TextTable::num(zred_saved_pct(tg), 1) + "%"});
+                     std::to_string(p.saved_bytes(kXY)),
+                     TextTable::num(p.saved_pct(kXY), 1) + "%",
+                     TextTable::num(p.saved_pct(kZ), 1) + "%"});
     }
   }
   table.print(std::cout);
@@ -143,8 +147,8 @@ void print_fig11(const std::vector<MatrixSweep>& sweeps) {
                        static_cast<double>(base) -
                    1.0);
       row.push_back(TextTable::num(overhead, 1) + "%");
-      srow.push_back(std::to_string(p.targeted.zred_saved) + " (" +
-                     TextTable::num(zred_saved_pct(p.targeted), 1) + "%)");
+      srow.push_back(std::to_string(p.saved_bytes(kZ)) + " (" +
+                     TextTable::num(p.saved_pct(kZ), 1) + "%)");
     }
     table.add_row(std::move(row));
     saved.add_row(std::move(srow));
@@ -152,8 +156,8 @@ void print_fig11(const std::vector<MatrixSweep>& sweeps) {
   std::cout << "\nFig. 11 — relative memory overhead of 3D over 2D, P=" << P
             << "\n";
   table.print(std::cout);
-  std::cout << "\nTargeted z-reduction: W_red bytes saved (share of "
-               "dense-equivalent volume)\n";
+  std::cout << "\nTargeted z-reduction: Z bytes saved (share of the Dense "
+               "run's Z volume)\n";
   saved.print(std::cout);
 }
 
@@ -179,8 +183,7 @@ int main(int argc, char** argv) {
         "t_analysis_s,w_analysis_bytes,msg_analysis\n";
   std::ofstream f10("results/fig10_comm_volume.csv");
   f10 << "matrix,class,P,Pz,w_fact_bytes,w_red_bytes,targeted_saved_bytes,"
-         "targeted_dense_bytes,targeted_saved_msgs,targeted_zred_saved_bytes"
-         "\n";
+         "dense_xy_bytes,targeted_saved_msgs,targeted_zred_saved_bytes\n";
   std::ofstream f11("results/fig11_memory.csv");
   f11 << "matrix,class,P,Pz,mem_total_bytes,mem_max_bytes\n";
 
@@ -213,15 +216,15 @@ int main(int argc, char** argv) {
                                         ZRedPacking::Targeted,
                                         PanelPacking::Targeted);
         const bench::DistMetrics& m = p.dense;
-        const bench::DistMetrics& tg = p.targeted;
         f9 << t.name << ',' << cls << ',' << P << ',' << Pz << ',' << Px
            << ',' << Py << ',' << m.time << ',' << m.t_scu << ',' << m.t_comm
            << ',' << m.wall_s << ',' << t_analysis << ',' << w_analysis
            << ',' << msg_analysis << '\n';
         f10 << t.name << ',' << cls << ',' << P << ',' << Pz << ','
-            << m.w_fact << ',' << m.w_red << ',' << tg.panel_saved << ','
-            << tg.panel_dense << ',' << tg.panel_saved_msgs << ','
-            << tg.zred_saved << '\n';
+            << m.w_fact << ',' << m.w_red << ',' << p.saved_bytes(kXY) << ','
+            << m.bytes_received[kXY] << ','
+            << m.messages_received[kXY] - p.targeted.messages_received[kXY]
+            << ',' << p.saved_bytes(kZ) << '\n';
         f11 << t.name << ',' << cls << ',' << P << ',' << Pz << ','
             << m.mem_total << ',' << m.mem_max << '\n';
       }

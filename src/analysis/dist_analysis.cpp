@@ -323,9 +323,16 @@ AnalysisResult analyze_host(const CsrMatrix& A, const NdOptions& opts) {
 AnalysisResult analyze_in_sim(const CsrMatrix& A, sim::Comm& comm,
                               const NdOptions& opts, AnalysisMode mode) {
   SLU3D_CHECK(mode != AnalysisMode::Host, "host analysis is not in-sim");
-  comm.begin_analysis_phase();
+  const sim::RankStats before = comm.stats();
   AnalysisResult out = distributed(A, comm, opts);
-  comm.end_analysis_phase();
+  sim::RankStats& after = comm.stats();
+  after.analysis_seconds += after.clock - before.clock;
+  for (std::size_t pl = 0; pl < sim::kNumPlanes; ++pl) {
+    after.analysis_bytes_received +=
+        after.bytes_received[pl] - before.bytes_received[pl];
+    after.analysis_messages_sent +=
+        after.messages_sent[pl] - before.messages_sent[pl];
+  }
   return out;
 }
 

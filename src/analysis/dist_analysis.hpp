@@ -45,9 +45,9 @@ struct AnalysisResult {
 AnalysisResult analyze_host(const CsrMatrix& A, const NdOptions& opts);
 
 /// Collective in-sim analysis over all ranks of `comm`. `mode` must be
-/// Distributed. Every rank returns the full (identical) result; the work
-/// and traffic are bracketed in the rank's analysis-phase counters
-/// (Comm::begin/end_analysis_phase).
+/// Distributed. Every rank returns the full (identical) result; the clock
+/// advance, bytes received and messages sent between entry and exit are
+/// added to the rank's RankStats::analysis_* counters.
 AnalysisResult analyze_in_sim(const CsrMatrix& A, sim::Comm& comm,
                               const NdOptions& opts, AnalysisMode mode);
 

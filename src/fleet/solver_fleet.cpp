@@ -19,16 +19,6 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Bytes a naive warm migration would ship: the CSR operator (pattern +
-/// values) plus the numeric factor payload, instead of the symbolic state.
-offset_t bulk_migration_bytes(const CsrMatrix& A, const SymbolicState& sym) {
-  offset_t b = static_cast<offset_t>(A.n_rows() + 1) *
-               static_cast<offset_t>(sizeof(offset_t));
-  b += A.nnz() * static_cast<offset_t>(sizeof(index_t) + sizeof(real_t));
-  if (sym.bs) b += sym.bs->total_nnz() * static_cast<offset_t>(sizeof(real_t));
-  return b;
-}
-
 }  // namespace
 
 struct SolverFleet::Member {
@@ -303,8 +293,6 @@ std::uint64_t SolverFleet::submit(const FleetRequest& request,
             ratio >= opt_.migration_threshold) {
           if (auto sym = holder.svc->extract_pattern(fp)) {
             stats_.migrated_bytes += sym->payload_bytes();
-            stats_.migration_bulk_bytes +=
-                bulk_migration_bytes(*request.A, *sym);
             shards_[static_cast<std::size_t>(coldest)]->svc->insert_pattern(
                 std::move(*sym));
             ++stats_.migrations;

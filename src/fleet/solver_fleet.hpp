@@ -129,8 +129,6 @@ struct FleetStats {
   long activations = 0;  ///< warm batches served with zero factor work
   long migrations = 0;
   offset_t migrated_bytes = 0;  ///< symbolic payload actually shipped
-  offset_t migration_bulk_bytes = 0;  ///< matrix + factor bytes a naive
-                                      ///< (payload-shipping) move would cost
 };
 
 class SolverFleet {

@@ -263,11 +263,7 @@ class PanelEngine {
   /// into its frame cache, and sends one message per peer whose footprint
   /// is non-empty — the frames of exactly the entries that peer reads, in
   /// entry order, on the role's tag. Peers post the matching irecv here
-  /// and parse it into dense storage at the Schur drain. Savings are
-  /// booked on the root against the dense-equivalent volume, so the
-  /// accounting identity
-  ///   dense_equivalent - wire == saved
-  /// holds byte-exactly (and message-exactly) per role per supernode.
+  /// and parse it into dense storage at the Schur drain.
   void targeted_role(PanelStash& stash, int role, int k, index_t ns,
                      std::span<const PanelBlock> panel) {
     std::vector<StashEntry>& entries =
@@ -291,14 +287,13 @@ class PanelEngine {
     }
     // Root: dense local fill + one frame per entry, each encoded into its
     // own dense-bound region of the frame cache.
-    std::size_t cache = 0, dense_scalars = 0;
+    std::size_t cache = 0;
     for (StashEntry& e : entries) {
       const auto elems =
           static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns);
       e.in_footprint = true;  // the root reads everything locally
       e.frame_off = cache;
       cache += frame_bitmap_words(elems) + elems;
-      dense_scalars += elems;
     }
     frame_cache_.resize(cache);
     for (StashEntry& e : entries) {
@@ -312,10 +307,7 @@ class PanelEngine {
           src, std::span{frame_cache_}.subspan(
                    e.frame_off, frame_bitmap_words(elems) + elems));
     }
-    const int p = comm.size();
-    std::size_t wired = 0;
-    offset_t n_msgs = 0;
-    for (int r = 0; r < p; ++r) {
+    for (int r = 0; r < comm.size(); ++r) {
       if (r == root) continue;
       send_buf_.clear();
       for (const StashEntry& e : entries) {
@@ -328,19 +320,6 @@ class PanelEngine {
       }
       if (send_buf_.empty()) continue;  // empty footprint: no message at all
       comm.isend(r, role_tag, send_buf_, CommPlane::XY);
-      wired += send_buf_.size();
-      ++n_msgs;
-    }
-    if (p > 1) {
-      sim::RankStats& st = comm.stats();
-      const auto dense_bytes = static_cast<offset_t>(
-          static_cast<std::size_t>(p - 1) * dense_scalars * sizeof(real_t));
-      st.panel_dense_bytes += dense_bytes;
-      st.panel_saved_bytes +=
-          dense_bytes - static_cast<offset_t>(wired * sizeof(real_t));
-      st.panel_saved_msgs += static_cast<offset_t>(p - 1) *
-                                 static_cast<offset_t>(entries.size()) -
-                             n_msgs;
     }
   }
 

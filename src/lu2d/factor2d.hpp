@@ -35,9 +35,8 @@ enum class PanelPacking {
   /// Ancestor union blocks are ragged, so the frames elide zeros even
   /// inside the entries a receiver reads. Factors stay bitwise identical
   /// (the footprint covers every pair-referenced entry, so charged flops
-  /// and FP order match Dense); savings are reported in RankStats::panel_*
-  /// with an exact accounting identity: dense_equivalent - received ==
-  /// saved.
+  /// and FP order match Dense); the saving is a Dense run's XY traffic
+  /// minus a Targeted run's.
   Targeted,
 };
 

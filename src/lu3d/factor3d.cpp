@@ -15,8 +15,6 @@
 //             zero of the replicated copy is elided, inside touched blocks
 //             too. The owner expands the frame and accumulates the dense
 //             stream in the same order as Dense — numerically identical.
-//             Savings reconcile byte-exactly against the dense wire:
-//             received + zred_bytes_saved == dense.
 //
 // An ancestor whose *dense* packed size is zero is skipped without a
 // message — sender and receiver compute that size independently from
@@ -189,7 +187,6 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
     if (k % 2 == 1) {
       // The outgoing copies must include everything received so far.
       drain([](int) { return false; });
-      sim::RankStats& st = grid.zline().stats();
       std::vector<real_t> buf, frame;
       for (int s = 0; s < bs.n_snodes(); ++s) {
         if (!reduced_after(s, lvl)) continue;
@@ -201,9 +198,6 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
         if (targeted) {
           frame.resize(frame_bitmap_words(len) + len);
           wire = std::span{frame}.first(encode_frame(buf, frame));
-          st.zred_bytes_saved += (static_cast<offset_t>(len) -
-                                  static_cast<offset_t>(wire.size())) *
-                                 static_cast<offset_t>(sizeof(real_t));
         }
         grid.zline().isend(pz - step, kReduceTagBase + lvl, wire,
                            CommPlane::Z);

@@ -23,8 +23,8 @@ enum class ZRedPacking {
   /// the nonzero scalars — so every zero of the replicated copy is elided,
   /// inside touched blocks too. Numerically identical: the owner expands
   /// the frame and adds the dense stream in the same order as Dense.
-  /// Savings land in RankStats::zred_bytes_saved and reconcile
-  /// byte-exactly: received + zred_saved == dense received.
+  /// Both wires send the same messages; the saving is a Dense run's Z
+  /// bytes minus a Targeted run's.
   Targeted,
 };
 

@@ -4,33 +4,12 @@
 #include <bit>
 #include <mutex>
 
-#include "model/cost_model.hpp"
 #include "sparse/fingerprint.hpp"
 #include "support/check.hpp"
 
 namespace slu3d::service {
 
 namespace {
-
-/// Pz == 0: model-driven grid split (Eq. 8 for planar inputs) given the
-/// total rank budget Px*Py.
-void pick_dims(const ServiceOptions& o, index_t n, int& Px, int& Py, int& Pz) {
-  Px = o.Px;
-  Py = o.Py;
-  Pz = o.Pz;
-  if (Pz != 0) return;
-  const int P = o.Px * o.Py;
-  const double pz_star = model::planar_optimal_pz(static_cast<double>(n));
-  int pz = 1;
-  while (2 * pz <= pz_star && P % (2 * pz) == 0 && P / (2 * pz) >= 4) pz *= 2;
-  Pz = pz;
-  const int pxy = P / pz;
-  int px = 1;
-  for (int d = 1; d * d <= pxy; ++d)
-    if (pxy % d == 0) px = d;
-  Px = px;
-  Py = pxy / px;
-}
 
 /// Salt of the secondary (collision-guard) fingerprint kept per entry.
 constexpr std::uint64_t kCheckSalt = 0xc011150ull * 0x9e3779b97f4a7c15ull;
@@ -82,10 +61,9 @@ SolverService::SolverService(const ServiceOptions& options) : opt_(options) {
   // Reject an unrunnable grid here, before any factor() pays a full
   // analysis only for ForestPartition to refuse the shape.
   SLU3D_CHECK(opt_.Px >= 1 && opt_.Py >= 1, "Px and Py must be positive");
-  SLU3D_CHECK(opt_.Pz == 0 || (opt_.Pz > 0 &&
-                                std::has_single_bit(
-                                    static_cast<unsigned>(opt_.Pz))),
-              "Pz must be 0 (automatic) or a power of two");
+  SLU3D_CHECK(opt_.Pz > 0 &&
+                  std::has_single_bit(static_cast<unsigned>(opt_.Pz)),
+              "Pz must be a positive power of two");
   SLU3D_CHECK(opt_.max_patterns >= 1, "need capacity for at least one pattern");
   // A negative count would space solve_stream's per-request tag bases by
   // zero or less, breaking their disjoint-tag-range contract.
@@ -132,8 +110,9 @@ std::optional<SymbolicState> SolverService::extract_pattern(
 void SolverService::insert_pattern(SymbolicState&& state) {
   SLU3D_CHECK(state.tree && state.bs && state.part,
               "incomplete symbolic state");
-  SLU3D_CHECK(state.Px >= 1 && state.Py >= 1 && state.Pz >= 1,
-              "symbolic state carries no grid shape");
+  SLU3D_CHECK(state.Px == opt_.Px && state.Py == opt_.Py &&
+                  state.Pz == opt_.Pz,
+              "symbolic state was built for another process grid");
   auto op = std::make_unique<Resident>();
   op->sym = std::move(state);
   op->per_rank.resize(
@@ -242,7 +221,9 @@ FactorReport SolverService::factor(const CsrMatrix& A) {
   auto op = std::make_unique<Resident>();
   op->sym.key = key;
   op->sym.check = check;
-  pick_dims(opt_, A.n_rows(), op->sym.Px, op->sym.Py, op->sym.Pz);
+  op->sym.Px = opt_.Px;
+  op->sym.Py = opt_.Py;
+  op->sym.Pz = opt_.Pz;
   const int P = op->sym.Px * op->sym.Py * op->sym.Pz;
 
   double analysis_time = 0;

@@ -39,11 +39,7 @@ namespace slu3d::service {
 struct ServiceOptions {
   int Px = 2;  ///< >= 1
   int Py = 2;  ///< >= 1
-  /// Number of 2D grids (power of two). 0 = choose per pattern: the
-  /// largest power of two <= the §IV communication-optimal value that
-  /// divides Px*Py (given as the total rank budget) and keeps the plane
-  /// at >= 4 ranks.
-  int Pz = 1;
+  int Pz = 1;  ///< number of 2D grids, a positive power of two
   NdOptions nd;
   std::optional<GridGeometry> geometry;  ///< exact geometric ND when set
   PartitionStrategy partition = PartitionStrategy::Greedy;

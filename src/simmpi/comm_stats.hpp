@@ -25,23 +25,6 @@ struct RankStats {
   std::array<double, kNumComputeKinds> compute_seconds{};
   std::array<offset_t, kNumComputeKinds> flops{};
   double clock = 0.0;  ///< final logical time of the rank
-  /// Targeted z-reduction accounting (sender side; zero unless
-  /// ZRedPacking::Targeted is enabled — see lu3d/factor3d.hpp): W_red bytes
-  /// avoided vs Dense, i.e. dense-equivalent bytes minus actual payload,
-  /// bitmap overhead included, so it can go (slightly) negative on fully
-  /// dense levels.
-  offset_t zred_bytes_saved = 0;
-  /// Targeted panel-delivery accounting (data-root side; zero unless
-  /// PanelPacking::Targeted is enabled). `panel_dense_bytes` is what the
-  /// Dense broadcasts of the roles rooted at this rank would have delivered
-  /// to the other members of their comm; `panel_saved_bytes` subtracts the
-  /// footprint messages actually sent (bitmap words included); and
-  /// `panel_saved_msgs` counts the per-entry deliveries those messages
-  /// replaced or skipped, so wire + saved == dense holds for bytes and
-  /// messages.
-  offset_t panel_dense_bytes = 0;  ///< dense-equivalent panel payload
-  offset_t panel_saved_bytes = 0;  ///< XY panel bytes avoided vs Dense
-  offset_t panel_saved_msgs = 0;   ///< XY panel messages avoided vs Dense
   /// Clock advance spent blocked for message arrivals: the sum over all
   /// receives (blocking recv and Request::wait alike) of
   /// max(0, sender_completion - local clock). With non-blocking
@@ -57,34 +40,27 @@ struct RankStats {
   /// its bottleneck link via TraceEvent::Kind::LinkWait.
   double link_queue_seconds = 0.0;
   /// Analysis-phase split (the paper-pipeline's cold-start ordering +
-  /// symbolic stage run in-sim; see src/analysis/). While a rank is inside
-  /// Comm::begin/end_analysis_phase every byte received and message sent
-  /// at any runtime charge site, on either plane, is also counted here,
-  /// and the clock advance between the bracketing calls accumulates into
-  /// analysis_seconds — so W_analysis / msg_analysis report exactly the
-  /// traffic of the analysis stage, separated from the numeric W_fact /
-  /// W_red of the same run.
-  bool in_analysis_phase = false;      ///< live toggle, not a statistic
-  double analysis_phase_start = 0.0;   ///< clock at begin_analysis_phase
-  double analysis_seconds = 0.0;       ///< clock advance inside the phase
+  /// symbolic stage run in-sim; see src/analysis/). analyze_in_sim adds
+  /// the clock advance, bytes received and messages sent on both planes
+  /// between its entry and its exit, so W_analysis / msg_analysis report
+  /// exactly the traffic of the analysis stage, separated from the numeric
+  /// W_fact / W_red of the same run.
+  double analysis_seconds = 0.0;
   offset_t analysis_bytes_received = 0;
   offset_t analysis_messages_sent = 0;
 
   /// The single bookkeeping funnel for sent bytes: every runtime charge
-  /// site (blocking send, isend, ibcast forwarding, window put) goes through
-  /// here so the analysis-phase counters can never drift from the primary
-  /// ones.
+  /// site (blocking send, isend, ibcast forwarding, window put) goes
+  /// through here.
   void add_sent(CommPlane plane, offset_t bytes) {
     bytes_sent[static_cast<std::size_t>(plane)] += bytes;
     messages_sent[static_cast<std::size_t>(plane)] += 1;
-    if (in_analysis_phase) analysis_messages_sent += 1;
   }
   /// Same funnel for the receive side (blocking recv, request completion,
   /// window put delivery).
   void add_received(CommPlane plane, offset_t bytes) {
     bytes_received[static_cast<std::size_t>(plane)] += bytes;
     messages_received[static_cast<std::size_t>(plane)] += 1;
-    if (in_analysis_phase) analysis_bytes_received += bytes;
   }
 
   offset_t total_bytes_sent() const {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -112,14 +113,20 @@ Platform Platform::parse(std::string_view text) {
     std::string key;
     if (!(ls >> key)) continue;  // blank / comment-only line
     const std::string where = " (line " + std::to_string(lineno) + ")";
-    if (key == "name") {
-      SLU3D_CHECK(static_cast<bool>(ls >> p.name),
-                  "platform: 'name' needs a value" + where);
-    } else if (key == "alpha" || key == "beta" || key == "gamma") {
-      std::string v;
+    // A directive with one value: the value, and nothing after it.
+    auto single_value = [&] {
+      std::string v, extra;
       SLU3D_CHECK(static_cast<bool>(ls >> v),
                   "platform: '" + key + "' needs a value" + where);
-      const double d = parse_double(v, key);
+      SLU3D_CHECK(!(ls >> extra), "platform: unexpected '" + extra +
+                                      "' after the value of '" + key + "'" +
+                                      where);
+      return v;
+    };
+    if (key == "name") {
+      p.name = single_value();
+    } else if (key == "alpha" || key == "beta" || key == "gamma") {
+      const double d = parse_double(single_value(), key);
       if (key == "alpha") p.machine.alpha = d;
       if (key == "beta") p.machine.beta = d;
       if (key == "gamma") p.machine.gamma = d;
@@ -194,11 +201,19 @@ void Platform::validate() const {
               "non-negative");
   SLU3D_CHECK(levels.size() <= 16,
               "platform '" + name + "': too many hierarchy levels");
+  // PlatformLayout keeps each level's group size (the running product of
+  // the arities) in an int.
+  int stride = 1;
   for (const auto& lvl : levels) {
     SLU3D_CHECK(!lvl.label.empty(),
                 "platform '" + name + "': link level needs a label");
     SLU3D_CHECK(lvl.arity >= 2, "platform '" + name + "': link '" + lvl.label +
                                     "' arity must be >= 2");
+    SLU3D_CHECK(stride <= std::numeric_limits<int>::max() / lvl.arity,
+                "platform '" + name + "': link '" + lvl.label +
+                    "' makes the product of the arities exceed " +
+                    std::to_string(std::numeric_limits<int>::max()));
+    stride *= lvl.arity;
     SLU3D_CHECK(lvl.latency >= 0.0 && lvl.inv_bw >= 0.0 &&
                     std::isfinite(lvl.latency) && std::isfinite(lvl.inv_bw),
                 "platform '" + name + "': link '" + lvl.label +
@@ -236,7 +251,7 @@ PlatformLayout::PlatformLayout(const Platform& platform, int n_ranks) {
     stride *= lvl.arity;
     stride_.push_back(stride);
     level_base_.push_back(static_cast<int>(links_.size()));
-    const int groups = (n_ + stride - 1) / stride;
+    const int groups = (n_ - 1) / stride + 1;
     for (int g = 0; g < groups; ++g) {
       links_.push_back(Link{lvl.label + std::to_string(g) + ".up",
                             lvl.latency, lvl.inv_bw});

@@ -72,7 +72,9 @@ struct Platform {
   ///   gamma 6.0e-11
   ///   link node   arity=4 latency=5.0e-7 inv_bw=7.5e-11
   ///   link switch arity=4 latency=1.0e-6 inv_bw=3.75e-11
-  /// `link` lines are ordered bottom-up; '#' starts a comment.
+  /// `link` lines are ordered bottom-up; '#' starts a comment. `name`,
+  /// `alpha`, `beta` and `gamma` take exactly one value; any other token
+  /// on their line throws Error naming the line.
   static Platform parse(std::string_view text);
   /// `spec` is a preset name or a path to a platform file — the string the
   /// shared `--platform` bench flag accepts.
@@ -81,7 +83,8 @@ struct Platform {
   /// One-line human-readable summary (flag echo in bench drivers).
   std::string describe() const;
   /// Throws Error on malformed descriptions (non-positive arity, negative
-  /// latency/bandwidth, absurd level counts).
+  /// latency/bandwidth, absurd level counts, arities whose product
+  /// exceeds INT_MAX).
   void validate() const;
 };
 

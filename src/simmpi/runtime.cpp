@@ -409,19 +409,6 @@ double Comm::clock() const {
   return ctx_->stats[static_cast<std::size_t>(world_rank())].clock;
 }
 
-void Comm::begin_analysis_phase() {
-  auto& st = stats();
-  st.in_analysis_phase = true;
-  st.analysis_phase_start = st.clock;
-}
-
-void Comm::end_analysis_phase() {
-  auto& st = stats();
-  if (!st.in_analysis_phase) return;
-  st.in_analysis_phase = false;
-  st.analysis_seconds += st.clock - st.analysis_phase_start;
-}
-
 void Comm::add_compute(offset_t flops, ComputeKind kind) {
   const double dt = ctx_->model.compute_time(flops);
   auto& st = stats();
@@ -947,30 +934,6 @@ double RunResult::max_compute_seconds(ComputeKind kind) const {
   for (const auto& r : ranks)
     best = std::max(best, r.compute_seconds[static_cast<std::size_t>(kind)]);
   return best;
-}
-
-offset_t RunResult::total_zred_bytes_saved() const {
-  offset_t total = 0;
-  for (const auto& r : ranks) total += r.zred_bytes_saved;
-  return total;
-}
-
-offset_t RunResult::total_panel_dense_bytes() const {
-  offset_t total = 0;
-  for (const auto& r : ranks) total += r.panel_dense_bytes;
-  return total;
-}
-
-offset_t RunResult::total_panel_saved_bytes() const {
-  offset_t total = 0;
-  for (const auto& r : ranks) total += r.panel_saved_bytes;
-  return total;
-}
-
-offset_t RunResult::total_panel_saved_msgs() const {
-  offset_t total = 0;
-  for (const auto& r : ranks) total += r.panel_saved_msgs;
-  return total;
 }
 
 double RunResult::max_analysis_seconds() const {

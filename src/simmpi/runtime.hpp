@@ -164,16 +164,6 @@ class Comm {
   /// traffic on the window is LogGP-charged on `plane`.
   Window win_create(int tag, std::span<real_t> local, CommPlane plane);
 
-  /// Brackets the cold-start analysis stage (ordering + symbolic run
-  /// in-sim; see src/analysis/). Between the two calls every byte received
-  /// and message sent on this rank is also counted in
-  /// RankStats::analysis_* and the clock advance accumulates into
-  /// analysis_seconds, so W_analysis / msg_analysis can be reported
-  /// separately from the numeric phase of the same run. Nesting is not
-  /// supported; end without begin is a no-op.
-  void begin_analysis_phase();
-  void end_analysis_phase();
-
   /// Advance the logical clock by the model cost of `flops`.
   void add_compute(offset_t flops, ComputeKind kind);
 
@@ -306,17 +296,8 @@ struct RunResult {
   offset_t max_bytes_received(CommPlane plane) const;
   offset_t total_bytes_sent(CommPlane plane) const;
   double max_compute_seconds(ComputeKind kind) const;
-  /// Aggregate targeted z-reduction savings across ranks (zero when
-  /// ZRedPacking::Dense): the W_red bytes avoided.
-  offset_t total_zred_bytes_saved() const;
-  /// Aggregate targeted panel-delivery savings across ranks (zero when
-  /// PanelPacking::Dense): dense-equivalent panel payload, and the XY
-  /// bytes and messages the footprint messages avoided.
-  offset_t total_panel_dense_bytes() const;
-  offset_t total_panel_saved_bytes() const;
-  offset_t total_panel_saved_msgs() const;
-  /// Analysis-phase aggregates (zero unless the run bracketed work in
-  /// Comm::begin/end_analysis_phase): critical-path seconds, the paper's
+  /// Analysis-phase aggregates (zero unless the run called
+  /// analyze_in_sim): critical-path seconds, the paper's
   /// per-process received-volume metric restricted to the phase, and the
   /// total message count of the phase.
   double max_analysis_seconds() const;

@@ -10,17 +10,19 @@
 //    all-zero Schur contribution is equal to the -0.0 the dense GEMM would
 //    have added): wire-format packing and the lookahead never change the
 //    numbers,
-//  - XY received volume is monotonically non-increasing vs. the baseline:
-//    exactly equal for dense panel packing (any lookahead runs the same
-//    binomial trees), strictly smaller under targeted panel delivery,
-//  - Z received volume reconciles exactly against the zred_saved counter
-//    (which nets out the bitmap overhead and is allowed to go slightly
-//    negative on mostly-dense reduction levels),
-//  - the RankStats/RunResult savings counters agree with which packing ran.
+//  - XY received volume and message count are monotonically
+//    non-increasing vs. the baseline: exactly equal for dense panel
+//    packing (any lookahead runs the same binomial trees), strictly
+//    smaller volume under targeted panel delivery,
+//  - Z message counts equal the baseline's on every point (both wires send
+//    one message per non-empty ancestor), and Z volume equals it under
+//    dense z-reduction and differs under the targeted frames once there
+//    is a reduction (Pz > 1): the bitmap overhead may make it slightly
+//    larger on mostly-dense reduction levels.
 // It also pins the seed golden fig9 counters under an *explicitly* Dense
 // panel packing (the default must stay Dense — enforced at compile time),
-// and the fig10 acceptance bar: >= 15% of the panel payload eliminated on a
-// K2D5pt-class matrix at Pz = 4.
+// and the fig10 acceptance bar: >= 15% of the dense XY volume eliminated on
+// a K2D5pt-class matrix at Pz = 4.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -178,42 +180,24 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
   const PlaneTotals bt = plane_totals(base);
   const PlaneTotals vt = plane_totals(v);
   // XY is monotone non-increasing: no combination may move more panel
-  // bytes than the baseline.
+  // bytes or messages than the baseline.
   EXPECT_LE(vt.bytes[0], bt.bytes[0]) << "XY volume regressed";
-  // Z is exact-accounted: the zred_saved counter reconciles the targeted
-  // volume to the dense one to the byte (and may be slightly *negative* on
-  // problems whose reduction levels are mostly dense — the bitmap overhead
-  // is included in the counter by design, so the identity is the
-  // invariant, not strict shrinkage).
-  EXPECT_EQ(vt.bytes[1] + v.total_zred_bytes_saved(), bt.bytes[1])
-      << "Z volume not reconciled by zred_saved";
+  EXPECT_LE(vt.msgs[0], bt.msgs[0]) << "XY messages regressed";
+  // Both z wires send one message per non-empty ancestor, so only the
+  // volume may differ, and only once the targeted frames ran.
+  EXPECT_EQ(vt.msgs[1], bt.msgs[1]) << "Z message count changed";
+  if (k.zred == ZRedPacking::Dense || Pz == 1) {
+    EXPECT_EQ(vt.bytes[1], bt.bytes[1]);
+  } else {
+    EXPECT_NE(vt.bytes[1], bt.bytes[1]);  // the packer engaged
+  }
   if (k.panel == PanelPacking::Dense) {
     // Dense XY wire format is schedule-invariant: any lookahead shares the
     // same binomial trees, byte for byte.
     EXPECT_EQ(vt.bytes[0], bt.bytes[0]);
     EXPECT_EQ(vt.msgs[0], bt.msgs[0]);
-    EXPECT_EQ(v.total_panel_dense_bytes(), 0);
-    EXPECT_EQ(v.total_panel_saved_bytes(), 0);
-    EXPECT_EQ(v.total_panel_saved_msgs(), 0);
   } else {
-    // Footprint messages: no header or presence handshake travels beside
-    // the frames, so the saved counters reconcile the targeted wire to
-    // the dense equivalent exactly — to the byte AND to the message — on
-    // the XY plane (diag broadcasts are identical on both sides of the
-    // identity and cancel).
     EXPECT_LT(vt.bytes[0], bt.bytes[0]);
-    EXPECT_GT(v.total_panel_dense_bytes(), 0);
-    EXPECT_GT(v.total_panel_saved_bytes(), 0);
-    EXPECT_LT(v.total_panel_saved_bytes(), v.total_panel_dense_bytes());
-    EXPECT_EQ(vt.bytes[0] + v.total_panel_saved_bytes(), bt.bytes[0])
-        << "XY volume not reconciled by panel_saved";
-    EXPECT_EQ(vt.msgs[0] + v.total_panel_saved_msgs(), bt.msgs[0])
-        << "XY messages not reconciled by panel_saved_msgs";
-  }
-  if (k.zred == ZRedPacking::Dense || Pz == 1) {
-    EXPECT_EQ(v.total_zred_bytes_saved(), 0);
-  } else {
-    EXPECT_NE(v.total_zred_bytes_saved(), 0);  // the packer engaged
   }
 }
 
@@ -296,9 +280,8 @@ TEST(DensePackingGolden, ExplicitDenseReproducesSeedFig9Counters) {
 // ---------------------------------------------------------------------------
 // The fig10 acceptance bar: on a K2D5pt-class matrix (fig10's planar
 // family: five-point grid Laplacian, leaf 32, geometric ND) at Pz = 4,
-// targeted panel delivery must eliminate at least 15% of the
-// dense-equivalent panel payload, and the saving must show up both in the
-// RunResult aggregates and in the XY totals.
+// targeted panel delivery must eliminate at least 15% of the dense run's
+// XY volume (diagonal broadcasts included, which both wires send alike).
 // ---------------------------------------------------------------------------
 
 Problem fig10_class_problem() {
@@ -318,13 +301,12 @@ TEST(CommEquivalence, Fig10ClassPanelSavingsAtLeast15Percent) {
   const LuRun rt = run_lu(p, 2, 2, 4, targeted);
   expect_factors_equal(rd.F, rt.F);
 
-  const auto saved = rt.res.total_panel_saved_bytes();
-  const auto dense_eq = rt.res.total_panel_dense_bytes();
-  ASSERT_GT(dense_eq, 0);
-  const double ratio =
-      static_cast<double>(saved) / static_cast<double>(dense_eq);
-  EXPECT_GE(ratio, 0.15) << "panel payload saving " << ratio * 100 << "%";
-  EXPECT_LT(plane_totals(rt.res).bytes[0], plane_totals(rd.res).bytes[0]);
+  const offset_t dense_xy = plane_totals(rd.res).bytes[0];
+  const offset_t targeted_xy = plane_totals(rt.res).bytes[0];
+  ASSERT_GT(dense_xy, 0);
+  const double ratio = static_cast<double>(dense_xy - targeted_xy) /
+                       static_cast<double>(dense_xy);
+  EXPECT_GE(ratio, 0.15) << "XY volume saving " << ratio * 100 << "%";
 }
 
 // ---------------------------------------------------------------------------
@@ -332,9 +314,9 @@ TEST(CommEquivalence, Fig10ClassPanelSavingsAtLeast15Percent) {
 // reads any panel entry. Leaf supernode 0 couples only to the root
 // separator (block 2, whose Schur targets all live on supernode 0's own
 // process row), and leaf supernode 1 is an isolated island with an empty
-// panel. Under Targeted the data root therefore sends *zero* messages — the
-// entire dense-equivalent panel payload is saved, byte for byte and
-// message for message — while the factors still match the dense run.
+// panel. Under Targeted the data root therefore sends *zero* panel
+// messages — the XY plane carries the diagonal broadcasts alone — while the
+// factors still match the dense run.
 // ---------------------------------------------------------------------------
 
 Problem empty_footprint_problem() {
@@ -381,15 +363,18 @@ TEST(CommEquivalence, TargetedAllEmptyFootprintsSendNoPanelData) {
   const LuRun rt = run_lu(p, 1, 2, 1, targeted);
   expect_factors_equal(rd.F, rt.F);
 
-  // Every dense-equivalent panel byte and message vanished from the wire.
-  EXPECT_GT(rt.res.total_panel_dense_bytes(), 0);
-  EXPECT_EQ(rt.res.total_panel_saved_bytes(),
-            rt.res.total_panel_dense_bytes());
-  EXPECT_GT(rt.res.total_panel_saved_msgs(), 0);
-  EXPECT_EQ(plane_totals(rt.res).bytes[0] + rt.res.total_panel_saved_bytes(),
-            plane_totals(rd.res).bytes[0]);
-  EXPECT_EQ(plane_totals(rt.res).msgs[0] + rt.res.total_panel_saved_msgs(),
-            plane_totals(rd.res).msgs[0]);
+  // Every panel byte and message vanished from the wire: what is left is
+  // one ns x ns diagonal broadcast per supernode to the lone row peer.
+  offset_t diag_bytes = 0;
+  for (int s = 0; s < p.bs.n_snodes(); ++s)
+    diag_bytes += static_cast<offset_t>(p.bs.snode_size(s)) *
+                  p.bs.snode_size(s) * static_cast<offset_t>(sizeof(real_t));
+  const PlaneTotals dt = plane_totals(rd.res);
+  const PlaneTotals tt = plane_totals(rt.res);
+  EXPECT_EQ(tt.bytes[0], diag_bytes);
+  EXPECT_EQ(tt.msgs[0], p.bs.n_snodes());
+  EXPECT_GT(dt.bytes[0], tt.bytes[0]);  // the Dense run sends panel data
+  EXPECT_GT(dt.msgs[0], tt.msgs[0]);
 }
 
 // ---------------------------------------------------------------------------

@@ -216,9 +216,9 @@ TEST(DistAnalysis, NdTieBreakFullTreeMatchesSerial) {
   }
 }
 
-// The stats funnel is a pure refactor outside an analysis phase: a run
-// that never calls begin_analysis_phase reports a zero analysis split.
-// analyze_in_sim refuses AnalysisMode::Host before it opens a phase.
+// Only analyze_in_sim adds to the analysis split: a run whose traffic all
+// happens outside it reports a zero split. analyze_in_sim refuses
+// AnalysisMode::Host before it reads the rank's counters.
 TEST(DistAnalysis, NoPhaseMeansZeroAnalysisSplit) {
   const CsrMatrix A = grid2d_laplacian({6, 5, 1}, Stencil2D::FivePoint);
   const auto res = run_ranks(4, kModel, [&](sim::Comm& world) {

@@ -94,6 +94,14 @@ TEST(Platform, ParseRejectsMalformedDescriptions) {
   EXPECT_THROW(Platform::parse("name x\nlink n arity=2 latency=-1 inv_bw=0\n"),
                Error);
   EXPECT_THROW(Platform::parse("name x\nalpha -2e-6\n"), Error);
+  // Surplus tokens after a directive's one value are rejected, not dropped.
+  EXPECT_THROW(Platform::parse("name x\nalpha 3e-6 4e-6 junk\n"), Error);
+  EXPECT_THROW(Platform::parse("name x y\n"), Error);
+  // 65536 * 65536 passes INT_MAX: PlatformLayout's group stride would wrap.
+  EXPECT_THROW(Platform::parse("name big\n"
+                               "link a arity=65536 latency=0 inv_bw=0\n"
+                               "link b arity=65536 latency=0 inv_bw=0\n"),
+               Error);
 }
 
 TEST(Platform, LoadResolvesPresetNamesAndFiles) {

@@ -211,7 +211,8 @@ TEST(SolverService, RejectsUnusableGridAtConstruction) {
   // after every factor() has paid a full in-sim analysis.
   ServiceOptions o = small_grid_options();
   o.analysis = AnalysisMode::Distributed;
-  const int bad[][3] = {{2, 2, 3}, {0, 2, 1}, {2, -1, 1}, {2, 2, -2}};
+  const int bad[][3] = {{2, 2, 3}, {0, 2, 1}, {2, -1, 1}, {2, 2, -2},
+                        {2, 2, 0}};
   for (const auto& [px, py, pz] : bad) {
     o.Px = px;
     o.Py = py;
@@ -220,7 +221,7 @@ TEST(SolverService, RejectsUnusableGridAtConstruction) {
   }
   o.Px = 2;
   o.Py = 2;
-  o.Pz = 0;  // automatic
+  o.Pz = 2;
   EXPECT_NO_THROW(SolverService{o});
 }
 
@@ -424,6 +425,24 @@ TEST(SolverService, ExtractInsertMovesSymbolicStateBetweenServices) {
   cold.solve({b, x_cold, 1});
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_EQ(x_dst[i], x_cold[i]) << "component " << i;
+}
+
+TEST(SolverService, InsertPatternRejectsAnotherGrid) {
+  // A service factors on its one grid: a symbolic state analyzed for any
+  // other (Px, Py, Pz) is refused, and the service stays usable.
+  const CsrMatrix A =
+      grid2d_laplacian(GridGeometry{10, 9, 1}, Stencil2D::FivePoint);
+  SolverService src(small_grid_options());
+  src.factor(A);
+  auto sym = src.extract_pattern(src.fingerprint(A));
+  ASSERT_TRUE(sym.has_value());
+
+  ServiceOptions other = small_grid_options();
+  other.Pz *= 2;
+  SolverService dst(other);
+  EXPECT_THROW(dst.insert_pattern(std::move(*sym)), Error);
+  EXPECT_EQ(dst.resident_patterns(), 0u);
+  EXPECT_FALSE(dst.factor(A).cache_hit);
 }
 
 TEST(SolverService, DefaultsToTargetedWires) {

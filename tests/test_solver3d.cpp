@@ -171,25 +171,6 @@ TEST(Solver3d, InSimulationDistributedAnalysis) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-7);
 }
 
-TEST(Solver3d, AutomaticPzSelection) {
-  // Pz = 0: the service picks a power-of-two Pz from the §IV model given
-  // the total rank budget (passed as Px*Py).
-  const GridGeometry g{16, 16, 1};
-  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
-  const auto n = static_cast<std::size_t>(A.n_rows());
-  std::vector<real_t> b(n, 1.0), x(n);
-  ServiceOptions opt;
-  opt.Px = 4;
-  opt.Py = 8;  // total budget: 32 ranks
-  opt.Pz = 0;
-  opt.geometry = g;
-  SolverService svc(opt);
-  const auto fr = svc.factor(A);
-  const auto sr = svc.solve({b, x, 1});
-  EXPECT_LT(sr.residual, 1e-13);
-  EXPECT_GT(fr.w_red, 0);  // it chose Pz > 1 for this planar problem
-}
-
 TEST(Solver3d, SingularMatrixAbortsCleanly) {
   // A numerically singular input must surface as an Error, not a hang:
   // the failing rank's exception aborts the whole simulated run. The

@@ -30,7 +30,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   Rma: the one-sided windows the ledger's put microbenchmark drives;
 #   PlatformRuntime, AllgathervSweep: the charge path and the log-depth
 #     allgatherv every solve and analysis ends with;
-#   DistAnalysis: the in-sim analysis against its host oracle;
+#   DistAnalysis, DistAnalysisSweep: the in-sim analysis against its host
+#     oracle, and its analysis split (a rank's counters before and after
+#     analyze_in_sim);
 #   SolveSchedulePin, SolveScheduleFuzz: bitwise solution pins and a fuzz
 #     of the solve's routing over unbalanced trees at every z-depth;
 #   SolverFleet: the sharded front end (coalesced batch dispatch,
@@ -38,13 +40,15 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   SnodeWidthCap: supernodes of at most kMaxSnodeWidth columns, the
 #     chains of split separators against the host oracle and through the
 #     solve;
+#   SparseZReduction: the Targeted z-reduction against the Dense run
+#     (bitwise factors, fewer Z bytes in as many messages);
 #   ParserFuzz: mutated MatrixMarket and platform texts parse or throw
 #     slu3d::Error.
 REQUIRED_SUITES=(CommEquivalence GoldenCommCounters
                  RandomTargetedDeliveryFuzz Rma
                  PlatformRuntime AllgathervSweep DistAnalysis
-                 SolveSchedulePin SolveScheduleFuzz SolverFleet
-                 SnodeWidthCap ParserFuzz)
+                 DistAnalysisSweep SolveSchedulePin SolveScheduleFuzz
+                 SolverFleet SnodeWidthCap SparseZReduction ParserFuzz)
 
 require_suites() {
   local dir="$1" suites
