@@ -1,20 +1,35 @@
 // The 2D panel-pipeline engine of factorize_2d. One supernode flows through
-//   panel_phase:  GETRF at the diagonal owner, blocking diagonal broadcasts
-//                 along its process row and column, the L/U panel TRSMs,
-//                 then the non-blocking panel broadcasts into a stash slot,
-//   schur_phase:  drain of the outstanding broadcasts + the
+//   panel_phase:  GETRF at the diagonal owner, point-to-point delivery of
+//                 the factored diagonal block to the ranks that solve
+//                 against it, the L/U panel TRSMs, then the non-blocking
+//                 panel transfers into a stash slot,
+//   schur_phase:  drain of the outstanding transfers + the
 //                 owner-only-update Schur complement,
 // pipelined through the elimination-tree lookahead window of §II-F: panel
 // phases of up to `lookahead` future supernodes are issued as soon as all
-// their updaters have completed, so their non-blocking broadcasts overlap
-// earlier supernodes' Schur updates. Only the diagonal broadcasts, which
-// the panel solves consume at once, stay blocking.
+// their updaters have completed, so their non-blocking transfers overlap
+// earlier supernodes' Schur updates.
+//
+// The diagonal block of k goes, as one non-blocking send from its owner,
+// only to the ranks that run a TRSM against it: the owner of a non-empty L
+// block of k in the owner's process column and the owner of a non-empty U
+// block in its process row. Each of them receives it, blocking, right
+// before its panel solves; every other rank neither waits for it nor
+// receives it. Both sides evaluate that predicate from the replicated
+// lpanel(k), so no handshake travels.
+//
+// Every point-to-point send of the panel phase goes nearest ancestor
+// first: the sender walks lpanel(k) in ascending order and serves each
+// non-empty block's peer the first time it appears, so the consumers of
+// the blocks eliminated soonest get their data first (the diagonal: for
+// block a the L holder a % Px down the column, then the U holder a % Py
+// along the row; a footprint message: the role peer b % role_size).
 //
 // Supernode k's panel travels in two mirrored roles. A row-role entry is
-// the L block (a, k) of a panel block a with a % Px == px, broadcast along
+// the L block (a, k) of a panel block a with a % Px == px, sent along
 // this process row from the diagonal owner's process column; a
 // column-role entry is the U block (k, a) of a panel block a with
-// a % Py == py, broadcast down this process column from the diagonal
+// a % Py == py, sent down this process column from the diagonal
 // owner's process row. Each Schur pair multiplies one entry of each role.
 // Tags are 8k + op: the diagonal along the owner's process row (op 0) and
 // column (op 1), then the row role (op 2) and column role (op 3), posted
@@ -22,18 +37,19 @@
 // paths are pinned by Fig9Configs/GoldenCommCounters in
 // tests/test_pipeline.cpp.
 //
-// PanelPacking::Targeted (the service's wire; the engine defaults to Dense)
-// replaces each role's broadcasts with footprint messages (see DESIGN.md
-// "Targeted footprint messages"): the data root computes every peer's
-// block *footprint* — the entries that peer's Schur pairs actually read —
-// from the replicated symbolic structure and sends ONE point-to-point
-// message per peer on the role's tag: the frames (encode_frame) of the
-// footprint entries, concatenated in entry order. Peers with an empty
-// footprint get no message at all; both sides evaluate the same symbolic
-// predicate, so no handshake travels. Entries are never pruned, so the
-// Schur pair set, charged flops, and FP order are identical to Dense —
-// factors stay bitwise identical — while a peer receives only the entries
-// it reads, and only their nonzero scalars.
+// PanelPacking::Dense broadcasts each role entry over a binomial tree of
+// the whole process row or column. PanelPacking::Targeted (the service's
+// wire; the engine defaults to Dense) replaces each role's broadcasts with
+// footprint messages (see DESIGN.md "Targeted footprint messages"): the
+// data root computes every peer's block *footprint* — the entries that
+// peer's Schur pairs actually read — from the replicated symbolic
+// structure and sends ONE point-to-point message per peer on the role's
+// tag: the frames (encode_frame) of the footprint entries, concatenated in
+// entry order. Peers with an empty footprint get no message at all; both
+// sides evaluate the same symbolic predicate, so no handshake travels.
+// Entries are never pruned, so the Schur pair set, charged flops, and FP
+// order are identical to Dense — factors stay bitwise identical — while a
+// peer receives only the entries it reads, and only their nonzero scalars.
 #include "lu2d/factor2d.hpp"
 
 #include <algorithm>
@@ -57,8 +73,8 @@ using sim::ComputeKind;
 
 constexpr int kRowRole = 0;
 constexpr int kColRole = 1;
-constexpr int kDiagRowOp = 0;  ///< diagonal broadcast along the owner's row
-constexpr int kDiagColOp = 1;  ///< diagonal broadcast down the owner's column
+constexpr int kDiagRowOp = 0;  ///< diagonal to the U holders of its row
+constexpr int kDiagColOp = 1;  ///< diagonal to the L holders of its column
 /// Tag op of each role's panel transfers (broadcasts or footprint
 /// messages).
 constexpr std::array<int, 2> kPanelOp = {2, 3};
@@ -74,6 +90,36 @@ void validate(const Lu2dOptions& opt) {
                   opt.packing == PanelPacking::Targeted,
               "lu2d: unknown PanelPacking value");
 }
+
+/// True if this rank holds a non-empty block of `panel` on a comm of `n`
+/// members, where block b lives on member b % n: an L holder of the
+/// process column (n = Px, me = px) or a U holder of the process row
+/// (n = Py, me = py). Purely symbolic, like entry_needed.
+bool holds_block(std::span<const PanelBlock> panel, int n, int me) {
+  return std::any_of(panel.begin(), panel.end(), [&](const PanelBlock& b) {
+    return b.n_rows() > 0 && b.snode % n == me;
+  });
+}
+
+/// The first-visit filter of a nearest-ancestor walk: a sender walking
+/// lpanel(k) in ascending order serves each peer the first time one of
+/// its blocks appears. reset() marks the sender itself as served.
+class PeerWalk {
+ public:
+  void reset(int n, int self) {
+    seen_.assign(static_cast<std::size_t>(n), false);
+    seen_[static_cast<std::size_t>(self)] = true;
+  }
+  /// True exactly once per peer between resets.
+  bool first(int peer) {
+    if (seen_[static_cast<std::size_t>(peer)]) return false;
+    seen_[static_cast<std::size_t>(peer)] = true;
+    return true;
+  }
+
+ private:
+  std::vector<bool> seen_;
+};
 
 /// Adds V into the owned target block (bi, bj) — the distributed version
 /// of schur_scatter_add.
@@ -261,9 +307,12 @@ class PanelEngine {
   /// Targeted-mode replacement for one role's broadcasts. The data root
   /// fills its dense stash storage locally, encodes every entry's frame
   /// into its frame cache, and sends one message per peer whose footprint
-  /// is non-empty — the frames of exactly the entries that peer reads, in
-  /// entry order, on the role's tag. Peers post the matching irecv here
-  /// and parse it into dense storage at the Schur drain.
+  /// is non-empty, nearest ancestor first — the frames of exactly the
+  /// entries that peer reads, in entry order, on the role's tag. Only a
+  /// peer b % role_size of some non-empty block b can read an entry, so
+  /// the walk over lpanel(k) reaches every such peer. Peers post the
+  /// matching irecv here and parse it into dense storage at the Schur
+  /// drain.
   void targeted_role(PanelStash& stash, int role, int k, index_t ns,
                      std::span<const PanelBlock> panel) {
     std::vector<StashEntry>& entries =
@@ -307,8 +356,12 @@ class PanelEngine {
           src, std::span{frame_cache_}.subspan(
                    e.frame_off, frame_bitmap_words(elems) + elems));
     }
-    for (int r = 0; r < comm.size(); ++r) {
-      if (r == root) continue;
+    // One message per peer, nearest ancestor first.
+    PeerWalk& walk = walks_[static_cast<std::size_t>(role)];
+    walk.reset(comm.size(), root);
+    for (const PanelBlock& b : panel) {
+      const int r = b.snode % comm.size();
+      if (b.n_rows() == 0 || !walk.first(r)) continue;
       send_buf_.clear();
       for (const StashEntry& e : entries) {
         const int s = panel[static_cast<std::size_t>(e.panel_idx)].snode;
@@ -371,42 +424,68 @@ class PanelEngine {
     return nullptr;
   }
 
-  /// GETRF at the owner of (k,k), diagonal broadcast along the owner's
-  /// process row (for U panel solves) and column (for L), then the panel
-  /// TRSMs on the owning process column / row.
+  /// The diagonal owner's delivery of its factored block `d` of supernode
+  /// k: one non-blocking send to each rank that solves against it, nearest
+  /// ancestor first — for each non-empty panel block a in ascending order,
+  /// the L holder a % Px down the process column, then the U holder
+  /// a % Py along the process row, each the first time it appears.
+  void send_diag(int k, std::span<const real_t> d) {
+    PeerWalk& down = walks_[kColRole];
+    PeerWalk& along = walks_[kRowRole];
+    down.reset(g_.Px(), g_.px());
+    along.reset(g_.Py(), g_.py());
+    for (const PanelBlock& b : bs_.lpanel(k)) {
+      if (b.n_rows() == 0) continue;
+      const int l_holder = b.snode % g_.Px();
+      const int u_holder = b.snode % g_.Py();
+      if (down.first(l_holder))
+        g_.col().isend(l_holder, tag(k, kDiagColOp), d, CommPlane::XY);
+      if (along.first(u_holder))
+        g_.row().isend(u_holder, tag(k, kDiagRowOp), d, CommPlane::XY);
+    }
+  }
+
+  /// GETRF at the owner of (k,k), which sends the factored block to the
+  /// ranks that solve against it (send_diag); each of those receives it
+  /// just before its panel TRSMs — L blocks on the owning process column,
+  /// U blocks on the owning process row. A rank holding only empty blocks
+  /// receives nothing, and its zero-width solves never read the diagonal.
   void factor_and_solve(int k, index_t ns) {
     const int pxk = k % g_.Px();
     const int pyk = k % g_.Py();
     const bool in_prow = g_.px() == pxk;
     const bool in_pcol = g_.py() == pyk;
+    const auto panel = bs_.lpanel(k);
 
-    diag_buf_.assign(static_cast<std::size_t>(ns) * static_cast<std::size_t>(ns),
-                     0.0);
+    std::span<const real_t> diag;
     if (F_.owns(k, k)) {
       auto d = F_.diag(k);
       dense::getrf_nopiv(ns, d.data(), ns);
       g_.grid().add_compute(dense::getrf_flops(ns), ComputeKind::DiagFactor);
-      std::copy(d.begin(), d.end(), diag_buf_.begin());
+      send_diag(k, d);
+      diag = d;
+    } else if (in_pcol && holds_block(panel, g_.Px(), g_.px())) {
+      diag_buf_ = g_.col().recv(pxk, tag(k, kDiagColOp), CommPlane::XY);
+      diag = diag_buf_;
+    } else if (in_prow && holds_block(panel, g_.Py(), g_.py())) {
+      diag_buf_ = g_.row().recv(pyk, tag(k, kDiagRowOp), CommPlane::XY);
+      diag = diag_buf_;
     }
-    if (in_prow)
-      g_.row().bcast(pyk, tag(k, kDiagRowOp), diag_buf_, CommPlane::XY);
-    if (in_pcol)
-      g_.col().bcast(pxk, tag(k, kDiagColOp), diag_buf_, CommPlane::XY);
 
     if (in_pcol) {
       for (OwnedBlock& blk : F_.lblocks(k)) {
         const index_t m =
-            bs_.lpanel(k)[static_cast<std::size_t>(blk.panel_idx)].n_rows();
-        dense::trsm_right_upper(ns, m, diag_buf_.data(), ns, blk.data.data(), m);
+            panel[static_cast<std::size_t>(blk.panel_idx)].n_rows();
+        dense::trsm_right_upper(ns, m, diag.data(), ns, blk.data.data(), m);
         g_.grid().add_compute(dense::trsm_flops(ns, m), ComputeKind::PanelSolve);
       }
     }
     if (in_prow) {
       for (OwnedBlock& blk : F_.ublocks(k)) {
         const index_t m =
-            bs_.lpanel(k)[static_cast<std::size_t>(blk.panel_idx)].n_rows();
-        dense::trsm_left_lower_unit(ns, m, diag_buf_.data(), ns,
-                                    blk.data.data(), ns);
+            panel[static_cast<std::size_t>(blk.panel_idx)].n_rows();
+        dense::trsm_left_lower_unit(ns, m, diag.data(), ns, blk.data.data(),
+                                    ns);
         g_.grid().add_compute(dense::trsm_flops(ns, m), ComputeKind::PanelSolve);
       }
     }
@@ -514,7 +593,8 @@ class PanelEngine {
   const BlockStructure& bs_;
   Lu2dOptions opt_;
   std::vector<PanelStash> stash_;  ///< slot pool, <= lookahead+1 live slots
-  std::vector<real_t> diag_buf_;   ///< reusable diagonal broadcast buffer
+  std::vector<real_t> diag_buf_;   ///< a received diagonal block
+  std::array<PeerWalk, 2> walks_;  ///< per role_comm: the sends' walk
   // Targeted-mode root scratch (unused otherwise).
   std::vector<real_t> frame_cache_;  ///< every entry's frame (dense bound each)
   std::vector<real_t> send_buf_;     ///< per-peer footprint message

@@ -19,7 +19,7 @@
 //    dense z-reduction and differs under the targeted frames once there
 //    is a reduction (Pz > 1): the bitmap overhead may make it slightly
 //    larger on mostly-dense reduction levels.
-// It also pins the seed golden fig9 counters under an *explicitly* Dense
+// It also pins the golden fig9 counters under an *explicitly* Dense
 // panel packing (the default must stay Dense — enforced at compile time),
 // and the fig10 acceptance bar: >= 15% of the dense XY volume eliminated on
 // a K2D5pt-class matrix at Pz = 4.
@@ -100,7 +100,7 @@ struct LuRun {
 /// `gather` pulls the factors back to rank 0 *inside* the simulated run, so
 /// the gather traffic is part of the counters. It is identical across all
 /// sweep points of one problem/shape (the factors are identical), so it
-/// cancels out of every relative comparison — but the seed golden counters
+/// cancels out of every relative comparison — but the golden counters
 /// were pinned without it, so the golden pin runs with gather = false.
 LuRun run_lu(const Problem& p, int Px, int Py, int Pz, const Knobs& k,
              bool gather = true) {
@@ -245,10 +245,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Seed golden pin: dense packing must stay the default, and an explicitly
-// Dense run must reproduce the seed fig9 counters bit for bit. (The full
+// Golden pin: dense packing must stay the default, and an explicitly
+// Dense run must reproduce the golden fig9 counters bit for bit. (The full
 // default-options table lives in test_pipeline.cpp; this re-pins the same
-// seed numbers through the new packing knob, so a change to the Dense wire
+// numbers through the packing knob, so a change to the Dense wire
 // format and a change of the default are caught separately.)
 // ---------------------------------------------------------------------------
 
@@ -261,18 +261,18 @@ TEST(DensePackingGolden, ExplicitDenseReproducesSeedFig9Counters) {
   const Problem p = fig9_problem(true);
   Knobs k = kBaseline;
   k.name = "explicit_dense";
-  // gather = false: the seed table in test_pipeline.cpp measures the
+  // gather = false: the kGolden table in test_pipeline.cpp measures the
   // factorization only, without the gather-to-root traffic.
   {
     const LuRun r = run_lu(p, 4, 4, 1, k, /*gather=*/false);
     const PlaneTotals t = plane_totals(r.res);
-    EXPECT_EQ(t.bytes[0], 3369936);  // seed value, tests/test_pipeline.cpp
-    EXPECT_EQ(t.msgs[0], 6840);
+    EXPECT_EQ(t.bytes[0], 2823392);  // kGolden, tests/test_pipeline.cpp
+    EXPECT_EQ(t.msgs[0], 6296);
   }
   {
     const LuRun r = run_lu(p, 2, 2, 4, k, /*gather=*/false);
     const PlaneTotals t = plane_totals(r.res);
-    EXPECT_EQ(t.bytes[0], 1123312);
+    EXPECT_EQ(t.bytes[0], 1060816);
     EXPECT_EQ(t.bytes[1], 100232);
   }
 }
@@ -281,7 +281,7 @@ TEST(DensePackingGolden, ExplicitDenseReproducesSeedFig9Counters) {
 // The fig10 acceptance bar: on a K2D5pt-class matrix (fig10's planar
 // family: five-point grid Laplacian, leaf 32, geometric ND) at Pz = 4,
 // targeted panel delivery must eliminate at least 15% of the dense run's
-// XY volume (diagonal broadcasts included, which both wires send alike).
+// XY volume (diagonal sends included, which both wires send alike).
 // ---------------------------------------------------------------------------
 
 Problem fig10_class_problem() {
@@ -315,8 +315,9 @@ TEST(CommEquivalence, Fig10ClassPanelSavingsAtLeast15Percent) {
 // separator (block 2, whose Schur targets all live on supernode 0's own
 // process row), and leaf supernode 1 is an isolated island with an empty
 // panel. Under Targeted the data root therefore sends *zero* panel
-// messages — the XY plane carries the diagonal broadcasts alone — while the
-// factors still match the dense run.
+// messages, and since every non-empty L or U block of both leaves sits on
+// the diagonal owner itself, no rank receives a diagonal block either: the
+// XY plane stays silent while the factors still match the dense run.
 // ---------------------------------------------------------------------------
 
 Problem empty_footprint_problem() {
@@ -363,16 +364,12 @@ TEST(CommEquivalence, TargetedAllEmptyFootprintsSendNoPanelData) {
   const LuRun rt = run_lu(p, 1, 2, 1, targeted);
   expect_factors_equal(rd.F, rt.F);
 
-  // Every panel byte and message vanished from the wire: what is left is
-  // one ns x ns diagonal broadcast per supernode to the lone row peer.
-  offset_t diag_bytes = 0;
-  for (int s = 0; s < p.bs.n_snodes(); ++s)
-    diag_bytes += static_cast<offset_t>(p.bs.snode_size(s)) *
-                  p.bs.snode_size(s) * static_cast<offset_t>(sizeof(real_t));
+  // Every panel byte and message vanished from the wire, and no rank solves
+  // against a diagonal it does not own, so nothing is left on it.
   const PlaneTotals dt = plane_totals(rd.res);
   const PlaneTotals tt = plane_totals(rt.res);
-  EXPECT_EQ(tt.bytes[0], diag_bytes);
-  EXPECT_EQ(tt.msgs[0], p.bs.n_snodes());
+  EXPECT_EQ(tt.bytes[0], 0);
+  EXPECT_EQ(tt.msgs[0], 0);
   EXPECT_GT(dt.bytes[0], tt.bytes[0]);  // the Dense run sends panel data
   EXPECT_GT(dt.msgs[0], tt.msgs[0]);
 }

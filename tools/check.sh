@@ -25,6 +25,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   CommEquivalence, GoldenCommCounters: bitwise factors across schedules
 #     and wires, and the pinned bytes, messages and critical-path clocks of
 #     the Dense and Targeted wires;
+#   DiagonalDelivery: each factored diagonal block reaches exactly the
+#     ranks that solve against it, from its owner, nearest ancestor first;
 #   RandomTargetedDeliveryFuzz: the Targeted footprint messages under
 #     random densities;
 #   Rma: the one-sided windows the ledger's put microbenchmark drives;
@@ -44,7 +46,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #     (bitwise factors, fewer Z bytes in as many messages);
 #   ParserFuzz: mutated MatrixMarket and platform texts parse or throw
 #     slu3d::Error.
-REQUIRED_SUITES=(CommEquivalence GoldenCommCounters
+REQUIRED_SUITES=(CommEquivalence GoldenCommCounters DiagonalDelivery
                  RandomTargetedDeliveryFuzz Rma
                  PlatformRuntime AllgathervSweep DistAnalysis
                  DistAnalysisSweep SolveSchedulePin SolveScheduleFuzz
