@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -105,6 +106,9 @@ Platform Platform::parse(std::string_view text) {
   std::istringstream in{std::string(text)};
   std::string line;
   int lineno = 0;
+  // Each scalar directive may appear once: a second one would silently
+  // replace the first. Repeated `link` lines are the levels, one each.
+  std::set<std::string> seen;
   while (std::getline(in, line)) {
     ++lineno;
     if (auto hash = line.find('#'); hash != std::string::npos)
@@ -123,6 +127,8 @@ Platform Platform::parse(std::string_view text) {
                                       where);
       return v;
     };
+    SLU3D_CHECK(key == "link" || seen.insert(key).second,
+                "platform: repeated directive '" + key + "'" + where);
     if (key == "name") {
       p.name = single_value();
     } else if (key == "alpha" || key == "beta" || key == "gamma") {
@@ -135,6 +141,7 @@ Platform Platform::parse(std::string_view text) {
       SLU3D_CHECK(static_cast<bool>(ls >> lvl.label),
                   "platform: 'link' needs a label" + where);
       std::string kv;
+      std::set<std::string> attrs;
       while (ls >> kv) {
         const auto eq = kv.find('=');
         SLU3D_CHECK(eq != std::string::npos,
@@ -142,6 +149,8 @@ Platform Platform::parse(std::string_view text) {
                         "' is not key=value" + where);
         const std::string k = kv.substr(0, eq);
         const std::string v = kv.substr(eq + 1);
+        SLU3D_CHECK(attrs.insert(k).second,
+                    "platform: repeated link attribute '" + k + "'" + where);
         if (k == "arity") {
           lvl.arity = parse_int(v, "arity");
         } else if (k == "latency") {

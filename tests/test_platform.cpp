@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "simmpi/platform.hpp"
@@ -102,6 +103,40 @@ TEST(Platform, ParseRejectsMalformedDescriptions) {
                                "link a arity=65536 latency=0 inv_bw=0\n"
                                "link b arity=65536 latency=0 inv_bw=0\n"),
                Error);
+  // A repeated directive, or a repeated attribute on one link line, would
+  // silently replace the first: the error names the key and its line.
+  const auto rejects_repeat = [](const std::string& text,
+                                 const std::string& key, int line) {
+    try {
+      Platform::parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("repeated"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("(line " + std::to_string(line) + ")"),
+                std::string::npos)
+          << msg;
+    }
+  };
+  rejects_repeat("name x\nname y\n", "name", 2);
+  rejects_repeat("name x\nalpha 1e-6\nalpha 2e-6\n", "alpha", 3);
+  rejects_repeat("beta 1e-9\nname x\n# beta again\nbeta 2e-9\n", "beta", 4);
+  rejects_repeat("name x\ngamma 1e-10\ngamma 1e-10\n", "gamma", 3);
+  rejects_repeat("name x\nlink n arity=2 arity=4 latency=0 inv_bw=0\n",
+                 "arity", 2);
+  rejects_repeat("name x\nlink n arity=2 latency=0 latency=1e-6 inv_bw=0\n",
+                 "latency", 2);
+  rejects_repeat("name x\nlink n arity=2 latency=0 inv_bw=0 inv_bw=1e-9\n",
+                 "inv_bw", 2);
+  // One link line per level stays legal, as do both presets.
+  EXPECT_EQ(Platform::parse("name x\n"
+                            "link a arity=2 latency=0 inv_bw=0\n"
+                            "link b arity=2 latency=0 inv_bw=0\n")
+                .levels.size(),
+            2u);
+  EXPECT_NO_THROW(Platform::preset("fattree-2to1"));
+  EXPECT_NO_THROW(Platform::preset("torus"));
 }
 
 TEST(Platform, LoadResolvesPresetNamesAndFiles) {
