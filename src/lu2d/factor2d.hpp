@@ -1,12 +1,12 @@
 // The 2D distributed right-looking supernodal LU factorization — the
 // SuperLU_DIST baseline algorithm (§II-E2):
-//   per supernode k: diagonal factorization at the owner of (k,k),
-//   diagonal broadcast along the owner's process row and column, panel
-//   solves at the owning row/column of processes, panel broadcast, then
-//   the owner-only-update Schur complement on every rank.
+//   per supernode k: diagonal factorization at the owner of (k,k), the
+//   factored block sent point to point to the ranks that solve against
+//   it, panel solves at the owning row/column of processes, panel
+//   transfers, then the owner-only-update Schur complement on every rank.
 // The schedule (lookahead pipelining, stash slots, non-blocking panel
-// broadcasts, targeted footprint messages) is the panel engine in
-// factor2d.cpp.
+// broadcasts, targeted footprint messages, the nearest-ancestor send
+// order) is the panel engine in factor2d.cpp.
 //
 // `snodes` restricts the factorization to a node list — this is exactly
 // the dSparseLU2D(A, nList) primitive that Algorithm 1 (the 3D algorithm)
@@ -71,8 +71,8 @@ inline constexpr int kMaxPanelLookahead = 4096;
 /// through the elimination-tree lookahead window of §II-F). The window's
 /// panel transfers are always non-blocking, drained lazily at the consuming
 /// Schur phase, so they hide behind earlier supernodes' updates; only the
-/// diagonal broadcasts, consumed at once by the panel solves, block.
-/// factorize_2d validates them on entry.
+/// diagonal receive blocks, on the ranks whose panel solves consume it at
+/// once. factorize_2d validates them on entry.
 struct Lu2dOptions {
   /// Lookahead window size in supernodes (SuperLU_DIST uses 8-20; 0
   /// disables pipelining). Must be <= kMaxPanelLookahead.
