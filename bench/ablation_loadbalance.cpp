@@ -105,9 +105,9 @@ int main(int argc, char** argv) {
       const ForestPartition nd(bs, Pz, PartitionStrategy::NdSplit);
       const ForestPartition greedy(bs, Pz, PartitionStrategy::Greedy);
       const auto mnd =
-          bench::run_dist_lu(bs, Ap, 2, 2, Pz, 8, PartitionStrategy::NdSplit);
+          bench::run_dist_lu(bs, Ap, 2, 2, Pz, {}, PartitionStrategy::NdSplit);
       const auto mgr =
-          bench::run_dist_lu(bs, Ap, 2, 2, Pz, 8, PartitionStrategy::Greedy);
+          bench::run_dist_lu(bs, Ap, 2, 2, Pz, {}, PartitionStrategy::Greedy);
       table.add_row(
           {c.name, std::to_string(Pz),
            TextTable::sci(static_cast<double>(nd.critical_path_flops())),

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{t.name};
     double t0 = 0, best = 1e300;
     for (int w : {0, 2, 8, 16}) {
-      const auto m = bench::run_dist_lu(bs, Ap, 4, 4, 1, w);
+      const auto m = bench::run_dist_lu(bs, Ap, 4, 4, 1, {.lookahead = w});
       if (w == 0) t0 = m.time;
       best = std::min(best, m.time);
       row.push_back(TextTable::sci(m.time));

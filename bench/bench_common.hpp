@@ -129,10 +129,9 @@ inline const sim::Platform& bench_platform(int argc, char** argv) {
 /// on a Px x Py x Pz grid and collects the metrics above. Charges against
 /// `platform` when given, else the ambient bench platform.
 inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
-                               int Px, int Py, int Pz, int lookahead = 8,
+                               int Px, int Py, int Pz,
+                               const LuOptions& options = {},
                                PartitionStrategy strategy = PartitionStrategy::Greedy,
-                               ZRedPacking packing = ZRedPacking::Dense,
-                               PanelPacking panel_packing = PanelPacking::Dense,
                                const sim::Platform* platform = nullptr) {
   const ForestPartition part(bs, Pz, strategy);
   const int P = Px * Py * Pz;
@@ -144,11 +143,7 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
         auto grid = sim::ProcessGrid3D::create(world, Px, Py, Pz);
         Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
         mem[static_cast<std::size_t>(world.rank())] = F.allocated_bytes();
-        Lu3dOptions opt;
-        opt.lu2d.lookahead = lookahead;
-        opt.lu2d.packing = panel_packing;
-        opt.packing = packing;
-        factorize_3d(F, grid, part, opt);
+        factorize_3d(F, grid, part, options);
       });
   const auto wall1 = std::chrono::steady_clock::now();
 

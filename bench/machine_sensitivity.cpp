@@ -25,9 +25,8 @@ int main(int argc, char** argv) {
   const BlockStructure bs(t.A, tree);
   const CsrMatrix Ap = t.A.permuted_symmetric(tree.perm());
   const auto run = [&](int Px, int Py, int Pz, const sim::Platform& platform) {
-    return bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8, PartitionStrategy::Greedy,
-                              ZRedPacking::Dense, PanelPacking::Dense,
-                              &platform);
+    return bench::run_dist_lu(bs, Ap, Px, Py, Pz, {.wire = Wire::Dense},
+                              PartitionStrategy::Greedy, &platform);
   };
 
   std::cout << "Platform sensitivity: 3D (2x2x16) vs 2D (8x8) at P=64, planar "

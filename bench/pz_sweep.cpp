@@ -211,10 +211,8 @@ int main(int argc, char** argv) {
         const auto [Px, Py] = bench::square_ish(P / Pz);
         Point& p = s.points.emplace_back(Point{P, Pz, Px, Py, {}, {}});
         p.dense = bench::run_dist_lu(bs, Ap, Px, Py, Pz);
-        p.targeted = bench::run_dist_lu(bs, Ap, Px, Py, Pz, 8,
-                                        PartitionStrategy::Greedy,
-                                        ZRedPacking::Targeted,
-                                        PanelPacking::Targeted);
+        p.targeted =
+            bench::run_dist_lu(bs, Ap, Px, Py, Pz, {.wire = Wire::Targeted});
         const bench::DistMetrics& m = p.dense;
         f9 << t.name << ',' << cls << ',' << P << ',' << Pz << ',' << Px
            << ',' << Py << ',' << m.time << ',' << m.t_scu << ',' << m.t_comm

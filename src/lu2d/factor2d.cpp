@@ -37,9 +37,9 @@
 // paths are pinned by Fig9Configs/GoldenCommCounters in
 // tests/test_pipeline.cpp.
 //
-// PanelPacking::Dense broadcasts each role entry over a binomial tree of
-// the whole process row or column. PanelPacking::Targeted (the service's
-// wire; the engine defaults to Dense) replaces each role's broadcasts with
+// Wire::Dense broadcasts each role entry over a binomial tree of the
+// whole process row or column. Wire::Targeted (the service's wire; the
+// engine defaults to Dense) replaces each role's broadcasts with
 // footprint messages (see DESIGN.md "Targeted footprint messages"): the
 // data root computes every peer's block *footprint* — the entries that
 // peer's Schur pairs actually read — from the replicated symbolic
@@ -50,6 +50,8 @@
 // Entries are never pruned, so the Schur pair set, charged flops, and FP
 // order are identical to Dense — factors stay bitwise identical — while a
 // peer receives only the entries it reads, and only their nonzero scalars.
+// The same LuOptions::wire picks factorize_3d's z-reduction format, and
+// the engine validates both of its fields on entry.
 #include "lu2d/factor2d.hpp"
 
 #include <algorithm>
@@ -80,15 +82,14 @@ constexpr int kDiagColOp = 1;  ///< diagonal to the L holders of its column
 constexpr std::array<int, 2> kPanelOp = {2, 3};
 
 /// Checks every option a caller can set, once, at engine entry.
-void validate(const Lu2dOptions& opt) {
+void validate(const LuOptions& opt) {
   SLU3D_CHECK(opt.lookahead >= 0,
               "lu2d: lookahead must be non-negative (0 disables pipelining)");
   SLU3D_CHECK(opt.lookahead <= kMaxPanelLookahead,
               "lu2d: lookahead exceeds the stash slot pool bound "
               "(kMaxPanelLookahead)");
-  SLU3D_CHECK(opt.packing == PanelPacking::Dense ||
-                  opt.packing == PanelPacking::Targeted,
-              "lu2d: unknown PanelPacking value");
+  SLU3D_CHECK(opt.wire == Wire::Dense || opt.wire == Wire::Targeted,
+              "lu2d: unknown Wire value");
 }
 
 /// True if this rank holds a non-empty block of `panel` on a comm of `n`
@@ -176,7 +177,7 @@ void scatter_local(Dist2dFactors& F, const BlockStructure& bs, int bi, int bj,
 
 /// One broadcast panel block staged for the Schur phase: `m*ns` (row role)
 /// or `ns*m` (column role) values at `offset` in the stash's flat storage.
-/// Under PanelPacking::Targeted `in_footprint` marks the entries this rank
+/// Under Wire::Targeted `in_footprint` marks the entries this rank
 /// actually reads (always all of them on the root), and the role's root
 /// records where each entry's frame sits in its frame cache (`frame_off`,
 /// `frame_len`): a footprint message carries exactly the marked entries'
@@ -213,7 +214,7 @@ struct PanelStash {
 class PanelEngine {
  public:
   PanelEngine(Dist2dFactors& F, sim::ProcessGrid2D& grid,
-              const Lu2dOptions& opt)
+              const LuOptions& opt)
       : F_(F), g_(grid), bs_(F.structure()), opt_(opt) {
     validate(opt_);
   }
@@ -250,9 +251,6 @@ class PanelEngine {
 
  private:
   static int tag(int k, int op) { return 8 * k + op; }
-  bool targeted_packing() const {
-    return opt_.packing == PanelPacking::Targeted;
-  }
 
   /// The communicator a role's panels travel on.
   sim::Comm& role_comm(int role) {
@@ -525,7 +523,7 @@ class PanelEngine {
   /// (receivers with a non-empty footprint).
   void post_role(PanelStash& stash, int role, int k, index_t ns,
                  std::span<const PanelBlock> panel) {
-    if (targeted_packing()) {
+    if (opt_.wire == Wire::Targeted) {
       targeted_role(stash, role, k, ns, panel);
       return;
     }
@@ -591,7 +589,7 @@ class PanelEngine {
   Dist2dFactors& F_;
   sim::ProcessGrid2D& g_;
   const BlockStructure& bs_;
-  Lu2dOptions opt_;
+  LuOptions opt_;
   std::vector<PanelStash> stash_;  ///< slot pool, <= lookahead+1 live slots
   std::vector<real_t> diag_buf_;   ///< a received diagonal block
   std::array<PeerWalk, 2> walks_;  ///< per role_comm: the sends' walk
@@ -639,7 +637,7 @@ std::size_t decode_frame(std::span<const real_t> wire, std::span<real_t> dst) {
 }
 
 void factorize_2d(Dist2dFactors& F, sim::ProcessGrid2D& grid,
-                  std::span<const int> snodes, const Lu2dOptions& options) {
+                  std::span<const int> snodes, const LuOptions& options) {
   PanelEngine(F, grid, options).run(snodes);
 }
 

@@ -10,7 +10,9 @@
 //
 // `snodes` restricts the factorization to a node list — this is exactly
 // the dSparseLU2D(A, nList) primitive that Algorithm 1 (the 3D algorithm)
-// invokes per elimination-forest level.
+// invokes per elimination-forest level. This header also declares what
+// both of Algorithm 1's planes share: the Wire switch, the frame codec of
+// its Targeted format, and the LuOptions that factorize_3d takes too.
 #pragma once
 
 #include <cstddef>
@@ -21,31 +23,34 @@
 
 namespace slu3d {
 
-/// How the 2D panel-broadcast payloads are packed on the wire.
-enum class PanelPacking {
-  /// Panels travel as the full m x ns union blocks, zeros included — the
-  /// historical scheme, byte-identical to the golden fig9 counters.
+/// The wire format of Algorithm 1's factor-block transfers. One value
+/// governs both planes: the panel transfers of every factorize_2d and the
+/// z-axis Ancestor-Reduction of factorize_3d.
+enum class Wire {
+  /// Every allocated block travels, zeros included: each panel entry as
+  /// its full m x ns union block over a binomial broadcast of the whole
+  /// process row or column, each ancestor copy verbatim. The paper's
+  /// scheme, which the figures and the golden counters reproduce.
   Dense,
-  /// Footprint messages: the data root computes each receiver's block
-  /// footprint from the symbolic structure (which entries that receiver's
-  /// Schur pairs actually read) and sends one point-to-point message per
-  /// receiver — the frames (encode_frame) of exactly the needed entries,
-  /// nothing else. Receivers whose footprint is empty get no data message
-  /// at all (both sides agree symbolically, so no handshake is needed).
-  /// Ancestor union blocks are ragged, so the frames elide zeros even
-  /// inside the entries a receiver reads. Factors stay bitwise identical
-  /// (the footprint covers every pair-referenced entry, so charged flops
-  /// and FP order match Dense); the saving is a Dense run's XY traffic
-  /// minus a Targeted run's.
+  /// Only the nonzeros a receiver reads, as frames (encode_frame). Panels
+  /// go as footprint messages: the data root computes each receiver's
+  /// block footprint from the symbolic structure (the entries its Schur
+  /// pairs read) and sends it one point-to-point message of exactly those
+  /// entries' frames; an empty footprint gets no message, and both sides
+  /// agree symbolically, so no handshake travels. Each ancestor copy goes
+  /// as one frame on the same pairwise message as Dense. Factors stay
+  /// bitwise identical to Dense (the footprint covers every entry a pair
+  /// reads, and an ancestor's owner adds the expanded frame in Dense's
+  /// order); each plane saves a Dense run's traffic minus a Targeted run's.
   Targeted,
 };
 
-/// The frame both Targeted wires (PanelPacking and ZRedPacking) carry for
-/// a span of n values: frame_bitmap_words(n) presence words, in which bit
-/// i % 64 of word i / 64 is set iff value i compares != 0, then the set
-/// values in order. Zeros of either sign are elided; every other value,
-/// NaN and subnormals included, travels bit for bit. The words ride as
-/// real_t bit patterns, so the frame is one real_t payload.
+/// The frame Wire::Targeted carries on both planes for a span of n
+/// values: frame_bitmap_words(n) presence words, in which bit i % 64 of
+/// word i / 64 is set iff value i compares != 0, then the set values in
+/// order. Zeros of either sign are elided; every other value, NaN and
+/// subnormals included, travels bit for bit. The words ride as real_t bit
+/// patterns, so the frame is one real_t payload.
 constexpr std::size_t frame_bitmap_words(std::size_t n) {
   return (n + 63) / 64;
 }
@@ -66,21 +71,20 @@ std::size_t decode_frame(std::span<const real_t> wire, std::span<real_t> dst);
 /// in memory.
 inline constexpr int kMaxPanelLookahead = 4096;
 
-/// Scheduling knobs of the 2D panel pipeline (one supernode's diagonal
-/// factorization + panel solves + panel broadcast + Schur update, pipelined
-/// through the elimination-tree lookahead window of §II-F). The window's
-/// panel transfers are always non-blocking, drained lazily at the consuming
-/// Schur phase, so they hide behind earlier supernodes' updates; only the
-/// diagonal receive blocks, on the ranks whose panel solves consume it at
-/// once. factorize_2d validates them on entry.
-struct Lu2dOptions {
-  /// Lookahead window size in supernodes (SuperLU_DIST uses 8-20; 0
-  /// disables pipelining). Must be <= kMaxPanelLookahead.
+/// Algorithm 1's options: factorize_2d takes them for one grid's node
+/// list, factorize_3d for every level of every grid. factorize_2d
+/// validates both fields on entry.
+struct LuOptions {
+  /// Lookahead window of the 2D panel pipeline (§II-F) in supernodes
+  /// (SuperLU_DIST uses 8-20; 0 disables pipelining). Must be <=
+  /// kMaxPanelLookahead. The window's panel transfers are always
+  /// non-blocking, drained lazily at the consuming Schur phase, so they
+  /// hide behind earlier supernodes' updates; only the diagonal receive
+  /// blocks, on the ranks whose panel solves consume it at once.
   int lookahead = 8;
-  /// Wire format of the panel transfers; Dense is byte-identical to the
-  /// historical drivers and reproduces the paper, Targeted is the footprint
-  /// messages. SolverService overrides this default with Targeted.
-  PanelPacking packing = PanelPacking::Dense;
+  /// Wire format of both planes. Dense reproduces the paper;
+  /// SolverService overrides this default with Targeted.
+  Wire wire = Wire::Dense;
 };
 
 /// Factorizes the supernodes in `snodes` (ascending elimination order) in
@@ -88,6 +92,6 @@ struct Lu2dOptions {
 /// updates are applied to every allocated target block, including
 /// replicated-ancestor blocks when `F` is a masked (3D) layout.
 void factorize_2d(Dist2dFactors& F, sim::ProcessGrid2D& grid,
-                  std::span<const int> snodes, const Lu2dOptions& options = {});
+                  std::span<const int> snodes, const LuOptions& options = {});
 
 }  // namespace slu3d

@@ -7,8 +7,11 @@
 // only when its forest level is factored, so the transfer rides under the
 // 2D factorization of deeper levels.
 //
-// Wire formats (see for_each_block for the block enumeration), both one
-// message per ancestor on tag kReduceTagBase + level:
+// The reduction's wire format is LuOptions::wire, the one that also packs
+// every level's panel transfers. Every grid's first factorize_2d call
+// validates it before any z-axis message moves. Both formats send one
+// message per ancestor on tag kReduceTagBase + level (see for_each_block
+// for the block enumeration):
 //   Dense:    every allocated block of each ancestor travels verbatim.
 //   Targeted: the same dense stream travels as one frame (encode_frame: a
 //             scalar presence bitmap plus the nonzero scalars), so every
@@ -115,14 +118,11 @@ void refill_3d_factors(Dist2dFactors& F, sim::ProcessGrid3D& grid,
 }
 
 void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
-                  const ForestPartition& part, const Lu3dOptions& options) {
-  SLU3D_CHECK(options.packing == ZRedPacking::Dense ||
-                  options.packing == ZRedPacking::Targeted,
-              "lu3d: unknown ZRedPacking value");
+                  const ForestPartition& part, const LuOptions& options) {
   const BlockStructure& bs = F.structure();
   const int l = part.n_levels() - 1;
   const int pz = grid.pz();
-  const bool targeted = options.packing == ZRedPacking::Targeted;
+  const bool targeted = options.wire == Wire::Targeted;
   // The supernodes this grid reduces after factoring level `lvl`: its
   // copies of every common ancestor of that level.
   auto reduced_after = [&](int s, int lvl) {
@@ -174,7 +174,7 @@ void factorize_3d(Dist2dFactors& F, sim::ProcessGrid3D& grid,
     drain([&](int s) { return part.level_of(s) < lvl; });
 
     const std::vector<int> nodes = part.nodes_at(pz, lvl);
-    factorize_2d(F, grid.plane(), nodes, options.lu2d);
+    factorize_2d(F, grid.plane(), nodes, options);
 
     if (lvl == 0) break;
 

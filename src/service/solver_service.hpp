@@ -10,6 +10,9 @@
 //    (refill_3d_factors + factorize_3d). ServiceStats::analyses counts
 //    the expensive analysis constructions, so tests can verify by
 //    construction count that a hit runs zero of them.
+//  * Factorizations run on Wire::Targeted (ServiceOptions::lu3d, one
+//    LuOptions for both of Algorithm 1's planes), not on the engines'
+//    Dense default: the same factors, bit for bit, for fewer bytes.
 //  * Solves are batched: a request carries an n x nrhs column-major panel
 //    and one forward/backward sweep serves the whole batch, so
 //    solve-phase message *counts* are independent of nrhs.
@@ -44,12 +47,11 @@ struct ServiceOptions {
   std::optional<GridGeometry> geometry;  ///< exact geometric ND when set
   PartitionStrategy partition = PartitionStrategy::Greedy;
   /// Algorithm 1's options. The engines default to the paper's Dense
-  /// wires, which the figures and golden counters reproduce; the service
-  /// departs from them and factors on the Targeted footprint wire on both
-  /// planes, which yields bitwise-equal factors for fewer bytes, messages
-  /// and simulated seconds (DESIGN.md, "Targeted footprint messages").
-  Lu3dOptions lu3d{.packing = ZRedPacking::Targeted,
-                   .lu2d = {.packing = PanelPacking::Targeted}};
+  /// wire, which the figures and golden counters reproduce; the service
+  /// departs from it and factors on Wire::Targeted, which yields
+  /// bitwise-equal factors for fewer bytes, messages and simulated seconds
+  /// (DESIGN.md, "Targeted footprint messages").
+  LuOptions lu3d{.wire = Wire::Targeted};
   /// The network the simulated runs charge against (flat Edison-like by
   /// default; hierarchical platforms add shared-uplink contention).
   sim::Platform platform;

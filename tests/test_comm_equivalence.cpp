@@ -1,28 +1,25 @@
 // Communication-schedule equivalence harness. The pipeline engines have
-// three orthogonal schedule/wire knobs — lookahead, PanelPacking (XY panel
-// transfers) and ZRedPacking (Z ancestor reduction) — and every
-// combination must factor to the *same numbers* as the dense baseline
-// while never moving more bytes on either plane. This file sweeps grid
-// shape x lookahead x packing and asserts exactly that, subsuming the
-// one-off pins that test_pipeline.cpp used to accumulate:
+// two settable values — the lookahead and the Wire of both planes (XY
+// panel transfers and Z ancestor reduction) — and every combination must
+// factor to the *same numbers* as the dense baseline while never moving
+// more bytes on either plane. This file sweeps grid shape x lookahead x
+// wire and asserts exactly that, subsuming the one-off pins that
+// test_pipeline.cpp used to accumulate:
 //  - factors compare equal entry-for-entry against the dense baseline of
 //    the same shape (operator==, so the +-0.0 produced by skipping an
 //    all-zero Schur contribution is equal to the -0.0 the dense GEMM would
-//    have added): wire-format packing and the lookahead never change the
-//    numbers,
+//    have added): the wire and the lookahead never change the numbers,
 //  - XY received volume and message count are monotonically
-//    non-increasing vs. the baseline: exactly equal for dense panel
-//    packing (any lookahead runs the same binomial trees), strictly
-//    smaller volume under targeted panel delivery,
+//    non-increasing vs. the baseline: exactly equal on the Dense wire (any
+//    lookahead runs the same binomial trees), strictly smaller volume
+//    under targeted panel delivery,
 //  - Z message counts equal the baseline's on every point (both wires send
-//    one message per non-empty ancestor), and Z volume equals it under
-//    dense z-reduction and differs under the targeted frames once there
-//    is a reduction (Pz > 1): the bitmap overhead may make it slightly
-//    larger on mostly-dense reduction levels.
-// It also pins the golden fig9 counters under an *explicitly* Dense
-// panel packing (the default must stay Dense — enforced at compile time),
-// and the fig10 acceptance bar: >= 15% of the dense XY volume eliminated on
-// a K2D5pt-class matrix at Pz = 4.
+//    one message per non-empty ancestor), and Z volume equals it on the
+//    Dense wire and differs under the targeted frames once there is a
+//    reduction (Pz > 1): the bitmap overhead may make it slightly larger
+//    on mostly-dense reduction levels.
+// It also pins the fig10 acceptance bar: >= 15% of the dense XY volume
+// eliminated on a K2D5pt-class matrix at Pz = 4.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -62,57 +59,39 @@ Problem fig9_problem(bool planar) {
   return {BlockStructure(A, tree), A.permuted_symmetric(tree.perm())};
 }
 
-/// One point of the sweep: every schedule/wire knob of both planes.
+/// One point of the sweep: both settable values of Algorithm 1.
 struct Knobs {
   const char* name;
-  int lookahead;
-  PanelPacking panel;
-  ZRedPacking zred;
+  LuOptions opt;
 };
 
 /// The reference every sweep point is compared against: the default
-/// schedule with the dense wire format on both planes.
-constexpr Knobs kBaseline{"async_dense_la8", 8, PanelPacking::Dense,
-                          ZRedPacking::Dense};
+/// options, the dense wire format on both planes.
+constexpr Knobs kBaseline{"async_dense_la8", {}};
 
 constexpr Knobs kSweep[] = {
-    {"async_dense_la0", 0, PanelPacking::Dense, ZRedPacking::Dense},
-    {"async_targetedpanel_la8", 8, PanelPacking::Targeted, ZRedPacking::Dense},
-    {"async_targetedpanel_la0", 0, PanelPacking::Targeted, ZRedPacking::Dense},
-    {"async_targetedzred_la8", 8, PanelPacking::Dense, ZRedPacking::Targeted},
-    {"async_alltargeted_la8", 8, PanelPacking::Targeted,
-     ZRedPacking::Targeted},
+    {"async_dense_la0", {.lookahead = 0}},
+    {"async_targeted_la8", {.wire = Wire::Targeted}},
+    {"async_targeted_la0", {.lookahead = 0, .wire = Wire::Targeted}},
 };
-
-Lu3dOptions lu_options(const Knobs& k) {
-  Lu3dOptions o;
-  o.lu2d.lookahead = k.lookahead;
-  o.lu2d.packing = k.panel;
-  o.packing = k.zred;
-  return o;
-}
 
 struct LuRun {
   SupernodalMatrix F;
   RunResult res;
 };
 
-/// `gather` pulls the factors back to rank 0 *inside* the simulated run, so
-/// the gather traffic is part of the counters. It is identical across all
+/// Pulls the factors back to rank 0 *inside* the simulated run, so the
+/// gather traffic is part of the counters. It is identical across all
 /// sweep points of one problem/shape (the factors are identical), so it
-/// cancels out of every relative comparison — but the golden counters
-/// were pinned without it, so the golden pin runs with gather = false.
-LuRun run_lu(const Problem& p, int Px, int Py, int Pz, const Knobs& k,
-             bool gather = true) {
+/// cancels out of every relative comparison.
+LuRun run_lu(const Problem& p, int Px, int Py, int Pz, const Knobs& k) {
   const ForestPartition part(p.bs, Pz);
   LuRun out{SupernodalMatrix(p.bs), {}};
   std::mutex mu;
-  const Lu3dOptions opt = lu_options(k);
   out.res = run_ranks(Px * Py * Pz, kModel, [&](sim::Comm& world) {
     auto grid = ProcessGrid3D::create(world, Px, Py, Pz);
     Dist2dFactors F = make_3d_factors(p.bs, grid, part, p.Ap);
-    factorize_3d(F, grid, part, opt);
-    if (!gather) return;
+    factorize_3d(F, grid, part, k.opt);
     auto full = gather_3d_to_root(F, world, grid, part);
     if (full.has_value()) {
       const std::lock_guard<std::mutex> lock(mu);
@@ -186,12 +165,12 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
   // Both z wires send one message per non-empty ancestor, so only the
   // volume may differ, and only once the targeted frames ran.
   EXPECT_EQ(vt.msgs[1], bt.msgs[1]) << "Z message count changed";
-  if (k.zred == ZRedPacking::Dense || Pz == 1) {
+  if (k.opt.wire == Wire::Dense || Pz == 1) {
     EXPECT_EQ(vt.bytes[1], bt.bytes[1]);
   } else {
-    EXPECT_NE(vt.bytes[1], bt.bytes[1]);  // the packer engaged
+    EXPECT_NE(vt.bytes[1], bt.bytes[1]);  // the frames engaged
   }
-  if (k.panel == PanelPacking::Dense) {
+  if (k.opt.wire == Wire::Dense) {
     // Dense XY wire format is schedule-invariant: any lookahead shares the
     // same binomial trees, byte for byte.
     EXPECT_EQ(vt.bytes[0], bt.bytes[0]);
@@ -202,7 +181,7 @@ void check_against_baseline(const Knobs& k, int Pz, const RunResult& base,
 }
 
 // ---------------------------------------------------------------------------
-// The sweep: every knob combination on every fig9 grid shape.
+// The sweep: both wires at both lookaheads on every fig9 grid shape.
 // ---------------------------------------------------------------------------
 
 struct ShapeCase {
@@ -245,39 +224,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Golden pin: dense packing must stay the default, and an explicitly
-// Dense run must reproduce the golden fig9 counters bit for bit. (The full
-// default-options table lives in test_pipeline.cpp; this re-pins the same
-// numbers through the packing knob, so a change to the Dense wire
-// format and a change of the default are caught separately.)
-// ---------------------------------------------------------------------------
-
-static_assert(Lu2dOptions{}.packing == PanelPacking::Dense,
-              "dense panel packing must remain the default");
-static_assert(Lu3dOptions{}.packing == ZRedPacking::Dense,
-              "dense z-reduction packing must remain the default");
-
-TEST(DensePackingGolden, ExplicitDenseReproducesSeedFig9Counters) {
-  const Problem p = fig9_problem(true);
-  Knobs k = kBaseline;
-  k.name = "explicit_dense";
-  // gather = false: the kGolden table in test_pipeline.cpp measures the
-  // factorization only, without the gather-to-root traffic.
-  {
-    const LuRun r = run_lu(p, 4, 4, 1, k, /*gather=*/false);
-    const PlaneTotals t = plane_totals(r.res);
-    EXPECT_EQ(t.bytes[0], 2823392);  // kGolden, tests/test_pipeline.cpp
-    EXPECT_EQ(t.msgs[0], 6296);
-  }
-  {
-    const LuRun r = run_lu(p, 2, 2, 4, k, /*gather=*/false);
-    const PlaneTotals t = plane_totals(r.res);
-    EXPECT_EQ(t.bytes[0], 1060816);
-    EXPECT_EQ(t.bytes[1], 100232);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // The fig10 acceptance bar: on a K2D5pt-class matrix (fig10's planar
 // family: five-point grid Laplacian, leaf 32, geometric ND) at Pz = 4,
 // targeted panel delivery must eliminate at least 15% of the dense run's
@@ -293,9 +239,7 @@ Problem fig10_class_problem() {
 
 TEST(CommEquivalence, Fig10ClassPanelSavingsAtLeast15Percent) {
   const Problem p = fig10_class_problem();
-  Knobs targeted = kBaseline;
-  targeted.name = "targetedpanel";
-  targeted.panel = PanelPacking::Targeted;
+  const Knobs targeted{"targeted", {.wire = Wire::Targeted}};
 
   const LuRun rd = run_lu(p, 2, 2, 4, kBaseline);
   const LuRun rt = run_lu(p, 2, 2, 4, targeted);
@@ -352,15 +296,11 @@ Problem empty_footprint_problem() {
 
 TEST(CommEquivalence, TargetedAllEmptyFootprintsSendNoPanelData) {
   const Problem p = empty_footprint_problem();
-  Knobs dense = kBaseline;
-  dense.name = "dense";
-  Knobs targeted = dense;
-  targeted.name = "targeted";
-  targeted.panel = PanelPacking::Targeted;
+  const Knobs targeted{"targeted", {.wire = Wire::Targeted}};
 
   // Px = 1, Py = 2: the lone non-root row peer never owns a Schur target
   // fed by any panel entry, so every footprint is empty.
-  const LuRun rd = run_lu(p, 1, 2, 1, dense);
+  const LuRun rd = run_lu(p, 1, 2, 1, kBaseline);
   const LuRun rt = run_lu(p, 1, 2, 1, targeted);
   expect_factors_equal(rd.F, rt.F);
 
@@ -385,9 +325,9 @@ TEST(PanelOptionsValidation, LookaheadBeyondSlotPoolBoundRejected) {
   const SeparatorTree tree = geometric_nd(g, {.leaf_size = 8});
   const Problem p{BlockStructure(A, tree), A.permuted_symmetric(tree.perm())};
   Knobs k = kBaseline;
-  k.lookahead = kMaxPanelLookahead;
+  k.opt.lookahead = kMaxPanelLookahead;
   EXPECT_NO_THROW(run_lu(p, 2, 2, 1, k));
-  k.lookahead = kMaxPanelLookahead + 1;
+  k.opt.lookahead = kMaxPanelLookahead + 1;
   EXPECT_THROW(run_lu(p, 2, 2, 1, k), Error);
 }
 

@@ -104,7 +104,7 @@ TEST_P(RandomPipelineFuzz, Distributed3dSolvesRandomSystem) {
   opt.Py = s[1];
   opt.Pz = s[2];
   opt.nd.leaf_size = 4 + rng.next_index(10);
-  opt.lu3d.lu2d.lookahead = static_cast<int>(rng.next_index(12));
+  opt.lu3d.lookahead = static_cast<int>(rng.next_index(12));
 
   const auto nu = static_cast<std::size_t>(n);
   std::vector<real_t> xref(nu), b(nu), x(nu);
@@ -121,65 +121,12 @@ TEST_P(RandomPipelineFuzz, Distributed3dSolvesRandomSystem) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipelineFuzz, ::testing::Range(0, 16));
 
 // ---------------------------------------------------------------------------
-// Mixed wire formats under randomized sparsity patterns: targeted panel
-// delivery together with the dense z-reduction, the one combination
-// RandomTargetedDeliveryFuzz (targeted on both planes) does not draw. Every
-// random matrix/shape/lookahead draw must solve to the bit-identical answer
-// of the dense wire on both planes. (The suite keeps its historical test
-// name so the per-seed ids stay stable.)
-// ---------------------------------------------------------------------------
-
-class RandomPackingFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(RandomPackingFuzz, SparsePanelPackingSolvesBitIdentical) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  Rng rng(seed * 6271 + 31);
-  const index_t n = 40 + rng.next_index(80);
-  // Vary density across seeds: sparse path-like graphs up to near-dense
-  // blocks, so panels range from mostly-zero to fully populated.
-  const index_t extra = n / 2 + rng.next_index(3 * n);
-  const CsrMatrix A = random_matrix(n, extra, seed + 500, (seed % 3) == 0);
-
-  ServiceOptions opt;
-  const int shapes[][3] = {{2, 2, 1}, {2, 1, 2}, {1, 2, 4}, {2, 2, 2},
-                           {1, 3, 2}, {2, 3, 1}};
-  const auto& s = shapes[seed % 6];
-  opt.Px = s[0];
-  opt.Py = s[1];
-  opt.Pz = s[2];
-  opt.nd.leaf_size = 4 + rng.next_index(10);
-  opt.lu3d.lu2d.lookahead = static_cast<int>(rng.next_index(12));
-
-  const auto nu = static_cast<std::size_t>(n);
-  std::vector<real_t> xref(nu), b(nu), xd(nu), xm(nu);
-  for (auto& v : xref) v = rng.uniform(-1, 1);
-  A.spmv(xref, b);
-
-  opt.lu3d.lu2d.packing = PanelPacking::Dense;
-  opt.lu3d.packing = ZRedPacking::Dense;
-  SolverService dense(opt);
-  const auto fd = dense.factor(A);
-  const auto repd = dense.solve({b, xd, 1});
-  opt.lu3d.lu2d.packing = PanelPacking::Targeted;
-  SolverService mixed(opt);
-  const auto fm = mixed.factor(A);
-  const auto repm = mixed.solve({b, xm, 1});
-
-  EXPECT_LT(repd.residual, 1e-11) << "seed " << seed;
-  EXPECT_LT(repm.residual, 1e-11) << "seed " << seed;
-  for (std::size_t i = 0; i < nu; ++i)
-    ASSERT_EQ(xd[i], xm[i]) << "seed " << seed << " i=" << i;
-  EXPECT_LE(fm.w_fact, fd.w_fact) << "seed " << seed;
-  EXPECT_EQ(fm.w_red, fd.w_red) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomPackingFuzz, ::testing::Range(0, 12));
-
-// ---------------------------------------------------------------------------
-// Targeted footprint messages under the same randomized-density regime:
-// whatever footprint the symbolic structure implies for each receiver, the
-// targeted wire must solve bit-identically to the dense broadcasts, and
-// the XY factor volume may only shrink.
+// Targeted footprint messages under randomized sparsity patterns, from
+// sparse path-like graphs up to near-dense blocks, so panels range from
+// mostly-zero to fully populated: whatever footprint the symbolic
+// structure implies for each receiver, the targeted wire must solve
+// bit-identically to the dense one on both planes, and the XY factor
+// volume may only shrink.
 // ---------------------------------------------------------------------------
 
 class RandomTargetedDeliveryFuzz : public ::testing::TestWithParam<int> {};
@@ -199,20 +146,18 @@ TEST_P(RandomTargetedDeliveryFuzz, TargetedDeliverySolvesBitIdentical) {
   opt.Py = s[1];
   opt.Pz = s[2];
   opt.nd.leaf_size = 4 + rng.next_index(10);
-  opt.lu3d.lu2d.lookahead = static_cast<int>(rng.next_index(12));
+  opt.lu3d.lookahead = static_cast<int>(rng.next_index(12));
 
   const auto nu = static_cast<std::size_t>(n);
   std::vector<real_t> xref(nu), b(nu), xd(nu), xt(nu);
   for (auto& v : xref) v = rng.uniform(-1, 1);
   A.spmv(xref, b);
 
-  opt.lu3d.lu2d.packing = PanelPacking::Dense;
-  opt.lu3d.packing = ZRedPacking::Dense;
+  opt.lu3d.wire = Wire::Dense;
   SolverService dense(opt);
   const auto fd = dense.factor(A);
   const auto repd = dense.solve({b, xd, 1});
-  opt.lu3d.lu2d.packing = PanelPacking::Targeted;
-  opt.lu3d.packing = ZRedPacking::Targeted;
+  opt.lu3d.wire = Wire::Targeted;
   SolverService targeted(opt);
   const auto ft = targeted.factor(A);
   const auto rept = targeted.solve({b, xt, 1});
@@ -227,14 +172,12 @@ TEST_P(RandomTargetedDeliveryFuzz, TargetedDeliverySolvesBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTargetedDeliveryFuzz,
                          ::testing::Range(0, 12));
 
-/// Factors `bs` on a 2x2x1 grid with the given panel packing, gathers the
-/// factors into `out`, and returns the run's counters.
+/// Factors `bs` on a 2x2x1 grid on the given wire, gathers the factors
+/// into `out`, and returns the run's counters.
 sim::RunResult run_lu_2x2(const BlockStructure& bs, const CsrMatrix& Ap,
-                          PanelPacking packing,
-                          SupernodalMatrix* out) {
+                          Wire wire, SupernodalMatrix* out) {
   const ForestPartition part(bs, 1);
-  Lu3dOptions o;
-  o.lu2d.packing = packing;
+  const LuOptions o{.wire = wire};
   std::mutex mu;
   return sim::run_ranks(4, sim::MachineModel{}, [&](sim::Comm& world) {
     auto grid = sim::ProcessGrid3D::create(world, 2, 2, 1);
@@ -275,9 +218,8 @@ TEST(Fuzz, FullyDensePanelsSurviveSparsePacking) {
   const BlockStructure bs(A, tree);
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
   SupernodalMatrix fd(bs), ft(bs);
-  const sim::RunResult rd = run_lu_2x2(bs, Ap, PanelPacking::Dense, &fd);
-  const sim::RunResult rt =
-      run_lu_2x2(bs, Ap, PanelPacking::Targeted, &ft);
+  const sim::RunResult rd = run_lu_2x2(bs, Ap, Wire::Dense, &fd);
+  const sim::RunResult rt = run_lu_2x2(bs, Ap, Wire::Targeted, &ft);
   expect_factors_bitwise(bs, fd, ft);
   EXPECT_LT(rt.total_bytes_sent(sim::CommPlane::XY),
             rd.total_bytes_sent(sim::CommPlane::XY));
@@ -320,9 +262,8 @@ TEST(Fuzz, AllZeroAncestorPanelsArePrunedWholesale) {
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
 
   SupernodalMatrix fd(bs), ft(bs);
-  const sim::RunResult rd = run_lu_2x2(bs, Ap, PanelPacking::Dense, &fd);
-  const sim::RunResult rt =
-      run_lu_2x2(bs, Ap, PanelPacking::Targeted, &ft);
+  const sim::RunResult rd = run_lu_2x2(bs, Ap, Wire::Dense, &fd);
+  const sim::RunResult rt = run_lu_2x2(bs, Ap, Wire::Targeted, &ft);
   expect_factors_bitwise(bs, fd, ft);
   EXPECT_LT(rt.total_bytes_sent(sim::CommPlane::XY),
             rd.total_bytes_sent(sim::CommPlane::XY));

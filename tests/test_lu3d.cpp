@@ -122,9 +122,7 @@ void check_3d_matches_sequential(const CsrMatrix& A, const SeparatorTree& tree,
   run_ranks(Px * Py * Pz, kModel, [&](sim::Comm& world) {
     auto grid = ProcessGrid3D::create(world, Px, Py, Pz);
     Dist2dFactors F = make_3d_factors(bs, grid, part, Ap);
-    Lu3dOptions opt;
-    opt.lu2d.lookahead = lookahead;
-    factorize_3d(F, grid, part, opt);
+    factorize_3d(F, grid, part, {.lookahead = lookahead});
     auto full = gather_3d_to_root(F, world, grid, part);
     if (full.has_value()) {
       const std::lock_guard<std::mutex> lock(mu);

@@ -27,7 +27,7 @@ struct Metrics {
 };
 
 Metrics run(const BlockStructure& bs, const CsrMatrix& Ap, int Px, int Py,
-            int Pz, const Lu3dOptions& opt = {}) {
+            int Pz, const LuOptions& opt = {}) {
   const ForestPartition part(bs, Pz);
   const int P = Px * Py * Pz;
   std::vector<offset_t> mem(static_cast<std::size_t>(P), 0);
@@ -48,12 +48,6 @@ Metrics run(const BlockStructure& bs, const CsrMatrix& Ap, int Px, int Py,
   for (offset_t b : mem) m.mem_total += b;
   m.res = std::move(res);
   return m;
-}
-
-Lu3dOptions with(int lookahead) {
-  Lu3dOptions o;
-  o.lu2d.lookahead = lookahead;
-  return o;
 }
 
 struct Problem {
@@ -116,16 +110,16 @@ TEST(PaperTrends, LookaheadOverlapStrictlyReducesCriticalPath) {
   for (const bool planar : {true, false}) {
     const Problem p = planar ? planar_problem() : nonplanar_problem();
     for (const auto& [Px, Py, Pz] : {std::tuple{4, 4, 1}, std::tuple{2, 4, 2}}) {
-      const double t0 = run(p.bs, p.Ap, Px, Py, Pz, with(0)).time;
-      const double t8 = run(p.bs, p.Ap, Px, Py, Pz, with(8)).time;
+      const double t0 = run(p.bs, p.Ap, Px, Py, Pz, {.lookahead = 0}).time;
+      const double t8 = run(p.bs, p.Ap, Px, Py, Pz, {.lookahead = 8}).time;
       EXPECT_LT(t8, t0) << (planar ? "planar " : "nonplanar ") << Px << "x"
                         << Py << "x" << Pz;
     }
   }
   // Acceptance floor: at least 5% on the planar 2D extreme.
   const Problem p = planar_problem();
-  const double t0 = run(p.bs, p.Ap, 4, 4, 1, with(0)).time;
-  const double t8 = run(p.bs, p.Ap, 4, 4, 1, with(8)).time;
+  const double t0 = run(p.bs, p.Ap, 4, 4, 1, {.lookahead = 0}).time;
+  const double t8 = run(p.bs, p.Ap, 4, 4, 1, {.lookahead = 8}).time;
   EXPECT_GT(t0 / t8, 1.05);
 }
 

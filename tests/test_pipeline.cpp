@@ -1,14 +1,13 @@
 // Tests for the factorization pipeline engines (the 2D panel engine of
 // factorize_2d and the z-reduction of factorize_3d):
-//  - golden per-plane comm counters and critical-path clocks pinning the
-//    Dense and the Targeted (panels and z-reduction) wires on the fig9
-//    configs,
+//  - golden per-plane comm counters and critical-path clocks pinning both
+//    wires, Dense and Targeted, on the fig9 configs,
 //  - diagonal delivery: who receives each factored diagonal block, from
 //    whom, and in which order its owner sends it,
 //  - the Targeted frame codec both engines share,
-//  - targeted z-reduction: bitwise-identical factors, reduced W_red,
-//    savings counter,
-//  - option validation.
+//  - targeted z-reduction: bitwise-identical factors, reduced W_red in as
+//    many messages,
+//  - validation of both LuOptions fields.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,7 +71,7 @@ Problem fig9_problem(bool planar) {
 }
 
 RunResult run_lu3d(const Problem& p, int Px, int Py, int Pz,
-                   const Lu3dOptions& opt = {}) {
+                   const LuOptions& opt = {}) {
   const ForestPartition part(p.bs, Pz);
   return run_ranks(Px * Py * Pz, kModel, [&](sim::Comm& world) {
     auto grid = ProcessGrid3D::create(world, Px, Py, Pz);
@@ -87,14 +86,18 @@ RunResult run_lu3d(const Problem& p, int Px, int Py, int Pz,
 // configs, with each diagonal block sent point to point to the ranks that
 // solve against it: any change to panel broadcast payloads, diagonal
 // delivery, stash scheduling, ancestor enumeration order, or packed block
-// layout shows up here. `targeted` pins the Targeted wire
-// (PanelPacking::Targeted + ZRedPacking::Targeted) the same way: the
-// targeted accounting identity (wire + saved == dense) still holds when a
-// footprint predicate grows wider, so only absolute counts catch that.
+// layout shows up here. `targeted` pins Wire::Targeted the same way: a
+// footprint predicate that grows wider still factors bitwise alike, so
+// only absolute counts catch it.
 // `lu_clock` and `targeted_clock` pin each wire's simulated critical path
 // (RunResult::max_clock(), recorded with %a): a transport change that
 // moves simulated time fails here even when no byte or message moves.
+// The default run is the Dense one, so a change of the default fails to
+// compile before it moves a counter.
 // ---------------------------------------------------------------------------
+
+static_assert(LuOptions{}.wire == Wire::Dense,
+              "the engines' default wire must stay Dense");
 
 struct GoldenCase {
   const char* name;  // fig9 problem class
@@ -154,16 +157,14 @@ void expect_totals(const RunResult& res, const offset_t (&want)[6],
   EXPECT_EQ(t.max_recv[1], want[5]) << wire << " max Z recv";
 }
 
-TEST_P(GoldenCommCounters, DenseModeMatchesPreRefactorBytes) {
+TEST_P(GoldenCommCounters, MatchesRecordedCountersOnBothWires) {
   const GoldenCase& c = GetParam();
   const Problem p = fig9_problem(std::string(c.name) == "planar");
   const RunResult dense = run_lu3d(p, c.Px, c.Py, c.Pz);
   expect_totals(dense, c.lu, "Dense");
   EXPECT_EQ(dense.max_clock(), c.lu_clock) << "Dense critical path";
-  Lu3dOptions opt;
-  opt.lu2d.packing = PanelPacking::Targeted;
-  opt.packing = ZRedPacking::Targeted;
-  const RunResult targeted = run_lu3d(p, c.Px, c.Py, c.Pz, opt);
+  const RunResult targeted =
+      run_lu3d(p, c.Px, c.Py, c.Pz, {.wire = Wire::Targeted});
   expect_totals(targeted, c.targeted, "Targeted");
   EXPECT_EQ(targeted.max_clock(), c.targeted_clock)
       << "Targeted critical path";
@@ -273,12 +274,7 @@ struct TracedLu {
 };
 
 TracedLu traced_lu3d(const Problem& p, const ForestPartition& part,
-                     const DeliveryCase& c, PanelPacking wire, int lookahead) {
-  Lu3dOptions opt;
-  opt.lu2d.lookahead = lookahead;
-  opt.lu2d.packing = wire;
-  opt.packing = wire == PanelPacking::Targeted ? ZRedPacking::Targeted
-                                                : ZRedPacking::Dense;
+                     const DeliveryCase& c, const LuOptions& opt) {
   TracedLu out;
   out.storage.resize(static_cast<std::size_t>(c.Px * c.Py * c.Pz));
   std::mutex mu;
@@ -353,13 +349,13 @@ TEST_P(DiagonalDelivery, OnlySolversReceiveNearestAncestorFirst) {
   const ForestPartition part(p.bs, c.Pz);
   const DeliveryPlan plan = delivery_plan(p, part, c);
 
-  const TracedLu base = traced_lu3d(p, part, c, PanelPacking::Dense, 8);
-  for (const PanelPacking wire : {PanelPacking::Dense, PanelPacking::Targeted})
+  const TracedLu base = traced_lu3d(p, part, c, {});
+  for (const Wire wire : {Wire::Dense, Wire::Targeted})
     for (const int lookahead : {0, 8}) {
-      SCOPED_TRACE(std::string(wire == PanelPacking::Dense ? "Dense"
-                                                           : "Targeted") +
+      SCOPED_TRACE(std::string(wire == Wire::Dense ? "Dense" : "Targeted") +
                    " lookahead " + std::to_string(lookahead));
-      const TracedLu run = traced_lu3d(p, part, c, wire, lookahead);
+      const TracedLu run =
+          traced_lu3d(p, part, c, {.lookahead = lookahead, .wire = wire});
       ASSERT_EQ(run.res.traces.size(), plan.recvs.size());
       for (std::size_t r = 0; r < plan.recvs.size(); ++r) {
         std::vector<Transfer> got = blocking_receives(run.res.traces[r]);
@@ -392,8 +388,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// The frame both Targeted wires carry (encode_frame / decode_frame): a round
-// trip restores every value bit for bit except zeros of either sign, which
+// The frame Wire::Targeted carries on both planes (encode_frame /
+// decode_frame): a round trip restores every value bit for bit except zeros of either sign, which
 // travel only as clear bitmap bits and decode as +0.0.
 // ---------------------------------------------------------------------------
 
@@ -456,7 +452,7 @@ Problem fig10_tiny_problem() {
 
 /// Factors with the given options and gathers the result on rank 0.
 SupernodalMatrix gather_lu3d(const Problem& p, int Px, int Py, int Pz,
-                             const Lu3dOptions& opt, RunResult* res_out = nullptr) {
+                             const LuOptions& opt, RunResult* res_out = nullptr) {
   const ForestPartition part(p.bs, Pz);
   SupernodalMatrix gathered(p.bs);
   std::mutex mu;
@@ -485,12 +481,10 @@ void expect_bitwise_equal(const SupernodalMatrix& a, const SupernodalMatrix& b,
 
 TEST(SparseZReduction, BitwiseIdenticalFactorsAndReducedWred) {
   const Problem p = fig10_tiny_problem();
-  Lu3dOptions dense, targeted;
-  targeted.packing = ZRedPacking::Targeted;
-
   RunResult rd, rt;
-  const SupernodalMatrix fd = gather_lu3d(p, 2, 2, 4, dense, &rd);
-  const SupernodalMatrix ft = gather_lu3d(p, 2, 2, 4, targeted, &rt);
+  const SupernodalMatrix fd = gather_lu3d(p, 2, 2, 4, {}, &rd);
+  const SupernodalMatrix ft =
+      gather_lu3d(p, 2, 2, 4, {.wire = Wire::Targeted}, &rt);
   expect_bitwise_equal(fd, ft, p.bs.n());
 
   // Targeted mode shrinks the reduction plane everywhere it is measured:
@@ -503,14 +497,12 @@ TEST(SparseZReduction, BitwiseIdenticalFactorsAndReducedWred) {
   for (const auto& r : rd.ranks) z_msgs_dense += r.messages_sent[z];
   for (const auto& r : rt.ranks) z_msgs_targeted += r.messages_sent[z];
   EXPECT_EQ(z_msgs_targeted, z_msgs_dense);
-  // The XY (2D factorization) plane is untouched by the packing mode.
-  EXPECT_EQ(rt.total_bytes_sent(CommPlane::XY),
-            rd.total_bytes_sent(CommPlane::XY));
 }
 
 // ---------------------------------------------------------------------------
-// Option validation happens once, at engine entry: factorize_3d checks the
-// z-reduction packing, factorize_2d the panel options.
+// Option validation happens once, at engine entry: factorize_2d checks both
+// fields of LuOptions, and factorize_3d hands them to it on every grid
+// before any z-axis message moves.
 // ---------------------------------------------------------------------------
 
 Problem tiny_problem() {
@@ -523,25 +515,17 @@ Problem tiny_problem() {
 TEST(PipelineOptions, EngineRejectsInvalidOptionsForBothVariants) {
   const Problem p = tiny_problem();
 
-  Lu3dOptions bad_lookahead;
-  bad_lookahead.lu2d.lookahead = -1;
-  EXPECT_THROW(run_lu3d(p, 2, 2, 1, bad_lookahead), Error);
+  EXPECT_THROW(run_lu3d(p, 2, 2, 1, {.lookahead = -1}), Error);
 
-  Lu3dOptions bad_panel;
-  bad_panel.lu2d.packing = static_cast<PanelPacking>(2);
-  EXPECT_THROW(run_lu3d(p, 2, 2, 1, bad_panel), Error);
-
-  Lu3dOptions bad_zred;
-  bad_zred.packing = static_cast<ZRedPacking>(2);
-  EXPECT_THROW(run_lu3d(p, 2, 2, 2, bad_zred), Error);
+  const LuOptions bad_wire{.wire = static_cast<Wire>(2)};
+  EXPECT_THROW(run_lu3d(p, 2, 2, 1, bad_wire), Error);
+  EXPECT_THROW(run_lu3d(p, 2, 2, 2, bad_wire), Error);
 }
 
 TEST(PipelineOptions, ValidationMessagesAreActionable) {
   const Problem p = tiny_problem();
-  Lu3dOptions o;
-  o.lu2d.lookahead = -3;
   try {
-    run_lu3d(p, 2, 2, 1, o);
+    run_lu3d(p, 2, 2, 1, {.lookahead = -3});
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("lookahead"), std::string::npos);
@@ -551,9 +535,8 @@ TEST(PipelineOptions, ValidationMessagesAreActionable) {
 TEST(PipelineOptions, ZeroLookaheadStillFactorsCorrectly) {
   const Problem p = fig10_tiny_problem();
   const SupernodalMatrix ref = gather_lu3d(p, 2, 2, 4, {});
-  Lu3dOptions no_la;
-  no_la.lu2d.lookahead = 0;
-  expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, no_la), p.bs.n());
+  expect_bitwise_equal(ref, gather_lu3d(p, 2, 2, 4, {.lookahead = 0}),
+                       p.bs.n());
 }
 
 }  // namespace

@@ -461,8 +461,7 @@ TEST(SolverService, DefaultsToTargetedWires) {
   ServiceOptions opt;
   opt.Pz = 2;
   SolverService targeted(opt);
-  opt.lu3d.packing = ZRedPacking::Dense;
-  opt.lu3d.lu2d.packing = PanelPacking::Dense;
+  opt.lu3d.wire = Wire::Dense;
   SolverService dense(opt);
 
   const FactorReport ft = targeted.factor(A);
@@ -490,8 +489,7 @@ TEST(SnodeWidthCap, SolvesThroughChains) {
   ServiceOptions opt;
   opt.Pz = 4;
   SolverService targeted(opt);
-  opt.lu3d.packing = ZRedPacking::Dense;
-  opt.lu3d.lu2d.packing = PanelPacking::Dense;
+  opt.lu3d.wire = Wire::Dense;
   SolverService dense(opt);
   targeted.factor(A);
   dense.factor(A);

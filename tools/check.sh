@@ -42,8 +42,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   SnodeWidthCap: supernodes of at most kMaxSnodeWidth columns, the
 #     chains of split separators against the host oracle and through the
 #     solve;
-#   SparseZReduction: the Targeted z-reduction against the Dense run
-#     (bitwise factors, fewer Z bytes in as many messages);
+#   SparseZReduction: the z-reduction of a Targeted run against the Dense
+#     run (bitwise factors, fewer Z bytes in as many messages);
 #   ParserFuzz: mutated MatrixMarket and platform texts parse or throw
 #     slu3d::Error.
 REQUIRED_SUITES=(CommEquivalence GoldenCommCounters DiagonalDelivery
