@@ -379,8 +379,6 @@ Request::Request(Request&&) noexcept = default;
 Request& Request::operator=(Request&&) noexcept = default;
 Request::~Request() = default;
 
-bool Request::done() const { return st_ == nullptr || st_->completed; }
-
 void Request::wait() {
   if (st_) st_->complete();
 }
@@ -908,13 +906,6 @@ double RunResult::max_clock() const {
   return best;
 }
 
-offset_t RunResult::max_bytes_sent(CommPlane plane) const {
-  offset_t best = 0;
-  for (const auto& r : ranks)
-    best = std::max(best, r.bytes_sent[static_cast<std::size_t>(plane)]);
-  return best;
-}
-
 offset_t RunResult::max_bytes_received(CommPlane plane) const {
   offset_t best = 0;
   for (const auto& r : ranks)
@@ -927,13 +918,6 @@ offset_t RunResult::total_bytes_sent(CommPlane plane) const {
   for (const auto& r : ranks)
     total += r.bytes_sent[static_cast<std::size_t>(plane)];
   return total;
-}
-
-double RunResult::max_compute_seconds(ComputeKind kind) const {
-  double best = 0;
-  for (const auto& r : ranks)
-    best = std::max(best, r.compute_seconds[static_cast<std::size_t>(kind)]);
-  return best;
 }
 
 double RunResult::max_analysis_seconds() const {

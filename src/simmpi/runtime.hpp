@@ -65,8 +65,6 @@ class Request {
   ~Request();
 
   bool valid() const { return st_ != nullptr; }
-  /// True once the operation has completed (wait() would not block).
-  bool done() const;
   /// Blocks until the operation completes. For receive-like requests the
   /// caller's clock advances to max(local, sender_completion) — time spent
   /// computing since the request was posted overlaps the transfer.
@@ -286,16 +284,14 @@ struct RunResult {
   std::vector<LinkUsage> links;
 
   double max_clock() const;
-  /// Max over ranks of bytes sent in `plane`. Note: tree collectives make
-  /// intermediate ranks forward payloads, so sent bytes overcount the
-  /// algorithmic volume; prefer max_bytes_received for the paper's W.
-  offset_t max_bytes_sent(CommPlane plane) const;
   /// Max over ranks of bytes received in `plane` — each rank receives every
   /// block it needs exactly once, so this matches the paper's "per-process
   /// communication volume on the critical path" (Eq. 2 / Fig. 10).
   offset_t max_bytes_received(CommPlane plane) const;
+  /// Sum over ranks of bytes sent in `plane`. Tree collectives make
+  /// intermediate ranks forward payloads, so sent bytes overcount the
+  /// algorithmic volume; max_bytes_received is the paper's W.
   offset_t total_bytes_sent(CommPlane plane) const;
-  double max_compute_seconds(ComputeKind kind) const;
   /// Analysis-phase aggregates (zero unless the run called
   /// analyze_in_sim): critical-path seconds, the paper's
   /// per-process received-volume metric restricted to the phase, and the

@@ -632,23 +632,6 @@ TEST(NonBlocking, SymmetricExchangeWithReversedWaitsDoesNotDeadlock) {
   EXPECT_EQ(result.ranks[0].bytes_sent[0], result.ranks[1].bytes_sent[0]);
 }
 
-TEST(NonBlocking, TestPollsWithoutBlocking) {
-  run_ranks(2, kModel, [](Comm& world) {
-    if (world.rank() == 0) {
-      // done() polls without blocking: a posted irecv reports false until
-      // wait() completes it, whether or not its message has arrived.
-      Request r = world.irecv(1, 1, CommPlane::XY);
-      world.send(1, 2, std::vector<real_t>{0}, CommPlane::XY);  // release peer
-      EXPECT_TRUE(!r.done());
-      r.wait();
-      EXPECT_TRUE(r.done());
-    } else {
-      world.recv(0, 2, CommPlane::XY);
-      world.isend(0, 1, std::vector<real_t>{5}, CommPlane::XY);
-    }
-  });
-}
-
 // ---- one-sided windows ----------------------------------------------------
 
 TEST(Rma, PutDeliversIntoTargetMemoryAndCharges) {
