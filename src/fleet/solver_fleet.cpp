@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "sparse/fingerprint.hpp"
 #include "support/check.hpp"
 
 namespace slu3d::service {
@@ -92,11 +91,6 @@ ServiceStats SolverFleet::service_totals() const {
     t.analysis_messages += s.analysis_messages;
   }
   return t;
-}
-
-std::uint64_t SolverFleet::fingerprint(const CsrMatrix& A) const {
-  return opt_.service.fingerprint_fn ? opt_.service.fingerprint_fn(A)
-                                     : pattern_fingerprint(A);
 }
 
 int SolverFleet::hash_home(std::uint64_t fp) const {
@@ -228,7 +222,8 @@ std::uint64_t SolverFleet::submit(const FleetRequest& request,
   TenantStats& ts = tenants_[request.tenant];
   ++ts.requests;
 
-  const std::uint64_t fp = fingerprint(*request.A);
+  // Every shard keys patterns with the same fingerprint function.
+  const std::uint64_t fp = shards_.front()->svc->fingerprint(*request.A);
 
   // 1. Coalesce: an open batch for this exact operator snapshot anywhere
   //    in the fleet absorbs the request (one solve_stream run serves all

@@ -168,7 +168,6 @@ class SolverFleet {
   struct Batch;
   struct Shard;
 
-  std::uint64_t fingerprint(const CsrMatrix& A) const;
   int hash_home(std::uint64_t fp) const;
   void advance(Shard& shard, double until);
   void dispatch(Shard& shard, Batch&& batch, double start);
