@@ -4,9 +4,9 @@
 //   factored block sent point to point to the ranks that solve against
 //   it, panel solves at the owning row/column of processes, panel
 //   transfers, then the owner-only-update Schur complement on every rank.
-// The schedule (lookahead pipelining, stash slots, non-blocking panel
-// broadcasts, targeted footprint messages, the nearest-ancestor send
-// order) is the panel engine in factor2d.cpp.
+// The schedule (the leaves-first visiting order, lookahead pipelining,
+// stash slots, non-blocking panel broadcasts, targeted footprint messages,
+// the nearest-ancestor send order) is the panel engine in factor2d.cpp.
 //
 // `snodes` restricts the factorization to a node list — this is exactly
 // the dSparseLU2D(A, nList) primitive that Algorithm 1 (the 3D algorithm)
@@ -87,10 +87,11 @@ struct LuOptions {
   Wire wire = Wire::Dense;
 };
 
-/// Factorizes the supernodes in `snodes` (ascending elimination order) in
-/// place on every rank of `grid`. Collective over grid.grid(). Schur
-/// updates are applied to every allocated target block, including
-/// replicated-ancestor blocks when `F` is a masked (3D) layout.
+/// Factorizes the supernodes in `snodes` (distinct ids, in any order) in
+/// place on every rank of `grid`, leaves first: by ascending ND height,
+/// ties by id, the order the forward solve visits them in. Collective over
+/// grid.grid(). Schur updates are applied to every allocated target block,
+/// including replicated-ancestor blocks when `F` is a masked (3D) layout.
 void factorize_2d(Dist2dFactors& F, sim::ProcessGrid2D& grid,
                   std::span<const int> snodes, const LuOptions& options = {});
 
