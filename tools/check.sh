@@ -27,6 +27,11 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #     the Dense and Targeted wires;
 #   DiagonalDelivery: each factored diagonal block reaches exactly the
 #     ranks that solve against it, from its owner, nearest ancestor first;
+#   FactorSchedule: the panel engine factors every level leaves first, in
+#     the forward solve's (nd_height, id) order;
+#   PaperTrends: Fig. 9's qualitative claims, which a schedule change
+#     moves: 3D beats 2D, the non-planar gains are modest and Schur-update
+#     bound, and the lookahead window shortens the critical path;
 #   RandomTargetedDeliveryFuzz: the Targeted footprint messages under
 #     random densities;
 #   Rma: the one-sided windows the ledger's put microbenchmark drives;
@@ -47,7 +52,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   ParserFuzz: mutated MatrixMarket and platform texts parse or throw
 #     slu3d::Error.
 REQUIRED_SUITES=(CommEquivalence GoldenCommCounters DiagonalDelivery
-                 RandomTargetedDeliveryFuzz Rma
+                 FactorSchedule PaperTrends RandomTargetedDeliveryFuzz Rma
                  PlatformRuntime AllgathervSweep DistAnalysis
                  DistAnalysisSweep SolveSchedulePin SolveScheduleFuzz
                  SolverFleet SnodeWidthCap SparseZReduction ParserFuzz)
