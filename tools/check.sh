@@ -22,6 +22,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # Suites every configuration must register, matched by whole gtest suite
 # name (after any `Instance/` prefix, before the `.`):
+#   BinomialTree: the one tree every simmpi broadcast and reduction and
+#     the 3D solve's slice broadcasts walk (parent and children by
+#     definition, each non-root listed by exactly its parent);
 #   CommEquivalence, GoldenCommCounters: bitwise factors across schedules
 #     and wires, and the pinned bytes, messages and critical-path clocks of
 #     the Dense and Targeted wires;
@@ -51,11 +54,12 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #     run (bitwise factors, fewer Z bytes in as many messages);
 #   ParserFuzz: mutated MatrixMarket and platform texts parse or throw
 #     slu3d::Error.
-REQUIRED_SUITES=(CommEquivalence GoldenCommCounters DiagonalDelivery
-                 FactorSchedule PaperTrends RandomTargetedDeliveryFuzz Rma
-                 PlatformRuntime AllgathervSweep DistAnalysis
-                 DistAnalysisSweep SolveSchedulePin SolveScheduleFuzz
-                 SolverFleet SnodeWidthCap SparseZReduction ParserFuzz)
+REQUIRED_SUITES=(BinomialTree CommEquivalence GoldenCommCounters
+                 DiagonalDelivery FactorSchedule PaperTrends
+                 RandomTargetedDeliveryFuzz Rma PlatformRuntime
+                 AllgathervSweep DistAnalysis DistAnalysisSweep
+                 SolveSchedulePin SolveScheduleFuzz SolverFleet
+                 SnodeWidthCap SparseZReduction ParserFuzz)
 
 require_suites() {
   local dir="$1" suites
