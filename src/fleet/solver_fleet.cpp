@@ -51,16 +51,12 @@ struct SolverFleet::Shard {
 
 SolverFleet::SolverFleet(const FleetOptions& options) : opt_(options) {
   SLU3D_CHECK(opt_.shards >= 1, "need at least one shard");
-  SLU3D_CHECK(opt_.shards <= 64, "tag bases support at most 64 shards");
   SLU3D_CHECK(opt_.queue_depth >= 1, "queue depth must be positive");
   SLU3D_CHECK(opt_.coalesce_window >= 0, "coalesce window must be >= 0");
   shards_.reserve(static_cast<std::size_t>(opt_.shards));
   for (int i = 0; i < opt_.shards; ++i) {
-    ServiceOptions so = opt_.service;
-    // Disjoint per-shard tag bases: shard i owns [ (i+1)<<24, (i+2)<<24 ).
-    so.solve_tag_base = (i + 1) << 24;
     auto sh = std::make_unique<Shard>();
-    sh->svc = std::make_unique<SolverService>(so);
+    sh->svc = std::make_unique<SolverService>(opt_.service);
     shards_.push_back(std::move(sh));
   }
 }

@@ -12,8 +12,8 @@
 //  * Coalescing: same-(fingerprint, values-version) requests arriving
 //    within `coalesce_window` simulated seconds of the first join one
 //    batch and execute as ONE solve_stream run (n x nrhs panels per
-//    request, host-audited disjoint tags), with per-request results
-//    bitwise identical to independent solves.
+//    request, one shared tag range), with per-request results bitwise
+//    identical to independent solves.
 //  * Admission control: per-shard queues are bounded at `queue_depth`
 //    requests. On saturation the router redirects to the least-loaded
 //    shard and sheds with an explicit Shed response once every queue is
@@ -51,8 +51,7 @@ enum class RoutingPolicy {
 
 struct FleetOptions {
   int shards = 4;
-  /// Uniform per-shard service configuration. The fleet overrides
-  /// solve_tag_base per shard so tag ranges are disjoint fleet-wide.
+  /// Uniform per-shard service configuration.
   ServiceOptions service;
   RoutingPolicy routing = RoutingPolicy::Affinity;
   /// Simulated seconds a batch stays open for same-pattern joiners after

@@ -172,8 +172,8 @@ TEST(SolverFleet, CoalescedBatchMatchesIndependentSolvesBitwise) {
   for (std::size_t k = 1; k < rs.size(); ++k)
     EXPECT_GT(rs[k].completion, rs[k - 1].completion);
 
-  // Independent reference: a fresh standalone service (same configuration
-  // and tag base as shard 0) solving each request separately.
+  // Independent reference: a fresh standalone service with the shard's
+  // configuration, solving each request separately.
   SolverService ref(fleet_grid_options());
   ref.factor(*A);
   for (Job& j : jobs) {
@@ -462,14 +462,26 @@ TEST(SolverFleet, FailedBatchReportsFailureAndFleetRecovers) {
   EXPECT_EQ(fleet.tenant_stats().at(2).failed, 1);
 }
 
-TEST(SolverFleet, ShardsGetDisjointSolveTagBases) {
+TEST(SolverFleet, SixtyFiveShardsServeARequest) {
+  // Shards never share a simulated run, so every shard solves on the
+  // service's one tag range and the shard count has no cap.
+  const auto A = std::make_shared<const CsrMatrix>(
+      grid2d_laplacian(GridGeometry{9, 9, 1}, Stencil2D::FivePoint));
   FleetOptions fo;
-  fo.shards = 4;
+  fo.shards = 65;
   fo.service = fleet_grid_options();
   SolverFleet fleet(fo);
-  ASSERT_EQ(fleet.shard_count(), 4);
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(fleet.shard(i).options().solve_tag_base, (i + 1) << 24);
+  ASSERT_EQ(fleet.shard_count(), 65);
+  for (int i = 0; i < 65; ++i)
+    EXPECT_EQ(fleet.shard(i).options().solve_tag_base,
+              fo.service.solve_tag_base);
+
+  Job job(A, 2, 65);
+  fleet.submit(job.request(/*tenant=*/0), 0.0);
+  const std::vector<FleetResponse> rs = fleet.drain();
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs[0].status, RequestStatus::Done);
+  EXPECT_LT(rs[0].solve.residual, 1e-12);
 }
 
 }  // namespace

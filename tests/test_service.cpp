@@ -2,7 +2,7 @@
 // skip the analysis pipeline entirely (verified by construction counts),
 // refactorization must match a cold factorization bitwise, batched panel
 // solves must match sequential single-RHS solves, queued solve streams
-// must be tag-isolated, and the LRU must bound resident memory.
+// must match one-at-a-time solves, and the LRU must bound resident memory.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -158,10 +158,12 @@ TEST(SolverService, Batch16UsesAtLeast4xFewerMessagesPerRhs) {
   for (std::size_t i = 0; i < B.size(); ++i) EXPECT_EQ(Xb[i], Xseq[i]);
 }
 
-TEST(SolverService, QueuedSolveStreamIsTagIsolated) {
+TEST(SolverService, QueuedSolveStreamMatchesOneAtATime) {
   // Back-to-back queued solves on the same resident grid share one
-  // simulated run; the host-side tag allocation must keep their message
-  // tag ranges disjoint so results equal the one-at-a-time execution.
+  // simulated run and one tag range, refinement sweeps included. Each
+  // solve sends the same messages per (source, tag) in program order, so
+  // FIFO matching pairs every receive with its own solve's send and the
+  // results equal the one-at-a-time execution bitwise.
   const CsrMatrix A =
       grid2d_laplacian(GridGeometry{9, 10, 1}, Stencil2D::FivePoint);
   const auto n = static_cast<std::size_t>(A.n_rows());
@@ -195,8 +197,8 @@ TEST(SolverService, QueuedSolveStreamIsTagIsolated) {
 }
 
 TEST(SolverService, RejectsNegativeRefinementSteps) {
-  // solve_stream spaces request tag bases by (1 + refinement_steps) solve
-  // spans; a negative count would overlap or invert those ranges.
+  // A negative number of refinement sweeps is invalid input, rejected at
+  // construction rather than run as zero sweeps.
   ServiceOptions o = small_grid_options();
   o.refinement_steps = -1;
   EXPECT_THROW(SolverService{o}, Error);

@@ -124,9 +124,10 @@ TEST(Solve2d, RepeatedSolvesWithSameFactors) {
       A.spmv(xref, b);
       for (std::size_t i = 0; i < n; ++i)
         x[static_cast<std::size_t>(pinv[i])] = b[i];
-      Solve3dOptions opt;
-      opt.tag_base = (1 << 24) + rhs * solve3d_tag_span(bs);  // distinct tag ranges
-      solve_3d(F, world, grid, part, x, opt);
+      // Both solves use the default tag base: they send the same messages
+      // per (source, tag) in program order, so FIFO matching keeps them
+      // apart.
+      solve_3d(F, world, grid, part, x);
       if (world.rank() == 0) {
         real_t e = 0;
         for (std::size_t i = 0; i < n; ++i)
@@ -142,8 +143,10 @@ TEST(Solve2d, RepeatedSolvesWithSameFactors) {
 TEST(Solve2d, BatchedPanelBitwiseMatchesSequentialSolves) {
   // A panel solve must equal column-by-column solves bitwise (per-column
   // op order is independent of the panel width). The sequential solves
-  // run back-to-back in the same simulated run with tag bases advanced by
-  // solve3d_tag_span, exercising the queued-solve tag audit.
+  // run back-to-back in the same simulated run on the panel solve's tag
+  // base: every solve sends the same messages per (source, tag) in
+  // program order, so FIFO matching pairs each receive with its own
+  // solve's send.
   const GridGeometry g{10, 9, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const SeparatorTree tree = nested_dissection(A, {.leaf_size = 8});
@@ -169,13 +172,9 @@ TEST(Solve2d, BatchedPanelBitwiseMatchesSequentialSolves) {
     solve_3d(F, world, grid, part, xp, bopt);
 
     std::vector<real_t> xs(B);
-    for (index_t j = 0; j < nrhs; ++j) {
-      Solve3dOptions sopt;
-      sopt.tag_base = (1 << 24) + (j + 1) * solve3d_tag_span(bs);
+    for (index_t j = 0; j < nrhs; ++j)
       solve_3d(F, world, grid, part,
-               std::span<real_t>(xs).subspan(static_cast<std::size_t>(j) * n, n),
-               sopt);
-    }
+               std::span<real_t>(xs).subspan(static_cast<std::size_t>(j) * n, n));
     if (world.rank() == 0) {
       batched = xp;
       seq = xs;

@@ -112,8 +112,9 @@ TEST(Solve3d, BatchedPanelBitwiseMatchesSequentialSolves) {
   // independent single-RHS solves produce: per-column accumulation order
   // in the panel kernels does not depend on the panel width, so the
   // comparison is bitwise. The sequential solves run back-to-back on the
-  // same resident factors with tag bases advanced by solve3d_tag_span —
-  // the tag-collision regression for queued solves on one grid.
+  // same resident factors and the panel solve's tag base: every solve
+  // sends the same messages per (source, tag) in program order, so FIFO
+  // matching pairs each receive with its own solve's send.
   const GridGeometry g{11, 10, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const SeparatorTree tree = geometric_nd(g, {.leaf_size = 8});
@@ -140,13 +141,9 @@ TEST(Solve3d, BatchedPanelBitwiseMatchesSequentialSolves) {
     solve_3d(F, world, grid, part, xp, bopt);
 
     std::vector<real_t> xs(B);
-    for (index_t j = 0; j < nrhs; ++j) {
-      Solve3dOptions sopt;
-      sopt.tag_base = (1 << 24) + (j + 1) * solve3d_tag_span(bs);
+    for (index_t j = 0; j < nrhs; ++j)
       solve_3d(F, world, grid, part,
-               std::span<real_t>(xs).subspan(static_cast<std::size_t>(j) * n, n),
-               sopt);
-    }
+               std::span<real_t>(xs).subspan(static_cast<std::size_t>(j) * n, n));
     if (world.rank() == 0) {
       batched = xp;
       seq = xs;
