@@ -150,12 +150,9 @@ inline DistMetrics run_dist_lu(const BlockStructure& bs, const CsrMatrix& Ap,
   DistMetrics m;
   m.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
   m.time = res.max_clock();
-  // Critical-path rank: the one with the largest final clock.
-  const sim::RankStats* crit = &res.ranks.front();
-  for (const auto& r : res.ranks)
-    if (r.clock > crit->clock) crit = &r;
-  m.t_scu = crit->compute_seconds[static_cast<int>(sim::ComputeKind::SchurUpdate)];
-  m.t_comm = crit->comm_seconds();
+  const sim::RankStats& crit = res.critical();
+  m.t_scu = crit.compute_seconds[static_cast<int>(sim::ComputeKind::SchurUpdate)];
+  m.t_comm = crit.comm_seconds();
   m.w_fact = res.max_bytes_received(sim::CommPlane::XY);
   m.w_red = res.max_bytes_received(sim::CommPlane::Z);
   for (const sim::RankStats& r : res.ranks)

@@ -39,10 +39,8 @@ Metrics run(const BlockStructure& bs, const CsrMatrix& Ap, int Px, int Py,
   });
   Metrics m;
   m.time = res.max_clock();
-  const sim::RankStats* crit = &res.ranks.front();
-  for (const auto& r : res.ranks)
-    if (r.clock > crit->clock) crit = &r;
-  m.t_scu = crit->compute_seconds[static_cast<int>(sim::ComputeKind::SchurUpdate)];
+  m.t_scu = res.critical()
+                .compute_seconds[static_cast<int>(sim::ComputeKind::SchurUpdate)];
   m.w_fact = res.max_bytes_received(CommPlane::XY);
   m.w_red = res.max_bytes_received(CommPlane::Z);
   for (offset_t b : mem) m.mem_total += b;
