@@ -3,7 +3,6 @@
 #include "numeric/condition.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/check.hpp"
 
@@ -137,21 +136,6 @@ real_t SparseLuSolver::estimate_condition_number() const {
   };
   const real_t inv_norm = estimate_inverse_norm1(n, fwd, bwd);
   return inv_norm * norm1(*A_);
-}
-
-real_t relative_residual(const CsrMatrix& A, std::span<const real_t> x,
-                         std::span<const real_t> b) {
-  const auto n = static_cast<std::size_t>(A.n_rows());
-  std::vector<real_t> ax(n);
-  A.spmv(x, ax);
-  real_t rnorm = 0.0, xnorm = 0.0, bnorm = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    rnorm = std::max(rnorm, std::abs(b[i] - ax[i]));
-    xnorm = std::max(xnorm, std::abs(x[i]));
-    bnorm = std::max(bnorm, std::abs(b[i]));
-  }
-  const real_t denom = A.norm_inf() * xnorm + bnorm;
-  return denom > 0 ? rnorm / denom : rnorm;
 }
 
 }  // namespace slu3d

@@ -81,8 +81,4 @@ class SparseLuSolver {
   SolverOptions options_;
 };
 
-/// Relative residual ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf).
-real_t relative_residual(const CsrMatrix& A, std::span<const real_t> x,
-                         std::span<const real_t> b);
-
 }  // namespace slu3d

@@ -173,6 +173,21 @@ real_t CsrMatrix::norm_inf() const {
   return best;
 }
 
+real_t relative_residual(const CsrMatrix& A, std::span<const real_t> x,
+                         std::span<const real_t> b) {
+  const auto n = static_cast<std::size_t>(A.n_rows());
+  std::vector<real_t> ax(n);
+  A.spmv(x, ax);
+  real_t rnorm = 0.0, xnorm = 0.0, bnorm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    rnorm = std::max(rnorm, std::abs(b[i] - ax[i]));
+    xnorm = std::max(xnorm, std::abs(x[i]));
+    bnorm = std::max(bnorm, std::abs(b[i]));
+  }
+  const real_t denom = A.norm_inf() * xnorm + bnorm;
+  return denom > 0 ? rnorm / denom : rnorm;
+}
+
 std::vector<index_t> invert_permutation(std::span<const index_t> perm) {
   std::vector<index_t> pinv(perm.size());
   for (std::size_t i = 0; i < perm.size(); ++i)

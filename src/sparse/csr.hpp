@@ -81,6 +81,10 @@ class CsrMatrix {
   std::vector<real_t> values_;
 };
 
+/// Relative residual ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf).
+real_t relative_residual(const CsrMatrix& A, std::span<const real_t> x,
+                         std::span<const real_t> b);
+
 /// Inverse of a permutation: result[perm[i]] = i.
 std::vector<index_t> invert_permutation(std::span<const index_t> perm);
 
