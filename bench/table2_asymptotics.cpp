@@ -3,7 +3,10 @@
 // memory M, communication W, and message count L from executed runs, and
 // compares the growth against the analytical model's predictions.
 #include <cmath>
+#include <initializer_list>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "model/cost_model.hpp"
@@ -50,66 +53,69 @@ double growth(double y1, double y0, double n1, double n0) {
   return std::log(y1 / y0) / std::log(n1 / n0);
 }
 
+/// Prints one Table II sweep over grid sides at P_XY = 4, for Pz 1 and 4.
+/// A grid of side s has a top separator of s columns in 2D and s^2 in 3D;
+/// wider than kMaxSnodeWidth, it is split into a chain whose blocks
+/// spread over the plane, which changes the per-process growth. So a
+/// growth exponent is printed only between consecutive sizes whose top
+/// separators fall on the same side of the cap.
+void sweep(bool planar, std::initializer_list<index_t> sides,
+           const char* model) {
+  const int Px = 2, Py = 2;
+  for (int Pz : {1, 4}) {
+    std::vector<std::string> cols{"side", "top sep", "n", "M(B)", "W(B)",
+                                  "L(msgs)", "dlogM/dlogn", "dlogW/dlogn"};
+    if (planar) cols.emplace_back("dlogL/dlogn");
+    TextTable table(cols);
+    Measured prev{};
+    bool prev_split = false;
+    for (index_t side : sides) {
+      const GridGeometry g{side, side, planar ? 1 : side};
+      const TestMatrix t =
+          planar ? TestMatrix{"grid", grid2d_laplacian(g, Stencil2D::FivePoint),
+                              g, true}
+                 : TestMatrix{"grid3", grid3d_laplacian(g, Stencil3D::SevenPoint),
+                              g, false};
+      const index_t top = planar ? side : side * side;
+      const bool split = top > kMaxSnodeWidth;
+      const Measured m = measure(t, Px, Py, Pz);
+      std::vector<std::string> row{
+          std::to_string(side),
+          std::to_string(top) + (split ? " split" : " whole"),
+          std::to_string(static_cast<long long>(m.n)),
+          TextTable::sci(m.M), TextTable::sci(m.W),
+          std::to_string(static_cast<long long>(m.L))};
+      const bool comparable = prev.n > 0 && split == prev_split;
+      const auto slope = [&](double y1, double y0) {
+        return comparable ? TextTable::num(growth(y1, y0, m.n, prev.n), 2)
+                          : std::string("-");
+      };
+      row.push_back(slope(m.M, prev.M));
+      row.push_back(slope(m.W, prev.W));
+      if (planar) row.push_back(slope(m.L, prev.L));
+      table.add_row(std::move(row));
+      prev = m;
+      prev_split = split;
+    }
+    std::cout << "\nPz = " << Pz << "  (model: " << model << ")\n";
+    table.print(std::cout);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   slu3d::bench::bench_platform(argc, argv);
-  const int Px = 2, Py = 2;
 
-  std::cout << "Table II check — planar model problems (2D grids), P_XY=4\n";
-  for (int Pz : {1, 4}) {
-    TextTable table({"n", "M(B)", "W(B)", "L(msgs)", "dlogM/dlogn",
-                     "dlogW/dlogn", "dlogL/dlogn"});
-    Measured prev{};
-    for (index_t side : {32, 64, 128}) {
-      GridGeometry g{side, side, 1};
-      TestMatrix t{"grid", grid2d_laplacian(g, Stencil2D::FivePoint), g, true};
-      const Measured m = measure(t, Px, Py, Pz);
-      std::vector<std::string> row{
-          std::to_string(static_cast<long long>(m.n)),
-          TextTable::sci(m.M), TextTable::sci(m.W),
-          std::to_string(static_cast<long long>(m.L))};
-      if (prev.n > 0) {
-        row.push_back(TextTable::num(growth(m.M, prev.M, m.n, prev.n), 2));
-        row.push_back(TextTable::num(growth(m.W, prev.W, m.n, prev.n), 2));
-        row.push_back(TextTable::num(growth(m.L, prev.L, m.n, prev.n), 2));
-      } else {
-        row.insert(row.end(), {"-", "-", "-"});
-      }
-      table.add_row(std::move(row));
-      prev = m;
-    }
-    std::cout << "\nPz = " << Pz
-              << "  (model: M ~ n log n / P, W ~ n sqrt(log n) / sqrt(P), "
-                 "L ~ n / Pz)\n";
-    table.print(std::cout);
-  }
+  std::cout << "Table II check — planar model problems (2D grids), P_XY=4\n"
+               "(growth exponents only between sizes on one side of the "
+               "supernode width cap, "
+            << kMaxSnodeWidth << " columns)\n";
+  sweep(true, {32, 64, 96, 128, 192},
+        "M ~ n log n / P, W ~ n sqrt(log n) / sqrt(P), L ~ n / Pz");
 
   std::cout << "\nTable II check — non-planar model problems (3D grids)\n";
-  for (int Pz : {1, 4}) {
-    TextTable table({"n", "M(B)", "W(B)", "L(msgs)", "dlogM/dlogn",
-                     "dlogW/dlogn"});
-    Measured prev{};
-    for (index_t side : {8, 12, 16}) {
-      GridGeometry g{side, side, side};
-      TestMatrix t{"grid3", grid3d_laplacian(g, Stencil3D::SevenPoint), g, false};
-      const Measured m = measure(t, Px, Py, Pz);
-      std::vector<std::string> row{
-          std::to_string(static_cast<long long>(m.n)),
-          TextTable::sci(m.M), TextTable::sci(m.W),
-          std::to_string(static_cast<long long>(m.L))};
-      if (prev.n > 0) {
-        row.push_back(TextTable::num(growth(m.M, prev.M, m.n, prev.n), 2));
-        row.push_back(TextTable::num(growth(m.W, prev.W, m.n, prev.n), 2));
-      } else {
-        row.insert(row.end(), {"-", "-"});
-      }
-      table.add_row(std::move(row));
-      prev = m;
-    }
-    std::cout << "\nPz = " << Pz << "  (model: M, W ~ n^(4/3) scaling)\n";
-    table.print(std::cout);
-  }
+  sweep(false, {6, 8, 12, 16, 20}, "M, W ~ n^(4/3) scaling");
 
   // Closed-form Table II entries for a reference configuration.
   std::cout << "\nAnalytical Table II at n = 1e6, P = 1024:\n";
