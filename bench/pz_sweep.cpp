@@ -19,8 +19,12 @@
 //             percent for planar matrices, ~200% at P_z = 16 for the
 //             nlpkkt class.
 //
-// The in-sim analysis runs once per (matrix, P); its split is reported
-// alongside every fig9 CSV row at that P.
+// Each point is ordered at relaxed_leaf_size(Px, Py, Pz), the relaxed
+// supernode size a SolverService on that grid picks, so the figures and
+// their 2D baseline report what the service runs. A matrix gets at most
+// two orderings, one per leaf the rule picks. The in-sim analysis runs
+// once per (matrix, P, leaf); its split is reported alongside every fig9
+// CSV row that factors that ordering.
 //
 //   $ ./pz_sweep [--platform SPEC]
 //
@@ -32,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -47,6 +52,7 @@ constexpr auto kZ = static_cast<std::size_t>(sim::CommPlane::Z);
 
 struct Point {
   int P = 0, Pz = 0, Px = 0, Py = 0;
+  index_t leaf = 0;             ///< relaxed_leaf_size(Px, Py, Pz)
   bench::DistMetrics dense;     ///< Dense on both planes
   bench::DistMetrics targeted;  ///< Targeted on both planes
 
@@ -61,6 +67,26 @@ struct Point {
                          static_cast<double>(all)
                    : 0.0;
   }
+};
+
+/// One ordering of a matrix at one leaf size, and what a factorization
+/// of it reads.
+struct Ordering {
+  SeparatorTree tree;
+  BlockStructure bs;
+  CsrMatrix Ap;
+
+  Ordering(const TestMatrix& t, index_t leaf)
+      : tree(bench::order_matrix(t, leaf)),
+        bs(t.A, tree),
+        Ap(t.A.permuted_symmetric(tree.perm())) {}
+};
+
+/// The in-sim analysis split of one (matrix, P, leaf).
+struct AnalysisSplit {
+  double t = 0;
+  offset_t w = 0;
+  offset_t msgs = 0;
 };
 
 /// One matrix's points, in sweep order (P outer, P_z inner).
@@ -85,12 +111,13 @@ void print_fig9(const MatrixSweep& s, index_t n) {
             << (s.planar ? "planar" : "non-planar") << ", n=" << n
             << ") ===\n";
   const double baseline = s.at(64, 1).dense.time;
-  TextTable table({"P", "Pz", "PXY", "T/T2d", "T_scu/T2d", "T_comm/T2d",
-                   "speedup", "T_pk/T", "Psaved(%)", "wall_s"});
+  TextTable table({"P", "Pz", "PXY", "leaf", "T/T2d", "T_scu/T2d",
+                   "T_comm/T2d", "speedup", "T_pk/T", "Psaved(%)", "wall_s"});
   for (const Point& p : s.points) {
     const bench::DistMetrics& m = p.dense;
     table.add_row({std::to_string(p.P), std::to_string(p.Pz),
                    std::to_string(p.Px) + "x" + std::to_string(p.Py),
+                   std::to_string(p.leaf),
                    TextTable::num(m.time / baseline),
                    TextTable::num(m.t_scu / baseline),
                    TextTable::num(m.t_comm / baseline),
@@ -191,33 +218,39 @@ int main(int argc, char** argv) {
                "P=64\n";
   std::vector<MatrixSweep> sweeps;
   for (const auto& t : paper_test_suite(bench::bench_scale())) {
-    const SeparatorTree tree = bench::order_matrix(t);
-    const BlockStructure bs(t.A, tree);
-    const CsrMatrix Ap = t.A.permuted_symmetric(tree.perm());
+    std::map<index_t, Ordering> orderings;
     const char* cls = t.planar ? "planar" : "nonplanar";
     MatrixSweep& s = sweeps.emplace_back(MatrixSweep{t.name, t.planar, {}});
     for (int P : {16, 64, 128}) {
-      // The analysis depends on the world size, not the P_z split.
-      const auto ares = sim::run_ranks(
-          P, bench::platform(), [&](sim::Comm& world) {
-            analyze_in_sim(t.A, world, {.leaf_size = 16},
-                           AnalysisMode::Distributed);
-          });
-      const double t_analysis = ares.max_analysis_seconds();
-      const offset_t w_analysis = ares.max_analysis_bytes_received();
-      const offset_t msg_analysis = ares.total_analysis_messages_sent();
+      // The analysis depends on the world size and the leaf, not the P_z
+      // split.
+      std::map<index_t, AnalysisSplit> analyses;
       for (int Pz : {1, 2, 4, 8, 16}) {
         if (P % Pz != 0) continue;
         const auto [Px, Py] = bench::square_ish(P / Pz);
-        Point& p = s.points.emplace_back(Point{P, Pz, Px, Py, {}, {}});
-        p.dense = bench::run_dist_lu(bs, Ap, Px, Py, Pz);
-        p.targeted =
-            bench::run_dist_lu(bs, Ap, Px, Py, Pz, {.wire = Wire::Targeted});
+        const index_t leaf = relaxed_leaf_size(Px, Py, Pz);
+        const Ordering& o = orderings.try_emplace(leaf, t, leaf).first->second;
+        auto [it, fresh] = analyses.try_emplace(leaf);
+        if (fresh) {
+          const auto ares = sim::run_ranks(
+              P, bench::platform(), [&](sim::Comm& world) {
+                analyze_in_sim(t.A, world, {.leaf_size = leaf},
+                               AnalysisMode::Distributed);
+              });
+          it->second = {ares.max_analysis_seconds(),
+                        ares.max_analysis_bytes_received(),
+                        ares.total_analysis_messages_sent()};
+        }
+        const AnalysisSplit& a = it->second;
+        Point& p = s.points.emplace_back(Point{P, Pz, Px, Py, leaf, {}, {}});
+        p.dense = bench::run_dist_lu(o.bs, o.Ap, Px, Py, Pz);
+        p.targeted = bench::run_dist_lu(o.bs, o.Ap, Px, Py, Pz,
+                                        {.wire = Wire::Targeted});
         const bench::DistMetrics& m = p.dense;
         f9 << t.name << ',' << cls << ',' << P << ',' << Pz << ',' << Px
            << ',' << Py << ',' << m.time << ',' << m.t_scu << ',' << m.t_comm
-           << ',' << m.wall_s << ',' << t_analysis << ',' << w_analysis
-           << ',' << msg_analysis << '\n';
+           << ',' << m.wall_s << ',' << a.t << ',' << a.w << ',' << a.msgs
+           << '\n';
         f10 << t.name << ',' << cls << ',' << P << ',' << Pz << ','
             << m.w_fact << ',' << m.w_red << ',' << p.saved_bytes(kXY) << ','
             << m.bytes_received[kXY] << ','

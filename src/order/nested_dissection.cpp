@@ -4,6 +4,7 @@
 #include <numeric>
 #include <optional>
 #include <queue>
+#include <string>
 
 #include "order/graph.hpp"
 #include "order/multilevel.hpp"
@@ -58,9 +59,10 @@ class TreeBuilder {
 
 class GeneralDissector {
  public:
-  GeneralDissector(const CsrMatrix& A, const NdOptions& opts)
+  GeneralDissector(const CsrMatrix& A, index_t leaf, NdAlgorithm algorithm)
       : g_(build_adjacency(A)),
-        opts_(opts),
+        leaf_(leaf),
+        algorithm_(algorithm),
         n_(A.n_rows()),
         builder_(A.n_rows()),
         mark_(static_cast<std::size_t>(A.n_rows()), kOutside),
@@ -83,8 +85,7 @@ class GeneralDissector {
   /// `mark_[v] == stamp_` identifies vertices inside the current subproblem.
   std::optional<order_detail::TopSplit> split_top(
       std::span<const index_t> verts) {
-    if (static_cast<index_t>(verts.size()) <= opts_.leaf_size)
-      return std::nullopt;
+    if (static_cast<index_t>(verts.size()) <= leaf_) return std::nullopt;
     stamp_++;
     for (index_t v : verts) mark_[static_cast<std::size_t>(v)] = stamp_;
     // Components first: a disconnected subgraph splits for free (empty
@@ -95,7 +96,7 @@ class GeneralDissector {
       return order_detail::TopSplit{std::move(ga), std::move(gb), {}};
     }
     std::optional<Split> split;
-    if (opts_.algorithm == NdAlgorithm::Multilevel)
+    if (algorithm_ == NdAlgorithm::Multilevel)
       split = multilevel_separator(verts);
     if (!split.has_value()) split = level_set_separator(verts);
     if (!split.has_value()) return std::nullopt;
@@ -327,7 +328,8 @@ class GeneralDissector {
   }
 
   Adjacency g_;
-  NdOptions opts_;
+  index_t leaf_;
+  NdAlgorithm algorithm_;
   index_t n_;
   TreeBuilder builder_;
   std::vector<int> mark_;
@@ -338,8 +340,8 @@ class GeneralDissector {
 /// Recursive coordinate bisection over grid boxes.
 class GeometricDissector {
  public:
-  GeometricDissector(const GridGeometry& geom, const NdOptions& opts)
-      : geom_(geom), opts_(opts), builder_(geom.n()) {}
+  GeometricDissector(const GridGeometry& geom, index_t leaf)
+      : geom_(geom), leaf_(leaf), builder_(geom.n()) {}
 
   SeparatorTree run() {
     const int root = dissect(0, geom_.nx, 0, geom_.ny, 0, geom_.nz);
@@ -362,7 +364,7 @@ class GeometricDissector {
     const index_t vol = (x1 - x0) * (y1 - y0) * (z1 - z0);
     const index_t dx = x1 - x0, dy = y1 - y0, dz = z1 - z0;
     const index_t longest = std::max({dx, dy, dz});
-    if (vol <= opts_.leaf_size || longest < 3)
+    if (vol <= leaf_ || longest < 3)
       return builder_.add_leaf(box_vertices(x0, x1, y0, y1, z0, z1));
 
     int left, right;
@@ -387,38 +389,55 @@ class GeometricDissector {
   }
 
   GridGeometry geom_;
-  NdOptions opts_;
+  index_t leaf_;
   TreeBuilder builder_;
 };
 
 }  // namespace
 
+index_t relaxed_leaf_size(int Px, int Py, int Pz) {
+  SLU3D_CHECK(Px >= 1 && Py >= 1 && Pz >= 1, "process grid must be positive");
+  return Px * Py >= std::max(16, 4 * Pz) ? 64 : 32;
+}
+
+namespace order_detail {
+index_t resolve_leaf_size(const NdOptions& opts) {
+  const index_t leaf = opts.leaf_size.value_or(relaxed_leaf_size(1, 1, 1));
+  SLU3D_CHECK(leaf >= 1, "leaf_size " + std::to_string(leaf) + " is below 1");
+  return leaf;
+}
+}  // namespace order_detail
+
 SeparatorTree nested_dissection(const CsrMatrix& A, const NdOptions& opts) {
+  const index_t leaf = order_detail::resolve_leaf_size(opts);
   SLU3D_CHECK(A.n_rows() == A.n_cols(), "nested dissection needs square A");
   SLU3D_CHECK(A.n_rows() > 0, "empty matrix");
-  return GeneralDissector(A, opts).run();
+  return GeneralDissector(A, leaf, opts.algorithm).run();
 }
 
 SeparatorTree nested_dissection_subgraph(const CsrMatrix& A,
                                          std::span<const index_t> verts,
                                          const NdOptions& opts) {
+  const index_t leaf = order_detail::resolve_leaf_size(opts);
   SLU3D_CHECK(A.n_rows() == A.n_cols(), "nested dissection needs square A");
   SLU3D_CHECK(!verts.empty(), "empty vertex subset");
-  return GeneralDissector(A, opts).run_on(verts);
+  return GeneralDissector(A, leaf, opts.algorithm).run_on(verts);
 }
 
 namespace order_detail {
 std::optional<TopSplit> single_split(const CsrMatrix& A,
                                      std::span<const index_t> verts,
                                      const NdOptions& opts) {
+  const index_t leaf = resolve_leaf_size(opts);
   SLU3D_CHECK(!verts.empty(), "empty vertex subset");
-  return GeneralDissector(A, opts).split_top(verts);
+  return GeneralDissector(A, leaf, opts.algorithm).split_top(verts);
 }
 }  // namespace order_detail
 
 SeparatorTree geometric_nd(const GridGeometry& geom, const NdOptions& opts) {
+  const index_t leaf = order_detail::resolve_leaf_size(opts);
   SLU3D_CHECK(geom.n() > 0, "empty grid");
-  return GeometricDissector(geom, opts).run();
+  return GeometricDissector(geom, leaf).run();
 }
 
 std::vector<index_t> rcm_ordering(const CsrMatrix& A) {

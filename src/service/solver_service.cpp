@@ -69,6 +69,10 @@ SolverService::SolverService(const ServiceOptions& options) : opt_(options) {
   // quietly run no refinement.
   SLU3D_CHECK(opt_.refinement_steps >= 0,
               "refinement_steps must be non-negative");
+  // Stored, not derived per call, so that an analysis re-run from
+  // options().nd orders the matrix as this service does.
+  if (!opt_.nd.leaf_size)
+    opt_.nd.leaf_size = relaxed_leaf_size(opt_.Px, opt_.Py, opt_.Pz);
 }
 
 SolverService::~SolverService() = default;

@@ -43,6 +43,9 @@ struct ServiceOptions {
   int Px = 2;  ///< >= 1
   int Py = 2;  ///< >= 1
   int Pz = 1;  ///< number of 2D grids, a positive power of two
+  /// Ordering options. An unset `nd.leaf_size` is set at construction to
+  /// relaxed_leaf_size(Px, Py, Pz), the relaxed-supernode size chosen for
+  /// this grid, and options() reports it; an explicit value is kept.
   NdOptions nd;
   std::optional<GridGeometry> geometry;  ///< exact geometric ND when set
   PartitionStrategy partition = PartitionStrategy::Greedy;

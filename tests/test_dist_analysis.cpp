@@ -168,26 +168,41 @@ INSTANTIATE_TEST_SUITE_P(Fig9Fig10Classes, DistAnalysisSweep,
 // that owns the separator. The 12x12x12 grid's widest separator under the
 // default NdOptions is wider than the cap, so its chain has two or more
 // pieces, and the in-sim structures must still equal the host oracle's.
+// The same holds at the relaxed leaf of 64 that 16- and 64-rank services
+// pick, where the grid still dissects into internal nodes.
 TEST(SnodeWidthCap, ChainsMatchHostOracle) {
   const CsrMatrix A = grid3d_laplacian({12, 12, 12}, Stencil3D::SevenPoint);
-  const NdOptions opts;
-  const AnalysisResult oracle = analyze_host(A, opts);
-  index_t widest = 0;
-  for (const SepTreeNode& nd : oracle.tree->nodes())
-    widest = std::max(widest, nd.block_size());
-  ASSERT_GT(widest, kMaxSnodeWidth);
-  ASSERT_GT(oracle.bs->n_snodes(), oracle.tree->n_nodes());
-  // The rank counts of the 1x1x1, 2x2x1, 2x2x2 and 4x2x2 grids.
-  for (const int P : {1, 4, 8, 16}) {
-    std::vector<int> ok(static_cast<std::size_t>(P), -1);
-    run_ranks(P, kModel, [&](sim::Comm& world) {
-      const AnalysisResult r =
-          analyze_in_sim(A, world, opts, AnalysisMode::Distributed);
-      ok[static_cast<std::size_t>(world.rank())] =
-          same_tree(*oracle.tree, *r.tree) && same_bs(*oracle.bs, *r.bs);
-    });
-    for (int r = 0; r < P; ++r)
-      EXPECT_EQ(ok[static_cast<std::size_t>(r)], 1) << "P=" << P << " rank=" << r;
+  struct Case {
+    NdOptions opts;
+    std::vector<int> ranks;
+  };
+  // The default leaf at the rank counts of the 1x1x1, 2x2x1, 2x2x2 and
+  // 4x2x2 grids; leaf 64 at those of the 4x4x1 and 4x4x4 grids.
+  const Case cases[] = {{{}, {1, 4, 8, 16}}, {{.leaf_size = 64}, {16, 64}}};
+  for (const Case& c : cases) {
+    const AnalysisResult oracle = analyze_host(A, c.opts);
+    index_t widest = 0;
+    int internal = 0;
+    for (const SepTreeNode& nd : oracle.tree->nodes()) {
+      widest = std::max(widest, nd.block_size());
+      internal += nd.is_leaf() ? 0 : 1;
+    }
+    ASSERT_GT(widest, kMaxSnodeWidth);
+    ASSERT_GT(oracle.bs->n_snodes(), oracle.tree->n_nodes());
+    ASSERT_GT(internal, 1);
+    for (const int P : c.ranks) {
+      std::vector<int> ok(static_cast<std::size_t>(P), -1);
+      run_ranks(P, kModel, [&](sim::Comm& world) {
+        const AnalysisResult r =
+            analyze_in_sim(A, world, c.opts, AnalysisMode::Distributed);
+        ok[static_cast<std::size_t>(world.rank())] =
+            same_tree(*oracle.tree, *r.tree) && same_bs(*oracle.bs, *r.bs);
+      });
+      for (int r = 0; r < P; ++r)
+        EXPECT_EQ(ok[static_cast<std::size_t>(r)], 1)
+            << "leaf=" << c.opts.leaf_size.value_or(0) << " P=" << P
+            << " rank=" << r;
+    }
   }
 }
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <numeric>
+#include <string>
 
 #include "order/nested_dissection.hpp"
+#include "order/parallel_nd.hpp"
 #include "sparse/generators.hpp"
 
 namespace slu3d {
@@ -101,6 +105,36 @@ TEST(NestedDissection, CompleteGraphBecomesLeaf) {
   const SeparatorTree tree = nested_dissection(A, {.leaf_size = 4});
   // Diameter 1: cannot be split, must degrade gracefully to a leaf.
   EXPECT_EQ(tree.n_nodes(), 1);
+}
+
+TEST(NestedDissection, RejectsLeafSizeBelowOne) {
+  // A leaf below 1 used to dissect the 12x12 grid into a tree of many
+  // nodes without complaint; every entry point must name the bad value.
+  const GridGeometry g{12, 12, 1};
+  const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  std::vector<index_t> half(72);
+  std::iota(half.begin(), half.end(), 0);
+  auto expect_rejects = [](index_t leaf, const std::function<void()>& call) {
+    try {
+      call();
+      ADD_FAILURE() << "leaf_size " << leaf << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("leaf_size " + std::to_string(leaf)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const index_t leaf : {0, -3}) {
+    const NdOptions opts{.leaf_size = leaf};
+    expect_rejects(leaf, [&] { nested_dissection(A, opts); });
+    expect_rejects(leaf, [&] { nested_dissection_subgraph(A, half, opts); });
+    expect_rejects(leaf, [&] { geometric_nd(g, opts); });
+    expect_rejects(leaf, [&] {
+      sim::run_ranks(2, sim::MachineModel{}, [&](sim::Comm& world) {
+        parallel_nested_dissection(A, world, opts);
+      });
+    });
+  }
 }
 
 TEST(GeometricNd, ExactSeparatorSizesOnGrid) {

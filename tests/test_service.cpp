@@ -479,6 +479,64 @@ TEST(SolverService, DefaultsToTargetedWires) {
     ASSERT_EQ(xt[i], xd[i]) << "entry " << i;
 }
 
+TEST(RelaxedLeaf, ServiceDerivesLeafFromGridUnlessSet) {
+  // An unset ND leaf becomes relaxed_leaf_size(Px, Py, Pz) at
+  // construction and is stored, so a replay of the analysis from
+  // options().nd orders as the service did.
+  const int wide[][3] = {{4, 4, 1}, {4, 4, 4}, {8, 16, 1}};
+  const int narrow[][3] = {{1, 1, 1}, {2, 2, 1}, {2, 2, 2}, {2, 4, 16}};
+  ServiceOptions o;
+  for (const auto& [px, py, pz] : wide) {
+    o.Px = px;
+    o.Py = py;
+    o.Pz = pz;
+    EXPECT_EQ(SolverService(o).options().nd.leaf_size, index_t{64})
+        << px << 'x' << py << 'x' << pz;
+  }
+  for (const auto& [px, py, pz] : narrow) {
+    o.Px = px;
+    o.Py = py;
+    o.Pz = pz;
+    EXPECT_EQ(SolverService(o).options().nd.leaf_size, index_t{32})
+        << px << 'x' << py << 'x' << pz;
+  }
+  o.Px = 4;
+  o.Py = 4;
+  o.Pz = 4;
+  o.nd.leaf_size = 8;
+  EXPECT_EQ(SolverService(o).options().nd.leaf_size, index_t{8});
+}
+
+TEST(RelaxedLeaf, WideLeafShortensFactorizationOnA16RankPlane) {
+  // On a 4x4 plane the rule's leaf of 64 walks fewer supernodes than an
+  // explicit 32 and saves more message latency than its extra leaf flops
+  // cost, and the solve keeps its fp64 residual.
+  const CsrMatrix A =
+      grid2d_laplacian(GridGeometry{40, 40, 1}, Stencil2D::FivePoint);
+  const auto n = static_cast<std::size_t>(A.n_rows());
+  const std::vector<real_t> b = random_panel(n, 1, 29);
+
+  ServiceOptions opt;
+  opt.Px = 4;
+  opt.Py = 4;
+  opt.Pz = 1;
+  SolverService ruled(opt);
+  opt.nd.leaf_size = 32;
+  SolverService fixed(opt);
+  ASSERT_EQ(ruled.options().nd.leaf_size, index_t{64});
+
+  const FactorReport fr = ruled.factor(A);
+  const FactorReport ff = fixed.factor(A);
+  EXPECT_LT(fr.factor_time, ff.factor_time);
+  std::vector<real_t> x(n);
+  EXPECT_LE(ruled.solve({b, x, 1}).residual, 1e-13);
+
+  const auto snodes = [&](SolverService& svc) {
+    return svc.extract_pattern(svc.fingerprint(A))->bs->n_snodes();
+  };
+  EXPECT_LT(snodes(ruled), snodes(fixed));
+}
+
 TEST(SnodeWidthCap, SolvesThroughChains) {
   // The 12x12x12 grid's widest separator is split into a chain of
   // supernodes (test_dist_analysis.cpp pins the structure). Both wires

@@ -37,6 +37,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #     bound, and the lookahead window shortens the critical path;
 #   RandomTargetedDeliveryFuzz: the Targeted footprint messages under
 #     random densities;
+#   RelaxedLeaf: the service derives its ND leaf from its process grid
+#     (relaxed_leaf_size), keeps an explicit one, and factors faster with
+#     fewer supernodes for it on a 16-rank plane;
 #   Rma: the one-sided windows the ledger's put microbenchmark drives;
 #   PlatformRuntime, AllgathervSweep: the charge path and the log-depth
 #     allgatherv every solve and analysis ends with;
@@ -56,7 +59,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #     slu3d::Error.
 REQUIRED_SUITES=(BinomialTree CommEquivalence GoldenCommCounters
                  DiagonalDelivery FactorSchedule PaperTrends
-                 RandomTargetedDeliveryFuzz Rma PlatformRuntime
+                 RandomTargetedDeliveryFuzz RelaxedLeaf Rma PlatformRuntime
                  AllgathervSweep DistAnalysis DistAnalysisSweep
                  SolveSchedulePin SolveScheduleFuzz SolverFleet
                  SnodeWidthCap SparseZReduction ParserFuzz)
