@@ -13,7 +13,15 @@
 // have completed, so their non-blocking transfers overlap earlier
 // supernodes' Schur updates. The window mostly holds independent leaves
 // and subtrees rather than the parents of the supernodes just before
-// them, as postorder would.
+// them, as postorder would. An unset window is panel_lookahead of this
+// plane: open on planes of 64 or more ranks.
+//
+// A stash's dense storage is allocated when its panels are posted on
+// Wire::Dense, whose ibcast writes into it, and at its Schur drain on
+// Wire::Targeted: a receiver parses its footprint message into it there,
+// and a role root copies in its own L/U blocks, final since the panel
+// solve. So a Targeted rank holds one stash's storage at a time, whatever
+// the window.
 //
 // The diagonal block of k goes, as one non-blocking send from its owner,
 // only to the ranks that run a TRSM against it: the owner of a non-empty L
@@ -86,15 +94,18 @@ constexpr int kDiagColOp = 1;  ///< diagonal to the L holders of its column
 /// messages).
 constexpr std::array<int, 2> kPanelOp = {2, 3};
 
-/// Checks every option a caller can set, once, at engine entry.
-void validate(const LuOptions& opt) {
-  SLU3D_CHECK(opt.lookahead >= 0,
+/// Resolves the window for a Px x Py plane and checks every option a
+/// caller can set, once, at engine entry.
+int resolve_lookahead(const LuOptions& opt, int Px, int Py) {
+  const int lookahead = opt.lookahead.value_or(panel_lookahead(Px, Py));
+  SLU3D_CHECK(lookahead >= 0,
               "lu2d: lookahead must be non-negative (0 disables pipelining)");
-  SLU3D_CHECK(opt.lookahead <= kMaxPanelLookahead,
+  SLU3D_CHECK(lookahead <= kMaxPanelLookahead,
               "lu2d: lookahead exceeds the stash slot pool bound "
               "(kMaxPanelLookahead)");
   SLU3D_CHECK(opt.wire == Wire::Dense || opt.wire == Wire::Targeted,
               "lu2d: unknown Wire value");
+  return lookahead;
 }
 
 /// True if this rank holds a non-empty block of `panel` on a comm of `n`
@@ -206,12 +217,14 @@ struct PanelAsyncOp {
 
 /// Broadcast panels of one in-flight supernode, stashed until its Schur
 /// update has been applied. Each role's entries are appended in ascending
-/// panel_idx order; storage is one flat buffer borrowed from the per-rank
-/// scratch pool, so the look-ahead hot path performs no per-supernode node
-/// allocations.
+/// panel_idx order and laid out over `size` values of flat storage: one
+/// buffer borrowed from the per-rank scratch pool, so the look-ahead hot
+/// path performs no per-supernode node allocations. Wire::Dense borrows it
+/// at the post, Wire::Targeted at the Schur drain.
 struct PanelStash {
   int k = -1;  ///< supernode, or -1 when the slot is free
   std::array<std::vector<StashEntry>, 2> entries;  ///< per role
+  std::size_t size = 0;
   std::vector<real_t> storage;
   std::vector<PanelAsyncOp> ops;
 };
@@ -220,9 +233,11 @@ class PanelEngine {
  public:
   PanelEngine(Dist2dFactors& F, sim::ProcessGrid2D& grid,
               const LuOptions& opt)
-      : F_(F), g_(grid), bs_(F.structure()), opt_(opt) {
-    validate(opt_);
-  }
+      : F_(F),
+        g_(grid),
+        bs_(F.structure()),
+        wire_(opt.wire),
+        lookahead_(resolve_lookahead(opt, grid.Px(), grid.Py())) {}
 
   /// Factorizes the supernodes in `snodes` leaves first, in the forward
   /// solve's order (BlockStructure::leaves_first).
@@ -241,18 +256,22 @@ class PanelEngine {
         last_upd_pos[static_cast<std::size_t>(blk.snode)] = idx;
     }
 
-    std::vector<bool> fired(static_cast<std::size_t>(bs_.n_snodes()), false);
+    // Before the Schur phase of position idx, the engine issues the panel
+    // phase of every position w in the window [idx, idx + lookahead] whose
+    // updaters' Schur phases are all behind it, in ascending w. So w fires
+    // at step max(w - lookahead, last updater + 1), which lies at or
+    // before w since updaters precede their ancestors leaves first.
     const int n = static_cast<int>(order.size());
+    std::vector<std::vector<int>> fire_at(static_cast<std::size_t>(n));
+    for (int w = 0; w < n; ++w) {
+      const int j = order[static_cast<std::size_t>(w)];
+      const int step = std::max({0, w - lookahead_,
+                                 last_upd_pos[static_cast<std::size_t>(j)] + 1});
+      SLU3D_CHECK(step <= w, "an updater follows its target leaves first");
+      fire_at[static_cast<std::size_t>(step)].push_back(j);
+    }
     for (int idx = 0; idx < n; ++idx) {
-      const int limit = std::min(n - 1, idx + opt_.lookahead);
-      for (int w = idx; w <= limit; ++w) {
-        const int j = order[static_cast<std::size_t>(w)];
-        if (!fired[static_cast<std::size_t>(j)] &&
-            last_upd_pos[static_cast<std::size_t>(j)] < idx) {
-          panel_phase(j);
-          fired[static_cast<std::size_t>(j)] = true;
-        }
-      }
+      for (const int j : fire_at[static_cast<std::size_t>(idx)]) panel_phase(j);
       schur_phase(order[static_cast<std::size_t>(idx)]);
     }
   }
@@ -311,14 +330,13 @@ class PanelEngine {
   }
 
   /// Targeted-mode replacement for one role's broadcasts. The data root
-  /// fills its dense stash storage locally, encodes every entry's frame
-  /// into its frame cache, and sends one message per peer whose footprint
-  /// is non-empty, nearest ancestor first — the frames of exactly the
-  /// entries that peer reads, in entry order, on the role's tag. Only a
-  /// peer b % role_size of some non-empty block b can read an entry, so
-  /// the walk over lpanel(k) reaches every such peer. Peers post the
-  /// matching irecv here and parse it into dense storage at the Schur
-  /// drain.
+  /// encodes every entry's frame into its frame cache and sends one
+  /// message per peer whose footprint is non-empty, nearest ancestor first
+  /// — the frames of exactly the entries that peer reads, in entry order,
+  /// on the role's tag. Only a peer b % role_size of some non-empty block
+  /// b can read an entry, so the walk over lpanel(k) reaches every such
+  /// peer. Peers post the matching irecv here and parse it into dense
+  /// storage at the Schur drain, where the root copies in its own blocks.
   void targeted_role(PanelStash& stash, int role, int k, index_t ns,
                      std::span<const PanelBlock> panel) {
     std::vector<StashEntry>& entries =
@@ -340,8 +358,8 @@ class PanelEngine {
       op.role = role;
       return;
     }
-    // Root: dense local fill + one frame per entry, each encoded into its
-    // own dense-bound region of the frame cache.
+    // Root: one frame per entry, each encoded into its own dense-bound
+    // region of the frame cache. Its stash storage is filled at the drain.
     std::size_t cache = 0;
     for (StashEntry& e : entries) {
       const auto elems =
@@ -357,7 +375,6 @@ class PanelEngine {
       const std::span<const real_t> src = payload(
           role, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
       SLU3D_CHECK(src.size() == elems, "panel payload size mismatch");
-      std::copy(src.begin(), src.end(), stash.storage.data() + e.offset);
       e.frame_len = encode_frame(
           src, std::span{frame_cache_}.subspan(
                    e.frame_off, frame_bitmap_words(elems) + elems));
@@ -414,7 +431,7 @@ class PanelEngine {
         ++live;
       }
     }
-    SLU3D_CHECK(live <= opt_.lookahead,
+    SLU3D_CHECK(live <= lookahead_,
                 "stash pool exceeds lookahead+1 live slots");
     if (free_slot == nullptr) {
       stash_.emplace_back();
@@ -428,6 +445,27 @@ class PanelEngine {
     for (PanelStash& s : stash_)
       if (s.k == k) return &s;
     return nullptr;
+  }
+
+  /// Borrows the stash's flat storage, zeroed: a Targeted receiver's
+  /// entries outside its footprint stay zero (no Schur pair reads them).
+  static void stash_storage(PanelStash& stash) {
+    stash.storage = dense::KernelScratch::per_rank().borrow();
+    stash.storage.resize(stash.size, 0.0);
+  }
+
+  /// A role root's copy of its own L/U blocks into the role's entries.
+  void fill_root(PanelStash& stash, int role, int k, index_t ns,
+                 std::span<const PanelBlock> panel) {
+    if (role_comm(role).rank() != role_root(role, k)) return;
+    for (const StashEntry& e : stash.entries[static_cast<std::size_t>(role)]) {
+      const std::span<const real_t> src = payload(
+          role, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
+      SLU3D_CHECK(src.size() == static_cast<std::size_t>(e.m) *
+                                    static_cast<std::size_t>(ns),
+                  "panel payload size mismatch");
+      std::copy(src.begin(), src.end(), stash.storage.data() + e.offset);
+    }
   }
 
   /// The diagonal owner's delivery of its factored block `d` of supernode
@@ -503,54 +541,47 @@ class PanelEngine {
     PanelStash& stash = stash_alloc(k);
     factor_and_solve(k, ns);
 
-    // Panel broadcast. Empty (ragged) blocks are skipped outright instead
+    // Panel transfers. Empty (ragged) blocks are skipped outright instead
     // of broadcasting 0-byte payloads. First lay out the flat stash
     // storage — spans handed to ibcast must stay put, and the offsets
     // double as the parse targets in targeted mode — then post each role.
     const auto panel = bs_.lpanel(k);
-    std::size_t total = 0;
     for (int pi = 0; pi < static_cast<int>(panel.size()); ++pi) {
       const PanelBlock& blk = panel[static_cast<std::size_t>(pi)];
       const index_t m = blk.n_rows();
       if (m == 0) continue;
       for (const int role : {kRowRole, kColRole}) {
         if (!stashes(role, blk.snode)) continue;
-        stash.entries[static_cast<std::size_t>(role)].push_back({pi, total, m});
-        total += static_cast<std::size_t>(m) * static_cast<std::size_t>(ns);
+        stash.entries[static_cast<std::size_t>(role)].push_back(
+            {pi, stash.size, m});
+        stash.size += static_cast<std::size_t>(m) * static_cast<std::size_t>(ns);
       }
     }
-    stash.storage = dense::KernelScratch::per_rank().borrow();
-    stash.storage.resize(total, 0.0);
+    if (wire_ == Wire::Dense) stash_storage(stash);
     for (const int role : {kRowRole, kColRole})
       post_role(stash, role, k, ns, panel);
   }
 
   /// Posts one role's panel transfers: a non-blocking broadcast per entry
-  /// from the role's root, which copies in its owned block first — or,
+  /// from the role's root, which copies in its owned blocks first — or,
   /// targeted, one footprint message per peer (root) or one posted receive
   /// (receivers with a non-empty footprint).
   void post_role(PanelStash& stash, int role, int k, index_t ns,
                  std::span<const PanelBlock> panel) {
-    if (opt_.wire == Wire::Targeted) {
+    if (wire_ == Wire::Targeted) {
       targeted_role(stash, role, k, ns, panel);
       return;
     }
+    fill_root(stash, role, k, ns, panel);
     sim::Comm& comm = role_comm(role);
     const int root = role_root(role, k);
-    for (const StashEntry& e : stash.entries[static_cast<std::size_t>(role)]) {
-      const std::span<real_t> buf{
-          stash.storage.data() + e.offset,
-          static_cast<std::size_t>(e.m) * static_cast<std::size_t>(ns)};
-      if (comm.rank() == root) {
-        const std::span<const real_t> src = payload(
-            role, k, panel[static_cast<std::size_t>(e.panel_idx)].snode);
-        SLU3D_CHECK(src.size() == buf.size(), "panel payload size mismatch");
-        std::copy(src.begin(), src.end(), buf.begin());
-      }
+    for (const StashEntry& e : stash.entries[static_cast<std::size_t>(role)])
       stash.ops.emplace_back().req = comm.ibcast(
-          root, tag(k, kPanelOp[static_cast<std::size_t>(role)]), buf,
+          root, tag(k, kPanelOp[static_cast<std::size_t>(role)]),
+          std::span{stash.storage.data() + e.offset,
+                    static_cast<std::size_t>(e.m) *
+                        static_cast<std::size_t>(ns)},
           CommPlane::XY);
-    }
   }
 
   void schur_phase(int k) {
@@ -562,8 +593,13 @@ class PanelEngine {
     // Drain the outstanding transfers only now, in post order: every
     // update between the panel's post and this point has overlapped them.
     // A targeted footprint message expands every footprint entry of its
-    // role at once.
+    // role at once, into storage borrowed here.
     const auto panel = bs_.lpanel(k);
+    if (wire_ == Wire::Targeted) {
+      stash_storage(*stash);
+      for (const int role : {kRowRole, kColRole})
+        fill_root(*stash, role, k, ns, panel);
+    }
     for (PanelAsyncOp& op : stash->ops) {
       if (op.role < 0)
         op.req.wait();
@@ -591,13 +627,15 @@ class PanelEngine {
     dense::KernelScratch::per_rank().recycle(std::move(stash->storage));
     stash->storage = std::vector<real_t>{};
     for (std::vector<StashEntry>& entries : stash->entries) entries.clear();
+    stash->size = 0;
     stash->k = -1;
   }
 
   Dist2dFactors& F_;
   sim::ProcessGrid2D& g_;
   const BlockStructure& bs_;
-  LuOptions opt_;
+  const Wire wire_;
+  const int lookahead_;  ///< resolved: LuOptions's, else panel_lookahead
   std::vector<PanelStash> stash_;  ///< slot pool, <= lookahead+1 live slots
   std::vector<real_t> diag_buf_;   ///< a received diagonal block
   std::array<PeerWalk, 2> walks_;  ///< per role_comm: the sends' walk

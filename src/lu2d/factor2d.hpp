@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 
 #include "lu2d/dist_factors.hpp"
@@ -64,24 +65,43 @@ std::size_t encode_frame(std::span<const real_t> src, std::span<real_t> out);
 /// become +0.0); returns the frame's length.
 std::size_t decode_frame(std::span<const real_t> wire, std::span<real_t> dst);
 
-/// Upper bound on the lookahead window. The stash slot pool holds
-/// lookahead+1 live supernodes, each pinning flat panel storage plus
-/// outstanding requests; beyond this bound the "window" is no longer a
-/// window and a mistyped value would silently pin the whole factorization
-/// in memory.
+/// Upper bound on the lookahead window, and the open window: with it,
+/// every panel whose updaters are done fires. The stash slot pool holds
+/// lookahead+1 live supernodes, each pinning its outstanding requests. On
+/// Wire::Dense each also pins its flat panel storage from the post on,
+/// since ibcast writes into it, so beyond this bound a mistyped value
+/// would pin the whole Dense factorization in memory. Wire::Targeted
+/// allocates a stash's storage at its Schur drain, one stash at a time.
 inline constexpr int kMaxPanelLookahead = 4096;
+
+/// The lookahead window for a Px x Py plane when LuOptions leaves it
+/// unset: 8 on a plane of fewer than 64 ranks, else open
+/// (kMaxPanelLookahead).
+///
+/// At this scale the critical path is mostly per-message latency, and a
+/// plane of 64 or more ranks walks many independent leaves whose panel
+/// messages an open window keeps in flight at once. On smaller planes
+/// the extra in-flight panels mostly delay the ones the next Schur phase
+/// waits for: dielfilter3d on 4x8 planes is slower with a wider window.
+/// bench/ablation_lookahead measures this at every shape of the Fig. 9
+/// sweep (EXPERIMENTS.md, "Grid-derived lookahead window").
+constexpr int panel_lookahead(int Px, int Py) {
+  return Px * Py >= 64 ? kMaxPanelLookahead : 8;
+}
 
 /// Algorithm 1's options: factorize_2d takes them for one grid's node
 /// list, factorize_3d for every level of every grid. factorize_2d
 /// validates both fields on entry.
 struct LuOptions {
-  /// Lookahead window of the 2D panel pipeline (§II-F) in supernodes
-  /// (SuperLU_DIST uses 8-20; 0 disables pipelining). Must be <=
-  /// kMaxPanelLookahead. The window's panel transfers are always
-  /// non-blocking, drained lazily at the consuming Schur phase, so they
-  /// hide behind earlier supernodes' updates; only the diagonal receive
-  /// blocks, on the ranks whose panel solves consume it at once.
-  int lookahead = 8;
+  /// Lookahead window of the 2D panel pipeline (§II-F) in supernodes, at
+  /// most kMaxPanelLookahead; 0 disables pipelining. Unset means
+  /// panel_lookahead(Px, Py) of the plane factorize_2d runs on, resolved
+  /// once on entry; an explicit value overrides it. The window's panel
+  /// transfers are always non-blocking, drained lazily at the consuming
+  /// Schur phase, so they hide behind earlier supernodes' updates; only
+  /// the diagonal receive blocks, on the ranks whose panel solves consume
+  /// it at once.
+  std::optional<int> lookahead = std::nullopt;
   /// Wire format of both planes. Dense reproduces the paper;
   /// SolverService overrides this default with Targeted.
   Wire wire = Wire::Dense;

@@ -146,7 +146,9 @@ TEST_P(RandomTargetedDeliveryFuzz, TargetedDeliverySolvesBitIdentical) {
   opt.Py = s[1];
   opt.Pz = s[2];
   opt.nd.leaf_size = 4 + rng.next_index(10);
-  opt.lu3d.lookahead = static_cast<int>(rng.next_index(12));
+  // A window of 0-11, or the open window one draw in four.
+  const auto window = static_cast<int>(rng.next_index(16));
+  opt.lu3d.lookahead = window < 12 ? window : kMaxPanelLookahead;
 
   const auto nu = static_cast<std::size_t>(n);
   std::vector<real_t> xref(nu), b(nu), xd(nu), xt(nu);

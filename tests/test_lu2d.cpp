@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 
@@ -185,6 +187,104 @@ TEST(Lu2d, LookaheadDoesNotChangeResultButHelpsClock) {
   EXPECT_GT(t0, 0.0);
   // Pipelining must never hurt the modelled critical path.
   EXPECT_LE(t8, t0 * 1.0 + 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Grid-derived lookahead window. An unset LuOptions::lookahead resolves to
+// panel_lookahead(Px, Py) of the plane factorize_2d runs on: 8 below 64
+// ranks, open (kMaxPanelLookahead) from 64 on; an explicit value wins.
+// ---------------------------------------------------------------------------
+
+/// A factorization of one node list on a Px x Py plane: its counters and
+/// every rank's whole factor storage (diagonal, L and U blocks).
+struct PlaneRun {
+  RunResult res;
+  std::vector<std::vector<real_t>> storage;  ///< per rank
+};
+
+PlaneRun factor_on_plane(const BlockStructure& bs, const CsrMatrix& Ap,
+                         int Px, int Py, const LuOptions& opt) {
+  PlaneRun out;
+  out.storage.resize(static_cast<std::size_t>(Px * Py));
+  std::mutex mu;
+  out.res = run_ranks(Px * Py, kModel, [&](sim::Comm& world) {
+    auto grid = ProcessGrid2D::create(world, Px, Py);
+    Dist2dFactors F(bs, Px, Py, grid.px(), grid.py());
+    F.fill_from(Ap);
+    std::vector<int> all(static_cast<std::size_t>(bs.n_snodes()));
+    std::iota(all.begin(), all.end(), 0);
+    factorize_2d(F, grid, all, opt);
+    std::vector<real_t> flat;
+    for (int s = 0; s < bs.n_snodes(); ++s) {
+      flat.insert(flat.end(), F.diag(s).begin(), F.diag(s).end());
+      for (const auto blocks : {F.lblocks(s), F.ublocks(s)})
+        for (const OwnedBlock& b : blocks)
+          flat.insert(flat.end(), b.data.begin(), b.data.end());
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    out.storage[static_cast<std::size_t>(world.rank())] = std::move(flat);
+  });
+  return out;
+}
+
+/// A 64 x 64 five-point Laplacian ordered at leaf 64, the relaxed
+/// supernode size of an 8 x 8 x 1 grid.
+struct Laplacian64 {
+  GridGeometry g{64, 64, 1};
+  CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
+  SeparatorTree tree = geometric_nd(g, {.leaf_size = 64});
+  BlockStructure bs{A, tree};
+  CsrMatrix Ap = A.permuted_symmetric(tree.perm());
+};
+
+TEST(PanelWindow, RuleOnEveryFig9Plane) {
+  // The planes of the Fig. 9 sweep (P in {16, 64, 128}, every Pz in
+  // {1, ..., 16} dividing P, square-ish): 8 from 1x1 to 4x8, open at
+  // 8x8 and 8x16.
+  const int eight[][2] = {{1, 1}, {1, 2}, {2, 2}, {2, 4}, {4, 4}, {4, 8}};
+  for (const auto& [px, py] : eight)
+    EXPECT_EQ(panel_lookahead(px, py), 8) << px << 'x' << py;
+  const int open[][2] = {{8, 8}, {8, 16}};
+  for (const auto& [px, py] : open)
+    EXPECT_EQ(panel_lookahead(px, py), kMaxPanelLookahead) << px << 'x' << py;
+}
+
+TEST(PanelWindow, ExplicitWindowOverridesTheRule) {
+  // The clock tells the windows apart: an unset window runs exactly like
+  // the rule's explicit value and unlike any other.
+  const Laplacian64 m;
+  const auto clock = [&](int Px, int Py, const LuOptions& opt) {
+    return factor_on_plane(m.bs, m.Ap, Px, Py, opt).res.max_clock();
+  };
+  const double open88 = clock(8, 8, {});
+  EXPECT_EQ(open88, clock(8, 8, {.lookahead = kMaxPanelLookahead}));
+  EXPECT_NE(open88, clock(8, 8, {.lookahead = 8}));
+  EXPECT_NE(open88, clock(8, 8, {.lookahead = 0}));
+  const double eight44 = clock(4, 4, {});
+  EXPECT_EQ(eight44, clock(4, 4, {.lookahead = 8}));
+  EXPECT_NE(eight44, clock(4, 4, {.lookahead = 0}));
+}
+
+TEST(PanelWindow, OpenWindowShortensTargetedFactorizationOn8x8) {
+  // On a 64-rank plane the rule opens the window, which keeps more
+  // independent leaves' panel messages in flight than a window of 8. The
+  // Schur pairs and their order do not change, so neither do the factors.
+  const Laplacian64 m;
+  const PlaneRun ruled =
+      factor_on_plane(m.bs, m.Ap, 8, 8, {.wire = Wire::Targeted});
+  const PlaneRun eight = factor_on_plane(
+      m.bs, m.Ap, 8, 8, {.lookahead = 8, .wire = Wire::Targeted});
+  EXPECT_LT(ruled.res.max_clock(), eight.res.max_clock());
+  ASSERT_EQ(ruled.storage.size(), eight.storage.size());
+  for (std::size_t r = 0; r < ruled.storage.size(); ++r) {
+    const auto& a = ruled.storage[r];
+    const auto& b = eight.storage[r];
+    ASSERT_EQ(a.size(), b.size()) << "rank " << r;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                std::bit_cast<std::uint64_t>(b[i]))
+          << "rank " << r << ", value " << i;
+  }
 }
 
 }  // namespace

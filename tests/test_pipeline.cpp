@@ -195,7 +195,8 @@ INSTANTIATE_TEST_SUITE_P(
 // traced run shows them directly. At lookahead 0 every grid runs its panel
 // phases in the engine's order — factorize_3d's levels, deepest first,
 // each list leaves first by (nd_height, id) — so the trace order is known
-// too. Both wires and both lookaheads must factor to the same bits.
+// too. Both wires and every window (0, 8 and open) must factor to the
+// same bits.
 // ---------------------------------------------------------------------------
 
 struct DeliveryCase {
@@ -356,7 +357,7 @@ TEST_P(DiagonalDelivery, OnlySolversReceiveNearestAncestorFirst) {
 
   const TracedLu base = traced_lu3d(p, part, c, {});
   for (const Wire wire : {Wire::Dense, Wire::Targeted})
-    for (const int lookahead : {0, 8}) {
+    for (const int lookahead : {0, 8, kMaxPanelLookahead}) {
       SCOPED_TRACE(std::string(wire == Wire::Dense ? "Dense" : "Targeted") +
                    " lookahead " + std::to_string(lookahead));
       const TracedLu run =

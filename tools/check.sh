@@ -32,6 +32,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #     ranks that solve against it, from its owner, nearest ancestor first;
 #   FactorSchedule: the panel engine factors every level leaves first, in
 #     the forward solve's (nd_height, id) order;
+#   PanelWindow: an unset lookahead window is panel_lookahead of the
+#     plane (8 below 64 ranks, else open), an explicit one wins, and the
+#     open window shortens a Targeted factorization on an 8x8 plane;
 #   PaperTrends: Fig. 9's qualitative claims, which a schedule change
 #     moves: 3D beats 2D, the non-planar gains are modest and Schur-update
 #     bound, and the lookahead window shortens the critical path;
@@ -58,7 +61,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   ParserFuzz: mutated MatrixMarket and platform texts parse or throw
 #     slu3d::Error.
 REQUIRED_SUITES=(BinomialTree CommEquivalence GoldenCommCounters
-                 DiagonalDelivery FactorSchedule PaperTrends
+                 DiagonalDelivery FactorSchedule PanelWindow PaperTrends
                  RandomTargetedDeliveryFuzz RelaxedLeaf Rma PlatformRuntime
                  AllgathervSweep DistAnalysis DistAnalysisSweep
                  SolveSchedulePin SolveScheduleFuzz SolverFleet
