@@ -25,26 +25,11 @@ using namespace slu3d;
 /// The swept leaves; the first is the reference the others are divided by.
 constexpr std::array<index_t, 5> kLeaves{32, 48, 64, 96, 128};
 
-struct Shape {
-  int P, Pz, Px, Py;
-};
-
-std::vector<Shape> fig9_shapes() {
-  std::vector<Shape> out;
-  for (int P : {16, 64, 128})
-    for (int Pz : {1, 2, 4, 8, 16}) {
-      if (P % Pz != 0) continue;
-      const auto [Px, Py] = bench::square_ish(P / Pz);
-      out.push_back({P, Pz, Px, Py});
-    }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::bench_platform(argc, argv);
-  const std::vector<Shape> shapes = fig9_shapes();
+  const std::vector<bench::GridShape> shapes = bench::fig9_shapes();
   std::cout << "Relaxed-supernode (leaf size) ablation: simulated "
                "factorization time over the leaf-32 time at each Fig. 9 "
                "grid; * marks relaxed_leaf_size(Px, Py, Pz)\n";
@@ -66,7 +51,7 @@ int main(int argc, char** argv) {
                      TextTable::sci(static_cast<double>(bs.total_nnz())),
                      TextTable::sci(static_cast<double>(bs.total_flops()))});
       for (std::size_t i = 0; i < shapes.size(); ++i) {
-        const Shape& s = shapes[i];
+        const bench::GridShape& s = shapes[i];
         time[0][i][l] = bench::run_dist_lu(bs, Ap, s.Px, s.Py, s.Pz).time;
         time[1][i][l] = bench::run_dist_lu(bs, Ap, s.Px, s.Py, s.Pz,
                                            {.wire = Wire::Targeted})
@@ -82,7 +67,7 @@ int main(int argc, char** argv) {
       head.push_back("best");
       TextTable table(std::move(head));
       for (std::size_t i = 0; i < shapes.size(); ++i) {
-        const Shape& s = shapes[i];
+        const bench::GridShape& s = shapes[i];
         const auto& ti = time[w][i];
         const index_t rule = relaxed_leaf_size(s.Px, s.Py, s.Pz);
         const auto mark = [&](std::size_t l) {

@@ -190,4 +190,22 @@ inline std::pair<int, int> square_ish(int P) {
   return {best, P / best};
 }
 
+/// One process grid of the Fig. 9 sweep.
+struct GridShape {
+  int P, Pz, Px, Py;
+};
+
+/// The Fig. 9 sweep's grids: P in {16, 64, 128}, each P_z in {1, ..., 16}
+/// dividing P, square-ish planes.
+inline std::vector<GridShape> fig9_shapes() {
+  std::vector<GridShape> out;
+  for (int P : {16, 64, 128})
+    for (int Pz : {1, 2, 4, 8, 16}) {
+      if (P % Pz != 0) continue;
+      const auto [Px, Py] = square_ish(P / Pz);
+      out.push_back({P, Pz, Px, Py});
+    }
+  return out;
+}
+
 }  // namespace slu3d::bench
