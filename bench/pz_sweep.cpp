@@ -24,7 +24,11 @@
 // their 2D baseline report what the service runs. A matrix gets at most
 // two orderings, one per leaf the rule picks. The in-sim analysis runs
 // once per (matrix, P, leaf); its split is reported alongside every fig9
-// CSV row that factors that ordering.
+// CSV row that factors that ordering. Fig. 9 divides every point by the
+// 2D run at P = 64, whatever its leaf: the service's 2D time. Figs. 10 and
+// 11 divide each point by the 2D run at its own P and leaf, so their
+// ratios measure replication alone; where the rule picks another leaf for
+// a 3D point than for the 2D one, that 2D run is one more Dense run.
 //
 //   $ ./pz_sweep [--platform SPEC]
 //
@@ -94,12 +98,18 @@ struct MatrixSweep {
   std::string name;
   bool planar = false;
   std::vector<Point> points;
+  /// The Dense 2D (P_z = 1) run at each (P, leaf) a point of this P uses.
+  std::map<std::pair<int, index_t>, bench::DistMetrics> runs_2d;
 
   const Point& at(int P, int Pz) const {
     for (const Point& p : points)
       if (p.P == P && p.Pz == Pz) return p;
     throw Error("pz_sweep: no point at P=" + std::to_string(P) +
                 ", Pz=" + std::to_string(Pz));
+  }
+  /// The 2D run at p's own P and leaf, the baseline of Figs. 10 and 11.
+  const bench::DistMetrics& base_2d(const Point& p) const {
+    return runs_2d.at({p.P, p.leaf});
   }
 };
 
@@ -137,10 +147,10 @@ void print_fig10(const MatrixSweep& s) {
   TextTable table({"P", "Pz", "W_fact(B)", "W_red(B)", "W_total(B)",
                    "vs 2D", "Tsaved(B)", "Tsaved(%)", "TZsaved(%)"});
   for (int P : {64, 128}) {
-    const bench::DistMetrics& m2d = s.at(P, 1).dense;
-    const offset_t w2d = m2d.w_fact + m2d.w_red;
     for (int Pz : {1, 2, 4, 8, 16}) {
       const Point& p = s.at(P, Pz);
+      const bench::DistMetrics& m2d = s.base_2d(p);
+      const offset_t w2d = m2d.w_fact + m2d.w_red;
       const bench::DistMetrics& m = p.dense;
       const offset_t total = m.w_fact + m.w_red;
       table.add_row({std::to_string(P), std::to_string(Pz),
@@ -166,9 +176,9 @@ void print_fig11(const std::vector<MatrixSweep>& sweeps) {
   for (const MatrixSweep& s : sweeps) {
     std::vector<std::string> row{s.name, s.planar ? "planar" : "non-planar"};
     std::vector<std::string> srow = row;
-    const offset_t base = s.at(P, 1).dense.mem_total;
     for (int Pz : {2, 4, 8, 16}) {
       const Point& p = s.at(P, Pz);
+      const offset_t base = s.base_2d(p).mem_total;
       const double overhead =
           100.0 * (static_cast<double>(p.dense.mem_total) /
                        static_cast<double>(base) -
@@ -212,7 +222,8 @@ int main(int argc, char** argv) {
   f10 << "matrix,class,P,Pz,w_fact_bytes,w_red_bytes,targeted_saved_bytes,"
          "dense_xy_bytes,targeted_saved_msgs,targeted_zred_saved_bytes\n";
   std::ofstream f11("results/fig11_memory.csv");
-  f11 << "matrix,class,P,Pz,mem_total_bytes,mem_max_bytes\n";
+  f11 << "matrix,class,P,Pz,mem_total_bytes,mem_max_bytes,"
+         "mem_2d_total_bytes\n";
 
   std::cout << "Fig. 9 — factorization time normalized to the 2D run at "
                "P=64\n";
@@ -220,7 +231,7 @@ int main(int argc, char** argv) {
   for (const auto& t : paper_test_suite(bench::bench_scale())) {
     std::map<index_t, Ordering> orderings;
     const char* cls = t.planar ? "planar" : "nonplanar";
-    MatrixSweep& s = sweeps.emplace_back(MatrixSweep{t.name, t.planar, {}});
+    MatrixSweep& s = sweeps.emplace_back(MatrixSweep{t.name, t.planar, {}, {}});
     for (int P : {16, 64, 128}) {
       // The analysis depends on the world size and the leaf, not the P_z
       // split.
@@ -246,6 +257,12 @@ int main(int argc, char** argv) {
         p.dense = bench::run_dist_lu(o.bs, o.Ap, Px, Py, Pz);
         p.targeted = bench::run_dist_lu(o.bs, o.Ap, Px, Py, Pz,
                                         {.wire = Wire::Targeted});
+        if (!s.runs_2d.contains({P, leaf})) {
+          const auto [Px2d, Py2d] = bench::square_ish(P);
+          s.runs_2d[{P, leaf}] =
+              Pz == 1 ? p.dense
+                      : bench::run_dist_lu(o.bs, o.Ap, Px2d, Py2d, 1);
+        }
         const bench::DistMetrics& m = p.dense;
         f9 << t.name << ',' << cls << ',' << P << ',' << Pz << ',' << Px
            << ',' << Py << ',' << m.time << ',' << m.t_scu << ',' << m.t_comm
@@ -257,7 +274,8 @@ int main(int argc, char** argv) {
             << m.messages_received[kXY] - p.targeted.messages_received[kXY]
             << ',' << p.saved_bytes(kZ) << '\n';
         f11 << t.name << ',' << cls << ',' << P << ',' << Pz << ','
-            << m.mem_total << ',' << m.mem_max << '\n';
+            << m.mem_total << ',' << m.mem_max << ','
+            << s.base_2d(p).mem_total << '\n';
       }
     }
     print_fig9(s, t.A.n_rows());

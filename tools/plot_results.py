@@ -90,12 +90,13 @@ def fig11(rows, out):
     for r in rows:
         if r["P"] == "64":
             by_mat[(r["matrix"], r["class"])].append(
-                (int(r["Pz"]), int(r["mem_total_bytes"])))
+                (int(r["Pz"]), int(r["mem_total_bytes"]),
+                 int(r["mem_2d_total_bytes"])))
     for (mat, cls), pts in sorted(by_mat.items()):
         pts.sort()
-        base = next(m for pz, m in pts if pz == 1)
-        xs = [pz for pz, _ in pts if pz > 1]
-        ys = [100.0 * (m / base - 1.0) for pz, m in pts if pz > 1]
+        # Each point over the 2D run at its own leaf: replication alone.
+        xs = [pz for pz, _, _ in pts if pz > 1]
+        ys = [100.0 * (m / base - 1.0) for pz, m, base in pts if pz > 1]
         ax.plot(xs, ys, marker="o" if cls == "planar" else "s",
                 linestyle="-" if cls == "planar" else "--", label=mat)
     ax.set_xscale("log", base=2)
