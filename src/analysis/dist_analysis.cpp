@@ -1,6 +1,7 @@
 #include "analysis/dist_analysis.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "order/parallel_nd.hpp"
@@ -255,7 +256,9 @@ AnalysisResult distributed(const CsrMatrix& A, sim::Comm& comm,
   // Replicated setup, paid concurrently by every rank: permuted symmetric
   // pattern + the supernode numbering.
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
-  const CsrMatrix S = Ap.pattern_is_symmetric() ? Ap : Ap.symmetrized_pattern();
+  std::optional<CsrMatrix> symmetrized;  // empty when Ap is already symmetric
+  if (!Ap.pattern_is_symmetric()) symmetrized = Ap.symmetrized_pattern();
+  const CsrMatrix& S = symmetrized ? *symmetrized : Ap;
   const SnodeNumbering num = SnodeNumbering::from_tree(tree);
   charge_ops(comm, Ap.nnz() + S.nnz() + A.n_rows());
 

@@ -1,6 +1,7 @@
 // Undirected adjacency view shared by the ordering algorithms.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -23,7 +24,9 @@ struct Adjacency {
 };
 
 inline Adjacency build_adjacency(const CsrMatrix& A) {
-  const CsrMatrix S = A.pattern_is_symmetric() ? A : A.symmetrized_pattern();
+  std::optional<CsrMatrix> symmetrized;  // empty when A is already symmetric
+  if (!A.pattern_is_symmetric()) symmetrized = A.symmetrized_pattern();
+  const CsrMatrix& S = symmetrized ? *symmetrized : A;
   Adjacency g;
   g.ptr.assign(static_cast<std::size_t>(S.n_rows()) + 1, 0);
   g.adj.reserve(static_cast<std::size_t>(S.nnz()));

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 
 #include "order/separator_tree.hpp"
 #include "sparse/csr.hpp"
@@ -52,31 +51,11 @@ index_t relaxed_leaf_size(int Px, int Py, int Pz);
 /// separator vertex touches both halves.
 SeparatorTree nested_dissection(const CsrMatrix& A, const NdOptions& opts = {});
 
-/// Dissects only the subgraph of A induced by `verts` (global vertex ids).
-/// The returned tree's perm maps local positions [0, |verts|) to global
-/// ids — the building block of the parallel (task-tree) dissection.
-SeparatorTree nested_dissection_subgraph(const CsrMatrix& A,
-                                         std::span<const index_t> verts,
-                                         const NdOptions& opts = {});
-
 namespace order_detail {
 /// opts.leaf_size, or relaxed_leaf_size(1, 1, 1) when unset; throws
 /// slu3d::Error on a value below 1. Compare against this, never against
 /// the optional: `x <= std::nullopt` is false for every x.
 index_t resolve_leaf_size(const NdOptions& opts);
-
-/// One dissection step on the subgraph induced by `verts`: two halves and
-/// the separator between them (any of which may come from the
-/// disconnected-components path, where the separator is empty). nullopt
-/// when the subgraph should become a leaf.
-struct TopSplit {
-  std::vector<index_t> a;
-  std::vector<index_t> b;
-  std::vector<index_t> sep;
-};
-std::optional<TopSplit> single_split(const CsrMatrix& A,
-                                     std::span<const index_t> verts,
-                                     const NdOptions& opts);
 }  // namespace order_detail
 
 /// Exact geometric nested dissection for regular grids: recursively bisect

@@ -1,16 +1,22 @@
 #include "order/parallel_nd.hpp"
 
+#include <algorithm>
 #include <numeric>
 
+#include "order/dissector.hpp"
 #include "support/check.hpp"
 
 namespace slu3d {
 
 namespace {
 
+using order_detail::GeneralDissector;
+using order_detail::TopSplit;
 using sim::CommPlane;
 
-constexpr int kSplitTag = 100;  // +4*depth, +4*depth+1 (collective channel)
+// +4*depth, +4*depth+1 (collective channel), +4*depth+2 (a candidate's
+// best seed to its leader, point-to-point channel)
+constexpr int kSplitTag = 100;
 constexpr int kMergeTag = 300;  // +4*depth (point-to-point channel)
 constexpr int kTreeTag = 500;
 
@@ -38,6 +44,14 @@ SubTree from_tree(const SeparatorTree& t) {
 /// into one constant: ~800 flop-equivalents per subgraph edge per
 /// bisection, which puts the simulated ordering rate in the tens of
 /// millions of edges per second a real multilevel partitioner achieves.
+///
+/// A split's charge W = split_work(verts) divides over the ranks that
+/// compute it. With one candidate the leader charges all of W. With c > 1
+/// candidates each charges W/8 for the components sweep it runs (one of
+/// the ~8 passes folded above), and the remaining W - W/8 is divided
+/// exactly among the level-set seeds, each candidate charging its own
+/// seeds' shares (candidate_work); a disconnected set needs no seed, so
+/// its leader keeps all of W and the other candidates charge their W/8.
 constexpr offset_t kNdWorkFactor = 800;
 
 offset_t split_work(const CsrMatrix& A, std::span<const index_t> verts) {
@@ -45,6 +59,30 @@ offset_t split_work(const CsrMatrix& A, std::span<const index_t> verts) {
   for (index_t v : verts)
     deg += static_cast<offset_t>(A.row_cols(v).size()) + 1;
   return kNdWorkFactor * deg;
+}
+
+/// Candidate `rank` of `c`'s charge for a connected level-set split of
+/// charge W over `seeds` seeds: its components sweep plus the shares of
+/// the seeds j = rank (mod c), the seeds' shares summing to W - W/8.
+offset_t candidate_work(offset_t W, std::size_t seeds, int rank, int c) {
+  const offset_t rest = W - W / 8;
+  const auto ns = static_cast<offset_t>(seeds);
+  offset_t work = W / 8;
+  for (offset_t j = rank; j < ns; j += c)
+    work += rest / ns + (j < rest % ns ? 1 : 0);
+  return work;
+}
+
+/// Ranks of a group of `size` that evaluate the split of `n` vertices: a
+/// level-set split deals its seeds over up to `size` ranks; a leaf-sized
+/// set and a Multilevel split run on the leader alone.
+int split_candidates(std::size_t n, int size, const NdOptions& opts) {
+  if (opts.algorithm != NdAlgorithm::LevelSet ||
+      static_cast<index_t>(n) <= *opts.leaf_size)
+    return 1;
+  return static_cast<int>(
+      std::min(static_cast<std::size_t>(size),
+               GeneralDissector::level_set_seed_count(n)));
 }
 
 /// Total work of a locally-run dissection recursion: each tree node's
@@ -148,24 +186,89 @@ SubTree decode_subtree(std::span<const real_t> v) {
   return t;
 }
 
+/// Dissects `verts` on this rank alone and charges the recursion.
+SubTree dissect_alone(const CsrMatrix& A, sim::Comm& comm,
+                      GeneralDissector& dis, std::span<const index_t> verts) {
+  SubTree t = from_tree(dis.run_on(verts));
+  comm.add_compute(recursion_work(A, t.perm, t.nodes), sim::ComputeKind::Other);
+  return t;
+}
+
+/// Candidate `comm.rank()` of `c` (> 1) evaluates its share of the split
+/// of `verts` and returns the split it found. Every candidate runs the
+/// components sweep; on a connected set each then tries the seeds
+/// j = rank (mod c) and sends its best (score, seed, |a|, |b|, |sep|) to
+/// the leader, which fills `header` with the winner's sizes and rank:
+/// lowest score, then lowest seed, the serial loop's first minimum.
+std::optional<TopSplit> candidate_split(const CsrMatrix& A, sim::Comm& comm,
+                                        GeneralDissector& dis,
+                                        std::span<const index_t> verts, int c,
+                                        int depth, std::vector<real_t>& header) {
+  const int me = comm.rank();
+  const offset_t W = split_work(A, verts);
+  std::optional<TopSplit> split = dis.components_split(verts);
+  if (split.has_value()) {
+    comm.add_compute(me == 0 ? W : W / 8, sim::ComputeKind::Other);
+    if (me != 0) return std::nullopt;
+    header = {static_cast<real_t>(split->a.size()),
+              static_cast<real_t>(split->b.size()), 0.0, 0.0};
+    return split;
+  }
+  auto best = dis.level_set_separator(verts, static_cast<std::size_t>(me),
+                                      static_cast<std::size_t>(c));
+  comm.add_compute(
+      candidate_work(W, GeneralDissector::level_set_seed_count(verts.size()),
+                     me, c),
+      sim::ComputeKind::Other);
+  // (score, seed, |a|, |b|, |sep|); seed -1 when none of the seeds split.
+  std::vector<real_t> ours{0.0, -1.0, 0.0, 0.0, 0.0};
+  if (best.has_value()) {
+    ours = {best->score, static_cast<real_t>(best->seed),
+            static_cast<real_t>(best->split.a.size()),
+            static_cast<real_t>(best->split.b.size()),
+            static_cast<real_t>(best->split.sep.size())};
+    split = std::move(best->split);
+  }
+  if (me != 0) {
+    comm.send(0, kSplitTag + 4 * depth + 2, ours, CommPlane::XY);
+    return split;
+  }
+  int winner = 0;
+  for (int q = 1; q < c; ++q) {
+    std::vector<real_t> theirs =
+        comm.recv(q, kSplitTag + 4 * depth + 2, CommPlane::XY);
+    if (theirs[1] < 0) continue;
+    if (ours[1] < 0 || theirs[0] < ours[0] ||
+        (theirs[0] == ours[0] && theirs[1] < ours[1])) {
+      ours = std::move(theirs);
+      winner = q;
+    }
+  }
+  header = ours[1] < 0 ? std::vector<real_t>{-1.0, 0.0, 0.0, 0.0}
+                       : std::vector<real_t>{ours[2], ours[3], ours[4],
+                                             static_cast<real_t>(winner)};
+  return split;
+}
+
 /// Recursive cooperative dissection; returns the group's subtree on the
 /// group leader (rank 0 of `comm`) and an empty SubTree elsewhere.
 SubTree dissect_group(const CsrMatrix& A, sim::Comm& comm,
-                      std::vector<index_t> verts, const NdOptions& opts,
-                      int depth) {
-  if (comm.size() == 1) {
-    SubTree t = from_tree(nested_dissection_subgraph(A, verts, opts));
-    comm.add_compute(recursion_work(A, t.perm, t.nodes),
-                     sim::ComputeKind::Other);
-    return t;
-  }
+                      GeneralDissector& dis, std::vector<index_t> verts,
+                      const NdOptions& opts, int depth) {
+  if (comm.size() == 1) return dissect_alone(A, comm, dis, verts);
 
-  // The leader computes the split and shares it; every rank pays the
-  // bcast (the split lists are small relative to the subtree work).
-  std::optional<order_detail::TopSplit> split;
-  std::vector<real_t> header(3, 0.0);
-  if (comm.rank() == 0) {
-    split = order_detail::single_split(A, verts, opts);
+  // The split runs on the group's first c ranks, which already hold A and
+  // `verts`; the leader broadcasts a header naming the winner, and every
+  // rank pays the bcasts (the split lists are small relative to the
+  // subtree work). With one candidate the leader computes the split alone
+  // and the header is (|a|, |b|, |sep|).
+  const int c = split_candidates(verts.size(), comm.size(), opts);
+  std::optional<TopSplit> split;
+  std::vector<real_t> header(c > 1 ? 4 : 3, 0.0);
+  if (c > 1 && comm.rank() < c) {
+    split = candidate_split(A, comm, dis, verts, c, depth, header);
+  } else if (c == 1 && comm.rank() == 0) {
+    split = dis.split_top(verts);
     comm.add_compute(split_work(A, verts), sim::ComputeKind::Other);
     if (split.has_value()) {
       header = {static_cast<real_t>(split->a.size()),
@@ -178,16 +281,12 @@ SubTree dissect_group(const CsrMatrix& A, sim::Comm& comm,
   comm.bcast(0, kSplitTag + 4 * depth, header, CommPlane::XY);
   if (header[0] < 0) {
     // Unsplittable: the leader dissects it alone (it becomes a leaf).
-    if (comm.rank() == 0) {
-      SubTree t = from_tree(nested_dissection_subgraph(A, verts, opts));
-      comm.add_compute(recursion_work(A, t.perm, t.nodes),
-                       sim::ComputeKind::Other);
-      return t;
-    }
+    if (comm.rank() == 0) return dissect_alone(A, comm, dis, verts);
     return {};
   }
+  const int root = c > 1 ? static_cast<int>(header[3]) : 0;
   std::vector<real_t> payload;
-  if (comm.rank() == 0) {
+  if (comm.rank() == root) {
     payload = encode_verts(split->a);
     const auto eb = encode_verts(split->b);
     const auto es = encode_verts(split->sep);
@@ -196,7 +295,7 @@ SubTree dissect_group(const CsrMatrix& A, sim::Comm& comm,
   } else {
     payload.resize(static_cast<std::size_t>(header[0] + header[1] + header[2]));
   }
-  comm.bcast(0, kSplitTag + 4 * depth + 1, payload, CommPlane::XY);
+  comm.bcast(root, kSplitTag + 4 * depth + 1, payload, CommPlane::XY);
   const auto na = static_cast<std::size_t>(header[0]);
   const auto nb = static_cast<std::size_t>(header[1]);
   const std::vector<index_t> va =
@@ -214,7 +313,7 @@ SubTree dissect_group(const CsrMatrix& A, sim::Comm& comm,
   std::vector<int> side(static_cast<std::size_t>(last - first));
   std::iota(side.begin(), side.end(), first);
   sim::Comm sub = comm.sub(std::move(side));
-  SubTree mine = dissect_group(A, sub, lower ? va : vb, opts, depth + 1);
+  SubTree mine = dissect_group(A, sub, dis, lower ? va : vb, opts, depth + 1);
 
   // Merge on the group leader: the upper half's leader ships its subtree.
   if (comm.rank() == half) {
@@ -243,7 +342,8 @@ SeparatorTree parallel_nested_dissection(const CsrMatrix& A, sim::Comm& comm,
   for (index_t i = 0; i < A.n_rows(); ++i)
     all[static_cast<std::size_t>(i)] = i;
 
-  SubTree mine = dissect_group(A, comm, std::move(all), resolved, 0);
+  GeneralDissector dis(A, *resolved.leaf_size, resolved.algorithm);
+  SubTree mine = dissect_group(A, comm, dis, std::move(all), resolved, 0);
 
   // Broadcast the final tree from the global leader to everyone.
   std::vector<real_t> size1(1, 0.0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "support/check.hpp"
@@ -142,7 +143,9 @@ BlockStructure::BlockStructure(const CsrMatrix& A, const SeparatorTree& tree) {
 
   // --- Initial row candidates from the (symmetrized, permuted) pattern. -
   const CsrMatrix Ap = A.permuted_symmetric(tree.perm());
-  const CsrMatrix S = Ap.pattern_is_symmetric() ? Ap : Ap.symmetrized_pattern();
+  std::optional<CsrMatrix> symmetrized;  // empty when Ap is already symmetric
+  if (!Ap.pattern_is_symmetric()) symmetrized = Ap.symmetrized_pattern();
+  const CsrMatrix& S = symmetrized ? *symmetrized : Ap;
   std::vector<std::vector<index_t>> rowset(static_cast<std::size_t>(n_snodes_));
   for (index_t i = 0; i < n_; ++i) {
     const int si = col_to_snode(i);

@@ -1,6 +1,7 @@
 #include "symbolic/etree.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "support/check.hpp"
 
@@ -8,7 +9,9 @@ namespace slu3d {
 
 std::vector<index_t> elimination_tree(const CsrMatrix& A) {
   SLU3D_CHECK(A.n_rows() == A.n_cols(), "etree needs square A");
-  const CsrMatrix S = A.pattern_is_symmetric() ? A : A.symmetrized_pattern();
+  std::optional<CsrMatrix> symmetrized;  // empty when A is already symmetric
+  if (!A.pattern_is_symmetric()) symmetrized = A.symmetrized_pattern();
+  const CsrMatrix& S = symmetrized ? *symmetrized : A;
   const index_t n = S.n_rows();
   std::vector<index_t> parent(static_cast<std::size_t>(n), -1);
   std::vector<index_t> ancestor(static_cast<std::size_t>(n), -1);  // path compression
@@ -82,7 +85,9 @@ int tree_height(std::span<const index_t> parent) {
 }
 
 std::vector<std::vector<index_t>> symbolic_fill(const CsrMatrix& A) {
-  const CsrMatrix S = A.pattern_is_symmetric() ? A : A.symmetrized_pattern();
+  std::optional<CsrMatrix> symmetrized;  // empty when A is already symmetric
+  if (!A.pattern_is_symmetric()) symmetrized = A.symmetrized_pattern();
+  const CsrMatrix& S = symmetrized ? *symmetrized : A;
   const index_t n = S.n_rows();
   const auto parent = elimination_tree(S);
   std::vector<std::vector<index_t>> cols(static_cast<std::size_t>(n));

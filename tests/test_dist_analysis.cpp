@@ -217,7 +217,7 @@ TEST(DistAnalysis, NdTieBreakFullTreeMatchesSerial) {
        {NdAlgorithm::LevelSet, NdAlgorithm::Multilevel}) {
     const NdOptions opts{.leaf_size = 8, .algorithm = alg};
     const SeparatorTree serial = nested_dissection(A, opts);
-    for (int P : {2, 4, 8}) {
+    for (int P : {2, 3, 4, 6, 8}) {
       std::vector<int> ok(static_cast<std::size_t>(P), -1);
       run_ranks(P, kModel, [&](sim::Comm& world) {
         const SeparatorTree par = parallel_nested_dissection(A, world, opts);

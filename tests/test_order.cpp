@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <functional>
-#include <numeric>
 #include <string>
 
 #include "order/nested_dissection.hpp"
@@ -112,8 +111,6 @@ TEST(NestedDissection, RejectsLeafSizeBelowOne) {
   // nodes without complaint; every entry point must name the bad value.
   const GridGeometry g{12, 12, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
-  std::vector<index_t> half(72);
-  std::iota(half.begin(), half.end(), 0);
   auto expect_rejects = [](index_t leaf, const std::function<void()>& call) {
     try {
       call();
@@ -127,7 +124,6 @@ TEST(NestedDissection, RejectsLeafSizeBelowOne) {
   for (const index_t leaf : {0, -3}) {
     const NdOptions opts{.leaf_size = leaf};
     expect_rejects(leaf, [&] { nested_dissection(A, opts); });
-    expect_rejects(leaf, [&] { nested_dissection_subgraph(A, half, opts); });
     expect_rejects(leaf, [&] { geometric_nd(g, opts); });
     expect_rejects(leaf, [&] {
       sim::run_ranks(2, sim::MachineModel{}, [&](sim::Comm& world) {

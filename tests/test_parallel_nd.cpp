@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 
 #include "lu3d/solve3d.hpp"
@@ -117,8 +118,9 @@ TEST(ParallelNd, DrivesTheFullDistributedPipeline) {
 
 TEST(ParallelNd, MatchesSerialTopSeparatorChoice) {
   // The parallel recursion makes the same separator choices as the serial
-  // code (the leader runs the identical splitter), so the trees coincide
-  // when the serial recursion would assign work the same way.
+  // code (its candidates try the serial seed list with the serial score,
+  // and the leader keeps the serial loop's first minimum), so the trees
+  // coincide when the serial recursion would assign work the same way.
   const GridGeometry g{10, 10, 1};
   const CsrMatrix A = grid2d_laplacian(g, Stencil2D::FivePoint);
   const SeparatorTree serial = nested_dissection(A, {.leaf_size = 8});
@@ -138,6 +140,73 @@ TEST(ParallelNd, MatchesSerialTopSeparatorChoice) {
     std::sort(pv.begin(), pv.end());
     EXPECT_EQ(sv, pv);
   });
+}
+
+bool same_tree(const SeparatorTree& a, const SeparatorTree& b) {
+  if (a.root() != b.root() || a.n_nodes() != b.n_nodes() ||
+      !std::ranges::equal(a.perm(), b.perm()))
+    return false;
+  for (int i = 0; i < a.n_nodes(); ++i) {
+    const auto &x = a.node(i), &y = b.node(i);
+    if (x.subtree_first != y.subtree_first || x.sep_first != y.sep_first ||
+        x.sep_last != y.sep_last || x.left != y.left || x.right != y.right ||
+        x.parent != y.parent)
+      return false;
+  }
+  return true;
+}
+
+/// ND compute each rank charged while ordering A over P ranks, after
+/// checking that every rank got nested_dissection's tree.
+std::vector<offset_t> nd_flops_per_rank(const CsrMatrix& A, int P,
+                                        const NdOptions& opts) {
+  const SeparatorTree serial = nested_dissection(A, opts);
+  std::vector<int> same(static_cast<std::size_t>(P), -1);
+  const sim::RunResult res = run_ranks(P, kModel, [&](sim::Comm& world) {
+    const SeparatorTree par = parallel_nested_dissection(A, world, opts);
+    same[static_cast<std::size_t>(world.rank())] = same_tree(serial, par);
+  });
+  std::vector<offset_t> flops;
+  for (int r = 0; r < P; ++r) {
+    EXPECT_EQ(same[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    flops.push_back(res.ranks[static_cast<std::size_t>(r)].flops[
+        static_cast<std::size_t>(sim::ComputeKind::Other)]);
+  }
+  return flops;
+}
+
+// A level-set split runs on the first min(group size, seeds) ranks of its
+// group, one residue class of the seed list each. A 12x12 grid at leaf 80
+// has three seeds at the top and leaf halves, so at P = 4 ranks 0-2 each
+// try one seed and rank 3 none; ranks 1 and 3 lead no group below it.
+TEST(ParallelNdSeeds, SeedsRunOnSeparateRanksOfTheGroup) {
+  const CsrMatrix A = grid2d_laplacian({12, 12, 1}, Stencil2D::FivePoint);
+  const NdOptions opts{.leaf_size = 80};
+  ASSERT_EQ(nested_dissection(A, opts).n_nodes(), 3);
+  const std::vector<offset_t> flops = nd_flops_per_rank(A, 4, opts);
+  EXPECT_GT(flops[1], 0);
+  EXPECT_EQ(flops[3], 0);
+}
+
+// A disconnected set needs no seed: every candidate runs the components
+// sweep, an eighth of the split's charge, and the leader keeps the whole
+// charge. Two chains of 50 at leaf 60 have four seeds, so all four ranks
+// are candidates, and leaf halves, so ranks 1 and 3 charge only the sweep.
+TEST(ParallelNdSeeds, DisconnectedSetKeepsTheSplitOnTheLeader) {
+  CooMatrix coo(100, 100);
+  for (index_t c = 0; c < 2; ++c)
+    for (index_t i = 0; i < 49; ++i) {
+      coo.add(c * 50 + i, c * 50 + i + 1, -1.0);
+      coo.add(c * 50 + i + 1, c * 50 + i, -1.0);
+    }
+  for (index_t i = 0; i < 100; ++i) coo.add(i, i, 3.0);
+  const CsrMatrix A = CsrMatrix::from_coo(coo);
+  const NdOptions opts{.leaf_size = 60};
+  ASSERT_EQ(nested_dissection(A, opts).n_nodes(), 3);
+  const std::vector<offset_t> flops = nd_flops_per_rank(A, 4, opts);
+  EXPECT_GT(flops[1], 0);
+  EXPECT_EQ(flops[3], flops[1]);
+  EXPECT_GE(flops[0], 8 * flops[1]);
 }
 
 }  // namespace

@@ -35,6 +35,10 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   PanelWindow: an unset lookahead window is panel_lookahead of the
 #     plane (8 below 64 ranks, else open), an explicit one wins, and the
 #     open window shortens a Targeted factorization on an 8x8 plane;
+#   ParallelNdSeeds: a level-set split's seeds run on separate ranks of
+#     its group (a seed-only rank charges ND work, a rank past the seed
+#     count none, a disconnected set keeps the split on its leader), and
+#     every rank still gets nested_dissection's tree;
 #   PaperTrends: Fig. 9's qualitative claims, which a schedule change
 #     moves: 3D beats 2D, the non-planar gains are modest and Schur-update
 #     bound, and the lookahead window shortens the critical path;
@@ -61,9 +65,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 #   ParserFuzz: mutated MatrixMarket and platform texts parse or throw
 #     slu3d::Error.
 REQUIRED_SUITES=(BinomialTree CommEquivalence GoldenCommCounters
-                 DiagonalDelivery FactorSchedule PanelWindow PaperTrends
-                 RandomTargetedDeliveryFuzz RelaxedLeaf Rma PlatformRuntime
-                 AllgathervSweep DistAnalysis DistAnalysisSweep
+                 DiagonalDelivery FactorSchedule PanelWindow ParallelNdSeeds
+                 PaperTrends RandomTargetedDeliveryFuzz RelaxedLeaf Rma
+                 PlatformRuntime AllgathervSweep DistAnalysis DistAnalysisSweep
                  SolveSchedulePin SolveScheduleFuzz SolverFleet
                  SnodeWidthCap SparseZReduction ParserFuzz)
 
